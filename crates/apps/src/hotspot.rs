@@ -62,6 +62,19 @@ fn encode(rank: usize, i: usize) -> u32 {
 ///
 /// Panics if the strided slices do not fit the shared segment.
 pub fn run(sys: &SystemConfig, hcfg: &HotspotConfig) -> Result<HotspotOutcome, RunError> {
+    let window = Arc::new(AtomicU64::new(0));
+    let run = System::run(sys, &[], kernels(sys, hcfg, Arc::clone(&window)))?;
+    Ok(HotspotOutcome { run, cycles: window.load(Ordering::SeqCst) })
+}
+
+/// The benchmark's kernels, one per configured PE, for driving an engine
+/// directly ([`run`] hands them to [`System::run`]). Rank 0 stores its
+/// measured cycles between the start and end barrier into `window`.
+///
+/// # Panics
+///
+/// Panics if the strided slices do not fit the shared segment.
+pub fn kernels(sys: &SystemConfig, hcfg: &HotspotConfig, window: Arc<AtomicU64>) -> Vec<Kernel> {
     let ranks = sys.compute_pes();
     let ops = hcfg.ops_per_rank;
     let lines_needed = (ranks * ops) as u64 * LINE_BYTES as u64;
@@ -70,9 +83,7 @@ pub fn run(sys: &SystemConfig, hcfg: &HotspotConfig) -> Result<HotspotOutcome, R
         "{ranks} ranks x {ops} ops need {lines_needed} shared bytes, have {}",
         sys.layout().shared_bytes()
     );
-
-    let window = Arc::new(AtomicU64::new(0));
-    let kernels: Vec<Kernel> = (0..ranks)
+    (0..ranks)
         .map(|r| {
             let cell = Arc::clone(&window);
             Box::new(move |api: PeApi| {
@@ -93,10 +104,7 @@ pub fn run(sys: &SystemConfig, hcfg: &HotspotConfig) -> Result<HotspotOutcome, R
                 }
             }) as Kernel
         })
-        .collect();
-
-    let run = System::run(sys, &[], kernels)?;
-    Ok(HotspotOutcome { run, cycles: window.load(Ordering::SeqCst) })
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,24 +4,32 @@
 //!
 //! * **before**: [`System::run_reference`], the naive tick-everything
 //!   loop behind a `Box<dyn Fabric>` (the seed engine);
-//! * **after**: [`System::run`], the zero-allocation, activity-scheduled
-//!   engine with per-PE wake scheduling;
+//! * **after**: [`System::run`], the zero-allocation, event-driven engine:
+//!   delivery visits only nodes with queued flits, and only PEs woken by a
+//!   timed, delivery or probe wake tick — a PE waiting only for a flit is
+//!   parked until one arrives;
 //!
 //! — and writes the results to `BENCH_sim_speed.json` (or the path given
 //! as the first argument). Both engines produce bit-identical
 //! architectural results (enforced by `tests/golden_determinism.rs` and
 //! the `engine_equivalence` unit test); only wall-clock differs.
 
+use medea_apps::hotspot::{self, HotspotConfig};
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_bench::base_builder;
 use medea_core::api::PeApi;
 use medea_core::explore::Workload as _;
 use medea_core::system::{Kernel, RunResult, System};
-use medea_core::{Empi, SystemConfig};
+use medea_core::{Empi, SystemConfig, Topology};
 use medea_sim::ids::Rank;
+use std::sync::Arc;
 
 /// Runs per engine; the best (highest) rate is reported to damp noise.
 const REPS: usize = 3;
+
+/// Store+load round trips per rank of the hotspot point, sized so one
+/// reference-engine run stays under about two seconds.
+const HOTSPOT_OPS: usize = 8;
 
 struct Measurement {
     name: &'static str,
@@ -157,13 +165,50 @@ fn main() {
         rows.push(measure("imbalanced_forkjoin_8pe", &cfg, &[], || imbalanced_kernels(8, 4)));
     }
 
+    // Hotspot at the 256-router scale point: 252 PEs hammer four banks
+    // with uncached single words, so nearly every PE cycle is a memory
+    // wait that the event-driven engine spends parked.
+    {
+        let cfg = base_builder()
+            .topology(Topology::new(16, 16).expect("16x16 torus"))
+            .compute_pes(252)
+            .memory_banks(4)
+            .shared_bytes(4 * 1024 * 1024)
+            .build()
+            .expect("config");
+        let hcfg = HotspotConfig { ops_per_rank: HOTSPOT_OPS };
+        rows.push(measure("hotspot_16x16_252pe_4banks", &cfg, &[], || {
+            hotspot::kernels(&cfg, &hcfg, Arc::default())
+        }));
+    }
+
+    // The 63-PE 8x8 hybrid Jacobi point of the BENCH_scaling ladder: its
+    // n = 65 grid is the smallest 63 ranks accept, so the run is cut to
+    // one measured iteration and no warm-up instead (a reference-engine
+    // run still takes about three seconds). Mostly memory wait on bank 0.
+    {
+        let cfg = base_builder()
+            .topology(Topology::new(8, 8).expect("8x8 torus"))
+            .compute_pes(63)
+            .cache_bytes(16 * 1024)
+            .build()
+            .expect("config");
+        let jcfg = JacobiConfig::new(65, JacobiVariant::HybridFullMp).with_warmup_iters(0);
+        let workload = JacobiWorkload { jcfg };
+        let preload = workload.prepare(&cfg).preload;
+        rows.push(measure("jacobi_8x8_63pe_hybrid", &cfg, &preload, || {
+            workload.prepare(&cfg).kernels
+        }));
+    }
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"sim_speed\",\n");
     json.push_str("  \"metric\": \"simulated_cycles_per_wall_second\",\n");
     json.push_str("  \"before\": \"System::run_reference (naive tick-everything engine)\",\n");
     json.push_str(
-        "  \"after\": \"System::run (zero-allocation, activity-scheduled, per-PE wake)\",\n",
+        "  \"after\": \"System::run (zero-allocation, event-driven: eject-ready delivery, \
+         timed/delivery/probe wakes, PEs parked on a flit)\",\n",
     );
     json.push_str(&format!("  \"reps_per_engine\": {REPS},\n"));
     json.push_str("  \"workloads\": [\n");

@@ -64,6 +64,7 @@ pub mod empi;
 pub mod explore;
 pub mod layout;
 pub mod report;
+pub(crate) mod sched;
 pub mod system;
 pub(crate) mod tiled;
 

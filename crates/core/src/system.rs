@@ -14,19 +14,28 @@
 //! MPMMU banks (default 1 at node 0 — the paper's single-slave instance,
 //! reproduced bit-for-bit). The eject→hold→inject plumbing each bank
 //! needs is one set of helpers ([`banks_deliver`], [`banks_tick`],
-//! [`banks_inject`], [`banks_quiet`]) shared by both engines below.
+//! [`banks_inject`], [`banks_quiet`]) shared by every engine below.
 //!
 //! Three engines implement that loop:
 //!
 //! * [`System::run`] — the production engine. Statically dispatched
-//!   fabric ([`AnyFabric`]), per-PE wake scheduling (a PE parked in a
-//!   pure time stall until cycle `t` is not ticked across the
-//!   intervening cycles, even while the fabric or other PEs stay busy),
-//!   ejection delivery gated on the fabric's O(1) flit census, and the
-//!   whole-system fast-forward across cycles in which every component is
-//!   provably idle — the optimizations that make the 168-point
-//!   exploration cheap, standing in for the paper's 15× SystemC-over-HDL
-//!   speedup.
+//!   fabric ([`AnyFabric`]) and event-driven component scheduling
+//!   ([`crate::sched`]), so every phase costs time in proportion to the
+//!   components that can act rather than to the PE count: delivery
+//!   visits only the nodes whose ejection queue holds a flit, and only
+//!   *runnable* PEs tick. A PE becomes runnable through one of three
+//!   wake sources — *timed* (it asked for the next cycle, or a pure time
+//!   stall it sleeps in ends), *delivery* (a flit reached it while it was
+//!   parked) or *probe* (a directory probe reached it while it slept or
+//!   after it retired). A PE is *parked* when its tick leaves it waiting
+//!   only for a flit: empty arbiter, idle probe responder, a bridge that
+//!   is idle or awaits a response with no armed retry timer, and a
+//!   memory wait past its access phase, a direct bridge transaction or a
+//!   `Recv` with no matching packet; its wake credits the wait-counter
+//!   increments of the ticks it skipped. On top, a whole-system
+//!   fast-forward skips the cycles in which every component is provably
+//!   idle — the optimizations that make the 168-point exploration cheap,
+//!   standing in for the paper's 15× SystemC-over-HDL speedup.
 //! * [`System::run_reference`] — the naive tick-everything loop behind a
 //!   `Box<dyn Fabric>`, kept as the behavioral reference: both engines
 //!   must produce bit-identical results (`tests/golden_determinism.rs`,
@@ -39,9 +48,9 @@
 //!   tile, with a per-cycle barrier exchanging only the boundary link
 //!   latches; every cross-tile effect is merged in fixed tile-index
 //!   order, so results stay **bit-identical** to this sequential engine
-//!   at every thread count (`tests/parallel_equivalence.rs`). The
-//!   helpers below are shared with it (`pub(crate)`) so both engines run
-//!   literally the same per-component code.
+//!   at every thread count (`tests/parallel_equivalence.rs`). Each tile
+//!   runs the same [`crate::sched::Scheduler`] over its own components,
+//!   so both engines run literally the same per-component code.
 //!
 //! The production engine is generic over a `medea_trace::TraceSink`
 //! ([`System::run_traced`]): every layer emits typed, timestamped events
@@ -66,13 +75,14 @@
 
 use crate::api::PeApi;
 use crate::config::SystemConfig;
+use crate::sched::{Scheduler, FAULT_LINK_KILL};
 use crate::FabricKind;
 use medea_cache::{Addr, CacheStats, CoherenceStats};
 use medea_fault::{FaultInjector, FaultStats, NullInjector};
 use medea_mem::{Mpmmu, MpmmuStats};
 use medea_metrics::{Meter, MetricsReport, NullMeter, Recorder};
 use medea_noc::coord::Dir;
-use medea_noc::flit::{Flit, PacketKind, SubKind};
+use medea_noc::flit::Flit;
 use medea_noc::ideal::IdealNetwork;
 use medea_noc::network::Network;
 use medea_noc::reference::ReferenceNetwork;
@@ -84,7 +94,6 @@ use medea_sim::ids::{NodeId, Rank};
 use medea_sim::stats::Log2Histogram;
 use medea_sim::Cycle;
 use medea_trace::{NullSink, TraceEvent, TraceSink};
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -347,7 +356,9 @@ impl System {
     ///   each MPMMU's tick ([`Mpmmu::tick_faulted`]);
     /// * **PE stalls** — a runnable PE's wake cycle pushed `stall`
     ///   cycles into the future, freezing its engine without touching
-    ///   its architectural state.
+    ///   its architectural state. The stall is rolled for every runnable
+    ///   PE on every cycle, so no PE is parked while an injector is
+    ///   active (see [`crate::sched`]).
     ///
     /// With [`NullInjector`] every hook constant-folds away and this *is*
     /// [`System::run_traced`] — fault-free results stay bit-identical
@@ -425,26 +436,16 @@ impl System {
             FabricKind::Deflection => Network::new(topo).into(),
             FabricKind::Ideal => IdealNetwork::new(topo).into(),
         };
-        let mut banks = build_banks(cfg, preload);
-        let mut pes = build_pes(cfg, kernels);
+        let banks = build_banks(cfg, preload);
+        let mut sched = Scheduler::new(build_pes(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
 
         let wall_start = Instant::now();
-        // Per-PE wake schedule: the cycle at which each PE must next be
-        // ticked. A PE parked in a pure time stall (drained bridge and
-        // arbiter — see `ProcessingElement::sleep_until`) is skipped
-        // entirely until its wake cycle; for such a PE a tick is provably
-        // a no-op and it cannot inject, so skipping is bit-identical to
-        // the reference engine's tick-everything loop.
-        let mut wake: Vec<Cycle> = vec![0; pes.len()];
-        let mut ticked: Vec<bool> = vec![false; pes.len()];
-        let mut live = pes.len();
         let mut now: Cycle = 0;
-        // Progress watchdog (off at 0) and the rolling tail of recent
-        // engine-side fault events, attached to hang diagnostics.
+        // Progress watchdog (off at 0); the scheduler keeps the rolling
+        // tail of recent engine-side fault events for hang diagnostics.
         let watchdog = cfg.resilience().watchdog_cycles;
-        let mut last_fingerprint = progress_fingerprint(&pes, &banks);
+        let mut last_fingerprint = progress_fingerprint(&sched.pes, &sched.banks);
         let mut last_progress_at: Cycle = 0;
-        let mut fault_log: VecDeque<(Cycle, TraceEvent)> = VecDeque::new();
         loop {
             // 0a. Sampling catch-up: commit every window whose boundary
             // has passed. The loop form makes the idle fast-forward jump
@@ -453,7 +454,7 @@ impl System {
             // observed.
             if M::ACTIVE {
                 while meter.next_sample() <= now {
-                    sample_pes_banks(meter, &pes, 0, &banks, 0);
+                    sched.sample(meter);
                     meter.commit_window();
                 }
             }
@@ -467,117 +468,26 @@ impl System {
                     if S::ACTIVE {
                         sink.record(now, ev);
                     }
-                    push_fault(&mut fault_log, now, ev);
+                    sched.log_fault(now, FAULT_LINK_KILL, ev);
                 }
             }
 
-            // 1. Deliver ejections. With the O(1) flit census, a drained
-            // fabric skips the per-node ejection polls outright.
-            if fabric.in_flight() > 0 {
-                for (i, pe) in pes.iter_mut().enumerate() {
-                    let node = pe.node();
-                    while let Some(mut flit) = fabric.eject(node) {
-                        if I::ACTIVE && !flit.kind().is_shared_memory() {
-                            if let Some(bit) = injector.corrupt_flit(now, node.index() as u16) {
-                                flit.corrupt_payload_bit(bit);
-                                let ev = TraceEvent::FaultFlitCorrupted {
-                                    node: node.index() as u16,
-                                    bit,
-                                };
-                                if S::ACTIVE {
-                                    sink.record(now, ev);
-                                }
-                                push_fault(&mut fault_log, now, ev);
-                            }
-                        }
-                        if S::ACTIVE {
-                            sink.record(now, delivered_event(node, &flit, now));
-                        }
-                        // A directory probe must wake even a parked or
-                        // retired PE: the home bank blocks until it is
-                        // answered.
-                        if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
-                            wake[i] = now;
-                        }
-                        pe.deliver_traced(flit, now, sink);
-                    }
-                }
-            }
-            banks_deliver(&mut fabric, &mut banks, now, sink);
-
-            // 2. Tick runnable components (a bank's tick is a no-op while
-            // it is idle, so it is skipped then too).
-            for (i, pe) in pes.iter_mut().enumerate() {
-                if I::ACTIVE && wake[i] <= now && !pe.is_done() {
-                    let stall = injector.pe_stall(now, pe.node().index() as u16);
-                    if stall > 0 {
-                        wake[i] = now + Cycle::from(stall);
-                        let ev = TraceEvent::FaultPeStall {
-                            node: pe.node().index() as u16,
-                            cycles: stall,
-                        };
-                        if S::ACTIVE {
-                            sink.record(now, ev);
-                        }
-                        push_fault(&mut fault_log, now, ev);
-                    }
-                }
-                if wake[i] > now {
-                    ticked[i] = false;
-                    continue;
-                }
-                ticked[i] = true;
-                let was_done = pe.is_done();
-                pe.tick_traced(now, sink);
-                if M::ACTIVE {
-                    // Interval attribution: the recorder charges the span
-                    // since this PE's previous tick to its previous
-                    // activity, so skipped (parked) cycles are charged to
-                    // the state the PE parked in.
-                    meter.pe_state(i, now, pe.activity());
-                }
-                if !was_done && pe.is_done() {
-                    live -= 1;
-                }
-                wake[i] = match pe.sleep_until() {
-                    Some(t) => t.max(now + 1),
-                    None => now + 1,
-                };
-            }
-            banks_tick(&mut banks, now, true, sink, injector);
-
-            // 3. Inject (one flit per node per cycle). A skipped PE has a
-            // drained arbiter by construction, so only ticked PEs can
-            // have traffic to offer.
-            for (i, pe) in pes.iter_mut().enumerate() {
-                if !ticked[i] {
-                    continue;
-                }
-                if let Some(flit) = pe.select_inject() {
-                    let kind = flit.kind().code();
-                    match fabric.try_inject_tagged(pe.node(), flit, now, false) {
-                        Ok(()) => {
-                            if S::ACTIVE {
-                                let node = pe.node().index() as u16;
-                                sink.record(now, TraceEvent::FlitInjected { node, kind });
-                            }
-                        }
-                        Err(back) => pe.restore_inject(back),
-                    }
-                }
-            }
-            banks_inject(&mut fabric, &mut banks, now, sink);
+            // 1.–3. Deliver, tick, inject: the scheduler visits only the
+            // nodes with queued flits and the PEs a timed, delivery or
+            // probe wake made runnable; PEs parked on a flit are skipped
+            // (see `crate::sched`).
+            sched.step(&mut fabric, now, sink, injector, meter);
 
             // 4. Fabric (activity-scheduled internally; a drained fabric
             // ticks in constant time).
             fabric.tick_metered(now, sink, meter);
 
             // 5. Termination, limits, fast-forward.
-            if live == 0 {
+            if sched.live() == 0 {
                 if M::ACTIVE {
                     // Final snapshot + flush: close the open attribution
                     // spans at `now` and commit the partial last window.
-                    sample_pes_banks(meter, &pes, 0, &banks, 0);
+                    sched.sample(meter);
                     meter.finish(now);
                 }
                 break;
@@ -585,34 +495,35 @@ impl System {
             if now >= cfg.cycle_limit() {
                 return Err(RunError::CycleLimit {
                     limit: cfg.cycle_limit(),
-                    detail: stall_detail(&pes, &banks, fabric.in_flight(), &fault_log),
+                    detail: stall_detail(&sched, fabric.in_flight()),
                 });
             }
             if watchdog > 0 {
-                let fp = progress_fingerprint(&pes, &banks);
+                let fp = progress_fingerprint(&sched.pes, &sched.banks);
                 if fp != last_fingerprint {
                     last_fingerprint = fp;
                     last_progress_at = now;
-                } else if pes.iter().enumerate().any(|(i, pe)| !pe.is_done() && wake[i] > now + 1) {
-                    // A PE parked in a multi-cycle timed stall (a long
+                } else if sched.timed_stall_pending(now) {
+                    // A PE asleep in a multi-cycle timed stall (a long
                     // `compute`, a bridge backoff) is healthy, not hung —
                     // it will produce work when it wakes, even though
                     // another PE polling every cycle keeps the fast-
                     // forward jump (which would reset the window) from
                     // engaging. Keep the window open while the stall is
                     // in flight; a livelock has every live PE spinning at
-                    // wake = now + 1, so this never masks one.
+                    // wake = now + 1 or parked on traffic that never
+                    // comes, so this never masks one.
                     last_progress_at = now;
                 } else if now - last_progress_at >= watchdog {
                     return Err(RunError::Watchdog {
                         at: now,
-                        detail: stall_detail(&pes, &banks, fabric.in_flight(), &fault_log),
+                        detail: stall_detail(&sched, fabric.in_flight()),
                     });
                 }
             }
-            let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
+            let quiet = fabric.in_flight() == 0 && banks_quiet(&sched.banks);
             if quiet {
-                match classify_quiet(&pes) {
+                match classify_quiet(&sched.pes) {
                     QuietState::AllTimed { min_wake } => {
                         // Never skip past the cycle limit: the limit check
                         // must still observe the overrun.
@@ -627,7 +538,10 @@ impl System {
                         }
                     }
                     QuietState::Deadlocked => {
-                        return Err(RunError::Deadlock { at: now, detail: deadlock_detail(&pes) });
+                        return Err(RunError::Deadlock {
+                            at: now,
+                            detail: deadlock_detail(&sched.pes),
+                        });
                     }
                     QuietState::Mixed => {}
                 }
@@ -635,7 +549,14 @@ impl System {
             now += 1;
         }
 
-        Ok(finish_result(now, &pes, fabric.stats(), &banks, wall_start, injector.stats()))
+        Ok(finish_result(
+            now,
+            &sched.pes,
+            fabric.stats(),
+            &sched.banks,
+            wall_start,
+            injector.stats(),
+        ))
     }
 
     /// Run `kernels` on the naive reference engine: the frozen seed
@@ -702,7 +623,7 @@ impl System {
             if now >= cfg.cycle_limit() {
                 return Err(RunError::CycleLimit {
                     limit: cfg.cycle_limit(),
-                    detail: stall_detail(&pes, &banks, fabric.in_flight(), &VecDeque::new()),
+                    detail: stall_summary(&pes, &banks, fabric.in_flight(), &[]),
                 });
             }
             let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
@@ -778,10 +699,10 @@ pub(crate) fn delivered_event(node: NodeId, flit: &Flit, now: Cycle) -> TraceEve
 }
 
 /// Deliver ejections to every bank: retry the held flit first, then drain
-/// the node's ejection queue until the bank back-pressures. Shared by both
+/// the node's ejection queue until the bank back-pressures. Shared by all
 /// engines — with a drained fabric (`in_flight() == 0`) the eject loop is
 /// a no-op either way, so the census gate is a pure optimization.
-fn banks_deliver<F: Fabric + ?Sized, S: TraceSink>(
+pub(crate) fn banks_deliver<F: Fabric + ?Sized, S: TraceSink>(
     fabric: &mut F,
     banks: &mut [Bank],
     now: Cycle,
@@ -828,7 +749,7 @@ pub(crate) fn banks_tick<S: TraceSink, I: FaultInjector>(
 
 /// Inject at most one response flit per bank (one flit per node per
 /// cycle); a refused flit goes back to the front of the bank's out FIFO.
-fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
+pub(crate) fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
     fabric: &mut F,
     banks: &mut [Bank],
     now: Cycle,
@@ -948,16 +869,6 @@ pub(crate) fn deadlock_detail(pes: &[ProcessingElement]) -> String {
         .join(", ")
 }
 
-/// How many engine-side fault events the hang diagnostics keep.
-pub(crate) const FAULT_LOG_CAP: usize = 64;
-
-fn push_fault(log: &mut VecDeque<(Cycle, TraceEvent)>, now: Cycle, ev: TraceEvent) {
-    if log.len() == FAULT_LOG_CAP {
-        log.pop_front();
-    }
-    log.push_back((now, ev));
-}
-
 /// The watchdog's progress fingerprint: work *served*, not work
 /// *attempted*. Packets received by PEs plus transactions completed by
 /// banks — a sum of monotone counters, so equality means literally
@@ -984,15 +895,21 @@ pub(crate) fn progress_fingerprint(pes: &[ProcessingElement], banks: &[Bank]) ->
     fp
 }
 
+/// [`stall_summary`] of one scheduler's components and fault tail.
+fn stall_detail(sched: &Scheduler, in_flight: usize) -> String {
+    let faults: Vec<(Cycle, TraceEvent)> = sched.faults().map(|(at, _, ev)| (at, ev)).collect();
+    stall_summary(&sched.pes, &sched.banks, in_flight, &faults)
+}
+
 /// Per-PE blocked-state diagnostics for [`RunError::CycleLimit`] and
 /// [`RunError::Watchdog`]: what every unfinished rank is waiting on,
 /// its traffic counters, bank busyness, in-flight flits, and the tail
 /// of recent engine-side fault events.
-pub(crate) fn stall_detail(
+pub(crate) fn stall_summary(
     pes: &[ProcessingElement],
     banks: &[Bank],
     in_flight: usize,
-    fault_log: &VecDeque<(Cycle, TraceEvent)>,
+    fault_log: &[(Cycle, TraceEvent)],
 ) -> String {
     let mut parts: Vec<String> = Vec::new();
     for (i, pe) in pes.iter().enumerate() {
@@ -1086,33 +1003,6 @@ pub(crate) fn finish_result(
         metrics: None,
         trace_drops: 0,
         wall: wall_start.elapsed(),
-    }
-}
-
-/// Snapshot every PE and bank into `meter` at a sample-window boundary —
-/// the one sampling pass shared by the sequential engine (bases 0) and
-/// each tile of the tiled engine (bases = the tile's global slot
-/// offsets, so full-size per-tile forks merge by element-wise sum).
-pub(crate) fn sample_pes_banks<M: Meter>(
-    meter: &mut M,
-    pes: &[ProcessingElement],
-    pe_base: usize,
-    banks: &[Bank],
-    bank_base: usize,
-) {
-    for (i, pe) in pes.iter().enumerate() {
-        meter.sample_pe(pe_base + i, pe.activity(), pe.arbiter_occupancy(), pe.rx_backlog());
-    }
-    for (i, bank) in banks.iter().enumerate() {
-        let (req, data, out) = bank.unit.fifo_occupancy();
-        meter.sample_bank(
-            bank_base + i,
-            req,
-            data,
-            out,
-            bank.unit.stats().lock_nacks.get(),
-            bank.unit.coherence_stats().protocol_messages(),
-        );
     }
 }
 
@@ -1447,6 +1337,45 @@ mod tests {
         ]
     }
 
+    /// Assert that a scheduled-engine run matches the reference engine's
+    /// on every simulated result: cycles, fabric statistics, and every
+    /// per-PE (`PeStats`, `CacheStats`, `BridgeStats`, `TieStats`,
+    /// coherence) and per-bank counter. That includes the wait counters a
+    /// parked PE's wake credits (`mem_cycles`, `recv_wait_cycles`), which
+    /// only a comparison against the never-parking reference can check.
+    fn assert_same_results(fast: &RunResult, slow: &RunResult, what: &str) {
+        assert_eq!(fast.cycles, slow.cycles, "{what}: cycles");
+        assert_eq!(fast.fabric_delivered, slow.fabric_delivered, "{what}: delivered");
+        assert_eq!(fast.fabric_deflections, slow.fabric_deflections, "{what}: deflections");
+        assert_eq!(fast.fabric_reroutes, slow.fabric_reroutes, "{what}: reroutes");
+        assert_eq!(fast.fabric_max_latency, slow.fabric_max_latency, "{what}: max latency");
+        assert_eq!(fast.fabric_mean_latency, slow.fabric_mean_latency, "{what}: mean latency");
+        assert_eq!(fast.fabric_latency, slow.fabric_latency, "{what}: latency histogram");
+        assert_eq!(fast.pe.len(), slow.pe.len(), "{what}: PE count");
+        for (i, (a, b)) in fast.pe.iter().zip(&slow.pe).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: PE {i} counters");
+        }
+        assert_eq!(fast.banks.len(), slow.banks.len(), "{what}: bank count");
+        for (i, (a, b)) in fast.banks.iter().zip(&slow.banks).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: bank {i} counters");
+        }
+        assert_eq!(format!("{:?}", fast.mpmmu), format!("{:?}", slow.mpmmu), "{what}: MPMMU");
+        assert_eq!(fast.coherence, slow.coherence, "{what}: coherence");
+    }
+
+    /// Run `kernels()` on both engines and compare with
+    /// [`assert_same_results`]; returns the scheduled engine's result.
+    fn both_engines(
+        cfg: &SystemConfig,
+        kernels: impl Fn() -> Vec<Kernel>,
+        what: &str,
+    ) -> RunResult {
+        let fast = System::run(cfg, &[], kernels()).unwrap();
+        let slow = System::run_reference(cfg, &[], kernels()).unwrap();
+        assert_same_results(&fast, &slow, what);
+        fast
+    }
+
     #[test]
     fn engine_equivalence() {
         // The scheduled engine and the naive reference engine must agree
@@ -1460,22 +1389,7 @@ mod tests {
                     .build()
                     .unwrap()
             };
-            let fast = System::run(&mk(), &[], mixed_kernels()).unwrap();
-            let slow = System::run_reference(&mk(), &[], mixed_kernels()).unwrap();
-            assert_eq!(fast.cycles, slow.cycles, "{fabric:?}");
-            assert_eq!(fast.fabric_delivered, slow.fabric_delivered, "{fabric:?}");
-            assert_eq!(fast.fabric_deflections, slow.fabric_deflections, "{fabric:?}");
-            assert_eq!(fast.fabric_max_latency, slow.fabric_max_latency, "{fabric:?}");
-            assert_eq!(fast.fabric_mean_latency, slow.fabric_mean_latency, "{fabric:?}");
-            assert_eq!(fast.mpmmu.single_writes.get(), slow.mpmmu.single_writes.get());
-            for (a, b) in fast.pe.iter().zip(&slow.pe) {
-                assert_eq!(a.engine.requests.get(), b.engine.requests.get());
-                assert_eq!(a.engine.compute_cycles.get(), b.engine.compute_cycles.get());
-                assert_eq!(a.engine.recv_wait_cycles.get(), b.engine.recv_wait_cycles.get());
-                assert_eq!(a.engine.send_cycles.get(), b.engine.send_cycles.get());
-                assert_eq!(a.cache.load_hits.get(), b.cache.load_hits.get());
-                assert_eq!(a.bridge.transactions.get(), b.bridge.transactions.get());
-            }
+            both_engines(&mk(), mixed_kernels, &format!("{fabric:?}"));
         }
     }
 
@@ -1570,12 +1484,7 @@ mod tests {
                 })
                 .collect()
         };
-        let fast = System::run(&mk(), &[], kernels()).unwrap();
-        let slow = System::run_reference(&mk(), &[], kernels()).unwrap();
-        assert_eq!(fast.cycles, slow.cycles);
-        assert_eq!(fast.fabric_delivered, slow.fabric_delivered);
-        assert_eq!(fast.fabric_deflections, slow.fabric_deflections);
-        assert_eq!(fast.fabric_mean_latency, slow.fabric_mean_latency);
+        both_engines(&mk(), kernels, "8x8");
     }
 
     #[test]
@@ -1703,18 +1612,127 @@ mod tests {
                 })
                 .collect()
         };
-        let fast = System::run(&mk(), &[], kernels()).unwrap();
-        let slow = System::run_reference(&mk(), &[], kernels()).unwrap();
-        assert_eq!(fast.cycles, slow.cycles);
-        assert_eq!(fast.fabric_delivered, slow.fabric_delivered);
-        assert_eq!(fast.fabric_deflections, slow.fabric_deflections);
-        assert_eq!(fast.fabric_mean_latency, slow.fabric_mean_latency);
-        for (a, b) in fast.banks.iter().zip(&slow.banks) {
-            assert_eq!(a.node, b.node);
-            assert_eq!(a.mpmmu.single_reads.get(), b.mpmmu.single_reads.get());
-            assert_eq!(a.mpmmu.single_writes.get(), b.mpmmu.single_writes.get());
-            assert_eq!(a.mpmmu.busy_cycles.get(), b.mpmmu.busy_cycles.get());
-        }
+        both_engines(&mk(), kernels, "4 banks");
+    }
+
+    #[test]
+    fn engine_equivalence_parked_on_a_hotspot() {
+        // 60 PEs on an 8x8 torus with 4 banks hammer the MPMMUs with
+        // uncached line-strided stores and loads: nearly every PE cycle is
+        // a parked memory wait.
+        use medea_noc::coord::Topology;
+        let cfg = SystemConfig::builder()
+            .topology(Topology::new(8, 8).unwrap())
+            .compute_pes(60)
+            .memory_banks(4)
+            .cycle_limit(5_000_000)
+            .build()
+            .unwrap();
+        let kernels = || -> Vec<Kernel> {
+            (0..60usize)
+                .map(|r| {
+                    Box::new(move |api: PeApi| {
+                        let addr = |i: usize| ((r + i * 60) * 16) as u32;
+                        for i in 0..3 {
+                            api.uncached_store_u32(addr(i), (r * 10 + i) as u32);
+                        }
+                        for i in 0..3 {
+                            assert_eq!(api.uncached_load_u32(addr(i)), (r * 10 + i) as u32);
+                        }
+                    }) as Kernel
+                })
+                .collect()
+        };
+        let run = both_engines(&cfg, kernels, "hotspot");
+        let mem: u64 = run.pe.iter().map(|p| p.engine.mem_cycles.get()).sum();
+        assert!(
+            mem > 50 * run.cycles,
+            "mostly memory wait: {mem} of {} PE cycles",
+            60 * run.cycles
+        );
+    }
+
+    #[test]
+    fn engine_equivalence_parked_in_a_blocking_recv() {
+        // Rank 0 blocks in `recv` while its sender computes for 10k
+        // cycles; the receive is one long parked stretch.
+        let kernels = || -> Vec<Kernel> {
+            vec![
+                Box::new(|api: PeApi| {
+                    assert_eq!(api.recv_from_rank(Rank::new(1)), vec![5, 6]);
+                }),
+                Box::new(|api: PeApi| {
+                    api.compute(10_000);
+                    api.send_to_rank(Rank::new(0), &[5, 6]);
+                }),
+            ]
+        };
+        let run = both_engines(&cfg(2), kernels, "recv");
+        assert!(run.pe[0].engine.recv_wait_cycles.get() >= 10_000);
+    }
+
+    #[test]
+    fn engine_equivalence_parked_under_lock_contention() {
+        // Four ranks increment one uncached counter under one lock: lock
+        // requests wait parked for their Ack or Nack, then retry after a
+        // timed backoff.
+        const COUNTER: u32 = 0x100;
+        const LOCK: u32 = 0x200;
+        let kernels = || -> Vec<Kernel> {
+            (0..4)
+                .map(|_| {
+                    Box::new(|api: PeApi| {
+                        for _ in 0..6 {
+                            api.lock(LOCK);
+                            let v = api.uncached_load_u32(COUNTER);
+                            api.uncached_store_u32(COUNTER, v + 1);
+                            api.unlock(LOCK);
+                        }
+                    }) as Kernel
+                })
+                .collect()
+        };
+        let run = both_engines(&cfg(4), kernels, "locks");
+        assert_eq!(run.mpmmu.locks_granted.get(), 24);
+        assert!(run.pe.iter().any(|p| p.bridge.lock_retries.get() > 0), "locks must contend");
+    }
+
+    #[test]
+    fn engine_equivalence_parked_under_mesi_probes() {
+        // The same counter, cached under directory MESI: directory probes
+        // reach PEs parked on their own lock or fill, and a probe wake
+        // must credit the parked stretch before the probe is served.
+        const COUNTER: u32 = 0x100;
+        const LOCK: u32 = 0x200;
+        let cfg = SystemConfig::builder()
+            .compute_pes(4)
+            .coherence(crate::Coherence::MesiDirectory)
+            .cycle_limit(5_000_000)
+            .build()
+            .unwrap();
+        let kernels = || -> Vec<Kernel> {
+            (0..4)
+                .map(|r| {
+                    Box::new(move |api: PeApi| {
+                        for _ in 0..4 {
+                            api.lock(LOCK);
+                            let v = api.load_u32(COUNTER);
+                            api.store_u32(COUNTER, v + 1);
+                            api.unlock(LOCK);
+                        }
+                        if r == 0 {
+                            let _ = api.recv_from_rank(Rank::new(3));
+                        } else if r == 3 {
+                            api.compute(2_000);
+                            api.send_to_rank(Rank::new(0), &[1]);
+                        }
+                    }) as Kernel
+                })
+                .collect()
+        };
+        let run = both_engines(&cfg, kernels, "mesi");
+        let probes = run.coherence.invalidations_sent + run.coherence.fetches_sent;
+        assert!(probes > 0, "probes must flow");
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! components within one `now`, and the only cross-tile traffic is the
 //! boundary link latches, exchanged through per-directed-pair mailboxes.
 //!
+//! A tile's PEs and banks are driven by the very [`Scheduler`] the
+//! sequential engine runs, over the tile's shard: delivery walks the
+//! shard's eject-ready set, and only PEs made runnable by a timed,
+//! delivery or probe wake tick — a PE waiting only for a flit stays
+//! parked until one reaches it (see [`crate::sched`]). The tiled engine
+//! itself adds only the boundary exchange, the barrier and the leader's
+//! end-of-cycle decisions.
+//!
 //! # Why the result is bit-identical to the sequential engine
 //!
 //! * **Flit arbitration does not need cross-tile coordination.** Routers
@@ -42,25 +50,24 @@
 //! count, including the golden paper-4×4 fingerprints.
 
 use crate::config::SystemConfig;
+use crate::sched::{Scheduler, FAULT_LINK_KILL, FAULT_LOG_CAP};
 use crate::system::{
-    banks_quiet, banks_tick, build_banks, build_pes, classify_fold, deadlock_detail,
-    delivered_event, finish_result, progress_fingerprint, quiet_fold, sample_pes_banks,
-    stall_detail, Bank, Kernel, QuietState, RunError, RunResult, FAULT_LOG_CAP,
+    banks_quiet, build_banks, build_pes, classify_fold, deadlock_detail, finish_result,
+    progress_fingerprint, quiet_fold, stall_summary, Bank, Kernel, QuietState, RunError, RunResult,
 };
 use crate::FabricKind;
 use medea_cache::Addr;
 use medea_fault::FaultInjector;
 use medea_metrics::Meter;
 use medea_noc::coord::Dir;
-use medea_noc::flit::{Flit, PacketKind, SubKind};
+use medea_noc::flit::Flit;
 use medea_noc::network::NetworkShard;
-use medea_noc::FabricStats;
+use medea_noc::{Fabric, FabricStats};
 use medea_pe::pe::ProcessingElement;
 use medea_sim::ids::NodeId;
 use medea_sim::par::Phaser;
 use medea_sim::Cycle;
 use medea_trace::{NullSink, TraceEvent, TraceSink};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -145,47 +152,22 @@ impl WorkerSink for BufSink {
     }
 }
 
-/// Everything one worker owns: a contiguous shard of the fabric and the
-/// PEs/banks whose nodes fall inside it (rank→node and bank→node maps are
-/// monotone, so each tile's lists are contiguous runs of the global
-/// rank/bank order).
+/// Everything one worker owns: a contiguous shard of the fabric and a
+/// scheduler over the PEs/banks whose nodes fall inside it (rank→node and
+/// bank→node maps are monotone, so each tile's lists are contiguous runs
+/// of the global rank/bank order). The scheduler also keeps the tile's
+/// fault tail, which the main thread merges by `(cycle, phase, tile)`
+/// into the sequential push order.
 struct Tile<I, M> {
     index: usize,
     shard: NetworkShard,
-    pes: Vec<ProcessingElement>,
-    banks: Vec<Bank>,
+    sched: Scheduler,
     injector: I,
     /// This tile's full-size meter fork: it writes only the slots of the
     /// components the tile owns, so absorbing the forks in tile-index
     /// order element-wise-sums to the sequential recording.
     meter: M,
-    /// Global slot offsets of this tile's first PE / bank — the tiles
-    /// partition the monotone rank and bank orders, so tile-local index
-    /// `i` is global slot `base + i`.
-    pe_base: usize,
-    bank_base: usize,
-    wake: Vec<Cycle>,
-    ticked: Vec<bool>,
-    live: usize,
-    /// `(cycle, phase, event)` with phase 0 = link kills, 1 = flit
-    /// corruptions, 2 = PE stalls — the sequential engine's within-cycle
-    /// hook order, so the merged log sorted by `(cycle, phase, tile)` is
-    /// the sequential push order. Capped at [`FAULT_LOG_CAP`] per tile,
-    /// which is provably a superset of the global last-`FAULT_LOG_CAP`.
-    fault_log: VecDeque<(Cycle, u8, TraceEvent)>,
     trace: Vec<(Cycle, TraceEvent)>,
-}
-
-fn push_tile_fault(
-    log: &mut VecDeque<(Cycle, u8, TraceEvent)>,
-    now: Cycle,
-    phase: u8,
-    event: TraceEvent,
-) {
-    if log.len() == FAULT_LOG_CAP {
-        log.pop_front();
-    }
-    log.push_back((now, phase, event));
 }
 
 /// One boundary flit in transit: `(destination router, input direction,
@@ -285,43 +267,30 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     let pes_all = build_pes(cfg, kernels);
     let wall_start = Instant::now();
 
-    let mut tile_vec: Vec<Tile<I, M>> = forks
-        .into_iter()
-        .enumerate()
-        .map(|(i, fork)| Tile {
-            index: i,
-            shard: NetworkShard::new(topo, starts[i] as usize, starts[i + 1] as usize),
-            pes: Vec::new(),
-            banks: Vec::new(),
-            injector: fork,
-            meter: meter.fork(),
-            pe_base: 0,
-            bank_base: 0,
-            wake: Vec::new(),
-            ticked: Vec::new(),
-            live: 0,
-            fault_log: VecDeque::new(),
-            trace: Vec::new(),
-        })
-        .collect();
     let tile_of = |node: usize| starts.partition_point(|&s| (s as usize) <= node) - 1;
+    let mut tile_pes: Vec<Vec<ProcessingElement>> = (0..tiles).map(|_| Vec::new()).collect();
+    let mut tile_banks: Vec<Vec<Bank>> = (0..tiles).map(|_| Vec::new()).collect();
     for pe in pes_all {
-        let t = tile_of(pe.node().index());
-        tile_vec[t].pes.push(pe);
+        tile_pes[tile_of(pe.node().index())].push(pe);
     }
     for bank in banks_all {
-        let t = tile_of(bank.node.index());
-        tile_vec[t].banks.push(bank);
+        tile_banks[tile_of(bank.node.index())].push(bank);
     }
     let (mut pe_base, mut bank_base) = (0usize, 0usize);
-    for tile in &mut tile_vec {
-        tile.pe_base = pe_base;
-        pe_base += tile.pes.len();
-        tile.bank_base = bank_base;
-        bank_base += tile.banks.len();
-        tile.wake = vec![0; tile.pes.len()];
-        tile.ticked = vec![false; tile.pes.len()];
-        tile.live = tile.pes.len();
+    let mut tile_vec: Vec<Tile<I, M>> = Vec::with_capacity(tiles);
+    for (i, ((fork, pes), banks)) in forks.into_iter().zip(tile_pes).zip(tile_banks).enumerate() {
+        let nodes = starts[i] as usize..starts[i + 1] as usize;
+        let (pes_here, banks_here) = (pes.len(), banks.len());
+        tile_vec.push(Tile {
+            index: i,
+            shard: NetworkShard::new(topo, nodes.start, nodes.end),
+            sched: Scheduler::new(pes, banks, nodes, pe_base, bank_base),
+            injector: fork,
+            meter: meter.fork(),
+            trace: Vec::new(),
+        });
+        pe_base += pes_here;
+        bank_base += banks_here;
     }
 
     // Cycle 0's scheduled kills, drained exactly like the sequential
@@ -401,11 +370,11 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     for (ti, tile) in all_tiles.into_iter().enumerate() {
         fstats.merge(tile.shard.stats());
         fault.merge(&tile.injector.stats());
-        for (seq, &(cycle, phase, event)) in tile.fault_log.iter().enumerate() {
+        for (seq, (cycle, phase, event)) in tile.sched.faults().enumerate() {
             log_entries.push((cycle, phase, ti, seq, event));
         }
-        pes.extend(tile.pes);
-        banks.extend(tile.banks);
+        pes.extend(tile.sched.pes);
+        banks.extend(tile.sched.banks);
         traces.push(tile.trace);
         meter_parts.push(tile.meter);
     }
@@ -416,7 +385,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     // finish again.
     meter.absorb(meter_parts);
     log_entries.sort_by_key(|&(cycle, phase, ti, seq, _)| (cycle, phase, ti, seq));
-    let fault_log: VecDeque<(Cycle, TraceEvent)> = log_entries
+    let fault_log: Vec<(Cycle, TraceEvent)> = log_entries
         .iter()
         .skip(log_entries.len().saturating_sub(FAULT_LOG_CAP))
         .map(|&(cycle, _, _, _, event)| (cycle, event))
@@ -428,11 +397,11 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
         StopCause::Done { at } => Ok(finish_result(at, &pes, &fstats, &banks, wall_start, fault)),
         StopCause::CycleLimit { in_flight } => Err(RunError::CycleLimit {
             limit,
-            detail: stall_detail(&pes, &banks, in_flight, &fault_log),
+            detail: stall_summary(&pes, &banks, in_flight, &fault_log),
         }),
         StopCause::Watchdog { at, in_flight } => Err(RunError::Watchdog {
             at,
-            detail: stall_detail(&pes, &banks, in_flight, &fault_log),
+            detail: stall_summary(&pes, &banks, in_flight, &fault_log),
         }),
         StopCause::Deadlock { at } => Err(RunError::Deadlock { at, detail: deadlock_detail(&pes) }),
     };
@@ -550,7 +519,7 @@ fn follower_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
 /// the forks stay in window lockstep for the absorb.
 fn finish_tile_meter<I, M: Meter>(tile: &mut Tile<I, M>, at: Cycle) {
     if M::ACTIVE {
-        sample_pes_banks(&mut tile.meter, &tile.pes, tile.pe_base, &tile.banks, tile.bank_base);
+        tile.sched.sample(&mut tile.meter);
         tile.meter.finish(at);
     }
 }
@@ -673,7 +642,8 @@ fn leader_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
 
 /// One tile's share of one simulated cycle — the same phases, in the same
 /// order, as one iteration of the sequential engine's loop, restricted to
-/// the tile's components.
+/// the tile's components. Phases 1–3 are the very scheduler the
+/// sequential engine runs ([`Scheduler::step`]), over the tile's shard.
 fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
     tile: &mut Tile<I, M>,
     shared: &Shared,
@@ -684,7 +654,6 @@ fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
     sink: &mut LS,
 ) {
     let tiles = shared.tiles();
-    let topo = cfg.topology();
     let cur = (round & 1) as usize;
     let prev = cur ^ 1;
 
@@ -695,7 +664,7 @@ fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
     // quantity reads).
     if M::ACTIVE {
         while tile.meter.next_sample() <= now {
-            sample_pes_banks(&mut tile.meter, &tile.pes, tile.pe_base, &tile.banks, tile.bank_base);
+            tile.sched.sample(&mut tile.meter);
             tile.meter.commit_window();
         }
     }
@@ -713,116 +682,26 @@ fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
         }
     }
 
-    // 0b. Scheduled permanent faults. Every tile sees the same kill list;
-    // each applies the endpoints it owns (a dead link has a router on
-    // each side, possibly in different tiles), and the leader alone logs
-    // the event, once, like the sequential engine.
+    // 0b. Scheduled permanent faults. Every tile sees the same kill list
+    // and disables the link ends it owns (a dead link has a router on
+    // each side, possibly in different tiles); the leader alone logs the
+    // event, once, like the sequential engine.
     for &(node, dir) in kills {
         if tile.index == 0 {
             let event = TraceEvent::FaultLinkKilled { node, dir };
             if LS::ACTIVE {
                 sink.record(now, event);
             }
-            push_tile_fault(&mut tile.fault_log, now, 0, event);
+            tile.sched.log_fault(now, FAULT_LINK_KILL, event);
         }
-        let nid = NodeId::new(node);
-        let d = Dir::ALL[dir as usize & 3];
-        if tile.shard.owns(node as usize) {
-            tile.shard.kill_link_local(nid, d);
-        }
-        let neighbor = topo.node_of(topo.neighbor(topo.coord_of(nid), d));
-        if tile.shard.owns(neighbor.index()) {
-            tile.shard.kill_link_local(neighbor, d.opposite());
-        }
+        tile.shard.kill_link(NodeId::new(node), Dir::ALL[dir as usize & 3]);
     }
 
-    // 1. Deliver ejections (PEs first, then banks, as in the sequential
-    // engine; the census gate is tile-local, which is a pure optimization
-    // — a drained shard has nothing to eject).
-    if tile.shard.in_flight() > 0 {
-        for (i, pe) in tile.pes.iter_mut().enumerate() {
-            let node = pe.node();
-            while let Some(mut flit) = tile.shard.eject(node) {
-                if I::ACTIVE && !flit.kind().is_shared_memory() {
-                    if let Some(bit) = tile.injector.corrupt_flit(now, node.index() as u16) {
-                        flit.corrupt_payload_bit(bit);
-                        let event =
-                            TraceEvent::FaultFlitCorrupted { node: node.index() as u16, bit };
-                        if LS::ACTIVE {
-                            sink.record(now, event);
-                        }
-                        push_tile_fault(&mut tile.fault_log, now, 1, event);
-                    }
-                }
-                if LS::ACTIVE {
-                    sink.record(now, delivered_event(node, &flit, now));
-                }
-                // A directory probe must wake even a parked or retired PE:
-                // the home bank blocks until it is answered.
-                if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
-                    tile.wake[i] = now;
-                }
-                pe.deliver_traced(flit, now, sink);
-            }
-        }
-    }
-    tile_banks_deliver(&mut tile.shard, &mut tile.banks, now, sink);
-
-    // 2. Tick runnable components.
-    for (i, pe) in tile.pes.iter_mut().enumerate() {
-        if I::ACTIVE && tile.wake[i] <= now && !pe.is_done() {
-            let stall = tile.injector.pe_stall(now, pe.node().index() as u16);
-            if stall > 0 {
-                tile.wake[i] = now + Cycle::from(stall);
-                let event =
-                    TraceEvent::FaultPeStall { node: pe.node().index() as u16, cycles: stall };
-                if LS::ACTIVE {
-                    sink.record(now, event);
-                }
-                push_tile_fault(&mut tile.fault_log, now, 2, event);
-            }
-        }
-        if tile.wake[i] > now {
-            tile.ticked[i] = false;
-            continue;
-        }
-        tile.ticked[i] = true;
-        let was_done = pe.is_done();
-        pe.tick_traced(now, sink);
-        if M::ACTIVE {
-            tile.meter.pe_state(tile.pe_base + i, now, pe.activity());
-        }
-        if !was_done && pe.is_done() {
-            tile.live -= 1;
-        }
-        tile.wake[i] = match pe.sleep_until() {
-            Some(t) => t.max(now + 1),
-            None => now + 1,
-        };
-    }
-    banks_tick(&mut tile.banks, now, true, sink, &mut tile.injector);
-
-    // 3. Inject (one flit per node per cycle). The composite uid stamped
-    // by the shard keeps arbitration identical to the sequential sweep
-    // without any cross-tile ordering.
-    for (i, pe) in tile.pes.iter_mut().enumerate() {
-        if !tile.ticked[i] {
-            continue;
-        }
-        if let Some(flit) = pe.select_inject() {
-            let kind = flit.kind().code();
-            match tile.shard.try_inject(pe.node(), flit, now, false) {
-                Ok(()) => {
-                    if LS::ACTIVE {
-                        let node = pe.node().index() as u16;
-                        sink.record(now, TraceEvent::FlitInjected { node, kind });
-                    }
-                }
-                Err(back) => pe.restore_inject(back),
-            }
-        }
-    }
-    tile_banks_inject(&mut tile.shard, &mut tile.banks, now, sink);
+    // 1.–3. Deliver, tick, inject. The census gate and the eject-ready
+    // walk are tile-local, and the composite uid stamped by the shard
+    // keeps arbitration identical to the sequential sweep without any
+    // cross-tile ordering.
+    tile.sched.step(&mut tile.shard, now, sink, &mut tile.injector, &mut tile.meter);
 
     // 4. Fabric: route + deliver local latches; boundary latches become
     // exports.
@@ -836,79 +715,23 @@ fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
         lock(&shared.mailboxes[cur][tile.index * tiles + dest]).push((to, from_dir, flit));
     }
 
-    let quiet_local = tile.shard.in_flight() == 0 && exported == 0 && banks_quiet(&tile.banks);
+    let sched = &tile.sched;
+    let quiet_local = tile.shard.in_flight() == 0 && exported == 0 && banks_quiet(&sched.banks);
     let watchdog_on = cfg.resilience().watchdog_cycles > 0;
     let (fp_partial, wake_guard) = if watchdog_on {
-        (
-            progress_fingerprint(&tile.pes, &tile.banks),
-            tile.pes.iter().enumerate().any(|(i, pe)| !pe.is_done() && tile.wake[i] > now + 1),
-        )
+        (progress_fingerprint(&sched.pes, &sched.banks), sched.timed_stall_pending(now))
     } else {
         (0, false)
     };
     *lock(&shared.reports[tile.index]) = TileReport {
-        live: tile.live,
+        live: sched.live(),
         in_flight: tile.shard.in_flight(),
         exported,
-        banks_quiet: banks_quiet(&tile.banks),
+        banks_quiet: banks_quiet(&sched.banks),
         fp_partial,
         wake_guard,
-        quiet: quiet_local.then(|| quiet_fold(&tile.pes)),
+        quiet: quiet_local.then(|| quiet_fold(&sched.pes)),
     };
-}
-
-/// [`crate::system`]'s `banks_deliver`, restricted to a shard.
-fn tile_banks_deliver<LS: WorkerSink>(
-    shard: &mut NetworkShard,
-    banks: &mut [Bank],
-    now: Cycle,
-    sink: &mut LS,
-) {
-    for bank in banks {
-        if let Some(flit) = bank.hold.take() {
-            if let Err(back) = bank.unit.handle_incoming(flit) {
-                bank.hold = Some(back);
-            }
-        }
-        while bank.hold.is_none() && shard.in_flight() > 0 {
-            match shard.eject(bank.node) {
-                Some(flit) => {
-                    if LS::ACTIVE {
-                        sink.record(now, delivered_event(bank.node, &flit, now));
-                    }
-                    if let Err(back) = bank.unit.handle_incoming(flit) {
-                        bank.hold = Some(back);
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// [`crate::system`]'s `banks_inject`, restricted to a shard (bank
-/// responses carry the `from_bank` uid tag, sorting them after every
-/// same-cycle PE injection exactly like the sequential sweep order).
-fn tile_banks_inject<LS: WorkerSink>(
-    shard: &mut NetworkShard,
-    banks: &mut [Bank],
-    now: Cycle,
-    sink: &mut LS,
-) {
-    for bank in banks {
-        if let Some(flit) = bank.unit.pop_outgoing() {
-            let kind = flit.kind().code();
-            match shard.try_inject(bank.node, flit, now, true) {
-                Ok(()) => {
-                    if LS::ACTIVE {
-                        let node = bank.node.index() as u16;
-                        sink.record(now, TraceEvent::FlitInjected { node, kind });
-                    }
-                }
-                Err(back) => bank.unit.return_outgoing(back),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -130,6 +130,16 @@ pub trait Fabric {
     /// Remove the oldest flit waiting in `node`'s ejection queue, if any.
     fn eject(&mut self, node: NodeId) -> Option<Flit>;
 
+    /// The lowest-indexed node at or above `from` whose ejection queue
+    /// may hold a flit, or `None` when there is none. Cycle engines walk
+    /// delivery with it (`from = node + 1` after each hit), in ascending
+    /// node order. Fabrics that track their non-empty ejection queues
+    /// name only those; the default names every node in turn, which is
+    /// always correct (an empty queue simply ejects nothing).
+    fn next_ejectable(&self, from: usize) -> Option<NodeId> {
+        (from < self.node_count()).then(|| NodeId::new(from as u16))
+    }
+
     /// Advance the fabric by one cycle ending at `now`.
     fn tick(&mut self, now: Cycle);
 
@@ -228,6 +238,13 @@ impl Fabric for AnyFabric {
         match self {
             AnyFabric::Deflection(net) => net.eject(node),
             AnyFabric::Ideal(net) => net.eject(node),
+        }
+    }
+
+    fn next_ejectable(&self, from: usize) -> Option<NodeId> {
+        match self {
+            AnyFabric::Deflection(net) => net.next_ejectable(from),
+            AnyFabric::Ideal(net) => net.next_ejectable(from),
         }
     }
 

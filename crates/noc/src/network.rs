@@ -16,7 +16,10 @@
 //!   torus dark most of the time;
 //! * the fabric-wide flit census ([`Fabric::in_flight`]) is an
 //!   incrementally maintained counter, O(1) instead of an all-router scan
-//!   (the cycle engine consults it every cycle).
+//!   (the cycle engine consults it every cycle);
+//! * a one-bit-per-router *eject-ready* set marks the non-empty ejection
+//!   queues ([`Fabric::next_ejectable`]), so delivery visits only the
+//!   nodes that have a flit waiting.
 
 use crate::coord::{Dir, Topology};
 use crate::flit::Flit;
@@ -48,6 +51,40 @@ pub fn compose_uid(now: Cycle, from_bank: bool, node: NodeId) -> u64 {
     (now << 9) | ((from_bank as u64) << 8) | node.index() as u64
 }
 
+/// One bit per router: set exactly while its ejection queue is non-empty.
+/// A router's queue grows only while it routes and shrinks only on
+/// `eject`, so updating the bit at those two points keeps it exact.
+#[derive(Debug, Clone)]
+struct EjectReady {
+    words: Vec<u64>,
+}
+
+impl EjectReady {
+    fn new(routers: usize) -> Self {
+        EjectReady { words: vec![0; routers.div_ceil(64)] }
+    }
+
+    fn update(&mut self, i: usize, ready: bool) {
+        let bit = 1u64 << (i % 64);
+        if ready {
+            self.words[i / 64] |= bit;
+        } else {
+            self.words[i / 64] &= !bit;
+        }
+    }
+
+    /// The lowest ready index at or above `from`.
+    fn next(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
 /// Deflection-routed folded-torus network (§II-A).
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -65,6 +102,8 @@ pub struct Network {
     is_active: Vec<bool>,
     /// Spare buffer holding the previous cycle's working set.
     retired: Vec<u16>,
+    /// Routers with a non-empty ejection queue.
+    eject_ready: EjectReady,
 }
 
 impl Network {
@@ -83,6 +122,7 @@ impl Network {
             active: Vec::with_capacity(nodes),
             is_active: vec![false; nodes],
             retired: Vec::with_capacity(nodes),
+            eject_ready: EjectReady::new(nodes),
         }
     }
 
@@ -146,10 +186,13 @@ impl Network {
         }
 
         // Phase 1: every active router routes its latched flits into the
-        // persistent link latches.
+        // persistent link latches (and may eject one into its queue).
         for &i in &work {
-            self.latches[i as usize] =
-                self.routers[i as usize].route_traced(now, &mut self.stats, sink);
+            let router = &mut self.routers[i as usize];
+            self.latches[i as usize] = router.route_traced(now, &mut self.stats, sink);
+            if router.has_ejectable() {
+                self.eject_ready.update(i as usize, true);
+            }
         }
 
         // Phase 2: deliver over the (single-cycle) links; receiving
@@ -223,11 +266,17 @@ impl Fabric for Network {
     }
 
     fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        let flit = self.router_mut(node).eject();
+        let router = &mut self.routers[node.index()];
+        let flit = router.eject();
         if flit.is_some() {
             self.in_flight -= 1;
+            self.eject_ready.update(node.index(), router.has_ejectable());
         }
         flit
+    }
+
+    fn next_ejectable(&self, from: usize) -> Option<NodeId> {
+        self.eject_ready.next(from).map(|i| NodeId::new(i as u16))
     }
 
     fn tick(&mut self, now: Cycle) {
@@ -253,7 +302,7 @@ impl Fabric for Network {
 
 /// One tile's slice of the deflection fabric, for the tiled parallel
 /// cycle engine: the routers of the contiguous node range `[lo, hi)`,
-/// with their own activity set, latches and statistics.
+/// with their own activity set, latches, eject-ready set and statistics.
 ///
 /// A shard ticks exactly like [`Network::tick_traced`] except in phase 2:
 /// a latched flit whose receiving switch lives in *another* tile is not
@@ -267,9 +316,11 @@ impl Fabric for Network {
 /// unique neighbour on that link), boundary deliveries from different
 /// tiles can never collide, and import order cannot change the outcome.
 ///
-/// Injection uses [`compose_uid`], so shards assign globally consistent
-/// arbitration uids without coordination; statistics are per-shard and
-/// merged in tile order at the end of the run ([`FabricStats::merge`]).
+/// As a [`Fabric`] a shard injects and ejects only at the nodes it owns,
+/// and names nodes by their *global* index. Injection uses
+/// [`compose_uid`], so shards assign globally consistent arbitration uids
+/// without coordination; statistics are per-shard and merged in tile
+/// order at the end of the run ([`FabricStats::merge`]).
 #[derive(Debug)]
 pub struct NetworkShard {
     topo: Topology,
@@ -283,6 +334,8 @@ pub struct NetworkShard {
     active: Vec<u16>,
     is_active: Vec<bool>,
     retired: Vec<u16>,
+    /// Owned routers (shard-local index) with a non-empty ejection queue.
+    eject_ready: EjectReady,
     /// Boundary deliveries produced by the current tick:
     /// `(destination node index, receiving direction index, flit)`.
     exports: Vec<(u16, u8, Flit)>,
@@ -307,6 +360,7 @@ impl NetworkShard {
             active: Vec::with_capacity(len),
             is_active: vec![false; len],
             retired: Vec::with_capacity(len),
+            eject_ready: EjectReady::new(len),
             exports: Vec::new(),
         }
     }
@@ -326,67 +380,11 @@ impl NetworkShard {
         (self.lo..self.hi).contains(&node)
     }
 
-    /// Flits currently inside this shard.
-    pub const fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// This shard's statistics slice.
-    pub const fn stats(&self) -> &FabricStats {
-        &self.stats
-    }
-
     fn mark_active(&mut self, local: usize) {
         if !self.is_active[local] {
             self.is_active[local] = true;
             self.active.push(local as u16);
         }
-    }
-
-    /// [`Fabric::try_inject_tagged`] for a node owned by this shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns the flit back if the router cannot accept it this cycle.
-    pub fn try_inject(
-        &mut self,
-        node: NodeId,
-        mut flit: Flit,
-        now: Cycle,
-        from_bank: bool,
-    ) -> Result<(), Flit> {
-        flit.meta.injected_at = now;
-        flit.meta.uid = compose_uid(now, from_bank, node);
-        let local = node.index() - self.lo;
-        match self.routers[local].try_inject(flit) {
-            Ok(()) => {
-                self.stats.injected += 1;
-                self.in_flight += 1;
-                self.mark_active(local);
-                Ok(())
-            }
-            Err(flit) => {
-                self.stats.inject_refusals += 1;
-                Err(flit)
-            }
-        }
-    }
-
-    /// Remove the oldest flit waiting in `node`'s ejection queue, if any.
-    pub fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        let flit = self.routers[node.index() - self.lo].eject();
-        if flit.is_some() {
-            self.in_flight -= 1;
-        }
-        flit
-    }
-
-    /// Kill *this side* of a physical link: `node`'s output port toward
-    /// `dir`. The engine calls this once per affected endpoint, so a link
-    /// crossing a tile boundary is disabled by the two shards that own its
-    /// ends (cf. [`Network::kill_link`], which does both sides itself).
-    pub fn kill_link_local(&mut self, node: NodeId, dir: Dir) {
-        self.routers[node.index() - self.lo].set_link_dead(dir);
     }
 
     /// Accept a boundary delivery produced by a neighbouring shard during
@@ -435,8 +433,11 @@ impl NetworkShard {
         }
 
         for &i in &work {
-            self.latches[i as usize] =
-                self.routers[i as usize].route_traced(now, &mut self.stats, sink);
+            let router = &mut self.routers[i as usize];
+            self.latches[i as usize] = router.route_traced(now, &mut self.stats, sink);
+            if router.has_ejectable() {
+                self.eject_ready.update(i as usize, true);
+            }
         }
 
         for &i in &work {
@@ -475,6 +476,83 @@ impl NetworkShard {
 
         work.clear();
         self.retired = work;
+    }
+}
+
+impl Fabric for NetworkShard {
+    fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
+        self.try_inject_tagged(node, flit, now, false)
+    }
+
+    fn try_inject_tagged(
+        &mut self,
+        node: NodeId,
+        mut flit: Flit,
+        now: Cycle,
+        from_bank: bool,
+    ) -> Result<(), Flit> {
+        flit.meta.injected_at = now;
+        flit.meta.uid = compose_uid(now, from_bank, node);
+        let local = node.index() - self.lo;
+        match self.routers[local].try_inject(flit) {
+            Ok(()) => {
+                self.stats.injected += 1;
+                self.in_flight += 1;
+                self.mark_active(local);
+                Ok(())
+            }
+            Err(flit) => {
+                self.stats.inject_refusals += 1;
+                Err(flit)
+            }
+        }
+    }
+
+    fn eject(&mut self, node: NodeId) -> Option<Flit> {
+        let local = node.index() - self.lo;
+        let router = &mut self.routers[local];
+        let flit = router.eject();
+        if flit.is_some() {
+            self.in_flight -= 1;
+            self.eject_ready.update(local, router.has_ejectable());
+        }
+        flit
+    }
+
+    fn next_ejectable(&self, from: usize) -> Option<NodeId> {
+        let local = self.eject_ready.next(from.saturating_sub(self.lo))?;
+        Some(NodeId::new((self.lo + local) as u16))
+    }
+
+    fn tick(&mut self, now: Cycle) {
+        self.tick_traced(now, &mut NullSink);
+    }
+
+    /// Flits currently inside this shard.
+    fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// This shard's statistics slice.
+    fn stats(&self) -> &FabricStats {
+        &self.stats
+    }
+
+    fn node_count(&self) -> usize {
+        self.topo.nodes()
+    }
+
+    /// Kill the ends of the physical link that this shard owns: `node`'s
+    /// port toward `dir` and the neighbour's opposite port. Every shard is
+    /// given the same kill, so a link crossing a tile boundary ends up
+    /// dead on both sides, as [`Network::kill_link`] leaves it.
+    fn kill_link(&mut self, node: NodeId, dir: Dir) {
+        let neighbor = self.topo.node_of(self.topo.neighbor(self.topo.coord_of(node), dir));
+        for (end, d) in [(node, dir), (neighbor, dir.opposite())] {
+            if self.owns(end.index()) {
+                self.routers[end.index() - self.lo].set_link_dead(d);
+            }
+        }
     }
 }
 
@@ -690,7 +768,7 @@ mod tests {
                     );
                     let a = whole.try_inject(NodeId::new(s as u16), flit, now).is_ok();
                     let b = shards[tile_of(s)]
-                        .try_inject(NodeId::new(s as u16), flit, now, false)
+                        .try_inject_tagged(NodeId::new(s as u16), flit, now, false)
                         .is_ok();
                     assert_eq!(a, b, "inject divergence at node {s} cycle {now}");
                 }
@@ -733,6 +811,83 @@ mod tests {
         assert_eq!(merged.inject_refusals, whole.stats().inject_refusals);
         assert_eq!(merged.reroutes, whole.stats().reroutes);
         assert_eq!(&merged.latency, &whole.stats().latency);
+    }
+
+    /// Queue `count` self-addressed flits at each node in `nodes`, one per
+    /// node per cycle, without ejecting any (the injection register loops
+    /// self-addressed traffic straight into the ejection queue).
+    fn queue_local<F: Fabric>(fabric: &mut F, topo: Topology, nodes: &[u16], count: usize) {
+        for now in 0..count as Cycle {
+            for &n in nodes {
+                let node = NodeId::new(n);
+                let flit = Flit::message(topo.coord_of(node), 0, 0, 0, n.into());
+                fabric.try_inject(node, flit, now).unwrap();
+            }
+            fabric.tick(now);
+        }
+    }
+
+    /// Every node `next_ejectable` names, walking up from `from`.
+    fn ready_walk<F: Fabric>(fabric: &F, from: usize) -> Vec<usize> {
+        let mut found = Vec::new();
+        let mut from = from;
+        while let Some(node) = fabric.next_ejectable(from) {
+            found.push(node.index());
+            from = node.index() + 1;
+        }
+        found
+    }
+
+    #[test]
+    fn next_ejectable_names_queued_nodes_in_ascending_order() {
+        // 16x16: the ready set spans four 64-bit words.
+        let topo = Topology::new(16, 16).unwrap();
+        let mut n = Network::new(topo);
+        assert_eq!(ready_walk(&n, 0), Vec::<usize>::new());
+        queue_local(&mut n, topo, &[200, 3, 64, 63, 255], 2);
+        assert_eq!(ready_walk(&n, 0), [3, 63, 64, 200, 255]);
+        assert_eq!(ready_walk(&n, 64), [64, 200, 255]);
+        assert_eq!(ready_walk(&n, 65), [200, 255]);
+        assert_eq!(n.next_ejectable(256), None);
+
+        // A bit clears only once its queue has drained.
+        assert!(n.eject(NodeId::new(64)).is_some());
+        assert_eq!(ready_walk(&n, 0), [3, 63, 64, 200, 255]);
+        assert!(n.eject(NodeId::new(64)).is_some());
+        assert_eq!(ready_walk(&n, 0), [3, 63, 200, 255]);
+        assert!(n.eject(NodeId::new(64)).is_none());
+        assert_eq!(ready_walk(&n, 0), [3, 63, 200, 255]);
+    }
+
+    #[test]
+    fn next_ejectable_keeps_a_back_pressured_node() {
+        // A bank that refuses a flit stops ejecting; the rest of its queue
+        // stays put, and so does its bit, across further ticks.
+        let topo = Topology::paper_4x4();
+        let mut n = Network::new(topo);
+        queue_local(&mut n, topo, &[0], 3);
+        assert!(n.eject(NodeId::new(0)).is_some()); // the refused flit, now held
+        for now in 3..10 {
+            n.tick(now);
+            assert_eq!(ready_walk(&n, 0), [0], "cycle {now}");
+        }
+        while n.eject(NodeId::new(0)).is_some() {}
+        assert_eq!(n.next_ejectable(0), None);
+        assert_eq!(n.in_flight(), 0);
+    }
+
+    #[test]
+    fn shard_next_ejectable_maps_local_bits_to_global_nodes() {
+        let topo = Topology::new(16, 16).unwrap();
+        let mut shard = NetworkShard::new(topo, 60, 200);
+        queue_local(&mut shard, topo, &[199, 60, 63, 64, 130], 1);
+        assert_eq!(ready_walk(&shard, 0), [60, 63, 64, 130, 199]);
+        assert_eq!(ready_walk(&shard, 61), [63, 64, 130, 199]);
+        assert_eq!(ready_walk(&shard, 131), [199]);
+        assert_eq!(shard.next_ejectable(200), None);
+        assert_eq!(shard.eject(NodeId::new(130)).map(|f| f.payload()), Some(130));
+        assert_eq!(ready_walk(&shard, 0), [60, 63, 64, 199]);
+        assert_eq!(shard.pending_exports(), 0, "self-addressed traffic never leaves");
     }
 
     #[test]

@@ -108,6 +108,11 @@ impl DeflectionRouter {
         self.eject_queue.pop()
     }
 
+    /// Whether a flit waits in the ejection queue.
+    pub fn has_ejectable(&self) -> bool {
+        !self.eject_queue.is_empty()
+    }
+
     /// Flits currently held by this switch (latches + injection register +
     /// ejection queue).
     pub fn occupancy(&self) -> usize {

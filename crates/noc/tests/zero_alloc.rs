@@ -1,7 +1,8 @@
 //! Proof of the zero-allocation claim for the fabric hot path: a counting
-//! global allocator observes `try_inject` → `tick` → `eject` cycles under
-//! sustained contended traffic and must see no heap activity once the
-//! network has been constructed.
+//! global allocator observes `try_inject` → `tick` → eject-ready walk →
+//! `eject` cycles under sustained contended traffic, on the whole network
+//! and on a tiled-engine shard, and must see no heap activity once the
+//! fabric has been constructed.
 //!
 //! The counter is **thread-scoped**: it is armed only on the driving
 //! thread for the measured window. A process-global count was flaky —
@@ -11,7 +12,7 @@
 
 use medea_noc::coord::Topology;
 use medea_noc::flit::Flit;
-use medea_noc::network::Network;
+use medea_noc::network::{Network, NetworkShard};
 use medea_noc::Fabric;
 use medea_sim::ids::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,48 +67,61 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Drive every node at every other node round-robin — saturating,
+/// deflection-heavy traffic touching every router and both the inject
+/// and eject paths — ejecting the way the cycle engines do: walking the
+/// eject-ready set in ascending node order. Returns the flits ejected.
+fn drive<F: Fabric>(net: &mut F, topo: Topology, start: u64, cycles: u64) -> u64 {
+    let mut ejected = 0u64;
+    for now in start..start + cycles {
+        for s in 0..topo.nodes() {
+            let d = (s + 1 + (now as usize % (topo.nodes() - 1))) % topo.nodes();
+            let flit = Flit::message(topo.coord_of(NodeId::new(d as u16)), s as u8, 0, 0, 7);
+            let _ = net.try_inject(NodeId::new(s as u16), flit, now);
+        }
+        net.tick(now);
+        let mut from = 0;
+        while let Some(node) = net.next_ejectable(from) {
+            while net.eject(node).is_some() {
+                ejected += 1;
+            }
+            from = node.index() + 1;
+        }
+        assert_eq!(net.next_ejectable(0), None, "the walk drains every ejection queue");
+        assert!(net.in_flight() <= topo.nodes() * 13, "census bounded by storage");
+    }
+    ejected
+}
+
+/// Warm `net` up to steady state (histogram and FIFOs at their final
+/// footprint), then count this thread's allocations over a measured drive.
+fn steady_state_allocations<F: Fabric>(net: &mut F, topo: Topology) -> (u64, u64) {
+    drive(net, topo, 0, 200);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let ejected = drive(net, topo, 200, 500);
+    COUNTING.with(|c| c.set(false));
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert!(ejected > 1000, "sanity: traffic actually flowed ({ejected} ejected)");
+    assert!(net.stats().deflections > 0, "sanity: contention exercised the deflection path");
+    (after - before, ejected)
+}
+
 #[test]
 fn fabric_steady_state_is_allocation_free() {
     let topo = Topology::paper_4x4();
     let mut net = Network::new(topo);
+    let (allocations, _) = steady_state_allocations(&mut net, topo);
+    assert_eq!(allocations, 0, "fabric hot path allocated {allocations} times in steady state");
+}
 
-    // Drive every node at every other node round-robin — saturating,
-    // deflection-heavy traffic touching every router and both the inject
-    // and eject paths.
-    let drive = |net: &mut Network, start: u64, cycles: u64| {
-        let mut ejected = 0u64;
-        for now in start..start + cycles {
-            for s in 0..topo.nodes() {
-                let d = (s + 1 + (now as usize % (topo.nodes() - 1))) % topo.nodes();
-                let flit = Flit::message(topo.coord_of(NodeId::new(d as u16)), s as u8, 0, 0, 7);
-                let _ = net.try_inject(NodeId::new(s as u16), flit, now);
-            }
-            net.tick(now);
-            for n in 0..topo.nodes() {
-                while net.eject(NodeId::new(n as u16)).is_some() {
-                    ejected += 1;
-                }
-            }
-            assert!(net.in_flight() <= topo.nodes() * 13, "census bounded by storage");
-        }
-        ejected
-    };
-
-    // Warm-up: reach steady state (histogram and FIFOs at final footprint).
-    drive(&mut net, 0, 200);
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    let ejected = drive(&mut net, 200, 500);
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-    assert!(ejected > 1000, "sanity: traffic actually flowed ({ejected} ejected)");
-    assert_eq!(
-        after - before,
-        0,
-        "fabric hot path allocated {} times in steady state",
-        after - before
-    );
-    assert!(net.stats().deflections > 0, "sanity: contention exercised the deflection path");
+#[test]
+fn shard_steady_state_is_allocation_free() {
+    // One shard owning the whole torus: no boundary exports, so the
+    // tiled engine's per-tile inject/tick/eject path is measured alone.
+    let topo = Topology::paper_4x4();
+    let mut shard = NetworkShard::new(topo, 0, topo.nodes());
+    let (allocations, _) = steady_state_allocations(&mut shard, topo);
+    assert_eq!(allocations, 0, "shard hot path allocated {allocations} times in steady state");
+    assert_eq!(shard.pending_exports(), 0);
 }

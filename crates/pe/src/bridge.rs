@@ -387,6 +387,17 @@ impl Pif2NocBridge {
         self.out_slot.is_some()
     }
 
+    /// Whether [`tick`](Self::tick) changes nothing until a response flit
+    /// arrives: the bridge is idle or awaits a response, with an empty
+    /// output latch, no result waiting to be taken and no armed retry
+    /// timer (a lock backoff or a write stream still has work of its own).
+    pub fn awaits_flit(&self) -> bool {
+        self.out_slot.is_none()
+            && self.result.is_none()
+            && self.retry_op.is_none()
+            && !matches!(self.state, State::LockBackoff { .. } | State::Streaming { .. })
+    }
+
     /// Take the completed transaction's result, if ready.
     pub fn take_result(&mut self) -> Option<BridgeResult> {
         self.result.take()

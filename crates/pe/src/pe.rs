@@ -357,6 +357,41 @@ impl ProcessingElement {
         }
     }
 
+    /// Whether this PE waits only for a flit — the parking hook of the
+    /// cycle engine. Until a flit is delivered to it, every tick would
+    /// change nothing but one wait counter, which
+    /// [`credit_parked`](Self::credit_parked) makes up for on waking.
+    ///
+    /// That holds with an empty arbiter and an idle probe responder, a
+    /// bridge that [awaits a flit](Pif2NocBridge::awaits_flit), and an
+    /// engine in one of three states: a cached access outside its access
+    /// phase (victim writeback, line fetch or write-through in flight), a
+    /// direct bridge transaction, or a `Recv` with no matching completed
+    /// packet. Only a delivery can change any of them.
+    pub fn awaits_flit(&self) -> bool {
+        if self.arbiter.occupancy() != 0 || !self.coh.is_idle() || !self.bridge.awaits_flit() {
+            return false;
+        }
+        match &self.exec {
+            Exec::Mem(m) => !matches!(m.phase, MemPhase::Access),
+            Exec::BridgeWait { .. } => true,
+            Exec::Recv { from } => !self.rx.has_packet(*from),
+            _ => false,
+        }
+    }
+
+    /// Add what `ticks` skipped ticks of a PE that
+    /// [awaits a flit](Self::awaits_flit) would have counted: one
+    /// `mem_cycles` per tick while a memory operation waits, one
+    /// `recv_wait_cycles` while a `Recv` blocks.
+    pub fn credit_parked(&mut self, ticks: Cycle) {
+        match &self.exec {
+            Exec::Mem(_) | Exec::BridgeWait { .. } => self.stats.mem_cycles.add(ticks),
+            Exec::Recv { .. } => self.stats.recv_wait_cycles.add(ticks),
+            _ => debug_assert_eq!(ticks, 0, "only a PE that awaits a flit is parked"),
+        }
+    }
+
     /// Fast-forward hint (see [`Wakeup`]).
     pub fn wakeup(&self) -> Wakeup {
         // Pending probe work overrides every exec-state hint: a "done" or
@@ -939,6 +974,7 @@ mod tests {
     use super::*;
     use crate::fpu::MulOption;
     use medea_cache::CachePolicy;
+    use medea_noc::coord::Coord;
 
     fn cfg(node: u16) -> PeConfig {
         PeConfig {
@@ -1189,6 +1225,71 @@ mod tests {
             }
         });
         run_with_magic_memory(&mut pe, 200);
+    }
+
+    /// Every piece of PE state a tick can touch (the kernel thread's
+    /// handle aside), for comparing two PEs.
+    fn snapshot(pe: &ProcessingElement) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {}",
+            pe.exec,
+            pe.stats,
+            pe.cache.stats(),
+            pe.bridge,
+            pe.rx,
+            pe.arbiter,
+            pe.coh,
+            pe.collective_depth
+        )
+    }
+
+    #[test]
+    fn parked_ticks_change_only_the_credited_counter() {
+        // Two identical PEs wait on an uncached load, then on a receive.
+        // At each wait one is ticked through it and the other is parked
+        // and credited; they must stay identical throughout.
+        let kernel = |port: PePort| {
+            port.call(PeRequest::UncachedLoad { addr: 0x40 }).unwrap();
+            port.call(PeRequest::Recv { from: None }).unwrap();
+        };
+        let mut ticked = ProcessingElement::new(cfg(1), topo(), bank0(), kernel);
+        let mut parked = ProcessingElement::new(cfg(1), topo(), bank0(), kernel);
+        const SKIPPED: Cycle = 40;
+        let mut now: Cycle = 0;
+        let mut wait = |now: &mut Cycle, reply: Flit, counter: fn(&PeStats) -> u64| {
+            // Start the operation; the load's request leaves via the arbiter.
+            while !ticked.awaits_flit() {
+                for pe in [&mut ticked, &mut parked] {
+                    pe.tick(*now);
+                    let _ = pe.select_inject();
+                }
+                *now += 1;
+            }
+            assert!(parked.awaits_flit());
+            let before = counter(ticked.stats());
+            for _ in 0..SKIPPED {
+                ticked.tick(*now);
+                assert!(ticked.select_inject().is_none(), "a parked PE injects nothing");
+                *now += 1;
+            }
+            assert_eq!(counter(ticked.stats()), before + SKIPPED);
+            parked.credit_parked(SKIPPED);
+            assert_eq!(snapshot(&ticked), snapshot(&parked));
+            for pe in [&mut ticked, &mut parked] {
+                pe.deliver(reply, *now);
+                pe.tick(*now);
+            }
+            *now += 1;
+        };
+        let word = Flit::new(Coord::new(1, 0), PacketKind::SingleRead, SubKind::Data, 0, 0, 0, 7);
+        wait(&mut now, word, |s| s.mem_cycles.get());
+        wait(&mut now, Flit::message(Coord::new(1, 0), 2, 0, 0, 9), |s| s.recv_wait_cycles.get());
+        for now in now..now + 4 {
+            ticked.tick(now);
+            parked.tick(now);
+        }
+        assert!(ticked.is_done() && parked.is_done());
+        assert_eq!(snapshot(&ticked), snapshot(&parked));
     }
 
     #[test]

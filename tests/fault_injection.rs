@@ -11,8 +11,10 @@
 //!   deadlock detection cannot fire) until the progress watchdog
 //!   converts the livelock into [`RunError::Watchdog`] with per-PE
 //!   diagnostics.
-//! * The cycle-limit error carries the same per-PE blocked-state detail
-//!   (satellite of the same PR).
+//! * The cycle-limit error carries the same per-PE blocked-state detail.
+//! * A receiver parked on a message that never comes while its peer polls
+//!   forever: the watchdog's carve-out for healthy timed stalls must not
+//!   mistake the parked receiver for one.
 
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
@@ -215,4 +217,35 @@ fn watchdog_tolerates_long_healthy_compute() {
     ];
     let run = System::run(&sys, &[], kernels).expect("healthy run must pass the watchdog");
     assert!(run.cycles >= 300_000);
+}
+
+/// Rank 0 blocks in `recv` — parked by the engine, waiting on a flit —
+/// while rank 1 polls `try_recv` every cycle for a message that never
+/// comes either. Nothing is ever served, so the watchdog must fire: a
+/// parked PE is waiting on traffic, not sleeping through a timed stall,
+/// and must not hold the watchdog window open.
+#[test]
+fn watchdog_fires_on_a_parked_receiver_beside_a_polling_peer() {
+    let sys = SystemConfig::builder()
+        .compute_pes(2)
+        .cycle_limit(200_000)
+        .resilience(ResilienceConfig { watchdog_cycles: 20_000, ..Default::default() })
+        .build()
+        .expect("watchdog configuration");
+    let kernels: Vec<Kernel> = vec![
+        Box::new(|api: PeApi| {
+            let _ = api.recv_from_rank(Rank::new(1)); // never sent
+        }),
+        Box::new(|api: PeApi| {
+            while api.try_recv_from_rank(Rank::new(0)).is_none() {} // never sent either
+        }),
+    ];
+    let err = System::run(&sys, &[], kernels).expect_err("must not hang silently");
+    match &err {
+        RunError::Watchdog { at, detail } => {
+            assert!(*at >= 20_000, "watchdog fired inside its own window: at {at}");
+            assert!(detail.contains("rank 0"), "detail must name the blocked rank: {detail}");
+        }
+        other => panic!("expected Watchdog, got {other}"),
+    }
 }
