@@ -20,19 +20,26 @@
 //!   sequential engine is phase-major, so order inside a cycle is not
 //!   pinned — the multiset is.
 //!
-//! Error paths are part of the contract too: a deadlocked workload must
-//! produce the *identical* `RunError` (cycle of detection and diagnostic
-//! string included) at every thread count.
+//! Error paths are part of the contract too: a deadlocked workload, a
+//! retransmission livelock caught by the watchdog and the same livelock
+//! running into the cycle limit must each produce the *identical*
+//! `RunError` (cycle and diagnostic string included) at every thread
+//! count, with and without a live fault injector. So must a fault-heavy
+//! 8×8 Jacobi solve that recovers, down to its `FaultStats`.
 
 use std::collections::HashMap;
 
+use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
 use medea::core::system::{Kernel, RunResult, System};
-use medea::core::{Empi, SystemConfig, Topology};
+use medea::core::{
+    DeadLink, Empi, FaultConfig, ResilienceConfig, RunError, ScheduledInjector, SystemConfig,
+    Topology,
+};
 use medea::sim::ids::Rank;
 use medea::sim::rng::SplitMix64;
 use medea::sim::Cycle;
-use medea::trace::{RingSink, TraceConfig};
+use medea::trace::{NullSink, RingSink, TraceConfig};
 
 /// Thread counts the tiled engine must match single-thread at: even and
 /// odd, dividing and not dividing the node count.
@@ -66,6 +73,10 @@ fn assert_identical(label: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.fabric_mean_latency, b.fabric_mean_latency, "{label}: mean latency");
     assert_eq!(a.fabric_max_latency, b.fabric_max_latency, "{label}: max latency");
     assert_eq!(a.fabric_latency, b.fabric_latency, "{label}: latency histogram");
+    assert_eq!(a.fabric_reroutes, b.fabric_reroutes, "{label}: reroutes");
+    assert_eq!(a.fault, b.fault, "{label}: injected faults");
+    assert_eq!(a.coherence, b.coherence, "{label}: coherence");
+    assert_eq!(format!("{:?}", a.mpmmu), format!("{:?}", b.mpmmu), "{label}: mpmmu");
     assert_eq!(a.mpmmu.single_reads.get(), b.mpmmu.single_reads.get(), "{label}: mpmmu reads");
     assert_eq!(a.mpmmu.single_writes.get(), b.mpmmu.single_writes.get(), "{label}: mpmmu writes");
     assert_eq!(a.mpmmu.locks_granted.get(), b.mpmmu.locks_granted.get(), "{label}: locks");
@@ -99,6 +110,7 @@ fn assert_identical(label: &str, a: &RunResult, b: &RunResult) {
             "{label}: pe{i} lock retries"
         );
         assert_eq!(pa.tie.flits_received.get(), pb.tie.flits_received.get(), "{label}: pe{i} tie");
+        assert_eq!(format!("{pa:?}"), format!("{pb:?}"), "{label}: pe{i} counters");
     }
     assert_eq!(a.banks.len(), b.banks.len(), "{label}: bank count");
     for (ba, bb) in a.banks.iter().zip(&b.banks) {
@@ -121,6 +133,7 @@ fn assert_identical(label: &str, a: &RunResult, b: &RunResult) {
             "{label}: bank {} busy",
             ba.node
         );
+        assert_eq!(format!("{ba:?}"), format!("{bb:?}"), "{label}: bank {} counters", ba.node);
     }
 }
 
@@ -425,5 +438,130 @@ fn deadlock_detection_is_identical() {
     for threads in THREADS {
         let tiled = System::run(&cfg(2, threads), &[], kernels()).expect_err("must deadlock");
         assert_eq!(tiled, seq, "RunError @{threads}t");
+    }
+}
+
+/// Thread counts the fault and error-path pins run at: the sequential
+/// engine and two tilings.
+const FAULT_THREADS: [usize; 3] = [1, 2, 3];
+
+/// Corruption, two link kills, bank drops and delays and PE stalls under
+/// an 8×8 16-PE Jacobi solve with every recovery mechanism on: the run
+/// recovers, and its `RunResult` — injected `FaultStats` included — is
+/// identical at every thread count.
+#[test]
+fn faulted_jacobi_is_identical_at_every_thread_count() {
+    let schedule = FaultConfig {
+        seed: 0xFA_0516,
+        flit_corrupt_ppm: 4_000,
+        bank_drop_ppm: 5_000,
+        bank_delay_ppm: 10_000,
+        bank_delay_cycles: 25,
+        pe_stall_ppm: 1_000,
+        pe_stall_cycles: 15,
+        ..FaultConfig::default()
+    }
+    .kill_link(DeadLink { node: 0, dir: 1, at: 400 })
+    .kill_link(DeadLink { node: 27, dir: 0, at: 1_500 });
+    let jcfg = JacobiConfig::new(18, JacobiVariant::HybridFullMp)
+        .with_warmup_iters(0)
+        .with_measured_iters(1);
+    let run = |threads: usize| {
+        let sys = SystemConfig::builder()
+            .topology(Topology::new(8, 8).expect("8x8 torus"))
+            .compute_pes(16)
+            .cycle_limit(200_000_000)
+            .resilience(ResilienceConfig {
+                empi_timeout: 2_000,
+                bridge_timeout: 1_000,
+                ..ResilienceConfig::standard()
+            })
+            .host_threads(threads)
+            .build()
+            .expect("resilient 16-PE configuration");
+        let mut injector = ScheduledInjector::new(schedule);
+        jacobi::run_faulted(&sys, &jcfg, &mut NullSink, &mut injector)
+            .unwrap_or_else(|e| panic!("faulted Jacobi @{threads}t: {e}"))
+            .run
+    };
+    let seq = run(1);
+    assert_eq!(seq.fault.links_killed, 2, "both scheduled link kills fire");
+    assert!(seq.fault.flits_corrupted > 0, "corruption fired");
+    assert!(seq.fault.bank_drops + seq.fault.bank_delays > 0, "bank faults fired");
+    assert!(seq.fault.pe_stalls > 0, "PE stalls fired");
+    assert!(seq.retransmits() > 0 && seq.bridge_retries() > 0, "recovery engaged");
+    for threads in &FAULT_THREADS[1..] {
+        assert_identical(&format!("faulted jacobi@{threads}t"), &run(*threads), &seq);
+    }
+}
+
+/// The 2-PE NACK livelock of `tests/fault_injection.rs`: rank 0 receives
+/// from a rank 1 that finishes without sending, and resilient delivery
+/// keeps NACK traffic flowing so deadlock detection never fires.
+fn livelock_kernels() -> Vec<Kernel> {
+    vec![
+        Box::new(|api: PeApi| {
+            let _ = Empi::new(api).recv(Rank::new(1));
+        }),
+        Box::new(|api: PeApi| Empi::new(api).compute(10)),
+    ]
+}
+
+/// The livelock's `RunError` at `threads` host threads, optionally under
+/// a live fault schedule.
+fn livelock_error(watchdog: Cycle, faults: Option<FaultConfig>, threads: usize) -> RunError {
+    let sys = SystemConfig::builder()
+        .compute_pes(2)
+        .cycle_limit(120_000)
+        .resilience(ResilienceConfig {
+            empi_retransmit: true,
+            empi_timeout: 1_000,
+            watchdog_cycles: watchdog,
+            ..ResilienceConfig::off()
+        })
+        .host_threads(threads)
+        .build()
+        .expect("resilient 2-PE configuration");
+    let outcome = match faults {
+        Some(schedule) => {
+            let mut injector = ScheduledInjector::new(schedule);
+            System::run_faulted(&sys, &[], livelock_kernels(), &mut NullSink, &mut injector)
+        }
+        None => System::run(&sys, &[], livelock_kernels()),
+    };
+    outcome.expect_err("the livelock never completes")
+}
+
+/// Watchdog and cycle-limit errors, with and without faults, are
+/// identical — cycle and diagnostic string, fault tail included — at
+/// every thread count.
+#[test]
+fn livelock_errors_are_identical_at_every_thread_count() {
+    let faults = FaultConfig {
+        seed: 0x11FE,
+        flit_corrupt_ppm: 50_000,
+        bank_drop_ppm: 20_000,
+        bank_delay_ppm: 20_000,
+        bank_delay_cycles: 9,
+        ..FaultConfig::default()
+    }
+    .kill_link(DeadLink { node: 1, dir: 1, at: 300 })
+    .kill_link(DeadLink { node: 2, dir: 2, at: 2_000 });
+    for (watchdog, faults) in [(40_000, None), (40_000, Some(faults)), (0, None), (0, Some(faults))]
+    {
+        let label = format!("watchdog {watchdog}, faults {}", faults.is_some());
+        let seq = livelock_error(watchdog, faults, 1);
+        if watchdog > 0 {
+            assert!(matches!(seq, RunError::Watchdog { .. }), "{label}: {seq}");
+        } else {
+            assert!(matches!(seq, RunError::CycleLimit { .. }), "{label}: {seq}");
+        }
+        if faults.is_some() {
+            assert!(seq.to_string().contains("recent faults"), "{label}: {seq}");
+        }
+        for threads in &FAULT_THREADS[1..] {
+            let tiled = livelock_error(watchdog, faults, *threads);
+            assert_eq!(tiled, seq, "{label}: RunError @{threads}t");
+        }
     }
 }
