@@ -449,7 +449,7 @@ pub fn run_faulted<S: TraceSink, I: FaultInjector>(
         })
         .collect();
     let preload = preload_for(sys, jcfg);
-    let run = System::run_faulted(sys, &preload, kernels, sink, injector)?;
+    let run = System::run_with(sys, &preload, kernels, sink, injector)?;
     Ok(JacobiOutcome {
         run,
         cycles_per_iter: measured.load(Ordering::SeqCst),

@@ -34,7 +34,7 @@
 use medea_cache::{Addr, LINE_BYTES};
 use medea_core::api::PeApi;
 use medea_core::system::{Kernel, RunError, RunResult, System};
-use medea_core::{Empi, NullSink, SystemConfig, TraceSink};
+use medea_core::{Empi, NullInjector, NullSink, SystemConfig, TraceSink};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -212,7 +212,7 @@ pub fn run_disciplined_traced<S: TraceSink>(
         })
         .collect();
 
-    let run = System::run_traced(sys, &[], kernels, sink)?;
+    let run = System::run_with(sys, &[], kernels, sink, &mut NullInjector)?;
     let counters = std::mem::take(&mut *readback.lock().unwrap());
     Ok(SharingOutcome { run, cycles: window.load(Ordering::SeqCst), counters })
 }

@@ -3,7 +3,7 @@
 //! self-measuring workload runner like [`crate::pingpong::run`].
 //!
 //! The factories return plain kernel vectors so callers choose the run
-//! entry point — `System::run`, `System::run_traced`, or the reference
+//! entry point — `System::run`, `System::run_with`, or the reference
 //! engine — and the single definition keeps the CI trace artifact and
 //! the integration tests validating the *same* workload.
 

@@ -727,7 +727,7 @@ fn run_resilience(smoke: bool) -> Vec<medea_core::report::ResilienceRow> {
         };
         let mut injector = ScheduledInjector::new(schedule);
         let name = "4x4 bank-hammer drop+delay";
-        rows.push(match System::run_faulted(&sys, &[], kernels, &mut NullSink, &mut injector) {
+        rows.push(match System::run_with(&sys, &[], kernels, &mut NullSink, &mut injector) {
             Ok(r) => (
                 name.to_owned(),
                 r.fault.total(),

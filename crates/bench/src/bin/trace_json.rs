@@ -29,7 +29,7 @@ use medea_core::report::{
     LatencyRow,
 };
 use medea_core::system::{Kernel, RunResult, System};
-use medea_core::{EventClass, RingSink, SystemConfig, Topology, TraceConfig};
+use medea_core::{EventClass, NullInjector, RingSink, SystemConfig, Topology, TraceConfig};
 use medea_trace::{chrome, csv, json, TimedEvent, TraceAnalysis};
 
 /// One logical packet per round trip keeps the fabric lively without
@@ -131,8 +131,8 @@ fn main() {
     };
 
     let mut sink = RingSink::new(args.capacity);
-    let result: RunResult =
-        System::run_traced(&cfg, &preload, kernels, &mut sink).expect("traced run");
+    let result: RunResult = System::run_with(&cfg, &preload, kernels, &mut sink, &mut NullInjector)
+        .expect("traced run");
     let events: Vec<TimedEvent> = sink.to_vec();
     assert!(!events.is_empty(), "a traced run must capture events");
 

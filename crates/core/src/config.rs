@@ -36,7 +36,7 @@ impl std::error::Error for BuildConfigError {}
 /// knob on is an explicit, observable configuration change.
 ///
 /// The knobs are deliberately independent of fault *injection*
-/// (`medea_fault::FaultConfig`, passed to `System::run_faulted`): one can
+/// (`medea_fault::FaultConfig`, passed to `System::run_with`): one can
 /// inject faults against a non-resilient system to measure raw damage, or
 /// enable resilience without injection to measure the protocol overhead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -607,7 +607,7 @@ impl SystemConfigBuilder {
     /// kernels and the eMPI layer issue span markers (zero simulated
     /// cycles, so architectural results never change — only
     /// observability). Engine-emitted events (NoC, cache, memory) flow
-    /// to whatever sink `System::run_traced` is given regardless;
+    /// to whatever sink `System::run_with` is given regardless;
     /// *which classes a capture keeps* is the sink's decision — use
     /// `RingSink::with_classes` to capture a subset.
     pub fn trace(mut self, trace: TraceConfig) -> Self {
@@ -637,7 +637,7 @@ impl SystemConfigBuilder {
     ///
     /// Turning anything on changes timing even without injected faults
     /// (resilient eMPI polls instead of blocking), so this is never
-    /// implied by fault injection — pair it with `System::run_faulted`
+    /// implied by fault injection — pair it with `System::run_with`
     /// deliberately.
     pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;

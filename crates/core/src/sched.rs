@@ -1,11 +1,12 @@
-//! The component scheduler shared by both cycle engines.
+//! The component scheduler and the cycle body shared by both engines.
 //!
 //! A [`Scheduler`] owns the processing elements and MPMMU banks one
 //! engine drives — all of them in the sequential engine, one tile's share
-//! in the tiled engine — and runs phases 1–3 of every cycle over them
-//! ([`Scheduler::step`]): deliver ejected flits, tick the runnable
-//! components, offer injection. Each phase costs time in proportion to
-//! the components that can act, not to the PE count:
+//! in the tiled engine — and [`Scheduler::cycle`] is the one cycle body
+//! both engines run over them: sampling catch-up, the cycle's scheduled
+//! link kills, then deliver ejected flits, tick the runnable components,
+//! offer injection, and tick the fabric. Each phase costs time in
+//! proportion to the components that can act, not to the PE count:
 //!
 //! * **delivery** walks only the nodes whose ejection queue holds a flit
 //!   ([`Fabric::next_ejectable`]), in ascending node order — which is
@@ -39,9 +40,11 @@
 use crate::system::{banks_deliver, banks_inject, banks_tick, delivered_event, Bank};
 use medea_fault::FaultInjector;
 use medea_metrics::Meter;
+use medea_noc::coord::Dir;
 use medea_noc::flit::{PacketKind, SubKind};
 use medea_noc::Fabric;
 use medea_pe::pe::ProcessingElement;
+use medea_sim::ids::NodeId;
 use medea_sim::Cycle;
 use medea_trace::{TraceEvent, TraceSink};
 use std::cmp::Reverse;
@@ -54,7 +57,7 @@ pub(crate) const FAULT_LOG_CAP: usize = 64;
 /// Fault-log phase of a scheduled link kill. The phases are the order of
 /// the engine's fault hooks within one cycle, so per-tile logs sorted by
 /// `(cycle, phase, tile)` merge into the sequential engine's push order.
-pub(crate) const FAULT_LINK_KILL: u8 = 0;
+const FAULT_LINK_KILL: u8 = 0;
 /// Fault-log phase of a flit corrupted at ejection.
 const FAULT_CORRUPT: u8 = 1;
 /// Fault-log phase of an injected PE stall.
@@ -149,7 +152,7 @@ impl Scheduler {
     }
 
     /// Append an engine-side fault event to the diagnostic tail.
-    pub(crate) fn log_fault(&mut self, now: Cycle, phase: u8, event: TraceEvent) {
+    fn log_fault(&mut self, now: Cycle, phase: u8, event: TraceEvent) {
         if self.faults.len() == FAULT_LOG_CAP {
             self.faults.pop_front();
         }
@@ -163,7 +166,7 @@ impl Scheduler {
 
     /// Snapshot every PE and bank into `meter` at a sample-window
     /// boundary.
-    pub(crate) fn sample<M: Meter>(&self, meter: &mut M) {
+    fn sample<M: Meter>(&self, meter: &mut M) {
         for (i, pe) in self.pes.iter().enumerate() {
             meter.sample_pe(
                 self.pe_base + i,
@@ -185,23 +188,60 @@ impl Scheduler {
         }
     }
 
-    /// Phases 1–3 of cycle `now`: deliver the flits `fabric` ejects at
-    /// this scheduler's nodes (PEs, then banks), tick the runnable PEs in
-    /// rank order and every busy bank, then offer injection to the PEs
-    /// that ticked and to the banks.
-    pub(crate) fn step<F, S, I, M>(
+    /// Close `meter` when the run stops at `end`: a final snapshot, then
+    /// the open attribution spans and the partial last window. Every tile
+    /// flushes at the same `end`, so per-tile forks stay in window
+    /// lockstep for the absorb.
+    pub(crate) fn flush<M: Meter>(&self, meter: &mut M, end: Cycle) {
+        if M::ACTIVE {
+            self.sample(meter);
+            meter.finish(end);
+        }
+    }
+
+    /// Cycle `now` of this scheduler's components over `fabric` — the one
+    /// cycle body of both engines. `kills` are the link kills the decision
+    /// chain drained for this cycle.
+    pub(crate) fn cycle<F, S, I, M>(
         &mut self,
         fabric: &mut F,
         now: Cycle,
+        kills: &[(u16, u8)],
         sink: &mut S,
         injector: &mut I,
         meter: &mut M,
     ) where
-        F: Fabric + ?Sized,
+        F: Fabric,
         S: TraceSink,
         I: FaultInjector,
         M: Meter,
     {
+        // 0a. Sampling catch-up: commit every window whose boundary has
+        // passed. The loop form makes an idle fast-forward jump emit one
+        // window per crossed boundary with frozen state — exactly what
+        // cycle-by-cycle execution would have observed.
+        if M::ACTIVE {
+            while meter.next_sample() <= now {
+                self.sample(meter);
+                meter.commit_window();
+            }
+        }
+
+        // 0b. Scheduled permanent faults, before any traffic moves. Every
+        // tile disables the link ends it owns (a dead link has a router on
+        // each side, possibly in different tiles); the one at node 0 —
+        // the whole machine in the sequential engine — logs the kill, once.
+        for &(node, dir) in kills {
+            if self.node_base == 0 {
+                let event = TraceEvent::FaultLinkKilled { node, dir };
+                if S::ACTIVE {
+                    sink.record(now, event);
+                }
+                self.log_fault(now, FAULT_LINK_KILL, event);
+            }
+            fabric.kill_link(NodeId::new(node), Dir::ALL[dir as usize & 3]);
+        }
+
         // Timed wakes: last cycle's `now + 1` PEs, then the due timers.
         // (After an idle fast-forward `now` may lie past `next`'s cycle;
         // those PEs are simply late, as with a full sweep.)
@@ -246,6 +286,10 @@ impl Scheduler {
             }
         }
         banks_inject(fabric, &mut self.banks, now, sink);
+
+        // 4. Fabric (activity-scheduled internally; a drained fabric
+        // ticks in constant time).
+        fabric.tick_metered(now, sink, meter);
     }
 
     /// Phase 1 for the PEs: eject every flit queued at a PE node, in
@@ -290,7 +334,7 @@ impl Scheduler {
                 if probe || self.parked_at[i].is_some() {
                     self.wake_now(i, now);
                 }
-                self.pes[i].deliver_traced(flit, now, sink);
+                self.pes[i].deliver(flit, now, sink);
             }
         }
     }
@@ -332,7 +376,7 @@ impl Scheduler {
                 }
             }
             let was_done = pe.is_done();
-            pe.tick_traced(now, sink);
+            pe.tick(now, sink);
             if M::ACTIVE {
                 // Interval attribution: the recorder charges the span
                 // since this PE's previous tick to its previous activity,

@@ -1,92 +1,89 @@
 //! The full-system cycle engine.
 //!
 //! Assembles the fabric, the MPMMU bank(s) and the processing elements,
-//! then runs the single-clock cycle loop:
+//! then runs the single-clock cycle loop. Every engine below runs the
+//! same phases per cycle:
 //!
 //! 1. deliver flits ejected by the fabric to their node interfaces (PEs
 //!    first, then every memory bank in bank order);
 //! 2. tick every *runnable* PE and bank;
 //! 3. inject at most one flit per node into the fabric;
 //! 4. tick the fabric;
-//! 5. terminate when every kernel has returned.
+//! 5. decide what follows: termination when every kernel has returned,
+//!    the cycle limit, the watchdog, an idle fast-forward or a deadlock.
 //!
 //! Shared memory is served by `cfg.memory_banks()` address-interleaved
 //! MPMMU banks (default 1 at node 0 — the paper's single-slave instance,
 //! reproduced bit-for-bit). The eject→hold→inject plumbing each bank
 //! needs is one set of helpers ([`banks_deliver`], [`banks_tick`],
-//! [`banks_inject`], [`banks_quiet`]) shared by every engine below.
+//! [`banks_inject`], [`banks_quiet`]) shared by every engine.
 //!
-//! Three engines implement that loop:
+//! [`System::run`] and [`System::run_with`] drive the production engine:
+//! one cycle body, [`crate::sched::Scheduler::cycle`] (sampling catch-up,
+//! scheduled link kills, phases 1–4), and one end-of-cycle decision chain,
+//! [`Chain`], which reads a [`CycleReport`] of the cycle and returns the
+//! next cycle to simulate or the [`Stop`] that ends the run. Both exist
+//! once and serve two drivers:
 //!
-//! * [`System::run`] — the production engine. Statically dispatched
-//!   fabric ([`AnyFabric`]) and event-driven component scheduling
-//!   ([`crate::sched`]), so every phase costs time in proportion to the
-//!   components that can act rather than to the PE count: delivery
-//!   visits only the nodes whose ejection queue holds a flit, and only
-//!   *runnable* PEs tick. A PE becomes runnable through one of three
-//!   wake sources — *timed* (it asked for the next cycle, or a pure time
-//!   stall it sleeps in ends), *delivery* (a flit reached it while it was
-//!   parked) or *probe* (a directory probe reached it while it slept or
-//!   after it retired). A PE is *parked* when its tick leaves it waiting
-//!   only for a flit: empty arbiter, idle probe responder, a bridge that
-//!   is idle or awaits a response with no armed retry timer, and a
-//!   memory wait past its access phase, a direct bridge transaction or a
-//!   `Recv` with no matching packet; its wake credits the wait-counter
-//!   increments of the ticks it skipped. On top, a whole-system
-//!   fast-forward skips the cycles in which every component is provably
-//!   idle — the optimizations that make the 168-point exploration cheap,
-//!   standing in for the paper's 15× SystemC-over-HDL speedup.
-//! * [`System::run_reference`] — the naive tick-everything loop behind a
-//!   `Box<dyn Fabric>`, kept as the behavioral reference: both engines
-//!   must produce bit-identical results (`tests/golden_determinism.rs`,
-//!   `engine_equivalence` below), and the pair is the before/after
-//!   baseline of the `BENCH_sim_speed.json` harness.
-//! * the **tiled parallel engine** ([`crate::tiled`]) — selected by
+//! * the **sequential** driver below — one scheduler over every PE and
+//!   bank, one [`AnyFabric`] over the whole torus, and a plain loop: it is
+//!   the one-tile case of the tiled engine, with no barrier, mutex or
+//!   mailbox;
+//! * the **tiled** driver ([`crate::tiled`]) — selected by
 //!   [`crate::config::SystemConfigBuilder::host_threads`] when more than
-//!   one thread is requested on a deflection fabric. The torus is
-//!   domain-decomposed into contiguous node tiles, one worker thread per
-//!   tile, with a per-cycle barrier exchanging only the boundary link
-//!   latches; every cross-tile effect is merged in fixed tile-index
-//!   order, so results stay **bit-identical** to this sequential engine
-//!   at every thread count (`tests/parallel_equivalence.rs`). Each tile
-//!   runs the same [`crate::sched::Scheduler`] over its own components,
-//!   so both engines run literally the same per-component code.
+//!   one thread is requested on a deflection fabric. Each worker runs the
+//!   cycle body over one tile's components and its shard of the fabric;
+//!   at the per-cycle barrier the leader folds the tile reports in tile
+//!   order and runs the same decision chain. Results stay
+//!   **bit-identical** at every thread count
+//!   (`tests/parallel_equivalence.rs`).
 //!
-//! The production engine is generic over a `medea_trace::TraceSink`
-//! ([`System::run_traced`]): every layer emits typed, timestamped events
-//! (NoC flit movement and link load, cache and coherence activity, MPMMU
-//! transactions and lock traffic, kernel-level operation spans) behind
-//! `S::ACTIVE` guards, so the `NullSink` instantiation that
-//! [`System::run`] delegates to monomorphizes to exactly the untraced
-//! hot path — tracing off costs nothing and changes nothing.
+//! The cycle body is event-driven ([`crate::sched`]): delivery visits
+//! only the nodes whose ejection queue holds a flit, and only *runnable*
+//! PEs tick — a PE is made runnable by a *timed* wake (it asked for the
+//! next cycle, or a pure time stall ends), a *delivery* wake (a flit
+//! reached it while it was parked on one) or a *probe* wake (a directory
+//! probe reached it while it slept or after it retired), and a parked
+//! PE's wake credits the wait-counter increments of the ticks it skipped.
+//! On top, the decision chain fast-forwards over cycles in which every
+//! component is provably idle — the optimizations that make the
+//! 168-point exploration cheap, standing in for the paper's 15×
+//! SystemC-over-HDL speedup.
 //!
-//! It is likewise generic over a `medea_fault::FaultInjector`
-//! ([`System::run_faulted`]): deterministic seeded faults — Message-flit
-//! payload corruption at ejection, permanently dead torus links, MPMMU
-//! read-response drops and service delays, PE stall windows — enter the
-//! system at exactly four engine-side hooks, each guarded by the
-//! compile-time constant `I::ACTIVE`, so the [`NullInjector`]
-//! instantiation behind [`System::run_traced`] monomorphizes to exactly
-//! the fault-free engine (pinned by `tests/fault_equivalence.rs`). A
+//! [`System::run_with`] takes a `medea_trace::TraceSink` and a
+//! `medea_fault::FaultInjector`. Every layer emits typed, timestamped
+//! events (NoC flit movement and link load, cache and coherence activity,
+//! MPMMU transactions and lock traffic, kernel-level operation spans)
+//! behind `S::ACTIVE` guards, and faults enter at four engine hooks
+//! behind `I::ACTIVE` guards, so the `NullSink`/[`NullInjector`]
+//! instantiation that [`System::run`] uses monomorphizes to exactly the
+//! uninstrumented, fault-free engine (pinned by the golden suite,
+//! `tests/trace_equivalence.rs` and `tests/fault_equivalence.rs`). A
 //! configurable watchdog ([`crate::ResilienceConfig::watchdog_cycles`])
 //! converts silent no-progress hangs into a structured
 //! [`RunError::Watchdog`] carrying per-PE blocked-state diagnostics and
 //! the tail of recent fault events.
+//!
+//! [`System::run_reference`] is the independent oracle: the naive
+//! tick-everything loop behind a `Box<dyn Fabric>`, with its own loop and
+//! decisions. The production engine must match it bit for bit
+//! (`tests/golden_determinism.rs`, `engine_equivalence` below), and the
+//! pair is the before/after baseline of the `BENCH_sim_speed.json`
+//! harness.
 
 use crate::api::PeApi;
 use crate::config::SystemConfig;
-use crate::sched::{Scheduler, FAULT_LINK_KILL};
+use crate::sched::Scheduler;
 use crate::FabricKind;
 use medea_cache::{Addr, CacheStats, CoherenceStats};
 use medea_fault::{FaultInjector, FaultStats, NullInjector};
 use medea_mem::{Mpmmu, MpmmuStats};
 use medea_metrics::{Meter, MetricsReport, NullMeter, Recorder};
-use medea_noc::coord::Dir;
 use medea_noc::flit::Flit;
 use medea_noc::ideal::IdealNetwork;
 use medea_noc::network::Network;
 use medea_noc::reference::ReferenceNetwork;
-use medea_noc::{AnyFabric, Fabric};
+use medea_noc::{AnyFabric, Fabric, FabricStats};
 use medea_pe::bridge::BridgeStats;
 use medea_pe::pe::{PeStats, ProcessingElement, Wakeup};
 use medea_pe::tie::TieStats;
@@ -95,6 +92,7 @@ use medea_sim::stats::Log2Histogram;
 use medea_sim::Cycle;
 use medea_trace::{NullSink, TraceEvent, TraceSink};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// A kernel to run on one PE.
@@ -301,7 +299,7 @@ pub struct System;
 
 impl System {
     /// Run `kernels` (one per configured PE, by rank order) to completion
-    /// on the activity-scheduled engine.
+    /// on the activity-scheduled engine, untraced and fault-free.
     ///
     /// `preload` words are written into DDR before the first cycle — the
     /// §II-E "at startup, the code to be executed is placed in an external
@@ -315,38 +313,27 @@ impl System {
         preload: &[(Addr, u32)],
         kernels: Vec<Kernel>,
     ) -> Result<RunResult, RunError> {
-        Self::run_traced(cfg, preload, kernels, &mut NullSink)
+        Self::run_with(cfg, preload, kernels, &mut NullSink, &mut NullInjector)
     }
 
     /// [`System::run`] with cross-layer events delivered to `sink` (see
-    /// the `medea-trace` crate). The engine — and every instrumented
-    /// component under it — is generic over the sink, and every emission
-    /// site is guarded by the compile-time constant `S::ACTIVE`, so the
-    /// [`NullSink`] instantiation [`System::run`] delegates to
-    /// monomorphizes to exactly the untraced engine: tracing off costs
-    /// nothing, and traced runs produce bit-identical [`RunResult`]s
-    /// (pinned by the golden suite and `tests/trace_equivalence.rs`).
+    /// the `medea-trace` crate) and deterministic faults drawn from
+    /// `injector` (see the `medea-fault` crate). The engine — and every
+    /// instrumented component under it — is generic over both, and every
+    /// emission site and fault hook is guarded by the compile-time
+    /// constant `S::ACTIVE` or `I::ACTIVE`, so the [`NullSink`] and
+    /// [`NullInjector`] instantiation [`System::run`] uses monomorphizes
+    /// to exactly the untraced, fault-free engine: traced runs and runs
+    /// with an inert injector produce bit-identical [`RunResult`]s
+    /// (pinned by the golden suite, `tests/trace_equivalence.rs` and
+    /// `tests/fault_equivalence.rs`).
     ///
-    /// # Errors
+    /// Faults enter at exactly four engine hooks:
     ///
-    /// See [`RunError`].
-    pub fn run_traced<S: TraceSink>(
-        cfg: &SystemConfig,
-        preload: &[(Addr, u32)],
-        kernels: Vec<Kernel>,
-        sink: &mut S,
-    ) -> Result<RunResult, RunError> {
-        Self::run_faulted(cfg, preload, kernels, sink, &mut NullInjector)
-    }
-
-    /// [`System::run_traced`] with deterministic faults drawn from
-    /// `injector` (see the `medea-fault` crate). Faults enter at exactly
-    /// four engine hooks, each behind the compile-time constant
-    /// `I::ACTIVE`:
-    ///
-    /// * **link kills** — drained from the injector's schedule at the top
-    ///   of every cycle and applied to the fabric, which routes around
-    ///   the dead link from then on ([`medea_noc::Fabric::kill_link`]);
+    /// * **link kills** — drained from the injector's schedule by the
+    ///   decision chain at the end of each cycle and applied to the fabric
+    ///   at the top of the next, which routes around the dead link from
+    ///   then on ([`medea_noc::Fabric::kill_link`]);
     /// * **flit corruption** — one payload bit of a Message flit flipped
     ///   at PE ejection, *without* refreshing the codec checksum, so the
     ///   TIE flags the packet and resilient eMPI NACKs it (shared-memory
@@ -360,10 +347,6 @@ impl System {
     ///   PE on every cycle, so no PE is parked while an injector is
     ///   active (see [`crate::sched`]).
     ///
-    /// With [`NullInjector`] every hook constant-folds away and this *is*
-    /// [`System::run_traced`] — fault-free results stay bit-identical
-    /// (`tests/fault_equivalence.rs`).
-    ///
     /// When [`crate::ResilienceConfig::watchdog_cycles`] is nonzero, a
     /// progress watchdog tracks a fingerprint of *served work* (packets
     /// received by PEs + transactions completed by banks — deliberately
@@ -374,7 +357,7 @@ impl System {
     /// # Errors
     ///
     /// See [`RunError`].
-    pub fn run_faulted<S: TraceSink, I: FaultInjector>(
+    pub fn run_with<S: TraceSink, I: FaultInjector>(
         cfg: &SystemConfig,
         preload: &[(Addr, u32)],
         kernels: Vec<Kernel>,
@@ -399,164 +382,17 @@ impl System {
                 cfg.compute_pes(),
                 cfg.memory_banks(),
             );
-            Self::run_metered(cfg, preload, kernels, sink, injector, &mut meter).map(|mut r| {
+            run_engine(cfg, preload, kernels, sink, injector, &mut meter).map(|mut r| {
                 r.metrics = Some(meter.into_report());
                 r
             })
         } else {
-            Self::run_metered(cfg, preload, kernels, sink, injector, &mut NullMeter)
+            run_engine(cfg, preload, kernels, sink, injector, &mut NullMeter)
         };
         if let Ok(r) = &mut out {
             r.trace_drops = sink.io_drops();
         }
         out
-    }
-
-    /// The engine body behind [`System::run_faulted`], generic over the
-    /// meter. Kernel count is already checked by the caller.
-    fn run_metered<S: TraceSink, I: FaultInjector, M: Meter>(
-        cfg: &SystemConfig,
-        preload: &[(Addr, u32)],
-        kernels: Vec<Kernel>,
-        sink: &mut S,
-        injector: &mut I,
-        meter: &mut M,
-    ) -> Result<RunResult, RunError> {
-        // The tiled parallel engine takes over whole runs when the
-        // configuration asks for it (and the injector can be forked);
-        // otherwise the kernels come back and the sequential path below
-        // runs unchanged.
-        let kernels =
-            match crate::tiled::try_run_tiled(cfg, preload, kernels, sink, injector, meter) {
-                Ok(outcome) => return outcome,
-                Err(kernels) => kernels,
-            };
-        let topo = cfg.topology();
-        let mut fabric: AnyFabric = match cfg.fabric() {
-            FabricKind::Deflection => Network::new(topo).into(),
-            FabricKind::Ideal => IdealNetwork::new(topo).into(),
-        };
-        let banks = build_banks(cfg, preload);
-        let mut sched = Scheduler::new(build_pes(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
-
-        let wall_start = Instant::now();
-        let mut now: Cycle = 0;
-        // Progress watchdog (off at 0); the scheduler keeps the rolling
-        // tail of recent engine-side fault events for hang diagnostics.
-        let watchdog = cfg.resilience().watchdog_cycles;
-        let mut last_fingerprint = progress_fingerprint(&sched.pes, &sched.banks);
-        let mut last_progress_at: Cycle = 0;
-        loop {
-            // 0a. Sampling catch-up: commit every window whose boundary
-            // has passed. The loop form makes the idle fast-forward jump
-            // below emit one window per crossed boundary with frozen
-            // state — exactly what cycle-by-cycle execution would have
-            // observed.
-            if M::ACTIVE {
-                while meter.next_sample() <= now {
-                    sched.sample(meter);
-                    meter.commit_window();
-                }
-            }
-
-            // 0b. Apply scheduled permanent faults before any traffic
-            // moves this cycle.
-            if I::ACTIVE {
-                while let Some(kill) = injector.take_link_kill(now) {
-                    fabric.kill_link(NodeId::new(kill.node), Dir::ALL[kill.dir as usize & 3]);
-                    let ev = TraceEvent::FaultLinkKilled { node: kill.node, dir: kill.dir & 3 };
-                    if S::ACTIVE {
-                        sink.record(now, ev);
-                    }
-                    sched.log_fault(now, FAULT_LINK_KILL, ev);
-                }
-            }
-
-            // 1.–3. Deliver, tick, inject: the scheduler visits only the
-            // nodes with queued flits and the PEs a timed, delivery or
-            // probe wake made runnable; PEs parked on a flit are skipped
-            // (see `crate::sched`).
-            sched.step(&mut fabric, now, sink, injector, meter);
-
-            // 4. Fabric (activity-scheduled internally; a drained fabric
-            // ticks in constant time).
-            fabric.tick_metered(now, sink, meter);
-
-            // 5. Termination, limits, fast-forward.
-            if sched.live() == 0 {
-                if M::ACTIVE {
-                    // Final snapshot + flush: close the open attribution
-                    // spans at `now` and commit the partial last window.
-                    sched.sample(meter);
-                    meter.finish(now);
-                }
-                break;
-            }
-            if now >= cfg.cycle_limit() {
-                return Err(RunError::CycleLimit {
-                    limit: cfg.cycle_limit(),
-                    detail: stall_detail(&sched, fabric.in_flight()),
-                });
-            }
-            if watchdog > 0 {
-                let fp = progress_fingerprint(&sched.pes, &sched.banks);
-                if fp != last_fingerprint {
-                    last_fingerprint = fp;
-                    last_progress_at = now;
-                } else if sched.timed_stall_pending(now) {
-                    // A PE asleep in a multi-cycle timed stall (a long
-                    // `compute`, a bridge backoff) is healthy, not hung —
-                    // it will produce work when it wakes, even though
-                    // another PE polling every cycle keeps the fast-
-                    // forward jump (which would reset the window) from
-                    // engaging. Keep the window open while the stall is
-                    // in flight; a livelock has every live PE spinning at
-                    // wake = now + 1 or parked on traffic that never
-                    // comes, so this never masks one.
-                    last_progress_at = now;
-                } else if now - last_progress_at >= watchdog {
-                    return Err(RunError::Watchdog {
-                        at: now,
-                        detail: stall_detail(&sched, fabric.in_flight()),
-                    });
-                }
-            }
-            let quiet = fabric.in_flight() == 0 && banks_quiet(&sched.banks);
-            if quiet {
-                match classify_quiet(&sched.pes) {
-                    QuietState::AllTimed { min_wake } => {
-                        // Never skip past the cycle limit: the limit check
-                        // must still observe the overrun.
-                        let t = min_wake.min(cfg.cycle_limit());
-                        if t > now + 1 {
-                            // The jump is legitimate forward progress
-                            // (every PE is provably in a timed stall), so
-                            // it must not age the watchdog window.
-                            last_progress_at = t;
-                            now = t;
-                            continue;
-                        }
-                    }
-                    QuietState::Deadlocked => {
-                        return Err(RunError::Deadlock {
-                            at: now,
-                            detail: deadlock_detail(&sched.pes),
-                        });
-                    }
-                    QuietState::Mixed => {}
-                }
-            }
-            now += 1;
-        }
-
-        Ok(finish_result(
-            now,
-            &sched.pes,
-            fabric.stats(),
-            &sched.banks,
-            wall_start,
-            injector.stats(),
-        ))
     }
 
     /// Run `kernels` on the naive reference engine: the frozen seed
@@ -592,14 +428,14 @@ impl System {
             for pe in &mut pes {
                 let node = pe.node();
                 while let Some(flit) = fabric.eject(node) {
-                    pe.deliver(flit, now);
+                    pe.deliver(flit, now, &mut NullSink);
                 }
             }
             banks_deliver(&mut *fabric, &mut banks, now, &mut NullSink);
 
             // 2. Tick components.
             for pe in &mut pes {
-                pe.tick(now);
+                pe.tick(now, &mut NullSink);
             }
             banks_tick(&mut banks, now, false, &mut NullSink, &mut NullInjector);
 
@@ -628,7 +464,7 @@ impl System {
             }
             let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
             if quiet {
-                match classify_quiet(&pes) {
+                match QuietFold::of(&pes).classify() {
                     QuietState::AllTimed { min_wake } => {
                         let t = min_wake.min(cfg.cycle_limit());
                         if t > now + 1 {
@@ -649,7 +485,241 @@ impl System {
     }
 }
 
-pub(crate) fn check_kernel_count(cfg: &SystemConfig, kernels: &[Kernel]) -> Result<(), RunError> {
+/// The engine behind [`System::run_with`], generic over the meter: the
+/// tiled driver when the configuration selects it, otherwise the
+/// sequential driver — the one-tile case of the same cycle body and
+/// decision chain. Kernel count is already checked by the caller.
+fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
+    cfg: &SystemConfig,
+    preload: &[(Addr, u32)],
+    kernels: Vec<Kernel>,
+    sink: &mut S,
+    injector: &mut I,
+    meter: &mut M,
+) -> Result<RunResult, RunError> {
+    let kernels = match crate::tiled::try_run_tiled(cfg, preload, kernels, sink, injector, meter) {
+        Ok(outcome) => return outcome,
+        Err(kernels) => kernels,
+    };
+    let topo = cfg.topology();
+    let mut fabric: AnyFabric = match cfg.fabric() {
+        FabricKind::Deflection => Network::new(topo).into(),
+        FabricKind::Ideal => IdealNetwork::new(topo).into(),
+    };
+    let banks = build_banks(cfg, preload);
+    let mut sched = Scheduler::new(build_pes(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
+
+    let wall_start = Instant::now();
+    let mut chain = Chain::new(cfg, injector);
+    let mut now: Cycle = 0;
+    let stop = loop {
+        sched.cycle(&mut fabric, now, chain.kills(), sink, injector, meter);
+        let report = CycleReport::new(&sched, fabric.in_flight(), now, chain.watchdog_on());
+        match chain.decide(now, &report, injector) {
+            ControlFlow::Continue(next) => now = next,
+            ControlFlow::Break(stop) => break stop,
+        }
+    };
+    sched.flush(meter, now);
+    let faults: Vec<(Cycle, TraceEvent)> = sched.faults().map(|(at, _, ev)| (at, ev)).collect();
+    stop.conclude(&sched.pes, &sched.banks, &faults, fabric.stats(), injector.stats(), wall_start)
+}
+
+/// What the decision chain reads after a cycle: one scheduler's state, or
+/// the tile-order fold of every tile's ([`CycleReport::merge`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CycleReport {
+    /// PEs whose kernel has not returned.
+    live: usize,
+    /// Flits in the fabric, boundary exports included.
+    in_flight: usize,
+    /// The watchdog's [`progress_fingerprint`] (0 with the watchdog off).
+    fingerprint: u64,
+    /// Whether a live PE sleeps in a timed stall past the next cycle
+    /// (`false` with the watchdog off).
+    timed_stall: bool,
+    /// `Some` exactly when the fabric and every bank are drained — the
+    /// only time the chain reads it.
+    quiet: Option<QuietFold>,
+}
+
+impl CycleReport {
+    /// The report of `sched`'s components after cycle `now`, with
+    /// `in_flight` flits in its fabric. The watchdog inputs are computed
+    /// only when `watchdog` is on, the quiet fold only when drained.
+    pub(crate) fn new(sched: &Scheduler, in_flight: usize, now: Cycle, watchdog: bool) -> Self {
+        let drained = in_flight == 0 && banks_quiet(&sched.banks);
+        CycleReport {
+            live: sched.live(),
+            in_flight,
+            fingerprint: if watchdog { progress_fingerprint(&sched.pes, &sched.banks) } else { 0 },
+            timed_stall: watchdog && sched.timed_stall_pending(now),
+            quiet: drained.then(|| QuietFold::of(&sched.pes)),
+        }
+    }
+
+    /// Fold another tile's report into this one. Every field is a sum, an
+    /// OR or the quiet fold's AND/MIN, so the tile-order fold is exactly
+    /// the report of the whole machine.
+    pub(crate) fn merge(&mut self, other: &CycleReport) {
+        self.live += other.live;
+        self.in_flight += other.in_flight;
+        self.fingerprint = self.fingerprint.wrapping_add(other.fingerprint);
+        self.timed_stall |= other.timed_stall;
+        self.quiet = match (self.quiet, other.quiet) {
+            (Some(a), Some(b)) => Some(a.merge(b)),
+            _ => None,
+        };
+    }
+}
+
+/// Why the decision chain ended a run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop {
+    /// Every kernel returned by cycle `at`.
+    Done { at: Cycle },
+    /// The cycle limit passed with `in_flight` flits in the fabric.
+    CycleLimit { limit: Cycle, in_flight: usize },
+    /// No progress for a whole watchdog window, as of cycle `at`.
+    Watchdog { at: Cycle, in_flight: usize },
+    /// Every live PE blocked in `Recv` with no traffic anywhere.
+    Deadlock { at: Cycle },
+}
+
+impl Stop {
+    /// The run's outcome, from its PEs and banks in rank and bank order,
+    /// the engine-side fault tail and the fabric and fault statistics.
+    pub(crate) fn conclude(
+        self,
+        pes: &[ProcessingElement],
+        banks: &[Bank],
+        faults: &[(Cycle, TraceEvent)],
+        fstats: &FabricStats,
+        fault: FaultStats,
+        wall_start: Instant,
+    ) -> Result<RunResult, RunError> {
+        match self {
+            Stop::Done { at } => Ok(finish_result(at, pes, fstats, banks, wall_start, fault)),
+            Stop::CycleLimit { limit, in_flight } => Err(RunError::CycleLimit {
+                limit,
+                detail: stall_summary(pes, banks, in_flight, faults),
+            }),
+            Stop::Watchdog { at, in_flight } => {
+                Err(RunError::Watchdog { at, detail: stall_summary(pes, banks, in_flight, faults) })
+            }
+            Stop::Deadlock { at } => Err(RunError::Deadlock { at, detail: deadlock_detail(pes) }),
+        }
+    }
+}
+
+/// The end-of-cycle decision chain, the one copy both drivers run: the
+/// sequential loop after every cycle, the tiled leader at every barrier.
+/// It owns the cross-cycle decision state (the watchdog window) and is
+/// the only reader of the fault injector's link-kill schedule.
+pub(crate) struct Chain {
+    limit: Cycle,
+    /// Watchdog window, 0 = off.
+    watchdog: Cycle,
+    last_fingerprint: u64,
+    last_progress_at: Cycle,
+    /// The link kills due at the next cycle, `(node, dir)`.
+    kills: Vec<(u16, u8)>,
+}
+
+impl Chain {
+    /// The chain for a run of `cfg`, holding cycle 0's link kills.
+    pub(crate) fn new<I: FaultInjector>(cfg: &SystemConfig, injector: &mut I) -> Self {
+        let mut chain = Chain {
+            limit: cfg.cycle_limit(),
+            watchdog: cfg.resilience().watchdog_cycles,
+            last_fingerprint: 0,
+            last_progress_at: 0,
+            kills: Vec::new(),
+        };
+        chain.drain_kills(0, injector);
+        chain
+    }
+
+    /// Whether cycle reports must carry the watchdog's inputs.
+    pub(crate) const fn watchdog_on(&self) -> bool {
+        self.watchdog > 0
+    }
+
+    /// The link kills to apply at the top of the next cycle.
+    pub(crate) fn kills(&self) -> &[(u16, u8)] {
+        &self.kills
+    }
+
+    /// Decide what follows cycle `now`: termination, the cycle limit, the
+    /// watchdog, then — when the fabric and banks are drained — an idle
+    /// fast-forward or a deadlock, and finally the next cycle's link
+    /// kills. `Continue` carries the next cycle to simulate.
+    pub(crate) fn decide<I: FaultInjector>(
+        &mut self,
+        now: Cycle,
+        report: &CycleReport,
+        injector: &mut I,
+    ) -> ControlFlow<Stop, Cycle> {
+        if report.live == 0 {
+            return ControlFlow::Break(Stop::Done { at: now });
+        }
+        if now >= self.limit {
+            let in_flight = report.in_flight;
+            return ControlFlow::Break(Stop::CycleLimit { limit: self.limit, in_flight });
+        }
+        if self.watchdog > 0 {
+            if report.fingerprint != self.last_fingerprint {
+                self.last_fingerprint = report.fingerprint;
+                self.last_progress_at = now;
+            } else if report.timed_stall {
+                // A PE asleep in a multi-cycle timed stall (a long
+                // `compute`, a bridge backoff) is healthy, not hung — it
+                // will produce work when it wakes, even though another PE
+                // polling every cycle keeps the fast-forward jump (which
+                // would reset the window) from engaging. Keep the window
+                // open while the stall is in flight; a livelock has every
+                // live PE spinning at wake = now + 1 or parked on traffic
+                // that never comes, so this never masks one.
+                self.last_progress_at = now;
+            } else if now - self.last_progress_at >= self.watchdog {
+                let in_flight = report.in_flight;
+                return ControlFlow::Break(Stop::Watchdog { at: now, in_flight });
+            }
+        }
+        let mut next = now + 1;
+        match report.quiet.map(QuietFold::classify) {
+            Some(QuietState::AllTimed { min_wake }) => {
+                // Never skip past the cycle limit: the limit check must
+                // still observe the overrun.
+                let t = min_wake.min(self.limit);
+                if t > next {
+                    // The jump is legitimate forward progress (every PE is
+                    // provably in a timed stall), so it must not age the
+                    // watchdog window.
+                    self.last_progress_at = t;
+                    next = t;
+                }
+            }
+            Some(QuietState::Deadlocked) => return ControlFlow::Break(Stop::Deadlock { at: now }),
+            Some(QuietState::Mixed) | None => {}
+        }
+        self.drain_kills(next, injector);
+        ControlFlow::Continue(next)
+    }
+
+    /// Replace the kill list with the scheduled link kills due by `now`,
+    /// in schedule order.
+    fn drain_kills<I: FaultInjector>(&mut self, now: Cycle, injector: &mut I) {
+        self.kills.clear();
+        if I::ACTIVE {
+            while let Some(kill) = injector.take_link_kill(now) {
+                self.kills.push((kill.node, kill.dir & 3));
+            }
+        }
+    }
+}
+
+fn check_kernel_count(cfg: &SystemConfig, kernels: &[Kernel]) -> Result<(), RunError> {
     if kernels.len() != cfg.compute_pes() {
         return Err(RunError::KernelCountMismatch {
             kernels: kernels.len(),
@@ -772,7 +842,7 @@ pub(crate) fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
 }
 
 /// Whether every bank is drained (the fast-forward / deadlock predicate).
-pub(crate) fn banks_quiet(banks: &[Bank]) -> bool {
+fn banks_quiet(banks: &[Bank]) -> bool {
     banks.iter().all(|b| b.unit.is_idle() && b.hold.is_none())
 }
 
@@ -802,7 +872,7 @@ pub(crate) fn build_pes(cfg: &SystemConfig, kernels: Vec<Kernel>) -> Vec<Process
 }
 
 /// What a drained-fabric, idle-MPMMU cycle looks like from the PEs.
-pub(crate) enum QuietState {
+enum QuietState {
     /// Every live PE is in a pure time stall; jump to the earliest wake.
     AllTimed {
         /// Earliest wake cycle among the stalled PEs.
@@ -814,53 +884,60 @@ pub(crate) enum QuietState {
     Mixed,
 }
 
-/// The commutative core of [`classify_quiet`]:
-/// `(all_timed AND, min_wake MIN, all_recv_blocked AND)` folded over a
-/// slice of PEs. The identity element is `(true, None, true)` (an empty
-/// tile constrains nothing), so the tiled engine can fold each tile's
-/// partial independently and merge them in any order — the merged triple
-/// is bit-identical to folding the whole rank-ordered PE list at once.
-pub(crate) fn quiet_fold(pes: &[ProcessingElement]) -> (bool, Option<Cycle>, bool) {
-    let mut min_wake: Option<Cycle> = None;
-    let mut all_timed = true;
-    let mut all_recv_blocked = true;
-    for pe in pes {
-        match pe.wakeup() {
-            Wakeup::Done => {}
-            Wakeup::At(t) => {
-                all_recv_blocked = false;
-                min_wake = Some(min_wake.map_or(t, |m| m.min(t)));
-            }
-            Wakeup::External => {
-                all_timed = false;
-                if !pe.is_recv_blocked() {
-                    all_recv_blocked = false;
-                }
-            }
-        }
-    }
-    (all_timed, min_wake, all_recv_blocked)
-}
-
-/// Turn the folded triple into the quiet-cycle verdict.
-pub(crate) fn classify_fold(
+/// The commutative core of the quiet-cycle verdict: `(all_timed AND,
+/// min_wake MIN, all_recv_blocked AND)` folded over a slice of PEs. The
+/// empty slice's fold is the identity (an empty tile constrains
+/// nothing), so tiles fold independently and merge in any order — the
+/// merged fold equals folding the whole rank-ordered PE list at once.
+#[derive(Debug, Clone, Copy)]
+struct QuietFold {
     all_timed: bool,
     min_wake: Option<Cycle>,
     all_recv_blocked: bool,
-) -> QuietState {
-    match (all_timed, min_wake) {
-        (true, Some(min_wake)) => QuietState::AllTimed { min_wake },
-        _ if all_recv_blocked && !all_timed => QuietState::Deadlocked,
-        _ => QuietState::Mixed,
+}
+
+impl QuietFold {
+    fn of(pes: &[ProcessingElement]) -> Self {
+        let mut fold = QuietFold { all_timed: true, min_wake: None, all_recv_blocked: true };
+        for pe in pes {
+            match pe.wakeup() {
+                Wakeup::Done => {}
+                Wakeup::At(t) => {
+                    fold.all_recv_blocked = false;
+                    fold.min_wake = Some(fold.min_wake.map_or(t, |m| m.min(t)));
+                }
+                Wakeup::External => {
+                    fold.all_timed = false;
+                    if !pe.is_recv_blocked() {
+                        fold.all_recv_blocked = false;
+                    }
+                }
+            }
+        }
+        fold
+    }
+
+    fn merge(self, other: QuietFold) -> QuietFold {
+        QuietFold {
+            all_timed: self.all_timed && other.all_timed,
+            min_wake: match (self.min_wake, other.min_wake) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            all_recv_blocked: self.all_recv_blocked && other.all_recv_blocked,
+        }
+    }
+
+    fn classify(self) -> QuietState {
+        match (self.all_timed, self.min_wake) {
+            (true, Some(min_wake)) => QuietState::AllTimed { min_wake },
+            _ if self.all_recv_blocked && !self.all_timed => QuietState::Deadlocked,
+            _ => QuietState::Mixed,
+        }
     }
 }
 
-fn classify_quiet(pes: &[ProcessingElement]) -> QuietState {
-    let (all_timed, min_wake, all_recv_blocked) = quiet_fold(pes);
-    classify_fold(all_timed, min_wake, all_recv_blocked)
-}
-
-pub(crate) fn deadlock_detail(pes: &[ProcessingElement]) -> String {
+fn deadlock_detail(pes: &[ProcessingElement]) -> String {
     pes.iter()
         .enumerate()
         .filter(|(_, p)| !p.is_done())
@@ -877,7 +954,7 @@ pub(crate) fn deadlock_detail(pes: &[ProcessingElement]) -> String {
 /// `requests` (blocked kernels poll via `TryRecv`), `lock_nacks` and
 /// `busy_cycles` (a lock spin or a head-of-line stall is exactly the
 /// hang the watchdog must catch).
-pub(crate) fn progress_fingerprint(pes: &[ProcessingElement], banks: &[Bank]) -> u64 {
+fn progress_fingerprint(pes: &[ProcessingElement], banks: &[Bank]) -> u64 {
     let mut fp = 0u64;
     for pe in pes {
         fp = fp.wrapping_add(pe.stats().packets_received.get());
@@ -895,17 +972,11 @@ pub(crate) fn progress_fingerprint(pes: &[ProcessingElement], banks: &[Bank]) ->
     fp
 }
 
-/// [`stall_summary`] of one scheduler's components and fault tail.
-fn stall_detail(sched: &Scheduler, in_flight: usize) -> String {
-    let faults: Vec<(Cycle, TraceEvent)> = sched.faults().map(|(at, _, ev)| (at, ev)).collect();
-    stall_summary(&sched.pes, &sched.banks, in_flight, &faults)
-}
-
 /// Per-PE blocked-state diagnostics for [`RunError::CycleLimit`] and
 /// [`RunError::Watchdog`]: what every unfinished rank is waiting on,
 /// its traffic counters, bank busyness, in-flight flits, and the tail
 /// of recent engine-side fault events.
-pub(crate) fn stall_summary(
+fn stall_summary(
     pes: &[ProcessingElement],
     banks: &[Bank],
     in_flight: usize,
@@ -947,10 +1018,10 @@ pub(crate) fn stall_summary(
     detail
 }
 
-pub(crate) fn finish_result(
+fn finish_result(
     now: Cycle,
     pes: &[ProcessingElement],
-    fstats: &medea_noc::FabricStats,
+    fstats: &FabricStats,
     banks: &[Bank],
     wall_start: Instant,
     fault: FaultStats,
@@ -998,8 +1069,8 @@ pub(crate) fn finish_result(
         banks: per_bank,
         fault,
         coherence,
-        // Attached by the `run_faulted` dispatcher after the engine
-        // returns; the reference engine never records either.
+        // Attached by `System::run_with` after the engine returns; the
+        // reference engine never records either.
         metrics: None,
         trace_drops: 0,
         wall: wall_start.elapsed(),
@@ -1272,6 +1343,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RunError::CycleLimit { limit: 100, .. }), "{err}");
+    }
+
+    #[test]
+    fn unbounded_compute_sleeps_into_the_cycle_limit() {
+        // `now + cycles` and the compute counter saturate, so the PE sleeps
+        // until the limit stops the run on every engine.
+        let limit = |threads| {
+            let b = SystemConfig::builder().compute_pes(1).cycle_limit(10_000);
+            b.host_threads(threads).build().unwrap()
+        };
+        let kernels = || -> Vec<Kernel> {
+            vec![Box::new(|api: PeApi| {
+                api.compute(5);
+                api.compute(Cycle::MAX);
+            })]
+        };
+        let seq = System::run(&limit(1), &[], kernels()).unwrap_err();
+        assert!(matches!(seq, RunError::CycleLimit { limit: 10_000, .. }), "{seq}");
+        assert_eq!(System::run(&limit(2), &[], kernels()).unwrap_err(), seq, "tiled");
+        assert_eq!(System::run_reference(&limit(1), &[], kernels()).unwrap_err(), seq, "reference");
     }
 
     #[test]

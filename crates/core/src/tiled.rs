@@ -1,23 +1,22 @@
-//! The tiled parallel cycle engine: deterministic intra-run parallelism.
+//! The tiled parallel driver: deterministic intra-run parallelism.
 //!
 //! [`try_run_tiled`] domain-decomposes the torus into `T` contiguous node
-//! ranges (tiles) and runs one worker thread per tile, each ticking only
-//! its own routers ([`NetworkShard`]), PEs and MPMMU banks. One spin
-//! barrier ([`Phaser`]) per simulated cycle separates the cycles; **the
-//! barrier is the clock edge**: everything a tile does between two
-//! barriers is the work the sequential engine does for the same
-//! components within one `now`, and the only cross-tile traffic is the
-//! boundary link latches, exchanged through per-directed-pair mailboxes.
+//! ranges (tiles) and runs one worker thread per tile, each owning its
+//! tile's shard of the fabric ([`Network::shard`]) and a [`Scheduler`]
+//! over the PEs and MPMMU banks whose nodes fall inside it. Every cycle
+//! each worker runs the one cycle body of both engines,
+//! [`Scheduler::cycle`], over its tile. One spin barrier ([`Phaser`]) per
+//! simulated cycle separates the cycles; **the barrier is the clock
+//! edge**: everything a tile does between two barriers is the work the
+//! sequential driver does for the same components within one `now`, and
+//! the only cross-tile traffic is the boundary link latches, exchanged
+//! through per-directed-pair mailboxes. At the barrier the leader folds
+//! the tile reports ([`CycleReport::merge`]) and runs the one decision
+//! chain of both engines ([`Chain::decide`]). This driver itself adds
+//! only the boundary import/export, the tile report, the barrier and the
+//! merges.
 //!
-//! A tile's PEs and banks are driven by the very [`Scheduler`] the
-//! sequential engine runs, over the tile's shard: delivery walks the
-//! shard's eject-ready set, and only PEs made runnable by a timed,
-//! delivery or probe wake tick — a PE waiting only for a flit stays
-//! parked until one reaches it (see [`crate::sched`]). The tiled engine
-//! itself adds only the boundary exchange, the barrier and the leader's
-//! end-of-cycle decisions.
-//!
-//! # Why the result is bit-identical to the sequential engine
+//! # Why the result is bit-identical to the sequential driver
 //!
 //! * **Flit arbitration does not need cross-tile coordination.** Routers
 //!   break same-age ties by flit uid, and
@@ -33,41 +32,39 @@
 //!   can never be confused with its neighbor's still-pending cycle-`t−1`
 //!   imports.
 //! * **All folds are merged in fixed tile-index order.** Statistics
-//!   (bucket-wise histogram sums), the watchdog fingerprint (wrapping
-//!   sums), the quiet-cycle classification (AND/MIN folds with an
-//!   identity for empty tiles) and the fault-event tail (sorted by
-//!   `(cycle, phase, tile)`) are all order-insensitive or merged in tile
-//!   order, never in thread-completion order.
+//!   (bucket-wise histogram sums), the cycle reports (sums, ORs and the
+//!   quiet fold's AND/MIN, with an identity for empty tiles) and the
+//!   fault-event tail (sorted by `(cycle, phase, tile)`) are all
+//!   order-insensitive or merged in tile order, never in
+//!   thread-completion order.
 //! * **One leader makes every global decision.** Tile 0 (on the calling
-//!   thread) replicates the sequential engine's end-of-cycle logic —
-//!   termination, cycle limit, watchdog, quiet-cycle fast-forward /
-//!   deadlock — from per-tile reports, and is the only agent that drains
-//!   the fault injector's link-kill schedule, so the scheduled-fault
-//!   stream is consumed in exactly the sequential order.
+//!   thread) runs the decision chain over the folded report and is the
+//!   only agent that drains the fault injector's link-kill schedule, so
+//!   the scheduled-fault stream is consumed in exactly the sequential
+//!   order.
 //!
 //! `tests/parallel_equivalence.rs` pins all of this: identical
 //! [`RunResult`]s, error details and trace captures at every thread
-//! count, including the golden paper-4×4 fingerprints.
+//! count, including the golden paper-4×4 fingerprints and fault-injected
+//! runs.
 
 use crate::config::SystemConfig;
-use crate::sched::{Scheduler, FAULT_LINK_KILL, FAULT_LOG_CAP};
+use crate::sched::{Scheduler, FAULT_LOG_CAP};
 use crate::system::{
-    banks_quiet, build_banks, build_pes, classify_fold, deadlock_detail, finish_result,
-    progress_fingerprint, quiet_fold, stall_summary, Bank, Kernel, QuietState, RunError, RunResult,
+    build_banks, build_pes, Bank, Chain, CycleReport, Kernel, RunError, RunResult, Stop,
 };
 use crate::FabricKind;
 use medea_cache::Addr;
 use medea_fault::FaultInjector;
 use medea_metrics::Meter;
-use medea_noc::coord::Dir;
-use medea_noc::flit::Flit;
-use medea_noc::network::NetworkShard;
+use medea_noc::network::{BoundaryFlit, Network};
 use medea_noc::{Fabric, FabricStats};
 use medea_pe::pe::ProcessingElement;
 use medea_sim::ids::NodeId;
 use medea_sim::par::Phaser;
 use medea_sim::Cycle;
 use medea_trace::{NullSink, TraceEvent, TraceSink};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -160,7 +157,7 @@ impl WorkerSink for BufSink {
 /// into the sequential push order.
 struct Tile<I, M> {
     index: usize,
-    shard: NetworkShard,
+    fabric: Network,
     sched: Scheduler,
     injector: I,
     /// This tile's full-size meter fork: it writes only the slots of the
@@ -170,51 +167,24 @@ struct Tile<I, M> {
     trace: Vec<(Cycle, TraceEvent)>,
 }
 
-/// One boundary flit in transit: `(destination router, input direction,
-/// flit)`, exactly the triple `NetworkShard::import` consumes.
-type BoundaryFlit = (u16, u8, Flit);
-
-/// What a tile publishes at the barrier, for the leader's serial section.
-#[derive(Clone, Default)]
-struct TileReport {
-    live: usize,
-    in_flight: usize,
-    exported: usize,
-    banks_quiet: bool,
-    fp_partial: u64,
-    wake_guard: bool,
-    /// The tile's [`quiet_fold`] partial — `Some` exactly when the tile
-    /// is locally drained, which all tiles are whenever the system is
-    /// globally quiet (the only time the leader reads it).
-    quiet: Option<(bool, Option<Cycle>, bool)>,
-}
-
 /// The leader's verdict for the next round.
 #[derive(Clone)]
 enum Decision {
-    /// Simulate cycle `now`; apply `kills` (original `(node, dir)` pairs
-    /// drained from the injector schedule) before any traffic moves.
+    /// Simulate cycle `now`; apply `kills` (the chain's `(node, dir)`
+    /// pairs) before any traffic moves.
     Go { now: Cycle, kills: Vec<(u16, u8)> },
-    /// The run is over as of cycle `at`; workers flush their meters
-    /// (final snapshot + [`Meter::finish`]) and exit without running
-    /// another cycle.
+    /// The run is over as of cycle `at`; workers flush their meters and
+    /// exit without running another cycle.
     Stop { at: Cycle },
-}
-
-/// Why the leader stopped the run (details are assembled post-join, when
-/// the main thread has every tile's PEs/banks/fault log back in hand).
-enum StopCause {
-    Done { at: Cycle },
-    CycleLimit { in_flight: usize },
-    Watchdog { at: Cycle, in_flight: usize },
-    Deadlock { at: Cycle },
 }
 
 /// Cross-thread coordination state, shared by reference into the scope.
 struct Shared {
     phaser: Phaser,
     decision: Mutex<Decision>,
-    reports: Vec<Mutex<TileReport>>,
+    reports: Vec<Mutex<CycleReport>>,
+    /// Whether reports carry the watchdog's inputs.
+    watchdog: bool,
     /// Boundary-flit mailboxes, one per directed tile pair
     /// (`[parity][from * tiles + to]`), double-buffered by round parity:
     /// round `r` drains buffer `(r+1) & 1` and fills buffer `r & 1`, so
@@ -283,7 +253,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
         let (pes_here, banks_here) = (pes.len(), banks.len());
         tile_vec.push(Tile {
             index: i,
-            shard: NetworkShard::new(topo, nodes.start, nodes.end),
+            fabric: Network::shard(topo, nodes.start, nodes.end),
             sched: Scheduler::new(pes, banks, nodes, pe_base, bank_base),
             injector: fork,
             meter: meter.fork(),
@@ -293,19 +263,13 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
         bank_base += banks_here;
     }
 
-    // Cycle 0's scheduled kills, drained exactly like the sequential
-    // engine's top-of-loop drain.
-    let mut kills = Vec::new();
-    if I::ACTIVE {
-        while let Some(kill) = injector.take_link_kill(0) {
-            kills.push((kill.node, kill.dir & 3));
-        }
-    }
+    let mut chain = Chain::new(cfg, injector);
     let boxes = || (0..tiles * tiles).map(|_| Mutex::new(Vec::new())).collect::<Vec<_>>();
     let shared = Shared {
         phaser: Phaser::new(tiles),
-        decision: Mutex::new(Decision::Go { now: 0, kills }),
-        reports: (0..tiles).map(|_| Mutex::new(TileReport::default())).collect(),
+        decision: Mutex::new(Decision::Go { now: 0, kills: chain.kills().to_vec() }),
+        reports: (0..tiles).map(|_| Mutex::new(CycleReport::default())).collect(),
+        watchdog: chain.watchdog_on(),
         mailboxes: [boxes(), boxes()],
         starts,
         panic: Mutex::new(None),
@@ -315,7 +279,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     let mut leader_tile = tile_iter.next().expect("tiles >= 2");
     let followers: Vec<Tile<I, M>> = tile_iter.collect();
 
-    let mut cause: Option<StopCause> = None;
+    let mut stop: Option<Stop> = None;
     let mut joined: Vec<Tile<I, M>> = Vec::with_capacity(tiles - 1);
     std::thread::scope(|scope| {
         let shared = &shared;
@@ -324,7 +288,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
             .map(|mut tile| {
                 scope.spawn(move || {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        follower_loop::<LS, I, M>(&mut tile, shared, cfg);
+                        worker::<LS, I, M>(&mut tile, shared, None);
                     }));
                     if let Err(payload) = outcome {
                         shared.store_panic(payload);
@@ -335,10 +299,10 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
             .collect();
 
         let leader_outcome = catch_unwind(AssertUnwindSafe(|| {
-            leader_loop::<LS, I, M>(&mut leader_tile, shared, cfg, injector)
+            worker::<LS, I, M>(&mut leader_tile, shared, Some((&mut chain, injector)))
         }));
         match leader_outcome {
-            Ok(stop) => cause = stop,
+            Ok(outcome) => stop = outcome,
             Err(payload) => shared.store_panic(payload),
         }
 
@@ -368,7 +332,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     let mut traces: Vec<Vec<(Cycle, TraceEvent)>> = Vec::new();
     let mut meter_parts: Vec<M> = Vec::with_capacity(tiles);
     for (ti, tile) in all_tiles.into_iter().enumerate() {
-        fstats.merge(tile.shard.stats());
+        fstats.merge(tile.fabric.stats());
         fault.merge(&tile.injector.stats());
         for (seq, (cycle, phase, event)) in tile.sched.faults().enumerate() {
             log_entries.push((cycle, phase, ti, seq, event));
@@ -381,8 +345,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     // Merge the per-tile meter forks back in tile-index order: every
     // series slot has exactly one writer, so the element-wise sum is
     // bit-identical to sequential recording. The forks already flushed
-    // (sampled + finished) at the stop decision; the caller must NOT
-    // finish again.
+    // at the stop decision; the caller must NOT finish again.
     meter.absorb(meter_parts);
     log_entries.sort_by_key(|&(cycle, phase, ti, seq, _)| (cycle, phase, ti, seq));
     let fault_log: Vec<(Cycle, TraceEvent)> = log_entries
@@ -392,20 +355,8 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
         .collect();
     let trace = merge_traces(traces);
 
-    let limit = cfg.cycle_limit();
-    let result = match cause.expect("tiled engine stopped without a cause or a panic") {
-        StopCause::Done { at } => Ok(finish_result(at, &pes, &fstats, &banks, wall_start, fault)),
-        StopCause::CycleLimit { in_flight } => Err(RunError::CycleLimit {
-            limit,
-            detail: stall_summary(&pes, &banks, in_flight, &fault_log),
-        }),
-        StopCause::Watchdog { at, in_flight } => Err(RunError::Watchdog {
-            at,
-            detail: stall_summary(&pes, &banks, in_flight, &fault_log),
-        }),
-        StopCause::Deadlock { at } => Err(RunError::Deadlock { at, detail: deadlock_detail(&pes) }),
-    };
-    (result, trace)
+    let stop = stop.expect("tiled engine stopped without a cause or a panic");
+    (stop.conclude(&pes, &banks, &fault_log, &fstats, fault, wall_start), trace)
 }
 
 /// Per-cycle cost weight of a node hosting a PE or an MPMMU bank,
@@ -488,166 +439,67 @@ fn merge_traces(per_tile: Vec<Vec<(Cycle, TraceEvent)>>) -> Vec<(Cycle, TraceEve
     out
 }
 
-fn follower_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
+/// One tile's thread: simulate the cycles the leader decides until it
+/// stops the run. The leader — tile 0, holding the decision chain and the
+/// original injector — waits for the followers at the clock edge, folds
+/// the tile reports in tile order, runs the chain, and releases the
+/// followers into the next round. Returns the chain's stop on the leader,
+/// `None` on a follower or when a panic poisoned the phaser.
+fn worker<LS: WorkerSink, I: FaultInjector, M: Meter>(
     tile: &mut Tile<I, M>,
     shared: &Shared,
-    cfg: &SystemConfig,
-) {
+    mut leader: Option<(&mut Chain, &mut I)>,
+) -> Option<Stop> {
     let mut sink = LS::fresh();
     let mut gen = shared.phaser.generation();
+    let mut stop = None;
     loop {
         let decision = lock(&shared.decision).clone();
         let (now, kills) = match decision {
             Decision::Go { now, kills } => (now, kills),
             Decision::Stop { at } => {
-                finish_tile_meter(tile, at);
+                tile.sched.flush(&mut tile.meter, at);
                 break;
             }
         };
-        execute_cycle(tile, shared, cfg, now, &kills, gen, &mut sink);
-        if !shared.phaser.arrive_and_wait(gen) {
-            break;
-        }
-        gen += 1;
-    }
-    tile.trace = sink.into_events();
-}
-
-/// Flush one tile's meter at the stop decision: final snapshot of the
-/// tile's own components, then close the attribution spans and the
-/// partial last window at `at` — the same end cycle every tile uses, so
-/// the forks stay in window lockstep for the absorb.
-fn finish_tile_meter<I, M: Meter>(tile: &mut Tile<I, M>, at: Cycle) {
-    if M::ACTIVE {
-        tile.sched.sample(&mut tile.meter);
-        tile.meter.finish(at);
-    }
-}
-
-fn leader_loop<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    tile: &mut Tile<I, M>,
-    shared: &Shared,
-    cfg: &SystemConfig,
-    injector: &mut I,
-) -> Option<StopCause> {
-    let watchdog = cfg.resilience().watchdog_cycles;
-    let limit = cfg.cycle_limit();
-    let mut sink = LS::fresh();
-    let mut gen = shared.phaser.generation();
-    // The leader owns the sequential engine's cross-cycle decision state.
-    let mut last_fingerprint: u64 = 0;
-    let mut last_progress_at: Cycle = 0;
-    let mut cause: Option<StopCause> = None;
-    loop {
-        let decision = lock(&shared.decision).clone();
-        let (now, kills) = match decision {
-            Decision::Go { now, kills } => (now, kills),
-            Decision::Stop { at } => {
-                finish_tile_meter(tile, at);
+        execute_cycle(tile, shared, now, &kills, gen, &mut sink);
+        let Some((chain, injector)) = leader.as_mut() else {
+            if !shared.phaser.arrive_and_wait(gen) {
                 break;
             }
+            gen += 1;
+            continue;
         };
-        execute_cycle(tile, shared, cfg, now, &kills, gen, &mut sink);
         if !shared.phaser.wait_followers() {
             break;
         }
-
-        // Serial section: replicate the sequential engine's end-of-cycle
-        // decisions, in its exact order, from the folded tile reports.
-        let mut live = 0usize;
-        let mut in_flight = 0usize;
-        let mut all_banks_quiet = true;
-        let mut fp = 0u64;
-        let mut wake_guard = false;
-        let mut fold = (true, None::<Cycle>, true);
-        for report in &shared.reports {
-            let r = lock(report).clone();
-            live += r.live;
-            in_flight += r.in_flight + r.exported;
-            all_banks_quiet &= r.banks_quiet;
-            fp = fp.wrapping_add(r.fp_partial);
-            wake_guard |= r.wake_guard;
-            if let Some((timed, min_wake, recv_blocked)) = r.quiet {
-                fold.0 &= timed;
-                fold.1 = match (fold.1, min_wake) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                fold.2 &= recv_blocked;
-            }
+        let mut report = *lock(&shared.reports[0]);
+        for other in &shared.reports[1..] {
+            report.merge(&lock(other));
         }
-
-        let next = if live == 0 {
-            cause = Some(StopCause::Done { at: now });
-            Decision::Stop { at: now }
-        } else if now >= limit {
-            cause = Some(StopCause::CycleLimit { in_flight });
-            Decision::Stop { at: now }
-        } else {
-            let mut stalled = false;
-            if watchdog > 0 {
-                if fp != last_fingerprint {
-                    last_fingerprint = fp;
-                    last_progress_at = now;
-                } else if wake_guard {
-                    // Same healthy-timed-stall carve-out as the
-                    // sequential engine's watchdog.
-                    last_progress_at = now;
-                } else if now - last_progress_at >= watchdog {
-                    cause = Some(StopCause::Watchdog { at: now, in_flight });
-                    stalled = true;
-                }
+        *lock(&shared.decision) = match chain.decide(now, &report, &mut **injector) {
+            ControlFlow::Continue(next) => {
+                Decision::Go { now: next, kills: chain.kills().to_vec() }
             }
-            if stalled {
+            ControlFlow::Break(cause) => {
+                stop = Some(cause);
                 Decision::Stop { at: now }
-            } else {
-                let mut next_now = now + 1;
-                let mut deadlocked = false;
-                if in_flight == 0 && all_banks_quiet {
-                    match classify_fold(fold.0, fold.1, fold.2) {
-                        QuietState::AllTimed { min_wake } => {
-                            let t = min_wake.min(limit);
-                            if t > now + 1 {
-                                last_progress_at = t;
-                                next_now = t;
-                            }
-                        }
-                        QuietState::Deadlocked => {
-                            cause = Some(StopCause::Deadlock { at: now });
-                            deadlocked = true;
-                        }
-                        QuietState::Mixed => {}
-                    }
-                }
-                if deadlocked {
-                    Decision::Stop { at: now }
-                } else {
-                    let mut kills = Vec::new();
-                    if I::ACTIVE {
-                        while let Some(kill) = injector.take_link_kill(next_now) {
-                            kills.push((kill.node, kill.dir & 3));
-                        }
-                    }
-                    Decision::Go { now: next_now, kills }
-                }
             }
         };
-        *lock(&shared.decision) = next;
         shared.phaser.release();
         gen += 1;
     }
     tile.trace = sink.into_events();
-    cause
+    stop
 }
 
-/// One tile's share of one simulated cycle — the same phases, in the same
-/// order, as one iteration of the sequential engine's loop, restricted to
-/// the tile's components. Phases 1–3 are the very scheduler the
-/// sequential engine runs ([`Scheduler::step`]), over the tile's shard.
+/// One tile's share of one simulated cycle: import the boundary flits
+/// the neighbours exported last cycle, run the cycle body
+/// ([`Scheduler::cycle`]) over the tile's shard, publish the tile's
+/// report, and export this cycle's boundary flits.
 fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
     tile: &mut Tile<I, M>,
     shared: &Shared,
-    cfg: &SystemConfig,
     now: Cycle,
     kills: &[(u16, u8)],
     round: u64,
@@ -655,83 +507,29 @@ fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
 ) {
     let tiles = shared.tiles();
     let cur = (round & 1) as usize;
-    let prev = cur ^ 1;
 
-    // Sampling catch-up, as at the top of the sequential loop. Every tile
-    // sees the same `now` sequence, so the forks commit windows in
-    // lockstep; sampling before the boundary import is equivalent to
-    // after it (imports only touch router input latches, which no sampled
-    // quantity reads).
-    if M::ACTIVE {
-        while tile.meter.next_sample() <= now {
-            tile.sched.sample(&mut tile.meter);
-            tile.meter.commit_window();
-        }
-    }
-
-    // 0a. Import boundary flits the neighbors' phase 2 latched last
-    // cycle. Input latches are untouched until the route phase at the end
-    // of this cycle, so importing here is exactly the sequential phase-2
-    // delivery. Fixed from-tile order keeps the walk deterministic; the
-    // final latch state is order-independent anyway (one writer per
-    // (router, dir) input).
+    // Input latches are untouched until the route phase at the end of
+    // this cycle, so importing here is exactly the sequential phase-2
+    // delivery (and sampling after it is equivalent to sampling before:
+    // no sampled quantity reads an input latch). Fixed from-tile order
+    // keeps the walk deterministic; the final latch state is
+    // order-independent anyway (one writer per (router, dir) input).
     for from in 0..tiles {
-        let mut inbox = lock(&shared.mailboxes[prev][from * tiles + tile.index]);
+        let mut inbox = lock(&shared.mailboxes[cur ^ 1][from * tiles + tile.index]);
         for (to, from_dir, flit) in inbox.drain(..) {
-            tile.shard.import(to, from_dir, flit);
+            tile.fabric.import(to, from_dir, flit);
         }
     }
 
-    // 0b. Scheduled permanent faults. Every tile sees the same kill list
-    // and disables the link ends it owns (a dead link has a router on
-    // each side, possibly in different tiles); the leader alone logs the
-    // event, once, like the sequential engine.
-    for &(node, dir) in kills {
-        if tile.index == 0 {
-            let event = TraceEvent::FaultLinkKilled { node, dir };
-            if LS::ACTIVE {
-                sink.record(now, event);
-            }
-            tile.sched.log_fault(now, FAULT_LINK_KILL, event);
-        }
-        tile.shard.kill_link(NodeId::new(node), Dir::ALL[dir as usize & 3]);
+    tile.sched.cycle(&mut tile.fabric, now, kills, sink, &mut tile.injector, &mut tile.meter);
+
+    // The report counts the undrained exports as in flight.
+    let report = CycleReport::new(&tile.sched, tile.fabric.in_flight(), now, shared.watchdog);
+    *lock(&shared.reports[tile.index]) = report;
+    for flit in tile.fabric.drain_exports() {
+        let dest = shared.tile_of(flit.0 as usize);
+        lock(&shared.mailboxes[cur][tile.index * tiles + dest]).push(flit);
     }
-
-    // 1.–3. Deliver, tick, inject. The census gate and the eject-ready
-    // walk are tile-local, and the composite uid stamped by the shard
-    // keeps arbitration identical to the sequential sweep without any
-    // cross-tile ordering.
-    tile.sched.step(&mut tile.shard, now, sink, &mut tile.injector, &mut tile.meter);
-
-    // 4. Fabric: route + deliver local latches; boundary latches become
-    // exports.
-    tile.shard.tick_metered(now, sink, &mut tile.meter);
-
-    // 5. Publish boundary flits into this round's mailboxes and report.
-    let exports = tile.shard.take_exports();
-    let exported = exports.len();
-    for (to, from_dir, flit) in exports {
-        let dest = shared.tile_of(to as usize);
-        lock(&shared.mailboxes[cur][tile.index * tiles + dest]).push((to, from_dir, flit));
-    }
-
-    let sched = &tile.sched;
-    let quiet_local = tile.shard.in_flight() == 0 && exported == 0 && banks_quiet(&sched.banks);
-    let watchdog_on = cfg.resilience().watchdog_cycles > 0;
-    let (fp_partial, wake_guard) = if watchdog_on {
-        (progress_fingerprint(&sched.pes, &sched.banks), sched.timed_stall_pending(now))
-    } else {
-        (0, false)
-    };
-    *lock(&shared.reports[tile.index]) = TileReport {
-        live: sched.live(),
-        in_flight: tile.shard.in_flight(),
-        exported,
-        banks_quiet: banks_quiet(&sched.banks),
-        fp_partial,
-        wake_guard,
-        quiet: quiet_local.then(|| quiet_fold(&sched.pes)),
-    };
 }
 
 #[cfg(test)]

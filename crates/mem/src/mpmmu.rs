@@ -430,28 +430,23 @@ impl Mpmmu {
         }
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle, untraced and fault-free.
     pub fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
+        self.tick_faulted(now, &mut NullSink, &mut NullInjector);
     }
 
     /// [`tick`](Mpmmu::tick) with per-bank transaction and lock events
-    /// reported to `sink` (emitted at request dispatch). With an inactive
-    /// sink every emission site constant-folds away.
-    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        self.tick_faulted(now, sink, &mut NullInjector);
-    }
-
-    /// [`tick_traced`](Mpmmu::tick_traced) with bank faults drawn from
-    /// `injector`: read-response **drops** (SingleRead/BlockRead `Data`
-    /// flits discarded at the staging → out-FIFO boundary — write acks,
-    /// grants and lock traffic are exempt, mirroring the bridge's
+    /// reported to `sink` (emitted at request dispatch) and bank faults
+    /// drawn from `injector`: read-response **drops** (SingleRead/BlockRead
+    /// `Data` flits discarded at the staging → out-FIFO boundary — write
+    /// acks, grants and lock traffic are exempt, mirroring the bridge's
     /// reads-only retry) and service **delays** (extra cycles folded into
     /// the dispatch overhead). The drop decision is rolled per (bank,
     /// cycle): response flits staged in the same cycle share its fate, so
     /// a lost block read loses the whole line — the coarsest loss the
-    /// bridge's timeout must recover from. With [`NullInjector`] every
-    /// site constant-folds away and this is exactly `tick_traced`.
+    /// bridge's timeout must recover from. With [`NullSink`] and
+    /// [`NullInjector`] every site constant-folds away and this is exactly
+    /// [`tick`](Mpmmu::tick).
     pub fn tick_faulted<S: TraceSink, I: FaultInjector>(
         &mut self,
         now: Cycle,

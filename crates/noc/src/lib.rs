@@ -13,8 +13,9 @@
 //! * the **three-level packet format** of Fig. 5 ([`flit`], [`codec`]) with
 //!   its seven packet types and 4-bit sequence numbers for out-of-order
 //!   reassembly at the receiver;
-//! * a whole-fabric model ([`network`]) and a contention-free reference
-//!   fabric ([`ideal`]) used by the ablation benchmarks;
+//! * the deflection fabric over the whole torus or one tile of it
+//!   ([`network`]) and a contention-free reference fabric ([`ideal`])
+//!   used by the ablation benchmarks;
 //! * synthetic traffic generators and a standalone measurement loop
 //!   ([`traffic`]) for NoC-only characterization.
 //!
@@ -51,7 +52,9 @@ pub mod router;
 pub mod traffic;
 
 use flit::Flit;
+use medea_metrics::Meter;
 use medea_sim::{ids::NodeId, Cycle};
+use medea_trace::TraceSink;
 
 /// Aggregate fabric statistics exposed by every [`Fabric`] implementation.
 #[derive(Debug, Clone, Default)]
@@ -143,6 +146,20 @@ pub trait Fabric {
     /// Advance the fabric by one cycle ending at `now`.
     fn tick(&mut self, now: Cycle);
 
+    /// [`Fabric::tick`] with NoC events (deflections, per-router link
+    /// load) reported to `sink` and per-link occupancy masks to `meter`
+    /// ([`Meter::link_busy`]). Every emission site sits behind the
+    /// compile-time constants `S::ACTIVE` and `M::ACTIVE`, so with a
+    /// `NullSink` and a `NullMeter` this is exactly [`Fabric::tick`]. The
+    /// default ticks plainly: a fabric without contended switches (the
+    /// ideal and reference fabrics) has nothing to report.
+    fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, _sink: &mut S, _meter: &mut M)
+    where
+        Self: Sized,
+    {
+        self.tick(now);
+    }
+
     /// Number of flits currently inside the fabric (in links, latches or
     /// ejection queues). Zero means the fabric is drained — the full-system
     /// simulator uses this for idle fast-forwarding.
@@ -170,35 +187,6 @@ pub enum AnyFabric {
     Deflection(network::Network),
     /// Contention-free ideal network (ablation baseline).
     Ideal(ideal::IdealNetwork),
-}
-
-impl AnyFabric {
-    /// [`Fabric::tick`] with NoC events (deflections, per-router link
-    /// load) reported to `sink`. The ideal fabric is contention-free —
-    /// no switches, no deflections — so it has nothing to report beyond
-    /// the engine-side inject/deliver events, and ticks untraced.
-    pub fn tick_traced<S: medea_trace::TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick_traced(now, sink),
-            AnyFabric::Ideal(net) => net.tick(now),
-        }
-    }
-
-    /// [`AnyFabric::tick_traced`] with per-link occupancy masks reported
-    /// to `meter` ([`medea_metrics::Meter::link_busy`]). The ideal fabric
-    /// has no contended links, so its utilization series is identically
-    /// zero and it ticks unmetered.
-    pub fn tick_metered<S: medea_trace::TraceSink, M: medea_metrics::Meter>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-        meter: &mut M,
-    ) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick_metered(now, sink, meter),
-            AnyFabric::Ideal(net) => net.tick(now),
-        }
-    }
 }
 
 impl From<network::Network> for AnyFabric {
@@ -252,6 +240,13 @@ impl Fabric for AnyFabric {
         match self {
             AnyFabric::Deflection(net) => net.tick(now),
             AnyFabric::Ideal(net) => net.tick(now),
+        }
+    }
+
+    fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, sink: &mut S, meter: &mut M) {
+        match self {
+            AnyFabric::Deflection(net) => net.tick_metered(now, sink, meter),
+            AnyFabric::Ideal(net) => net.tick_metered(now, sink, meter),
         }
     }
 

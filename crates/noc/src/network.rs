@@ -1,22 +1,30 @@
-//! The whole deflection-routed folded-torus fabric.
+//! The deflection-routed folded-torus fabric.
 //!
-//! Owns one [`DeflectionRouter`] per node and moves flits between them with
-//! single-cycle links. The two-phase tick (route everything, then deliver
-//! everything) gives the delta-cycle semantics of the original SystemC
-//! model: all routers observe the state left by the previous cycle.
+//! A [`Network`] owns the routers of one contiguous node range and moves
+//! flits between them with single-cycle links: the whole torus
+//! ([`Network::new`]) for the sequential cycle engine, or one tile of it
+//! ([`Network::shard`]) for the tiled engine. The two-phase tick (route
+//! everything, then deliver everything) gives the delta-cycle semantics
+//! of the original SystemC model: all routers observe the state left by
+//! the previous cycle. A latched flit whose receiving router lies outside
+//! the range becomes an *export* instead of a delivery; the tiled engine
+//! hands exports to the owning tile, which [`Network::import`]s them
+//! before its next route phase — the same single-cycle link timing. A
+//! whole-torus network owns every receiver, so it never exports.
 //!
 //! The tick is the simulator's hot path and is engineered to be
 //! allocation-free and activity-scheduled:
 //!
 //! * link latches are a persistent double buffer (`latches`), not a
-//!   per-cycle collect;
+//!   per-cycle collect, and the export list keeps its buffer across
+//!   cycles ([`Network::drain_exports`]);
 //! * only *active* switches — those holding a latched flit or a pending
 //!   injection at the cycle boundary — are routed; an idle switch costs
 //!   nothing, which matters because realistic workloads leave most of the
 //!   torus dark most of the time;
-//! * the fabric-wide flit census ([`Fabric::in_flight`]) is an
-//!   incrementally maintained counter, O(1) instead of an all-router scan
-//!   (the cycle engine consults it every cycle);
+//! * the flit census ([`Fabric::in_flight`]) is an incrementally
+//!   maintained counter, O(1) instead of an all-router scan (the cycle
+//!   engine consults it every cycle);
 //! * a one-bit-per-router *eject-ready* set marks the non-empty ejection
 //!   queues ([`Fabric::next_ejectable`]), so delivery visits only the
 //!   nodes that have a flit waiting.
@@ -50,6 +58,11 @@ use medea_trace::{NullSink, TraceEvent, TraceSink};
 pub fn compose_uid(now: Cycle, from_bank: bool, node: NodeId) -> u64 {
     (now << 9) | ((from_bank as u64) << 8) | node.index() as u64
 }
+
+/// A flit crossing a network boundary: `(receiving node, receiving input
+/// direction index, flit)` — what [`Network::drain_exports`] yields and
+/// [`Network::import`] consumes.
+pub type BoundaryFlit = (u16, u8, Flit);
 
 /// One bit per router: set exactly while its ejection queue is non-empty.
 /// A router's queue grows only while it routes and shrinks only on
@@ -85,14 +98,18 @@ impl EjectReady {
     }
 }
 
-/// Deflection-routed folded-torus network (§II-A).
+/// Deflection-routed folded-torus network (§II-A) over the node range
+/// `[lo, hi)`. Per-router state is indexed by `node - lo`; the public
+/// interface names nodes by their global index.
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
+    lo: usize,
     routers: Vec<DeflectionRouter>,
     stats: FabricStats,
-    /// Flits inside the fabric (latches + injection registers + ejection
-    /// queues): +1 on accepted injection, -1 on ejection.
+    /// Flits inside the range (latches + injection registers + ejection
+    /// queues + undrained exports): +1 on accepted injection or import,
+    /// -1 on ejection or export drain.
     in_flight: usize,
     /// Per-router output latches, reused every cycle.
     latches: Vec<[Option<Flit>; 4]>,
@@ -104,255 +121,31 @@ pub struct Network {
     retired: Vec<u16>,
     /// Routers with a non-empty ejection queue.
     eject_ready: EjectReady,
+    /// Deliveries of the latest tick to routers outside the range.
+    exports: Vec<BoundaryFlit>,
 }
 
 impl Network {
-    /// Build the fabric for `topo`.
+    /// The whole fabric for `topo`.
     pub fn new(topo: Topology) -> Self {
-        let nodes = topo.nodes();
-        let routers = (0..nodes)
-            .map(|i| DeflectionRouter::new(topo, topo.coord_of(NodeId::new(i as u16))))
-            .collect();
-        Network {
-            topo,
-            routers,
-            stats: FabricStats::default(),
-            in_flight: 0,
-            latches: vec![[None; 4]; nodes],
-            active: Vec::with_capacity(nodes),
-            is_active: vec![false; nodes],
-            retired: Vec::with_capacity(nodes),
-            eject_ready: EjectReady::new(nodes),
-        }
+        Network::shard(topo, 0, topo.nodes())
     }
 
-    /// The topology this network was built for.
-    pub const fn topology(&self) -> Topology {
-        self.topo
-    }
-
-    /// Kill the physical link between `node` and its `dir` neighbour, in
-    /// both directions: this switch's output port *and* the neighbour's
-    /// opposite output port go dead, so each affected switch keeps at
-    /// least as many live output ports as live input latches and the
-    /// deflection free-port invariant survives. Flits already in flight
-    /// are unaffected (they simply route around the gap from now on).
-    pub fn kill_link(&mut self, node: NodeId, dir: Dir) {
-        let from = self.topo.coord_of(node);
-        let to = self.topo.node_of(self.topo.neighbor(from, dir));
-        self.routers[node.index()].set_link_dead(dir);
-        self.routers[to.index()].set_link_dead(dir.opposite());
-    }
-
-    fn router_mut(&mut self, node: NodeId) -> &mut DeflectionRouter {
-        &mut self.routers[node.index()]
-    }
-
-    fn mark_active(&mut self, idx: usize) {
-        if !self.is_active[idx] {
-            self.is_active[idx] = true;
-            self.active.push(idx as u16);
-        }
-    }
-
-    /// [`Fabric::tick`] with NoC events reported to `sink`: per-router
-    /// deflections (from [`DeflectionRouter::route_traced`]) and the
-    /// per-cycle output-link occupancy of every active router — the raw
-    /// series behind per-link heatmaps. With an inactive sink this
-    /// monomorphizes to exactly the untraced tick.
-    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        self.tick_metered(now, sink, &mut NullMeter);
-    }
-
-    /// [`Network::tick_traced`] with per-link occupancy additionally
-    /// reported to `meter`: each active router contributes the 4-bit mask
-    /// of its latched output directions ([`Meter::link_busy`]) — the
-    /// directed-link resolution behind the heatmap report, where the
-    /// trace event ([`medea_trace::TraceEvent::LinkLoad`]) only carries
-    /// the per-router count. Both guards are associated constants, so
-    /// either instrument monomorphizes away independently.
-    pub fn tick_metered<S: TraceSink, M: Meter>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-        meter: &mut M,
-    ) {
-        // This cycle's working set, moved out so the `active` field can
-        // start accumulating the next cycle's set into the spare buffer
-        // (both buffers are retained — steady state allocates nothing).
-        let mut work = std::mem::replace(&mut self.active, std::mem::take(&mut self.retired));
-        for &i in &work {
-            self.is_active[i as usize] = false;
-        }
-
-        // Phase 1: every active router routes its latched flits into the
-        // persistent link latches (and may eject one into its queue).
-        for &i in &work {
-            let router = &mut self.routers[i as usize];
-            self.latches[i as usize] = router.route_traced(now, &mut self.stats, sink);
-            if router.has_ejectable() {
-                self.eject_ready.update(i as usize, true);
-            }
-        }
-
-        // Phase 2: deliver over the (single-cycle) links; receiving
-        // switches and switches with an undrained injection register form
-        // the next working set.
-        for &i in &work {
-            let i = i as usize;
-            if S::ACTIVE || M::ACTIVE {
-                // Every *active* router reports its occupancy — zeros
-                // included, so a draining router's counter series returns
-                // to zero instead of freezing at its last busy value.
-                // Idle routers are not in the working set and emit
-                // nothing.
-                let mut mask = 0u8;
-                for (d, latch) in self.latches[i].iter().enumerate() {
-                    mask |= u8::from(latch.is_some()) << d;
-                }
-                if S::ACTIVE {
-                    let links = mask.count_ones() as u8;
-                    sink.record(now, TraceEvent::LinkLoad { node: i as u16, links });
-                }
-                if M::ACTIVE {
-                    meter.link_busy(i as u16, mask);
-                }
-            }
-            let from = self.topo.coord_of(NodeId::new(i as u16));
-            for dir in Dir::ALL {
-                if let Some(flit) = self.latches[i][dir.index()].take() {
-                    let to = self.topo.neighbor(from, dir);
-                    let to_idx = self.topo.node_of(to).index();
-                    self.routers[to_idx].accept(dir.opposite(), flit);
-                    self.mark_active(to_idx);
-                }
-            }
-            if self.routers[i].has_pending_inject() {
-                self.mark_active(i);
-            }
-        }
-
-        work.clear();
-        self.retired = work;
-    }
-}
-
-impl Fabric for Network {
-    fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
-        self.try_inject_tagged(node, flit, now, false)
-    }
-
-    fn try_inject_tagged(
-        &mut self,
-        node: NodeId,
-        mut flit: Flit,
-        now: Cycle,
-        from_bank: bool,
-    ) -> Result<(), Flit> {
-        flit.meta.injected_at = now;
-        flit.meta.uid = compose_uid(now, from_bank, node);
-        match self.router_mut(node).try_inject(flit) {
-            Ok(()) => {
-                self.stats.injected += 1;
-                self.in_flight += 1;
-                self.mark_active(node.index());
-                Ok(())
-            }
-            Err(flit) => {
-                self.stats.inject_refusals += 1;
-                Err(flit)
-            }
-        }
-    }
-
-    fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        let router = &mut self.routers[node.index()];
-        let flit = router.eject();
-        if flit.is_some() {
-            self.in_flight -= 1;
-            self.eject_ready.update(node.index(), router.has_ejectable());
-        }
-        flit
-    }
-
-    fn next_ejectable(&self, from: usize) -> Option<NodeId> {
-        self.eject_ready.next(from).map(|i| NodeId::new(i as u16))
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn stats(&self) -> &FabricStats {
-        &self.stats
-    }
-
-    fn node_count(&self) -> usize {
-        self.topo.nodes()
-    }
-
-    fn kill_link(&mut self, node: NodeId, dir: Dir) {
-        Network::kill_link(self, node, dir);
-    }
-}
-
-/// One tile's slice of the deflection fabric, for the tiled parallel
-/// cycle engine: the routers of the contiguous node range `[lo, hi)`,
-/// with their own activity set, latches, eject-ready set and statistics.
-///
-/// A shard ticks exactly like [`Network::tick_traced`] except in phase 2:
-/// a latched flit whose receiving switch lives in *another* tile is not
-/// delivered but pushed onto the `exports` list as
-/// `(destination node, receiving direction, flit)`. The engine moves
-/// exports into per-tile-pair mailboxes at the end of cycle `T`, and the
-/// destination shard imports them at the start of cycle `T + 1` — the
-/// same single-cycle link timing the sequential fabric implements by
-/// calling [`DeflectionRouter::accept`] directly. Because each
-/// `(router, direction)` input latch has exactly one possible writer (the
-/// unique neighbour on that link), boundary deliveries from different
-/// tiles can never collide, and import order cannot change the outcome.
-///
-/// As a [`Fabric`] a shard injects and ejects only at the nodes it owns,
-/// and names nodes by their *global* index. Injection uses
-/// [`compose_uid`], so shards assign globally consistent arbitration uids
-/// without coordination; statistics are per-shard and merged in tile
-/// order at the end of the run ([`FabricStats::merge`]).
-#[derive(Debug)]
-pub struct NetworkShard {
-    topo: Topology,
-    lo: usize,
-    hi: usize,
-    routers: Vec<DeflectionRouter>,
-    stats: FabricStats,
-    /// Flits inside *this shard* (+1 inject/import, -1 eject/export).
-    in_flight: usize,
-    latches: Vec<[Option<Flit>; 4]>,
-    active: Vec<u16>,
-    is_active: Vec<bool>,
-    retired: Vec<u16>,
-    /// Owned routers (shard-local index) with a non-empty ejection queue.
-    eject_ready: EjectReady,
-    /// Boundary deliveries produced by the current tick:
-    /// `(destination node index, receiving direction index, flit)`.
-    exports: Vec<(u16, u8, Flit)>,
-}
-
-impl NetworkShard {
-    /// Shard of `topo` owning the node range `[lo, hi)`.
-    pub fn new(topo: Topology, lo: usize, hi: usize) -> Self {
+    /// The routers of `topo`'s node range `[lo, hi)`: one tile of the
+    /// tiled cycle engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo < hi <= topo.nodes()`.
+    pub fn shard(topo: Topology, lo: usize, hi: usize) -> Self {
         assert!(lo < hi && hi <= topo.nodes(), "invalid shard range {lo}..{hi}");
         let routers = (lo..hi)
             .map(|i| DeflectionRouter::new(topo, topo.coord_of(NodeId::new(i as u16))))
             .collect();
         let len = hi - lo;
-        NetworkShard {
+        Network {
             topo,
             lo,
-            hi,
             routers,
             stats: FabricStats::default(),
             in_flight: 0,
@@ -365,19 +158,15 @@ impl NetworkShard {
         }
     }
 
-    /// First node index owned by this shard.
-    pub const fn lo(&self) -> usize {
-        self.lo
+    /// The topology this network was built for.
+    pub const fn topology(&self) -> Topology {
+        self.topo
     }
 
-    /// One past the last node index owned by this shard.
-    pub const fn hi(&self) -> usize {
-        self.hi
-    }
-
-    /// Whether `node` belongs to this shard.
-    pub fn owns(&self, node: usize) -> bool {
-        (self.lo..self.hi).contains(&node)
+    /// Range-local index of `node`, if this network owns it.
+    fn local(&self, node: usize) -> Option<usize> {
+        let local = node.wrapping_sub(self.lo);
+        (local < self.routers.len()).then_some(local)
     }
 
     fn mark_active(&mut self, local: usize) {
@@ -387,10 +176,9 @@ impl NetworkShard {
         }
     }
 
-    /// Accept a boundary delivery produced by a neighbouring shard during
-    /// the previous cycle: the flit enters `to`'s input latch from
-    /// direction `from_dir`, exactly as [`DeflectionRouter::accept`] would
-    /// have during the sequential phase 2.
+    /// Accept a boundary flit another network exported during the
+    /// previous cycle: it enters `to`'s input latch from direction
+    /// `from_dir`, exactly as a delivery inside one network would.
     pub fn import(&mut self, to: u16, from_dir: u8, flit: Flit) {
         let local = to as usize - self.lo;
         self.routers[local].accept(Dir::ALL[from_dir as usize & 3], flit);
@@ -398,88 +186,15 @@ impl NetworkShard {
         self.mark_active(local);
     }
 
-    /// Take the boundary deliveries produced by the latest tick.
-    pub fn take_exports(&mut self) -> Vec<(u16, u8, Flit)> {
-        std::mem::take(&mut self.exports)
-    }
-
-    /// Number of boundary deliveries produced by the latest tick that have
-    /// not yet been taken.
-    pub fn pending_exports(&self) -> usize {
-        self.exports.len()
-    }
-
-    /// [`Network::tick_traced`] restricted to this shard's routers;
-    /// cross-tile deliveries land in the export list instead of the
-    /// destination latch.
-    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
-        self.tick_metered(now, sink, &mut NullMeter);
-    }
-
-    /// [`Network::tick_metered`] restricted to this shard's routers: link
-    /// masks are reported with *global* node ids, so a full-size per-tile
-    /// meter accumulates into the same slots the sequential fabric would
-    /// — shard meters merge by element-wise sum (each router has exactly
-    /// one owning shard).
-    pub fn tick_metered<S: TraceSink, M: Meter>(
-        &mut self,
-        now: Cycle,
-        sink: &mut S,
-        meter: &mut M,
-    ) {
-        let mut work = std::mem::replace(&mut self.active, std::mem::take(&mut self.retired));
-        for &i in &work {
-            self.is_active[i as usize] = false;
-        }
-
-        for &i in &work {
-            let router = &mut self.routers[i as usize];
-            self.latches[i as usize] = router.route_traced(now, &mut self.stats, sink);
-            if router.has_ejectable() {
-                self.eject_ready.update(i as usize, true);
-            }
-        }
-
-        for &i in &work {
-            let i = i as usize;
-            if S::ACTIVE || M::ACTIVE {
-                let mut mask = 0u8;
-                for (d, latch) in self.latches[i].iter().enumerate() {
-                    mask |= u8::from(latch.is_some()) << d;
-                }
-                if S::ACTIVE {
-                    let links = mask.count_ones() as u8;
-                    sink.record(now, TraceEvent::LinkLoad { node: (self.lo + i) as u16, links });
-                }
-                if M::ACTIVE {
-                    meter.link_busy((self.lo + i) as u16, mask);
-                }
-            }
-            let from = self.topo.coord_of(NodeId::new((self.lo + i) as u16));
-            for dir in Dir::ALL {
-                if let Some(flit) = self.latches[i][dir.index()].take() {
-                    let to = self.topo.neighbor(from, dir);
-                    let to_idx = self.topo.node_of(to).index();
-                    if self.owns(to_idx) {
-                        self.routers[to_idx - self.lo].accept(dir.opposite(), flit);
-                        self.mark_active(to_idx - self.lo);
-                    } else {
-                        self.exports.push((to_idx as u16, dir.opposite().index() as u8, flit));
-                        self.in_flight -= 1;
-                    }
-                }
-            }
-            if self.routers[i].has_pending_inject() {
-                self.mark_active(i);
-            }
-        }
-
-        work.clear();
-        self.retired = work;
+    /// Hand out the latest tick's boundary flits, keeping the buffer for
+    /// the next tick.
+    pub fn drain_exports(&mut self) -> std::vec::Drain<'_, BoundaryFlit> {
+        self.in_flight -= self.exports.len();
+        self.exports.drain(..)
     }
 }
 
-impl Fabric for NetworkShard {
+impl Fabric for Network {
     fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
         self.try_inject_tagged(node, flit, now, false)
     }
@@ -525,15 +240,85 @@ impl Fabric for NetworkShard {
     }
 
     fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
+        self.tick_metered(now, &mut NullSink, &mut NullMeter);
     }
 
-    /// Flits currently inside this shard.
+    /// Reports per-router deflections (from [`DeflectionRouter::route`])
+    /// and the occupancy of every active router's output latches: the
+    /// latched-link count as a [`TraceEvent::LinkLoad`] to `sink`, the
+    /// 4-bit direction mask to [`Meter::link_busy`]. Nodes keep their
+    /// global ids, so per-tile meters merge by element-wise sum.
+    fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, sink: &mut S, meter: &mut M) {
+        // This cycle's working set, moved out so the `active` field can
+        // start accumulating the next cycle's set into the spare buffer
+        // (both buffers are retained — steady state allocates nothing).
+        let mut work = std::mem::replace(&mut self.active, std::mem::take(&mut self.retired));
+        for &i in &work {
+            self.is_active[i as usize] = false;
+        }
+
+        // Phase 1: every active router routes its latched flits into the
+        // persistent link latches (and may eject one into its queue).
+        for &i in &work {
+            let router = &mut self.routers[i as usize];
+            self.latches[i as usize] = router.route(now, &mut self.stats, sink);
+            if router.has_ejectable() {
+                self.eject_ready.update(i as usize, true);
+            }
+        }
+
+        // Phase 2: deliver over the (single-cycle) links, or export across
+        // the range boundary; receiving switches and switches with an
+        // undrained injection register form the next working set.
+        for &i in &work {
+            let i = i as usize;
+            let node = self.lo + i;
+            if S::ACTIVE || M::ACTIVE {
+                // Every *active* router reports its occupancy — zeros
+                // included, so a draining router's counter series returns
+                // to zero instead of freezing at its last busy value.
+                // Idle routers are not in the working set and emit
+                // nothing.
+                let mut mask = 0u8;
+                for (d, latch) in self.latches[i].iter().enumerate() {
+                    mask |= u8::from(latch.is_some()) << d;
+                }
+                if S::ACTIVE {
+                    let links = mask.count_ones() as u8;
+                    sink.record(now, TraceEvent::LinkLoad { node: node as u16, links });
+                }
+                if M::ACTIVE {
+                    meter.link_busy(node as u16, mask);
+                }
+            }
+            let from = self.topo.coord_of(NodeId::new(node as u16));
+            for dir in Dir::ALL {
+                if let Some(flit) = self.latches[i][dir.index()].take() {
+                    let to = self.topo.node_of(self.topo.neighbor(from, dir)).index();
+                    match self.local(to) {
+                        Some(local) => {
+                            self.routers[local].accept(dir.opposite(), flit);
+                            self.mark_active(local);
+                        }
+                        None => {
+                            self.exports.push((to as u16, dir.opposite().index() as u8, flit));
+                        }
+                    }
+                }
+            }
+            if self.routers[i].has_pending_inject() {
+                self.mark_active(i);
+            }
+        }
+
+        work.clear();
+        self.retired = work;
+    }
+
     fn in_flight(&self) -> usize {
         self.in_flight
     }
 
-    /// This shard's statistics slice.
     fn stats(&self) -> &FabricStats {
         &self.stats
     }
@@ -542,15 +327,18 @@ impl Fabric for NetworkShard {
         self.topo.nodes()
     }
 
-    /// Kill the ends of the physical link that this shard owns: `node`'s
-    /// port toward `dir` and the neighbour's opposite port. Every shard is
-    /// given the same kill, so a link crossing a tile boundary ends up
-    /// dead on both sides, as [`Network::kill_link`] leaves it.
+    /// Kills `node`'s output port toward `dir` and the neighbour's
+    /// opposite port — each end only if this network owns it, so a link
+    /// crossing a tile boundary dies on both sides once every tile has
+    /// applied the kill. Each affected switch keeps at least as many live
+    /// output ports as live input latches, so the deflection free-port
+    /// invariant survives; flits already in flight simply route around
+    /// the gap from now on.
     fn kill_link(&mut self, node: NodeId, dir: Dir) {
         let neighbor = self.topo.node_of(self.topo.neighbor(self.topo.coord_of(node), dir));
         for (end, d) in [(node, dir), (neighbor, dir.opposite())] {
-            if self.owns(end.index()) {
-                self.routers[end.index() - self.lo].set_link_dead(d);
+            if let Some(local) = self.local(end.index()) {
+                self.routers[local].set_link_dead(d);
             }
         }
     }
@@ -742,7 +530,7 @@ mod tests {
         // determinism argument.
         let topo = Topology::paper_4x4();
         let mut whole = Network::new(topo);
-        let mut shards = [NetworkShard::new(topo, 0, 8), NetworkShard::new(topo, 8, 16)];
+        let mut shards = [Network::shard(topo, 0, 8), Network::shard(topo, 8, 16)];
         let tile_of = |node: usize| usize::from(node >= 8);
         // Boundary flits in flight between cycles, keyed by destination tile.
         let mut mailboxes: [Vec<(u16, u8, Flit)>; 2] = [Vec::new(), Vec::new()];
@@ -775,10 +563,10 @@ mod tests {
             }
             whole.tick(now);
             for shard in &mut shards {
-                shard.tick_traced(now, &mut NullSink);
+                shard.tick(now);
             }
             for shard in &mut shards {
-                for export in shard.take_exports() {
+                for export in shard.drain_exports() {
                     mailboxes[tile_of(export.0 as usize)].push(export);
                 }
             }
@@ -879,7 +667,7 @@ mod tests {
     #[test]
     fn shard_next_ejectable_maps_local_bits_to_global_nodes() {
         let topo = Topology::new(16, 16).unwrap();
-        let mut shard = NetworkShard::new(topo, 60, 200);
+        let mut shard = Network::shard(topo, 60, 200);
         queue_local(&mut shard, topo, &[199, 60, 63, 64, 130], 1);
         assert_eq!(ready_walk(&shard, 0), [60, 63, 64, 130, 199]);
         assert_eq!(ready_walk(&shard, 61), [63, 64, 130, 199]);
@@ -887,7 +675,7 @@ mod tests {
         assert_eq!(shard.next_ejectable(200), None);
         assert_eq!(shard.eject(NodeId::new(130)).map(|f| f.payload()), Some(130));
         assert_eq!(ready_walk(&shard, 0), [60, 63, 64, 199]);
-        assert_eq!(shard.pending_exports(), 0, "self-addressed traffic never leaves");
+        assert_eq!(shard.drain_exports().len(), 0, "self-addressed traffic never leaves");
     }
 
     #[test]

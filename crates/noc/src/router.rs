@@ -24,7 +24,7 @@ use crate::flit::Flit;
 use crate::FabricStats;
 use medea_sim::fifo::Fifo;
 use medea_sim::Cycle;
-use medea_trace::{NullSink, TraceEvent, TraceSink};
+use medea_trace::{TraceEvent, TraceSink};
 
 /// Default depth of the ejection queue between router and node interface.
 pub const DEFAULT_EJECT_QUEUE: usize = 8;
@@ -140,17 +140,13 @@ impl DeflectionRouter {
     /// 3. the injection register is drained into a leftover port if one
     ///    exists (productive preferred).
     ///
+    /// Deflection events go to `sink`; with an inactive sink every
+    /// emission site constant-folds away.
+    ///
     /// This is the innermost loop of the whole simulator and performs no
     /// heap allocation: residents are gathered into a fixed scratch array
     /// and ordered with an insertion sort (at most four elements).
-    pub fn route(&mut self, now: Cycle, stats: &mut FabricStats) -> [Option<Flit>; 4] {
-        self.route_traced(now, stats, &mut NullSink)
-    }
-
-    /// [`route`](DeflectionRouter::route) with deflection events reported
-    /// to `sink`. With an inactive sink every emission site constant-folds
-    /// away, so `route` monomorphizes to exactly the untraced hot path.
-    pub fn route_traced<S: TraceSink>(
+    pub fn route<S: TraceSink>(
         &mut self,
         now: Cycle,
         stats: &mut FabricStats,
@@ -278,6 +274,7 @@ impl DeflectionRouter {
 mod tests {
     use super::*;
     use crate::flit::Flit;
+    use medea_trace::NullSink;
 
     fn topo() -> Topology {
         Topology::paper_4x4()
@@ -295,7 +292,7 @@ mod tests {
         let mut r = DeflectionRouter::new(topo(), Coord::new(0, 0));
         let mut stats = FabricStats::default();
         r.accept(Dir::West, flit_to(Coord::new(2, 0), 1, 0));
-        let outs = r.route(1, &mut stats);
+        let outs = r.route(1, &mut stats, &mut NullSink);
         // (0,0)->(2,0): east is productive.
         assert!(outs[Dir::East.index()].is_some());
         assert_eq!(stats.deflections, 0);
@@ -306,7 +303,7 @@ mod tests {
         let mut r = DeflectionRouter::new(topo(), Coord::new(1, 1));
         let mut stats = FabricStats::default();
         r.accept(Dir::North, flit_to(Coord::new(1, 1), 1, 5));
-        let outs = r.route(9, &mut stats);
+        let outs = r.route(9, &mut stats, &mut NullSink);
         assert!(outs.iter().all(Option::is_none));
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.latency.summary().max(), Some(4));
@@ -320,7 +317,7 @@ mod tests {
         let mut stats = FabricStats::default();
         r.accept(Dir::North, flit_to(Coord::new(1, 1), 1, 0));
         r.accept(Dir::South, flit_to(Coord::new(1, 1), 2, 0));
-        let outs = r.route(3, &mut stats);
+        let outs = r.route(3, &mut stats, &mut NullSink);
         assert_eq!(stats.delivered, 1);
         // The second local flit must be deflected back out.
         assert_eq!(outs.iter().flatten().count(), 1);
@@ -337,7 +334,7 @@ mod tests {
         let young = flit_to(Coord::new(1, 0), 2, 10);
         r.accept(Dir::West, young);
         r.accept(Dir::South, old);
-        let outs = r.route(11, &mut stats);
+        let outs = r.route(11, &mut stats, &mut NullSink);
         assert_eq!(outs[Dir::East.index()].unwrap().meta.uid, 1);
         assert_eq!(stats.deflections, 1);
         let deflected =
@@ -352,7 +349,7 @@ mod tests {
         for (i, d) in Dir::ALL.into_iter().enumerate() {
             r.accept(d, flit_to(Coord::new(2, 2), i as u64, i as Cycle));
         }
-        let outs = r.route(5, &mut stats);
+        let outs = r.route(5, &mut stats, &mut NullSink);
         assert_eq!(outs.iter().flatten().count(), 4);
         assert_eq!(r.occupancy(), 0);
     }
@@ -367,12 +364,12 @@ mod tests {
         r.try_inject(flit_to(Coord::new(1, 0), 99, 1)).unwrap();
         // A second injection while the register is full must be refused.
         assert!(r.try_inject(flit_to(Coord::new(1, 0), 100, 1)).is_err());
-        let outs = r.route(2, &mut stats);
+        let outs = r.route(2, &mut stats, &mut NullSink);
         assert_eq!(outs.iter().flatten().count(), 4);
         assert!(outs.iter().flatten().all(|f| f.meta.uid != 99));
         assert_eq!(r.occupancy(), 1, "injected flit still waiting");
         // Next cycle the ports are free and the flit leaves.
-        let outs = r.route(3, &mut stats);
+        let outs = r.route(3, &mut stats, &mut NullSink);
         assert_eq!(outs.iter().flatten().count(), 1);
         assert_eq!(outs.iter().flatten().next().unwrap().meta.uid, 99);
     }
@@ -385,7 +382,7 @@ mod tests {
         r.set_link_dead(Dir::East);
         assert!(r.link_dead(Dir::East));
         r.accept(Dir::West, flit_to(Coord::new(2, 0), 1, 0));
-        let outs = r.route(1, &mut stats);
+        let outs = r.route(1, &mut stats, &mut NullSink);
         assert!(outs[Dir::East.index()].is_none(), "dead port must stay silent");
         assert_eq!(outs.iter().flatten().count(), 1, "flit still leaves on a live port");
         assert_eq!(stats.reroutes, 1);
@@ -398,7 +395,7 @@ mod tests {
         let mut stats = FabricStats::default();
         r.set_link_dead(Dir::East);
         r.try_inject(flit_to(Coord::new(2, 0), 7, 0)).unwrap();
-        let outs = r.route(1, &mut stats);
+        let outs = r.route(1, &mut stats, &mut NullSink);
         assert!(outs[Dir::East.index()].is_none());
         assert_eq!(outs.iter().flatten().count(), 1);
         assert_eq!(stats.reroutes, 1);
@@ -412,7 +409,7 @@ mod tests {
         // this destination, so killing it must not count a reroute.
         r.set_link_dead(Dir::West);
         r.accept(Dir::North, flit_to(Coord::new(2, 2), 1, 0));
-        let outs = r.route(1, &mut stats);
+        let outs = r.route(1, &mut stats, &mut NullSink);
         assert_eq!(outs.iter().flatten().count(), 1);
         assert_eq!(stats.reroutes, 0);
         assert_eq!(stats.deflections, 0);
@@ -425,7 +422,7 @@ mod tests {
         assert_eq!(f.meta.hops, 0);
         r.accept(Dir::West, f);
         let mut stats = FabricStats::default();
-        let outs = r.route(1, &mut stats);
+        let outs = r.route(1, &mut stats, &mut NullSink);
         assert_eq!(outs.iter().flatten().next().unwrap().meta.hops, 1);
     }
 

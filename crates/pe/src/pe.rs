@@ -35,7 +35,7 @@ use medea_sim::coroutine::{Fetched, KernelHost, KernelPort};
 use medea_sim::ids::NodeId;
 use medea_sim::stats::Counter;
 use medea_sim::Cycle;
-use medea_trace::{CacheEventKind, KernelOp, NullSink, TraceEvent, TraceSink};
+use medea_trace::{CacheEventKind, KernelOp, TraceEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
 
 /// The port type kernels receive: issue [`PeRequest`]s, get
@@ -416,14 +416,10 @@ impl ProcessingElement {
         }
     }
 
-    /// Deliver a flit ejected from the NoC at this node.
-    pub fn deliver(&mut self, flit: Flit, now: Cycle) {
-        self.deliver_traced(flit, now, &mut NullSink);
-    }
-
-    /// [`deliver`](ProcessingElement::deliver) with reorder-buffer slips
-    /// (block-read data arriving out of address order) reported to `sink`.
-    pub fn deliver_traced<S: TraceSink>(&mut self, flit: Flit, now: Cycle, sink: &mut S) {
+    /// Deliver a flit ejected from the NoC at this node, reporting
+    /// reorder-buffer slips (block-read data arriving out of address
+    /// order) to `sink`.
+    pub fn deliver<S: TraceSink>(&mut self, flit: Flit, now: Cycle, sink: &mut S) {
         // Coherence *requests* at a PE are directory probes for the
         // responder; coherence data/acks are fill traffic for the bridge.
         if flit.kind() == PacketKind::Coherence && flit.sub() == SubKind::Request {
@@ -455,16 +451,10 @@ impl ProcessingElement {
         self.arbiter.restore(flit);
     }
 
-    /// Advance the PE by one cycle.
-    pub fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
-    }
-
-    /// [`tick`](ProcessingElement::tick) with cache accesses, coherence
-    /// operations and packet-span events reported to `sink`. With an
-    /// inactive sink every emission site constant-folds away, so `tick`
-    /// monomorphizes to exactly the untraced engine.
-    pub fn tick_traced<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
+    /// Advance the PE by one cycle, reporting cache accesses, coherence
+    /// operations and packet-span events to `sink`. With an inactive sink
+    /// every emission site constant-folds away.
+    pub fn tick<S: TraceSink>(&mut self, now: Cycle, sink: &mut S) {
         self.bridge.tick(now);
         // One queued directory probe served per cycle, even while the
         // execution engine is stalled or done (provably a no-op under DII:
@@ -635,9 +625,11 @@ impl ProcessingElement {
             |until: Cycle, resp: PeResponse, act: PeActivity| Exec::Stall { until, resp, act };
         self.exec = match req {
             PeRequest::Compute { cycles } => {
+                // Saturating: an unbounded compute sleeps until the cycle
+                // limit stops the run.
                 let c = cycles.max(1);
                 self.stats.compute_cycles.add(c);
-                stall(now + c, PeResponse::Unit, PeActivity::Compute)
+                stall(now.saturating_add(c), PeResponse::Unit, PeActivity::Compute)
             }
             PeRequest::FpAdd { a, b } => {
                 self.stats.compute_cycles.add(fp.add_cycles());
@@ -975,6 +967,7 @@ mod tests {
     use crate::fpu::MulOption;
     use medea_cache::CachePolicy;
     use medea_noc::coord::Coord;
+    use medea_trace::NullSink;
 
     fn cfg(node: u16) -> PeConfig {
         PeConfig {
@@ -1006,7 +999,7 @@ mod tests {
         type PendingWrite = (PacketKind, u32, usize, Vec<(u8, u32)>);
         let mut pending_write: Option<PendingWrite> = None;
         for now in 0..limit {
-            pe.tick(now);
+            pe.tick(now, &mut NullSink);
             // Collect everything the PE wants to send and answer at once —
             // an infinitely fast memory, fine for engine unit tests.
             while let Some(flit) = pe.select_inject() {
@@ -1023,7 +1016,7 @@ mod tests {
                             0,
                             v,
                         );
-                        pe.deliver(resp, now);
+                        pe.deliver(resp, now, &mut NullSink);
                     }
                     (PacketKind::BlockRead, SubKind::Request) => {
                         let line = flit.payload() & !0xF;
@@ -1038,14 +1031,14 @@ mod tests {
                                 0,
                                 v,
                             );
-                            pe.deliver(resp, now);
+                            pe.deliver(resp, now, &mut NullSink);
                         }
                     }
                     (PacketKind::SingleWrite | PacketKind::BlockWrite, SubKind::Request) => {
                         let expect = if flit.kind() == PacketKind::SingleWrite { 1 } else { 4 };
                         pending_write = Some((flit.kind(), flit.payload(), expect, Vec::new()));
                         let grant = Flit::new(flit.dest(), flit.kind(), SubKind::Ack, 0, 0, 0, 0);
-                        pe.deliver(grant, now);
+                        pe.deliver(grant, now, &mut NullSink);
                     }
                     (_, SubKind::Data) => {
                         let (kind, addr, expect, ref mut words) =
@@ -1061,18 +1054,18 @@ mod tests {
                             let kind_done = *kind;
                             let _ = kind_done;
                             pending_write = None;
-                            pe.deliver(ack, now);
+                            pe.deliver(ack, now, &mut NullSink);
                         }
                     }
                     (PacketKind::Lock, SubKind::Request) => {
                         let ack =
                             Flit::new(flit.dest(), PacketKind::Lock, SubKind::Ack, 0, 0, 0, 0);
-                        pe.deliver(ack, now);
+                        pe.deliver(ack, now, &mut NullSink);
                     }
                     (PacketKind::Unlock, SubKind::Request) => {
                         let ack =
                             Flit::new(flit.dest(), PacketKind::Unlock, SubKind::Ack, 0, 0, 0, 0);
-                        pe.deliver(ack, now);
+                        pe.deliver(ack, now, &mut NullSink);
                     }
                     other => panic!("magic memory got {other:?}"),
                 }
@@ -1191,9 +1184,9 @@ mod tests {
             }
         });
         for now in 0..500 {
-            pe.tick(now);
+            pe.tick(now, &mut NullSink);
             while let Some(f) = pe.select_inject() {
-                pe.deliver(f, now); // loop back
+                pe.deliver(f, now, &mut NullSink); // loop back
             }
             if pe.is_done() {
                 assert_eq!(pe.stats().packets_sent.get(), 1);
@@ -1260,7 +1253,7 @@ mod tests {
             // Start the operation; the load's request leaves via the arbiter.
             while !ticked.awaits_flit() {
                 for pe in [&mut ticked, &mut parked] {
-                    pe.tick(*now);
+                    pe.tick(*now, &mut NullSink);
                     let _ = pe.select_inject();
                 }
                 *now += 1;
@@ -1268,7 +1261,7 @@ mod tests {
             assert!(parked.awaits_flit());
             let before = counter(ticked.stats());
             for _ in 0..SKIPPED {
-                ticked.tick(*now);
+                ticked.tick(*now, &mut NullSink);
                 assert!(ticked.select_inject().is_none(), "a parked PE injects nothing");
                 *now += 1;
             }
@@ -1276,8 +1269,8 @@ mod tests {
             parked.credit_parked(SKIPPED);
             assert_eq!(snapshot(&ticked), snapshot(&parked));
             for pe in [&mut ticked, &mut parked] {
-                pe.deliver(reply, *now);
-                pe.tick(*now);
+                pe.deliver(reply, *now, &mut NullSink);
+                pe.tick(*now, &mut NullSink);
             }
             *now += 1;
         };
@@ -1285,8 +1278,8 @@ mod tests {
         wait(&mut now, word, |s| s.mem_cycles.get());
         wait(&mut now, Flit::message(Coord::new(1, 0), 2, 0, 0, 9), |s| s.recv_wait_cycles.get());
         for now in now..now + 4 {
-            ticked.tick(now);
-            parked.tick(now);
+            ticked.tick(now, &mut NullSink);
+            parked.tick(now, &mut NullSink);
         }
         assert!(ticked.is_done() && parked.is_done());
         assert_eq!(snapshot(&ticked), snapshot(&parked));
@@ -1297,13 +1290,13 @@ mod tests {
         let mut pe = ProcessingElement::new(cfg(1), topo(), bank0(), |port: PePort| {
             port.call(PeRequest::Compute { cycles: 100 }).unwrap();
         });
-        pe.tick(0);
+        pe.tick(0, &mut NullSink);
         match pe.wakeup() {
             Wakeup::At(t) => assert_eq!(t, 100),
             other => panic!("{other:?}"),
         }
         for now in 1..=101 {
-            pe.tick(now);
+            pe.tick(now, &mut NullSink);
         }
         assert_eq!(pe.wakeup(), Wakeup::Done);
     }

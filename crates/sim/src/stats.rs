@@ -21,10 +21,11 @@ impl Counter {
         self.0 += 1;
     }
 
-    /// Increment by `n`.
+    /// Increment by `n`, saturating at `u64::MAX` (a kernel may ask for
+    /// an unbounded compute).
     #[inline]
     pub fn add(&mut self, n: u64) {
-        self.0 += n;
+        self.0 = self.0.saturating_add(n);
     }
 
     /// Current value.

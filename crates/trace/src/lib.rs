@@ -14,7 +14,7 @@
 //!   path of the zero-allocation engine is provably unperturbed, and a
 //!   traced run produces bit-identical architectural results to an
 //!   untraced one (pinned by the golden suite);
-//! * with [`RingSink`] (`System::run_traced`), events land in a
+//! * with [`RingSink`] (`System::run_with`), events land in a
 //!   preallocated ring buffer — steady-state capture allocates nothing
 //!   and the newest `capacity` events survive;
 //! * with [`FileSink`], events stream to disk through a buffered writer

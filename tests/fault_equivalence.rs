@@ -134,7 +134,7 @@ proptest! {
         let schedule = FaultConfig { seed: fault_seed, ..FaultConfig::default() };
         prop_assert!(schedule.is_inert());
         let mut injector = ScheduledInjector::new(schedule);
-        let faulted = System::run_faulted(
+        let faulted = System::run_with(
             &cfg,
             &[],
             seeded_kernels(pes, seed, ops),
@@ -224,8 +224,7 @@ fn golden_fingerprints_pinned_under_both_injectors() {
 
         let mut injector = ScheduledInjector::new(FaultConfig { seed: 99, ..Default::default() });
         let zero_rate =
-            System::run_faulted(&cfg(pes), &[], kernels(), &mut NullSink, &mut injector)
-                .expect(name);
+            System::run_with(&cfg(pes), &[], kernels(), &mut NullSink, &mut injector).expect(name);
         assert_eq!(fingerprint(&zero_rate), pin, "{name}: rate-0 injector drifted the pin");
         assert_eq!(zero_rate.fault.total(), 0);
     }

@@ -105,7 +105,7 @@ fn dead_link_alone_is_transparent_to_the_protocol() {
         at: 50,
     });
     let mut injector = ScheduledInjector::new(schedule);
-    let run = System::run_faulted(&sys, &[], kernels, &mut NullSink, &mut injector)
+    let run = System::run_with(&sys, &[], kernels, &mut NullSink, &mut injector)
         .expect("run with dead link");
     assert_eq!(run.fault.links_killed, 1);
     assert!(run.fabric_reroutes > 0, "traffic through node 0 must hit the dead link");

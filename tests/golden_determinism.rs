@@ -17,7 +17,7 @@ use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
 use medea::core::system::{Kernel, RunResult, System};
-use medea::core::{CollectiveAlgo, Empi, SystemConfig, Topology};
+use medea::core::{CollectiveAlgo, Empi, NullInjector, SystemConfig, Topology};
 use medea::sim::ids::Rank;
 use medea::trace::{NullSink, RingSink, TraceConfig};
 
@@ -195,14 +195,15 @@ fn paper_4x4_fingerprints_pinned_bit_for_bit() {
 }
 
 /// Tracing must be free: every paper-4×4 fingerprint is reproduced
-/// bit-for-bit by `run_traced` with a `NullSink` (tracing compiled away)
+/// bit-for-bit by `run_with` with a `NullSink` (tracing compiled away)
 /// AND with a live `RingSink` on a fully trace-enabled configuration
 /// (kernel span markers included). Events are observations, never
 /// actors.
 #[test]
 fn tracing_reproduces_paper_fingerprints_bit_for_bit() {
     for (name, kernels, pes, pin) in paper_pins() {
-        let off = System::run_traced(&cfg(pes), &[], kernels(), &mut NullSink).expect(name);
+        let off = System::run_with(&cfg(pes), &[], kernels(), &mut NullSink, &mut NullInjector)
+            .expect(name);
         assert_eq!(fingerprint(&off), pin, "{name}: NullSink perturbed the engine");
 
         let traced_cfg = SystemConfig::builder()
@@ -212,7 +213,8 @@ fn tracing_reproduces_paper_fingerprints_bit_for_bit() {
             .build()
             .unwrap();
         let mut sink = RingSink::new(1 << 20);
-        let on = System::run_traced(&traced_cfg, &[], kernels(), &mut sink).expect(name);
+        let on = System::run_with(&traced_cfg, &[], kernels(), &mut sink, &mut NullInjector)
+            .expect(name);
         assert_eq!(fingerprint(&on), pin, "{name}: live tracing perturbed the engine");
         assert!(!sink.is_empty(), "{name}: a traced run must capture events");
 

@@ -33,8 +33,8 @@ use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
 use medea::core::system::{Kernel, RunResult, System};
 use medea::core::{
-    DeadLink, Empi, FaultConfig, ResilienceConfig, RunError, ScheduledInjector, SystemConfig,
-    Topology,
+    DeadLink, Empi, FaultConfig, NullInjector, ResilienceConfig, RunError, ScheduledInjector,
+    SystemConfig, Topology,
 };
 use medea::sim::ids::Rank;
 use medea::sim::rng::SplitMix64;
@@ -398,15 +398,26 @@ fn traced_capture_matches_sequential_per_cycle() {
             .unwrap()
     };
     let mut seq_sink = RingSink::new(1 << 20);
-    let seq = System::run_traced(&build(1), &[], seeded_kernels(8, 0x7ACE, 10), &mut seq_sink)
-        .expect("sequential traced");
+    let seq = System::run_with(
+        &build(1),
+        &[],
+        seeded_kernels(8, 0x7ACE, 10),
+        &mut seq_sink,
+        &mut NullInjector,
+    )
+    .expect("sequential traced");
     assert!(seq_sink.dropped() == 0, "ring too small to compare losslessly");
     let seq_events = per_cycle_multisets(&seq_sink);
     for threads in THREADS {
         let mut sink = RingSink::new(1 << 20);
-        let tiled =
-            System::run_traced(&build(threads), &[], seeded_kernels(8, 0x7ACE, 10), &mut sink)
-                .expect("tiled traced");
+        let tiled = System::run_with(
+            &build(threads),
+            &[],
+            seeded_kernels(8, 0x7ACE, 10),
+            &mut sink,
+            &mut NullInjector,
+        )
+        .expect("tiled traced");
         assert_identical(&format!("traced@{threads}t"), &tiled, &seq);
         assert_eq!(sink.dropped(), 0);
         assert_eq!(sink.len(), seq_sink.len(), "event count @{threads}t");
@@ -525,7 +536,7 @@ fn livelock_error(watchdog: Cycle, faults: Option<FaultConfig>, threads: usize) 
     let outcome = match faults {
         Some(schedule) => {
             let mut injector = ScheduledInjector::new(schedule);
-            System::run_faulted(&sys, &[], livelock_kernels(), &mut NullSink, &mut injector)
+            System::run_with(&sys, &[], livelock_kernels(), &mut NullSink, &mut injector)
         }
         None => System::run(&sys, &[], livelock_kernels()),
     };

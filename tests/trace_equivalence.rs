@@ -9,7 +9,7 @@
 
 use medea::core::api::PeApi;
 use medea::core::system::{Kernel, RunResult, System};
-use medea::core::{Empi, SystemConfig, Topology};
+use medea::core::{Empi, NullInjector, SystemConfig, Topology};
 use medea::sim::rng::SplitMix64;
 use medea::trace::{RingSink, TraceConfig};
 use proptest::prelude::*;
@@ -123,7 +123,7 @@ proptest! {
             .expect("config");
         let untraced = System::run(&cfg, &[], seeded_kernels(pes, seed, ops)).expect("untraced");
         let mut sink = RingSink::new(1 << capacity_shift);
-        let traced = System::run_traced(&cfg, &[], seeded_kernels(pes, seed, ops), &mut sink)
+        let traced = System::run_with(&cfg, &[], seeded_kernels(pes, seed, ops), &mut sink, &mut NullInjector)
             .expect("traced");
         prop_assert!(!sink.is_empty(), "traced run captured nothing");
         assert_identical(&traced, &untraced);

@@ -7,7 +7,7 @@
 
 use medea::apps::workloads::trace_mix_kernels;
 use medea::core::system::{Kernel, RunResult, System};
-use medea::core::SystemConfig;
+use medea::core::{NullInjector, SystemConfig};
 use medea::trace::{
     chrome, csv, json, EventClass, KernelOp, RingSink, TimedEvent, TraceAnalysis, TraceConfig,
     TraceEvent,
@@ -32,7 +32,8 @@ fn mixed_kernels(ranks: usize) -> Vec<Kernel> {
 fn run_traced_mixed(pes: usize, capacity: usize) -> (RunResult, RingSink) {
     let mut sink = RingSink::new(capacity);
     let result =
-        System::run_traced(&traced_cfg(pes), &[], mixed_kernels(pes), &mut sink).expect("run");
+        System::run_with(&traced_cfg(pes), &[], mixed_kernels(pes), &mut sink, &mut NullInjector)
+            .expect("run");
     (result, sink)
 }
 
@@ -126,7 +127,8 @@ fn analysis_reports_contention_and_spans() {
 #[test]
 fn class_filtered_sink_captures_only_selected_classes() {
     let mut sink = RingSink::with_classes(1 << 20, EventClass::MEM);
-    System::run_traced(&traced_cfg(3), &[], mixed_kernels(3), &mut sink).expect("run");
+    System::run_with(&traced_cfg(3), &[], mixed_kernels(3), &mut sink, &mut NullInjector)
+        .expect("run");
     let events = sink.to_vec();
     assert!(!events.is_empty());
     assert!(events.iter().all(|t| t.event.class().intersects(EventClass::MEM)));
