@@ -33,35 +33,48 @@ use medea_noc::network::Network;
 use medea_noc::traffic::{run_open_loop, Pattern, TrafficConfig};
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = None;
-    let mut effort = Effort::Full;
-    let mut size_override = None;
-    let mut threads = sweep_threads();
+const USAGE: &str = "usage: figures <experiment> [--quick] [--size N] [--threads T]";
+
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    experiment: String,
+    effort: Effort,
+    size: Option<usize>,
+    threads: usize,
+}
+
+/// Parse the arguments after the program name; `threads` is the sweep
+/// width when `--threads` is absent. A flag whose value is missing or not
+/// a number is an error, never a silent default.
+fn parse_args(args: &[String], threads: usize) -> Result<Args, String> {
+    let number = |flag: &str, value: Option<&String>| {
+        value.and_then(|v| v.parse::<usize>().ok()).ok_or_else(|| format!("{flag} needs a number"))
+    };
+    let mut parsed = Args { experiment: String::new(), effort: Effort::Full, size: None, threads };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--quick" => effort = Effort::Quick,
-            "--size" => {
-                size_override = iter.next().and_then(|s| s.parse::<usize>().ok());
-            }
-            "--threads" => {
-                if let Some(t) = iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                    threads = t.max(1);
-                }
-            }
-            other if experiment.is_none() => experiment = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument {other}");
-                std::process::exit(2);
-            }
+            "--quick" => parsed.effort = Effort::Quick,
+            "--size" => parsed.size = Some(number(arg, iter.next())?),
+            "--threads" => parsed.threads = number(arg, iter.next())?.max(1),
+            other if parsed.experiment.is_empty() => parsed.experiment = other.to_string(),
+            other => return Err(format!("unexpected argument {other}")),
         }
     }
-    let experiment = experiment.unwrap_or_else(|| {
-        eprintln!("usage: figures <experiment> [--quick] [--size N] [--threads T]");
-        std::process::exit(2);
-    });
+    if parsed.experiment.is_empty() {
+        return Err("missing experiment".into());
+    }
+    Ok(parsed)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { experiment, effort, size: size_override, threads } =
+        parse_args(&args, sweep_threads()).unwrap_or_else(|e| {
+            eprintln!("{e}; {USAGE}");
+            std::process::exit(2);
+        });
 
     match experiment.as_str() {
         "fig6" => fig_exec_time(6, size_override.unwrap_or(60), effort, threads),
@@ -94,7 +107,7 @@ fn main() {
             dse(effort, threads);
         }
         other => {
-            eprintln!("unknown experiment {other}");
+            eprintln!("unknown experiment {other}; {USAGE}");
             std::process::exit(2);
         }
     }
@@ -366,4 +379,40 @@ fn run_jacobi_once(cfg: &SystemConfig, n: usize, variant: JacobiVariant) -> u64 
     let measured = prepared.measured.clone();
     medea_core::system::System::run(cfg, &prepared.preload, prepared.kernels).expect("run");
     measured.load(std::sync::atomic::Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>(), 8)
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let args = parse(&["fig6", "--quick", "--size", "24", "--threads", "0"]).unwrap();
+        let expect =
+            Args { experiment: "fig6".into(), effort: Effort::Quick, size: Some(24), threads: 1 };
+        assert_eq!(args, expect);
+        let args = parse(&["dse"]).unwrap();
+        assert_eq!((args.effort, args.size, args.threads), (Effort::Full, None, 8));
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error() {
+        assert_eq!(parse(&["fig6", "--size", "x", "--quick"]), Err("--size needs a number".into()));
+        assert_eq!(parse(&["fig6", "--threads", "two"]), Err("--threads needs a number".into()));
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        assert_eq!(
+            parse(&["fig6", "--threads", "2", "--size"]),
+            Err("--size needs a number".into())
+        );
+        assert_eq!(parse(&["fig6", "--threads"]), Err("--threads needs a number".into()));
+        assert_eq!(parse(&[]), Err("missing experiment".into()));
+        assert_eq!(parse(&["fig6", "fig7"]), Err("unexpected argument fig7".into()));
+    }
 }

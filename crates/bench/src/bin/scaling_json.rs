@@ -261,49 +261,6 @@ struct ParallelReport {
     rows: Vec<ParallelRow>,
 }
 
-/// Everything a tiled run must reproduce of the single-thread baseline:
-/// cycle count, every aggregate fabric counter, the full flit-latency
-/// histogram, every per-PE counter group and every per-bank counter.
-fn assert_run_identical(label: &str, tiled: &RunResult, seq: &RunResult) {
-    assert_eq!(tiled.cycles, seq.cycles, "{label}: cycles");
-    assert_eq!(tiled.fabric_delivered, seq.fabric_delivered, "{label}: delivered");
-    assert_eq!(tiled.fabric_deflections, seq.fabric_deflections, "{label}: deflections");
-    assert_eq!(tiled.fabric_mean_latency, seq.fabric_mean_latency, "{label}: mean latency");
-    assert_eq!(tiled.fabric_max_latency, seq.fabric_max_latency, "{label}: max latency");
-    assert_eq!(tiled.fabric_latency, seq.fabric_latency, "{label}: latency histogram");
-    assert_eq!(
-        tiled.mpmmu.single_reads.get(),
-        seq.mpmmu.single_reads.get(),
-        "{label}: mpmmu reads"
-    );
-    assert_eq!(
-        tiled.mpmmu.single_writes.get(),
-        seq.mpmmu.single_writes.get(),
-        "{label}: mpmmu writes"
-    );
-    assert_eq!(tiled.mpmmu.busy_cycles.get(), seq.mpmmu.busy_cycles.get(), "{label}: mpmmu busy");
-    for (i, (a, b)) in tiled.pe.iter().zip(&seq.pe).enumerate() {
-        assert_eq!(a.engine.requests.get(), b.engine.requests.get(), "{label}: pe{i} requests");
-        assert_eq!(a.engine.mem_cycles.get(), b.engine.mem_cycles.get(), "{label}: pe{i} mem");
-        assert_eq!(a.cache.load_hits.get(), b.cache.load_hits.get(), "{label}: pe{i} hits");
-        assert_eq!(
-            a.bridge.transactions.get(),
-            b.bridge.transactions.get(),
-            "{label}: pe{i} bridge"
-        );
-        assert_eq!(a.tie.flits_received.get(), b.tie.flits_received.get(), "{label}: pe{i} tie");
-    }
-    for (a, b) in tiled.banks.iter().zip(&seq.banks) {
-        assert_eq!(a.node, b.node, "{label}: bank node");
-        assert_eq!(
-            a.mpmmu.busy_cycles.get(),
-            b.mpmmu.busy_cycles.get(),
-            "{label}: bank {} busy",
-            a.node
-        );
-    }
-}
-
 /// Single-run scaling of the tiled cycle engine: the most-populated
 /// Jacobi point of every tier past 4×4, re-run at each thread count.
 /// The 1-thread run is the baseline for both the speedup column and the
@@ -333,10 +290,12 @@ fn run_parallel_engine(tiers: &[Tier], smoke: bool) -> Vec<ParallelReport> {
             sim_cycles = outcome.run.cycles;
             let speedup_vs_1t = match &baseline {
                 Some((base_rate, seq)) => {
-                    assert_run_identical(
-                        &format!("{}x{} {pes}PE @{threads}t", tier.side, tier.side),
-                        &outcome.run,
-                        seq,
+                    assert_eq!(
+                        outcome.run.divergence(seq),
+                        None,
+                        "{}x{} {pes}PE @{threads}t",
+                        tier.side,
+                        tier.side
                     );
                     cycles_per_sec / base_rate
                 }

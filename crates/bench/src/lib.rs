@@ -1,9 +1,10 @@
 //! Shared machinery for regenerating every table and figure of the MEDEA
-//! paper (experiment index in DESIGN.md §4).
+//! paper: sweeps, speedup/area pipelines and MP-vs-SM comparisons.
 //!
-//! The heavy lifting — sweeps, speedup/area pipelines, MP-vs-SM
-//! comparisons — lives here so both the `figures` binary and the Criterion
-//! benches drive identical code.
+//! The `figures` binary drives it (experiments E1–E8 and A1–A4; `figures
+//! all --quick` runs every one in seconds). The other binaries write the
+//! committed `BENCH_*.json` reports. The repository's timing benchmark is
+//! the separate `simbench` package.
 
 use medea_apps::grid::max_ranks;
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
@@ -15,7 +16,7 @@ use medea_sim::Cycle;
 /// How hard to push a regeneration run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Reduced grids and point sets — seconds, for CI and Criterion.
+    /// Reduced grids and point sets — seconds, for CI.
     Quick,
     /// The paper's full grids and point sets.
     Full,

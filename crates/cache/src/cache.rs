@@ -37,7 +37,7 @@ pub enum FlushOutcome {
 }
 
 /// Hit/miss and maintenance-operation statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Word loads that hit.
     pub load_hits: Counter,

@@ -372,9 +372,11 @@ mod tests {
         let base = SystemConfig::builder().cycle_limit(1_000_000);
         let seq = run_sweep(&workload, &points, &base, 1);
         let par = run_sweep(&workload, &points, &base, 8);
+        assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.measured_cycles, b.measured_cycles);
-            assert_eq!(a.result.as_ref().unwrap().cycles, b.result.as_ref().unwrap().cycles);
+            let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+            assert_eq!(ra.divergence(rb), None, "{}", a.label);
         }
     }
 }

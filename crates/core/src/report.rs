@@ -37,17 +37,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render a named (x, y) series as gnuplot-pasteable columns. Values are
-/// printed with the same `.3` precision as [`format_labeled_series`], so
-/// mixed plots line up column-for-column.
-pub fn format_series(name: &str, points: &[(f64, f64)]) -> String {
-    let mut out = format!("# {name}\n");
-    for (x, y) in points {
-        out.push_str(&format!("{x:.3} {y:.3}\n"));
-    }
-    out
-}
-
 /// Render a labeled (x, y) series (Fig. 7/9 style, labels on points).
 pub fn format_labeled_series(name: &str, points: &[(String, f64, f64)]) -> String {
     let mut out = format!("# {name}\n");
@@ -191,15 +180,6 @@ mod tests {
     #[should_panic(expected = "row arity")]
     fn ragged_rows_panic() {
         format_table(&["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn series_format_uses_unified_precision() {
-        let s = format_series("fig6", &[(2.0, 100.0), (4.0, 50.0)]);
-        assert!(s.starts_with("# fig6\n"));
-        // Same .3 precision as the labeled renderer, not raw {x} {y}.
-        assert!(s.contains("2.000 100.000\n"), "{s}");
-        assert!(s.contains("4.000 50.000\n"));
     }
 
     #[test]

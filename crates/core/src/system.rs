@@ -26,9 +26,10 @@
 //! once and serve two drivers:
 //!
 //! * the **sequential** driver below — one scheduler over every PE and
-//!   bank, one [`AnyFabric`] over the whole torus, and a plain loop: it is
-//!   the one-tile case of the tiled engine, with no barrier, mutex or
-//!   mailbox;
+//!   bank, one fabric over the whole torus (generic over
+//!   [`medea_noc::Fabric`], dispatched once on the configured kind), and a
+//!   plain loop: it is the one-tile case of the tiled engine, with no
+//!   barrier, mutex or mailbox;
 //! * the **tiled** driver ([`crate::tiled`]) — selected by
 //!   [`crate::config::SystemConfigBuilder::host_threads`] when more than
 //!   one thread is requested on a deflection fabric. Each worker runs the
@@ -37,6 +38,10 @@
 //!   order and runs the same decision chain. Results stay
 //!   **bit-identical** at every thread count
 //!   (`tests/parallel_equivalence.rs`).
+//!
+//! "Bit-identical" always means [`RunResult::divergence`] finds no
+//! difference: every simulated field agrees, and only the host-side wall
+//! time, metrics report and trace-drop count may differ.
 //!
 //! The cycle body is event-driven ([`crate::sched`]): delivery visits
 //! only the nodes whose ejection queue holds a flit, and only *runnable*
@@ -83,7 +88,7 @@ use medea_noc::flit::Flit;
 use medea_noc::ideal::IdealNetwork;
 use medea_noc::network::Network;
 use medea_noc::reference::ReferenceNetwork;
-use medea_noc::{AnyFabric, Fabric, FabricStats};
+use medea_noc::{Fabric, FabricStats};
 use medea_pe::bridge::BridgeStats;
 use medea_pe::pe::{PeStats, ProcessingElement, Wakeup};
 use medea_pe::tie::TieStats;
@@ -158,7 +163,7 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Per-PE statistics bundle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeSummary {
     /// Execution-engine statistics.
     pub engine: PeStats,
@@ -173,7 +178,7 @@ pub struct PeSummary {
 }
 
 /// Per-bank statistics bundle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankSummary {
     /// The node this bank occupies.
     pub node: NodeId,
@@ -291,6 +296,65 @@ impl RunResult {
         let total = hits + misses;
         (total > 0).then(|| misses as f64 / total as f64)
     }
+
+    /// The first simulated difference between two runs, as
+    /// `field: self != other` (`pe[3]: … != …` for one PE), or `None`
+    /// when they are bit-identical.
+    ///
+    /// This is the one definition of bit identity every engine and hook
+    /// is held to: it compares every field except the host-side `wall`,
+    /// `metrics` and `trace_drops`.
+    pub fn divergence(&self, other: &RunResult) -> Option<String> {
+        fn diff<T: PartialEq + fmt::Debug>(
+            what: impl fmt::Display,
+            a: &T,
+            b: &T,
+        ) -> Option<String> {
+            (a != b).then(|| format!("{what}: {a:?} != {b:?}"))
+        }
+        fn diff_each<T: PartialEq + fmt::Debug>(what: &str, a: &[T], b: &[T]) -> Option<String> {
+            diff(format_args!("{what}.len()"), &a.len(), &b.len()).or_else(|| {
+                a.iter()
+                    .zip(b)
+                    .enumerate()
+                    .find_map(|(i, (x, y))| diff(format_args!("{what}[{i}]"), x, y))
+            })
+        }
+        // Destructured so that a new field cannot be left out unnoticed.
+        let RunResult {
+            cycles,
+            pe,
+            fabric_delivered,
+            fabric_deflections,
+            fabric_reroutes,
+            fabric_mean_latency,
+            fabric_max_latency,
+            fabric_latency,
+            mpmmu,
+            mpmmu_cache,
+            banks,
+            fault,
+            coherence,
+            metrics: _,
+            trace_drops: _,
+            wall: _,
+        } = self;
+        diff("cycles", cycles, &other.cycles)
+            .or_else(|| diff("fabric_delivered", fabric_delivered, &other.fabric_delivered))
+            .or_else(|| diff("fabric_deflections", fabric_deflections, &other.fabric_deflections))
+            .or_else(|| diff("fabric_reroutes", fabric_reroutes, &other.fabric_reroutes))
+            .or_else(|| {
+                diff("fabric_mean_latency", fabric_mean_latency, &other.fabric_mean_latency)
+            })
+            .or_else(|| diff("fabric_max_latency", fabric_max_latency, &other.fabric_max_latency))
+            .or_else(|| diff("fabric_latency", fabric_latency, &other.fabric_latency))
+            .or_else(|| diff_each("pe", pe, &other.pe))
+            .or_else(|| diff_each("banks", banks, &other.banks))
+            .or_else(|| diff("mpmmu", mpmmu, &other.mpmmu))
+            .or_else(|| diff("mpmmu_cache", mpmmu_cache, &other.mpmmu_cache))
+            .or_else(|| diff("fault", fault, &other.fault))
+            .or_else(|| diff("coherence", coherence, &other.coherence))
+    }
 }
 
 /// The full-system simulator (a namespace: construction happens per run).
@@ -400,9 +464,9 @@ impl System {
     /// component ticked every cycle.
     ///
     /// This is the behavioral yardstick for [`System::run`] (both must
-    /// produce bit-identical [`RunResult`]s, wall-clock aside) and the
-    /// "before" measurement of the simulation-speed benchmarks. It is not
-    /// used by any workload path.
+    /// produce bit-identical [`RunResult`]s, wall-clock aside; see
+    /// [`RunResult::divergence`]) and the "before" measurement of the
+    /// simulation-speed benchmarks. It is not used by any workload path.
     ///
     /// # Errors
     ///
@@ -487,8 +551,8 @@ impl System {
 
 /// The engine behind [`System::run_with`], generic over the meter: the
 /// tiled driver when the configuration selects it, otherwise the
-/// sequential driver — the one-tile case of the same cycle body and
-/// decision chain. Kernel count is already checked by the caller.
+/// sequential driver on the configured fabric. Kernel count is already
+/// checked by the caller.
 fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
@@ -502,13 +566,29 @@ fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
         Err(kernels) => kernels,
     };
     let topo = cfg.topology();
-    let mut fabric: AnyFabric = match cfg.fabric() {
-        FabricKind::Deflection => Network::new(topo).into(),
-        FabricKind::Ideal => IdealNetwork::new(topo).into(),
-    };
     let banks = build_banks(cfg, preload);
-    let mut sched = Scheduler::new(build_pes(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
+    let sched = Scheduler::new(build_pes(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
+    match cfg.fabric() {
+        FabricKind::Deflection => {
+            run_sequential(cfg, sched, Network::new(topo), sink, injector, meter)
+        }
+        FabricKind::Ideal => {
+            run_sequential(cfg, sched, IdealNetwork::new(topo), sink, injector, meter)
+        }
+    }
+}
 
+/// The sequential driver: `sched` over every PE and bank, `fabric` over
+/// the whole torus, and a plain loop — the one-tile case of the tiled
+/// engine's cycle body and decision chain.
+fn run_sequential<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
+    cfg: &SystemConfig,
+    mut sched: Scheduler,
+    mut fabric: F,
+    sink: &mut S,
+    injector: &mut I,
+    meter: &mut M,
+) -> Result<RunResult, RunError> {
     let wall_start = Instant::now();
     let mut chain = Chain::new(cfg, injector);
     let mut now: Cycle = 0;
@@ -1393,11 +1473,7 @@ mod tests {
             )
             .unwrap()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.fabric_delivered, b.fabric_delivered);
-        assert_eq!(a.fabric_deflections, b.fabric_deflections);
+        assert_eq!(run().divergence(&run()), None);
     }
 
     /// A mixed workload (compute stalls + messages + shared memory) that
@@ -1428,34 +1504,12 @@ mod tests {
         ]
     }
 
-    /// Assert that a scheduled-engine run matches the reference engine's
-    /// on every simulated result: cycles, fabric statistics, and every
-    /// per-PE (`PeStats`, `CacheStats`, `BridgeStats`, `TieStats`,
-    /// coherence) and per-bank counter. That includes the wait counters a
-    /// parked PE's wake credits (`mem_cycles`, `recv_wait_cycles`), which
-    /// only a comparison against the never-parking reference can check.
-    fn assert_same_results(fast: &RunResult, slow: &RunResult, what: &str) {
-        assert_eq!(fast.cycles, slow.cycles, "{what}: cycles");
-        assert_eq!(fast.fabric_delivered, slow.fabric_delivered, "{what}: delivered");
-        assert_eq!(fast.fabric_deflections, slow.fabric_deflections, "{what}: deflections");
-        assert_eq!(fast.fabric_reroutes, slow.fabric_reroutes, "{what}: reroutes");
-        assert_eq!(fast.fabric_max_latency, slow.fabric_max_latency, "{what}: max latency");
-        assert_eq!(fast.fabric_mean_latency, slow.fabric_mean_latency, "{what}: mean latency");
-        assert_eq!(fast.fabric_latency, slow.fabric_latency, "{what}: latency histogram");
-        assert_eq!(fast.pe.len(), slow.pe.len(), "{what}: PE count");
-        for (i, (a, b)) in fast.pe.iter().zip(&slow.pe).enumerate() {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: PE {i} counters");
-        }
-        assert_eq!(fast.banks.len(), slow.banks.len(), "{what}: bank count");
-        for (i, (a, b)) in fast.banks.iter().zip(&slow.banks).enumerate() {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: bank {i} counters");
-        }
-        assert_eq!(format!("{:?}", fast.mpmmu), format!("{:?}", slow.mpmmu), "{what}: MPMMU");
-        assert_eq!(fast.coherence, slow.coherence, "{what}: coherence");
-    }
-
-    /// Run `kernels()` on both engines and compare with
-    /// [`assert_same_results`]; returns the scheduled engine's result.
+    /// Run `kernels()` on both engines and assert that they agree on every
+    /// simulated result ([`RunResult::divergence`]). That includes the
+    /// wait counters a parked PE's wake credits (`mem_cycles`,
+    /// `recv_wait_cycles`), which only a comparison against the
+    /// never-parking reference can check. Returns the scheduled engine's
+    /// result.
     fn both_engines(
         cfg: &SystemConfig,
         kernels: impl Fn() -> Vec<Kernel>,
@@ -1463,8 +1517,56 @@ mod tests {
     ) -> RunResult {
         let fast = System::run(cfg, &[], kernels()).unwrap();
         let slow = System::run_reference(cfg, &[], kernels()).unwrap();
-        assert_same_results(&fast, &slow, what);
+        assert_eq!(fast.divergence(&slow), None, "{what}");
         fast
+    }
+
+    #[test]
+    fn divergence_names_the_first_differing_pe_or_bank() {
+        let a = System::run(&cfg(3), &[], mixed_kernels()).unwrap();
+        let mut b = a.clone();
+        b.pe[1].engine.recv_wait_cycles.inc();
+        let msg = a.divergence(&b).expect("a bumped PE counter diverges");
+        assert!(msg.starts_with("pe[1]: "), "{msg}");
+        let mut b = a.clone();
+        b.banks[0].mpmmu.busy_cycles.inc();
+        let msg = a.divergence(&b).expect("a bumped bank counter diverges");
+        assert!(msg.starts_with("banks[0]: "), "{msg}");
+    }
+
+    #[test]
+    fn divergence_compares_lengths_not_just_a_common_prefix() {
+        let a = System::run(&cfg(3), &[], mixed_kernels()).unwrap();
+        let mut b = a.clone();
+        b.pe.pop();
+        assert_eq!(a.divergence(&b).as_deref(), Some("pe.len(): 3 != 2"));
+        assert_eq!(b.divergence(&a).as_deref(), Some("pe.len(): 2 != 3"));
+        let mut b = a.clone();
+        b.banks.pop();
+        assert_eq!(a.divergence(&b).as_deref(), Some("banks.len(): 1 != 0"));
+    }
+
+    #[test]
+    fn divergence_ignores_only_host_side_fields() {
+        let a = System::run(&cfg(3), &[], mixed_kernels()).unwrap();
+        let metered = SystemConfig::builder()
+            .compute_pes(3)
+            .cycle_limit(5_000_000)
+            .metrics(crate::MetricsConfig::every(64))
+            .build()
+            .unwrap();
+        let mut b = System::run(&metered, &[], mixed_kernels()).unwrap();
+        assert!(b.metrics.is_some());
+        b.wall += Duration::from_secs(1);
+        b.trace_drops += 7;
+        assert_eq!(a.divergence(&b), None);
+        let mut b = a.clone();
+        b.fabric_mean_latency = b.fabric_mean_latency.map(|m| m + 1e-9);
+        let msg = a.divergence(&b).expect("the mean latency is compared exactly");
+        assert!(msg.starts_with("fabric_mean_latency"), "{msg}");
+        let mut b = a.clone();
+        b.fault.pe_stalls += 1;
+        assert!(a.divergence(&b).expect("fault counters are simulated").starts_with("fault: "));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl MpmmuConfig {
 }
 
 /// Transaction counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MpmmuStats {
     /// Single-read transactions served.
     pub single_reads: Counter,

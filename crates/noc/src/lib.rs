@@ -98,9 +98,9 @@ impl FabricStats {
 /// Two implementations exist: the paper's deflection-routed folded torus
 /// ([`network::Network`]) and a contention-free ideal fabric
 /// ([`ideal::IdealNetwork`]) used as an ablation baseline. Cycle engines
-/// that tick a fabric every cycle should hold an [`AnyFabric`] rather
-/// than a `Box<dyn Fabric>`: the enum dispatches statically, so the
-/// per-cycle `tick`/`in_flight` calls inline into the hot loop.
+/// that tick a fabric every cycle should be generic over `F: Fabric`
+/// rather than hold a `Box<dyn Fabric>`, so the per-cycle
+/// `tick`/`in_flight` calls inline into the hot loop.
 pub trait Fabric {
     /// Attempt to inject `flit` at `node` during cycle `now`.
     ///
@@ -176,105 +176,4 @@ pub trait Fabric {
     /// physical link. The default is a no-op for fabrics without
     /// contended links (the ideal fabric has nothing to kill).
     fn kill_link(&mut self, _node: NodeId, _dir: coord::Dir) {}
-}
-
-/// Closed sum of the fabric implementations, for static dispatch in
-/// cycle-loop hot paths (a `Box<dyn Fabric>` costs a vtable indirection
-/// per call, every cycle).
-#[derive(Debug, Clone)]
-pub enum AnyFabric {
-    /// The paper's deflection-routed folded torus.
-    Deflection(network::Network),
-    /// Contention-free ideal network (ablation baseline).
-    Ideal(ideal::IdealNetwork),
-}
-
-impl From<network::Network> for AnyFabric {
-    fn from(net: network::Network) -> Self {
-        AnyFabric::Deflection(net)
-    }
-}
-
-impl From<ideal::IdealNetwork> for AnyFabric {
-    fn from(net: ideal::IdealNetwork) -> Self {
-        AnyFabric::Ideal(net)
-    }
-}
-
-impl Fabric for AnyFabric {
-    fn try_inject(&mut self, node: NodeId, flit: Flit, now: Cycle) -> Result<(), Flit> {
-        match self {
-            AnyFabric::Deflection(net) => net.try_inject(node, flit, now),
-            AnyFabric::Ideal(net) => net.try_inject(node, flit, now),
-        }
-    }
-
-    fn try_inject_tagged(
-        &mut self,
-        node: NodeId,
-        flit: Flit,
-        now: Cycle,
-        from_bank: bool,
-    ) -> Result<(), Flit> {
-        match self {
-            AnyFabric::Deflection(net) => net.try_inject_tagged(node, flit, now, from_bank),
-            AnyFabric::Ideal(net) => net.try_inject(node, flit, now),
-        }
-    }
-
-    fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        match self {
-            AnyFabric::Deflection(net) => net.eject(node),
-            AnyFabric::Ideal(net) => net.eject(node),
-        }
-    }
-
-    fn next_ejectable(&self, from: usize) -> Option<NodeId> {
-        match self {
-            AnyFabric::Deflection(net) => net.next_ejectable(from),
-            AnyFabric::Ideal(net) => net.next_ejectable(from),
-        }
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick(now),
-            AnyFabric::Ideal(net) => net.tick(now),
-        }
-    }
-
-    fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, sink: &mut S, meter: &mut M) {
-        match self {
-            AnyFabric::Deflection(net) => net.tick_metered(now, sink, meter),
-            AnyFabric::Ideal(net) => net.tick_metered(now, sink, meter),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        match self {
-            AnyFabric::Deflection(net) => net.in_flight(),
-            AnyFabric::Ideal(net) => net.in_flight(),
-        }
-    }
-
-    fn stats(&self) -> &FabricStats {
-        match self {
-            AnyFabric::Deflection(net) => net.stats(),
-            AnyFabric::Ideal(net) => net.stats(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            AnyFabric::Deflection(net) => net.node_count(),
-            AnyFabric::Ideal(net) => net.node_count(),
-        }
-    }
-
-    fn kill_link(&mut self, node: NodeId, dir: coord::Dir) {
-        match self {
-            AnyFabric::Deflection(net) => net.kill_link(node, dir),
-            AnyFabric::Ideal(_) => {}
-        }
-    }
 }

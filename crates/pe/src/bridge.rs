@@ -138,7 +138,7 @@ impl Default for BridgeConfig {
 }
 
 /// Bridge statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BridgeStats {
     /// Transactions completed.
     pub transactions: Counter,

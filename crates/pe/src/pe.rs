@@ -61,7 +61,7 @@ pub struct PeConfig {
 }
 
 /// Per-PE execution statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeStats {
     /// Kernel requests served.
     pub requests: Counter,

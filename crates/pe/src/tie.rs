@@ -58,7 +58,7 @@ pub struct Packet {
 }
 
 /// Receive-side statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieStats {
     /// Message flits delivered to this receiver.
     pub flits_received: Counter,

@@ -35,8 +35,8 @@ fn cfg_banked(pes: usize, banks: usize) -> SystemConfig {
         .unwrap()
 }
 
-/// The fields of [`RunResult`] every engine variant must reproduce
-/// bit-identically.
+/// The fields of [`RunResult`] the literal pins fix. Run-over-run checks
+/// compare whole results with [`RunResult::divergence`].
 type Fingerprint = (u64, u64, u64, Option<u64>);
 
 /// A pinned workload: name, kernel factory, PE count, expected print.
@@ -260,6 +260,7 @@ fn two_bank_8x8_fingerprint_pinned_bit_for_bit() {
     // And run-over-run determinism still holds.
     let b = run();
     assert_eq!(fingerprint(&b.run), PIN_2BANK_8X8);
+    assert_eq!(a.run.divergence(&b.run), None);
 }
 
 /// Literal 2-bank 8×8 hotspot fingerprint (captured at introduction).
@@ -273,8 +274,7 @@ const PIN_2BANK_8X8_PER_BANK: [(usize, u64, u64); 2] = [(0, 186, 186), (4, 186, 
 fn pingpong_fingerprint_stable_across_runs() {
     let run = || System::run(&cfg(2), &[], pingpong_kernels()).expect("pingpong run");
     let a = run();
-    let b = run();
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.divergence(&run()), None);
     assert!(a.fabric_delivered > 0, "pingpong must use the fabric");
 }
 
@@ -282,8 +282,7 @@ fn pingpong_fingerprint_stable_across_runs() {
 fn reduce_fingerprint_stable_across_runs() {
     let run = || System::run(&cfg(6), &[], reduce_kernels(6)).expect("reduce run");
     let a = run();
-    let b = run();
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.divergence(&run()), None);
     assert!(a.fabric_delivered > 0, "reduce must use the fabric");
 }
 
@@ -291,8 +290,7 @@ fn reduce_fingerprint_stable_across_runs() {
 fn gather_fingerprint_stable_and_deflecting() {
     let run = || System::run(&cfg(8), &[], gather_kernels(8)).expect("gather run");
     let a = run();
-    let b = run();
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.divergence(&run()), None);
     // Seven concurrent senders into one ejection channel: the deflection
     // path must actually fire, and its count must be reproduced exactly.
     assert!(a.fabric_deflections > 0, "gather must exercise deflection");
@@ -315,8 +313,7 @@ fn collective_fingerprints_stable_per_algorithm_and_distinct() {
     let mut prints = Vec::new();
     for algo in CollectiveAlgo::ALL {
         let a = run(algo);
-        let b = run(algo);
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{algo} not deterministic");
+        assert_eq!(a.divergence(&run(algo)), None, "{algo} not deterministic");
         prints.push(fingerprint(&a));
     }
     assert_ne!(prints[0], prints[1], "linear and binomial must differ");
@@ -350,8 +347,7 @@ fn duplex_exchange_fingerprint_stable_across_runs() {
     };
     let run = || System::run(&cfg(4), &[], kernels()).expect("duplex run");
     let a = run();
-    let b = run();
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.divergence(&run()), None);
     assert!(a.fabric_delivered > 0);
 }
 
@@ -374,7 +370,7 @@ fn jacobi_8x8_63pe_fingerprint_stable_across_runs() {
     };
     let a = run();
     let b = run();
-    assert_eq!(fingerprint(&a.run), fingerprint(&b.run));
+    assert_eq!(a.run.divergence(&b.run), None);
     assert_eq!(a.cycles_per_iter, b.cycles_per_iter);
     assert!(a.run.fabric_delivered > 0, "63-PE Jacobi must use the fabric");
     assert_eq!(a.run.pe.len(), 63);
@@ -385,13 +381,5 @@ fn per_pe_stats_stable_across_runs() {
     // The engine rewrite must not change *per-PE* counters either (a PE
     // ticked a different number of times would show up here first).
     let run = || System::run(&cfg(4), &[], reduce_kernels(4)).expect("run");
-    let a = run();
-    let b = run();
-    for (pa, pb) in a.pe.iter().zip(&b.pe) {
-        assert_eq!(pa.engine.requests.get(), pb.engine.requests.get());
-        assert_eq!(pa.engine.compute_cycles.get(), pb.engine.compute_cycles.get());
-        assert_eq!(pa.engine.send_cycles.get(), pb.engine.send_cycles.get());
-        assert_eq!(pa.engine.packets_sent.get(), pb.engine.packets_sent.get());
-        assert_eq!(pa.bridge.transactions.get(), pb.bridge.transactions.get());
-    }
+    assert_eq!(run().divergence(&run()), None);
 }

@@ -8,7 +8,7 @@
 //!   verbatim and `RunResult.metrics` stays `None`.
 //! * **Metrics-on is free** — for random small tori, PE counts, workload
 //!   mixes and sampling intervals, a metered run reproduces the unmetered
-//!   `RunResult` counter for counter (property-tested), and the paper
+//!   `RunResult` (`RunResult::divergence`, property-tested), and the paper
 //!   pins hold with live sampling enabled.
 //! * **Tiled sampling is sequential sampling** — the per-tile recorder
 //!   forks merge to a [`MetricsReport`] bit-identical to the sequential
@@ -36,52 +36,6 @@ fn builder(pes: usize) -> medea::core::SystemConfigBuilder {
 
 fn metered(pes: usize, interval: u64, threads: usize) -> SystemConfig {
     builder(pes).metrics(MetricsConfig::every(interval)).host_threads(threads).build().unwrap()
-}
-
-/// Architectural identity: everything a `RunResult` observes except the
-/// metrics attachment itself.
-fn assert_identical(label: &str, a: &RunResult, b: &RunResult) {
-    assert_eq!(a.cycles, b.cycles, "{label}: cycles");
-    assert_eq!(a.fabric_delivered, b.fabric_delivered, "{label}: delivered");
-    assert_eq!(a.fabric_deflections, b.fabric_deflections, "{label}: deflections");
-    assert_eq!(a.fabric_mean_latency, b.fabric_mean_latency, "{label}: mean latency");
-    assert_eq!(a.fabric_max_latency, b.fabric_max_latency, "{label}: max latency");
-    assert_eq!(a.fabric_latency, b.fabric_latency, "{label}: latency histogram");
-    assert_eq!(a.mpmmu.single_reads.get(), b.mpmmu.single_reads.get(), "{label}: mpmmu reads");
-    assert_eq!(a.mpmmu.single_writes.get(), b.mpmmu.single_writes.get(), "{label}: mpmmu writes");
-    assert_eq!(a.mpmmu.locks_granted.get(), b.mpmmu.locks_granted.get(), "{label}: locks");
-    assert_eq!(a.mpmmu.lock_nacks.get(), b.mpmmu.lock_nacks.get(), "{label}: lock nacks");
-    assert_eq!(a.mpmmu.busy_cycles.get(), b.mpmmu.busy_cycles.get(), "{label}: mpmmu busy");
-    for (i, (pa, pb)) in a.pe.iter().zip(&b.pe).enumerate() {
-        assert_eq!(pa.engine.requests.get(), pb.engine.requests.get(), "{label}: pe{i} requests");
-        assert_eq!(
-            pa.engine.compute_cycles.get(),
-            pb.engine.compute_cycles.get(),
-            "{label}: pe{i} compute"
-        );
-        assert_eq!(pa.engine.mem_cycles.get(), pb.engine.mem_cycles.get(), "{label}: pe{i} mem");
-        assert_eq!(
-            pa.engine.recv_wait_cycles.get(),
-            pb.engine.recv_wait_cycles.get(),
-            "{label}: pe{i} recv wait"
-        );
-        assert_eq!(pa.cache.load_hits.get(), pb.cache.load_hits.get(), "{label}: pe{i} hits");
-        assert_eq!(
-            pa.bridge.transactions.get(),
-            pb.bridge.transactions.get(),
-            "{label}: pe{i} bridge"
-        );
-        assert_eq!(pa.tie.flits_received.get(), pb.tie.flits_received.get(), "{label}: pe{i} tie");
-    }
-    for (ba, bb) in a.banks.iter().zip(&b.banks) {
-        assert_eq!(ba.node, bb.node, "{label}: bank node");
-        assert_eq!(
-            ba.mpmmu.busy_cycles.get(),
-            bb.mpmmu.busy_cycles.get(),
-            "{label}: bank {} busy",
-            ba.node
-        );
-    }
 }
 
 /// Seeded, deadlock-free mixed workload (the shape shared with the trace
@@ -278,7 +232,7 @@ fn tiled_sample_series_bit_identical_to_sequential() {
         for threads in THREADS {
             let tiled = System::run(&build(threads), &[], seeded_kernels(pes, seed, 12))
                 .unwrap_or_else(|e| panic!("{label}@{threads}t: {e}"));
-            assert_identical(&format!("{label}@{threads}t"), &tiled, &seq);
+            assert_eq!(tiled.divergence(&seq), None, "{label}@{threads}t");
             assert_eq!(
                 tiled.metrics, seq.metrics,
                 "{label}@{threads}t: tiled report must be bit-identical"
@@ -347,7 +301,7 @@ proptest! {
             seeded_kernels(pes, seed, ops),
         )
         .expect("metered run");
-        assert_identical("metered-vs-off", &on, &off);
+        prop_assert_eq!(on.divergence(&off), None, "metered-vs-off");
         prop_assert!(off.metrics.is_none());
         let report = on.metrics.as_ref().expect("metered run attaches a report");
         prop_assert_eq!(report.end, on.cycles);

@@ -7,9 +7,8 @@
 //!
 //! * **Numeric equivalence** — for every pinned paper workload and a
 //!   seeded mixed op-soup, a run at 2/3/4/7 host threads reproduces the
-//!   single-thread `RunResult` counter for counter: cycles, every fabric
-//!   counter, the full latency histogram, every per-PE counter and every
-//!   per-bank counter, across tori, PE counts and bank counts.
+//!   single-thread `RunResult` (`RunResult::divergence` finds no
+//!   difference), across tori, PE counts and bank counts.
 //! * **Golden fingerprints** — the paper-4×4 pins (literal values carried
 //!   from `tests/golden_determinism.rs`) hold verbatim at
 //!   `host_threads(4)`. The parallel engine is not "equivalent to
@@ -31,7 +30,7 @@ use std::collections::HashMap;
 
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{Kernel, System};
 use medea::core::{
     DeadLink, Empi, FaultConfig, NullInjector, ResilienceConfig, RunError, ScheduledInjector,
     SystemConfig, Topology,
@@ -63,78 +62,6 @@ fn cfg_on(topo: Topology, pes: usize, banks: usize, threads: usize) -> SystemCon
         .host_threads(threads)
         .build()
         .unwrap()
-}
-
-/// Full numeric equality over everything a `RunResult` observes.
-fn assert_identical(label: &str, a: &RunResult, b: &RunResult) {
-    assert_eq!(a.cycles, b.cycles, "{label}: cycles");
-    assert_eq!(a.fabric_delivered, b.fabric_delivered, "{label}: delivered");
-    assert_eq!(a.fabric_deflections, b.fabric_deflections, "{label}: deflections");
-    assert_eq!(a.fabric_mean_latency, b.fabric_mean_latency, "{label}: mean latency");
-    assert_eq!(a.fabric_max_latency, b.fabric_max_latency, "{label}: max latency");
-    assert_eq!(a.fabric_latency, b.fabric_latency, "{label}: latency histogram");
-    assert_eq!(a.fabric_reroutes, b.fabric_reroutes, "{label}: reroutes");
-    assert_eq!(a.fault, b.fault, "{label}: injected faults");
-    assert_eq!(a.coherence, b.coherence, "{label}: coherence");
-    assert_eq!(format!("{:?}", a.mpmmu), format!("{:?}", b.mpmmu), "{label}: mpmmu");
-    assert_eq!(a.mpmmu.single_reads.get(), b.mpmmu.single_reads.get(), "{label}: mpmmu reads");
-    assert_eq!(a.mpmmu.single_writes.get(), b.mpmmu.single_writes.get(), "{label}: mpmmu writes");
-    assert_eq!(a.mpmmu.locks_granted.get(), b.mpmmu.locks_granted.get(), "{label}: locks");
-    assert_eq!(a.mpmmu.lock_nacks.get(), b.mpmmu.lock_nacks.get(), "{label}: lock nacks");
-    assert_eq!(a.mpmmu.busy_cycles.get(), b.mpmmu.busy_cycles.get(), "{label}: mpmmu busy");
-    assert_eq!(a.pe.len(), b.pe.len(), "{label}: pe count");
-    for (i, (pa, pb)) in a.pe.iter().zip(&b.pe).enumerate() {
-        assert_eq!(pa.engine.requests.get(), pb.engine.requests.get(), "{label}: pe{i} requests");
-        assert_eq!(
-            pa.engine.compute_cycles.get(),
-            pb.engine.compute_cycles.get(),
-            "{label}: pe{i} compute"
-        );
-        assert_eq!(pa.engine.mem_cycles.get(), pb.engine.mem_cycles.get(), "{label}: pe{i} mem");
-        assert_eq!(pa.engine.send_cycles.get(), pb.engine.send_cycles.get(), "{label}: pe{i} send");
-        assert_eq!(
-            pa.engine.recv_wait_cycles.get(),
-            pb.engine.recv_wait_cycles.get(),
-            "{label}: pe{i} recv wait"
-        );
-        assert_eq!(pa.cache.load_hits.get(), pb.cache.load_hits.get(), "{label}: pe{i} hits");
-        assert_eq!(pa.cache.load_misses.get(), pb.cache.load_misses.get(), "{label}: pe{i} misses");
-        assert_eq!(
-            pa.bridge.transactions.get(),
-            pb.bridge.transactions.get(),
-            "{label}: pe{i} bridge"
-        );
-        assert_eq!(
-            pa.bridge.lock_retries.get(),
-            pb.bridge.lock_retries.get(),
-            "{label}: pe{i} lock retries"
-        );
-        assert_eq!(pa.tie.flits_received.get(), pb.tie.flits_received.get(), "{label}: pe{i} tie");
-        assert_eq!(format!("{pa:?}"), format!("{pb:?}"), "{label}: pe{i} counters");
-    }
-    assert_eq!(a.banks.len(), b.banks.len(), "{label}: bank count");
-    for (ba, bb) in a.banks.iter().zip(&b.banks) {
-        assert_eq!(ba.node, bb.node, "{label}: bank node");
-        assert_eq!(
-            ba.mpmmu.single_reads.get(),
-            bb.mpmmu.single_reads.get(),
-            "{label}: bank {} reads",
-            ba.node
-        );
-        assert_eq!(
-            ba.mpmmu.single_writes.get(),
-            bb.mpmmu.single_writes.get(),
-            "{label}: bank {} writes",
-            ba.node
-        );
-        assert_eq!(
-            ba.mpmmu.busy_cycles.get(),
-            bb.mpmmu.busy_cycles.get(),
-            "{label}: bank {} busy",
-            ba.node
-        );
-        assert_eq!(format!("{ba:?}"), format!("{bb:?}"), "{label}: bank {} counters", ba.node);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -296,7 +223,7 @@ fn paper_workloads_tiled_match_sequential() {
         let seq = System::run(&cfg(pes, 1), &[], kernels()).expect(name);
         for threads in THREADS {
             let tiled = System::run(&cfg(pes, threads), &[], kernels()).expect(name);
-            assert_identical(&format!("{name}@{threads}t"), &tiled, &seq);
+            assert_eq!(tiled.divergence(&seq), None, "{name}@{threads}t");
         }
     }
 }
@@ -322,7 +249,7 @@ fn mixed_workloads_across_topologies_and_banks() {
             let tiled =
                 System::run(&cfg_on(topo, pes, banks, threads), &[], seeded_kernels(pes, seed, 12))
                     .unwrap_or_else(|e| panic!("{label}@{threads}t: {e}"));
-            assert_identical(&format!("{label}@{threads}t"), &tiled, &seq);
+            assert_eq!(tiled.divergence(&seq), None, "{label}@{threads}t");
         }
     }
 }
@@ -336,7 +263,7 @@ fn oversubscribed_thread_counts_still_match() {
     for threads in [4, 16, 64] {
         let tiled =
             System::run(&cfg_on(topo, 3, 1, threads), &[], seeded_kernels(3, 0xA11, 8)).unwrap();
-        assert_identical(&format!("2x2@{threads}t"), &tiled, &seq);
+        assert_eq!(tiled.divergence(&seq), None, "2x2@{threads}t");
     }
 }
 
@@ -418,7 +345,7 @@ fn traced_capture_matches_sequential_per_cycle() {
             &mut NullInjector,
         )
         .expect("tiled traced");
-        assert_identical(&format!("traced@{threads}t"), &tiled, &seq);
+        assert_eq!(tiled.divergence(&seq), None, "traced@{threads}t");
         assert_eq!(sink.dropped(), 0);
         assert_eq!(sink.len(), seq_sink.len(), "event count @{threads}t");
         let tiled_events = per_cycle_multisets(&sink);
@@ -502,7 +429,7 @@ fn faulted_jacobi_is_identical_at_every_thread_count() {
     assert!(seq.fault.pe_stalls > 0, "PE stalls fired");
     assert!(seq.retransmits() > 0 && seq.bridge_retries() > 0, "recovery engaged");
     for threads in &FAULT_THREADS[1..] {
-        assert_identical(&format!("faulted jacobi@{threads}t"), &run(*threads), &seq);
+        assert_eq!(run(*threads).divergence(&seq), None, "faulted jacobi@{threads}t");
     }
 }
 

@@ -2,13 +2,12 @@
 //!
 //! For random small tori, PE counts and workload mixes, a run captured
 //! into a `RingSink` (kernel span markers enabled) must produce a
-//! `RunResult` numerically identical to the same configuration run
-//! untraced — cycles, fabric counters, the full latency histogram, every
-//! per-PE counter and every per-bank counter. The ring capacity is also
+//! `RunResult` identical to the same configuration run untraced
+//! (`RunResult::divergence` finds no difference). The ring capacity is also
 //! randomized so capture truncation can never feed back into the run.
 
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{Kernel, System};
 use medea::core::{Empi, NullInjector, SystemConfig, Topology};
 use medea::sim::rng::SplitMix64;
 use medea::trace::{RingSink, TraceConfig};
@@ -69,37 +68,6 @@ fn seeded_kernels(ranks: usize, seed: u64, ops: usize) -> Vec<Kernel> {
         .collect()
 }
 
-fn assert_identical(a: &RunResult, b: &RunResult) {
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.fabric_delivered, b.fabric_delivered);
-    assert_eq!(a.fabric_deflections, b.fabric_deflections);
-    assert_eq!(a.fabric_mean_latency, b.fabric_mean_latency);
-    assert_eq!(a.fabric_max_latency, b.fabric_max_latency);
-    assert_eq!(a.fabric_latency, b.fabric_latency, "full latency histograms must match");
-    assert_eq!(a.mpmmu.single_reads.get(), b.mpmmu.single_reads.get());
-    assert_eq!(a.mpmmu.single_writes.get(), b.mpmmu.single_writes.get());
-    assert_eq!(a.mpmmu.locks_granted.get(), b.mpmmu.locks_granted.get());
-    assert_eq!(a.mpmmu.lock_nacks.get(), b.mpmmu.lock_nacks.get());
-    assert_eq!(a.mpmmu.busy_cycles.get(), b.mpmmu.busy_cycles.get());
-    for (pa, pb) in a.pe.iter().zip(&b.pe) {
-        assert_eq!(pa.engine.requests.get(), pb.engine.requests.get());
-        assert_eq!(pa.engine.compute_cycles.get(), pb.engine.compute_cycles.get());
-        assert_eq!(pa.engine.mem_cycles.get(), pb.engine.mem_cycles.get());
-        assert_eq!(pa.engine.send_cycles.get(), pb.engine.send_cycles.get());
-        assert_eq!(pa.engine.recv_wait_cycles.get(), pb.engine.recv_wait_cycles.get());
-        assert_eq!(pa.cache.load_hits.get(), pb.cache.load_hits.get());
-        assert_eq!(pa.cache.load_misses.get(), pb.cache.load_misses.get());
-        assert_eq!(pa.bridge.transactions.get(), pb.bridge.transactions.get());
-        assert_eq!(pa.bridge.lock_retries.get(), pb.bridge.lock_retries.get());
-        assert_eq!(pa.tie.flits_received.get(), pb.tie.flits_received.get());
-    }
-    for (ba, bb) in a.banks.iter().zip(&b.banks) {
-        assert_eq!(ba.node, bb.node);
-        assert_eq!(ba.mpmmu.single_writes.get(), bb.mpmmu.single_writes.get());
-        assert_eq!(ba.mpmmu.busy_cycles.get(), bb.mpmmu.busy_cycles.get());
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -126,6 +94,6 @@ proptest! {
         let traced = System::run_with(&cfg, &[], seeded_kernels(pes, seed, ops), &mut sink, &mut NullInjector)
             .expect("traced");
         prop_assert!(!sink.is_empty(), "traced run captured nothing");
-        assert_identical(&traced, &untraced);
+        prop_assert_eq!(traced.divergence(&untraced), None);
     }
 }
