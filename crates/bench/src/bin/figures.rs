@@ -21,12 +21,11 @@
 
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant};
 use medea_apps::pingpong::{self, PingPongTransport};
+use medea_bench::report::{design_point_table, Cell, Table};
 use medea_bench::{
-    base_builder, exec_time_series, fig6_points, fig8_points, grid_side, jacobi_sweep,
+    base_builder, cells, exec_time_series, fig6_points, fig8_points, grid_side, jacobi_sweep,
     model_comparison, speedup_vs_area, sweep_threads, Effort,
 };
-
-use medea_core::report::{format_labeled_series, format_table};
 use medea_core::{ArbiterConfig, FabricKind, PriorityAssignment, SystemConfig};
 use medea_noc::coord::Topology;
 use medea_noc::network::Network;
@@ -117,7 +116,6 @@ fn main() {
 fn fig_exec_time(figure: usize, paper_n: usize, effort: Effort, threads: usize) {
     let n = grid_side(paper_n, effort);
     let points = if figure == 8 { fig8_points(effort) } else { fig6_points(effort) };
-    println!("== Fig. {figure}: Jacobi {n}x{n}, execution time per iteration (cycles) ==");
     let t = Instant::now();
     let outcomes = jacobi_sweep(n, JacobiVariant::HybridFullMp, &points, threads);
     let series = exec_time_series(&outcomes);
@@ -128,46 +126,40 @@ fn fig_exec_time(figure: usize, paper_n: usize, effort: Effort, threads: usize) 
         c.dedup();
         c
     };
-    let mut headers: Vec<String> = vec!["cores".into()];
-    headers.extend(series.iter().map(|s| s.label.clone()));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = cores
-        .iter()
-        .map(|&pes| {
-            let mut row = vec![pes.to_string()];
-            for s in &series {
-                let cell = s
-                    .points
-                    .iter()
-                    .find(|(p, _)| *p == pes)
-                    .map(|(_, cyc)| cyc.to_string())
-                    .unwrap_or_else(|| "-".into());
-                row.push(cell);
-            }
-            row
-        })
-        .collect();
-    println!("{}", format_table(&header_refs, &rows));
+    let mut headers = vec!["cores"];
+    headers.extend(series.iter().map(|s| s.label.as_str()));
+    let mut table = Table::new(
+        &format!("Fig. {figure}"),
+        &format!("Jacobi {n}x{n}, execution time per iteration (cycles)"),
+        &headers,
+    );
+    for &pes in &cores {
+        let mut row = cells![pes];
+        row.extend(series.iter().map(|s| {
+            Cell::from(s.points.iter().find(|(p, _)| *p == pes).map(|(_, cycles)| *cycles))
+        }));
+        table.push(row);
+    }
+    println!("{table}");
     println!("({} points in {:.1}s)\n", outcomes.len(), t.elapsed().as_secs_f64());
 }
 
 /// Figs. 7/9: optimal speedup vs chip area with kill-rule labels.
 fn fig_speedup_area(figure: usize, paper_n: usize, effort: Effort, threads: usize) {
     let n = grid_side(paper_n, effort);
-    println!("== Fig. {figure}: Jacobi {n}x{n}, optimal speedup vs chip area ==");
     let points = fig6_points(effort);
     let outcomes = jacobi_sweep(n, JacobiVariant::HybridFullMp, &points, threads);
     let sva = speedup_vs_area(&outcomes);
-    let fmt = |points: &[medea_core::area::DesignPoint]| {
-        points.iter().map(|p| (p.label.clone(), p.area_mm2, p.speedup)).collect::<Vec<_>>()
-    };
+    let name = format!("Fig. {figure}");
+    let note = format!("Jacobi {n}x{n}, optimal speedup vs chip area");
+    println!("{}", design_point_table(&name, &format!("{note}, Pareto frontier"), &sva.frontier));
     println!(
         "{}",
-        format_labeled_series("Pareto frontier (area mm^2, speedup)", &fmt(&sva.frontier))
-    );
-    println!(
-        "{}",
-        format_labeled_series("After kill rule (the paper's 'optimal' curve)", &fmt(&sva.optimal))
+        design_point_table(
+            &name,
+            &format!("{note}, after the kill rule (the paper's curve)"),
+            &sva.optimal
+        )
     );
 }
 
@@ -179,47 +171,42 @@ fn comparison(size_override: Option<usize>, effort: Effort, include_sync_only: b
         Effort::Full => vec![2, 4, 6, 8, 10],
         Effort::Quick => vec![2, 4, 8],
     };
-    println!(
-        "== {}: Jacobi {n}x{n}, 16 kB WB ==",
-        if include_sync_only {
-            "E6: sync-only MP vs full MP vs pure SM"
-        } else {
-            "E5: hybrid vs pure shared memory"
-        }
-    );
-    let rows = model_comparison(n, cache, &pes);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let mut row = vec![
-                r.pes.to_string(),
-                r.hybrid_full.to_string(),
-                r.pure_sm.to_string(),
-                format!("{:.2}x", r.hybrid_gain()),
-            ];
-            if include_sync_only {
-                row.insert(2, r.sync_only.to_string());
-                row.push(format!("{:.2}x", r.sync_only_gain()));
-                let share = r.sync_only_gain() / r.hybrid_gain() * 100.0;
-                row.push(format!("{share:.0}%"));
-            }
-            row
-        })
-        .collect();
-    let headers: Vec<&str> = if include_sync_only {
-        vec![
-            "cores",
-            "full-MP",
-            "sync-only",
-            "pure-SM",
-            "full gain",
-            "sync-only gain",
-            "sync share",
-        ]
+    let (name, headers): (&str, &[&str]) = if include_sync_only {
+        (
+            "E6: sync-only MP vs full MP vs pure SM",
+            &[
+                "cores",
+                "full-MP",
+                "sync-only",
+                "pure-SM",
+                "full gain",
+                "sync-only gain",
+                "sync share %",
+            ],
+        )
     } else {
-        vec!["cores", "hybrid", "pure-SM", "gain"]
+        ("E5: hybrid vs pure shared memory", &["cores", "hybrid", "pure-SM", "gain"])
     };
-    println!("{}", format_table(&headers, &table));
+    let mut table = Table::new(name, &format!("Jacobi {n}x{n}, 16 kB WB"), headers);
+    for r in model_comparison(n, cache, &pes) {
+        let gain = Cell::fixed(r.hybrid_gain(), 2);
+        table.push(if include_sync_only {
+            let share = r.sync_only_gain() / r.hybrid_gain() * 100.0;
+            let sync_gain = Cell::fixed(r.sync_only_gain(), 2);
+            cells![
+                r.pes,
+                r.hybrid_full,
+                r.sync_only,
+                r.pure_sm,
+                gain,
+                sync_gain,
+                Cell::fixed(share, 0)
+            ]
+        } else {
+            cells![r.pes, r.hybrid_full, r.pure_sm, gain]
+        });
+    }
+    println!("{table}");
 }
 
 /// E8: the full sweep with wall-clock and simulation-rate reporting.
@@ -253,30 +240,26 @@ fn dse(effort: Effort, threads: usize) {
 
 /// MP vs SM synchronization latency.
 fn pingpong_report() {
-    println!("== Ping-pong: one-word synchronization round trip ==");
     let sys = base_builder().compute_pes(2).build().expect("config");
     let mp = pingpong::run(&sys, PingPongTransport::MessagePassing, 200).expect("mp run");
     let sm = pingpong::run(&sys, PingPongTransport::SharedMemory, 200).expect("sm run");
-    println!(
-        "{}",
-        format_table(
-            &["transport", "cycles/round trip"],
-            &[
-                vec!["message passing".into(), format!("{:.1}", mp.cycles_per_round)],
-                vec!["shared memory".into(), format!("{:.1}", sm.cycles_per_round)],
-                vec![
-                    "MP advantage".into(),
-                    format!("{:.2}x", sm.cycles_per_round / mp.cycles_per_round)
-                ],
-            ],
-        )
+    let mut table = Table::new(
+        "Ping-pong",
+        "one-word synchronization round trip",
+        &["transport", "cycles/round trip"],
     );
+    table.push(cells!["message passing", Cell::fixed(mp.cycles_per_round, 1)]);
+    table.push(cells!["shared memory", Cell::fixed(sm.cycles_per_round, 1)]);
+    table.push(cells![
+        "MP advantage (x)",
+        Cell::fixed(sm.cycles_per_round / mp.cycles_per_round, 2)
+    ]);
+    println!("{table}");
 }
 
 /// A1: arbiter build options under the hybrid Jacobi.
 fn ablation_arbiter(effort: Effort) {
     let n = grid_side(30, effort);
-    println!("== A1: arbiter ablation, Jacobi {n}x{n}, 8 PEs, 16 kB WB ==");
     let configs: Vec<(&str, ArbiterConfig)> = vec![
         ("mux", ArbiterConfig::Mux),
         ("single fifo(8)", ArbiterConfig::SingleFifo { depth: 8 }),
@@ -289,7 +272,11 @@ fn ablation_arbiter(effort: Effort) {
             ArbiterConfig::DualPriority { depth: 8, priority: PriorityAssignment::BridgeHigh },
         ),
     ];
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "A1: arbiter ablation",
+        &format!("Jacobi {n}x{n}, 8 PEs, 16 kB WB"),
+        &["arbiter", "cycles/iter"],
+    );
     for (label, arbiter) in configs {
         let cfg = base_builder()
             .compute_pes(8.min(medea_apps::grid::max_ranks(n)))
@@ -297,17 +284,19 @@ fn ablation_arbiter(effort: Effort) {
             .arbiter(arbiter)
             .build()
             .expect("config");
-        let cycles = run_jacobi_once(&cfg, n, JacobiVariant::HybridFullMp);
-        rows.push(vec![label.to_string(), cycles.to_string()]);
+        table.push(cells![label, run_jacobi_once(&cfg, n, JacobiVariant::HybridFullMp)]);
     }
-    println!("{}", format_table(&["arbiter", "cycles/iter"], &rows));
+    println!("{table}");
 }
 
 /// A2: deflection torus vs contention-free ideal fabric.
 fn ablation_noc(effort: Effort) {
     let n = grid_side(30, effort);
-    println!("== A2: fabric ablation, Jacobi {n}x{n}, 8 PEs, 4 kB WB (traffic-heavy) ==");
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "A2: fabric ablation",
+        &format!("Jacobi {n}x{n}, 8 PEs, 4 kB WB (traffic-heavy)"),
+        &["fabric", "cycles/iter"],
+    );
     for (label, fabric) in
         [("deflection torus", FabricKind::Deflection), ("ideal (no contention)", FabricKind::Ideal)]
     {
@@ -317,10 +306,9 @@ fn ablation_noc(effort: Effort) {
             .fabric(fabric)
             .build()
             .expect("config");
-        let cycles = run_jacobi_once(&cfg, n, JacobiVariant::HybridFullMp);
-        rows.push(vec![label.to_string(), cycles.to_string()]);
+        table.push(cells![label, run_jacobi_once(&cfg, n, JacobiVariant::HybridFullMp)]);
     }
-    println!("{}", format_table(&["fabric", "cycles/iter"], &rows));
+    println!("{table}");
 }
 
 /// A4: MPMMU local-cache size — the paper's "MPMMU optimization"
@@ -328,8 +316,11 @@ fn ablation_noc(effort: Effort) {
 /// much the memory node's own cache shields DDR latency.
 fn ablation_mpmmu(effort: Effort) {
     let n = grid_side(30, effort);
-    println!("== A4: MPMMU cache ablation, Jacobi {n}x{n}, 8 PEs, 2 kB L1 WB ==");
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "A4: MPMMU cache ablation",
+        &format!("Jacobi {n}x{n}, 8 PEs, 2 kB L1 WB"),
+        &["MPMMU cache kB", "cycles/iter"],
+    );
     for kb in [2usize, 8, 16, 64] {
         let cfg = base_builder()
             .compute_pes(8.min(medea_apps::grid::max_ranks(n)))
@@ -337,39 +328,35 @@ fn ablation_mpmmu(effort: Effort) {
             .mpmmu_cache_bytes(kb * 1024)
             .build()
             .expect("config");
-        let cycles = run_jacobi_once(&cfg, n, JacobiVariant::HybridFullMp);
-        rows.push(vec![format!("{kb} kB"), cycles.to_string()]);
+        table.push(cells![kb, run_jacobi_once(&cfg, n, JacobiVariant::HybridFullMp)]);
     }
-    println!("{}", format_table(&["MPMMU cache", "cycles/iter"], &rows));
+    println!("{table}");
 }
 
 /// A3: standalone NoC characterization.
 fn traffic_report() {
-    println!("== A3: NoC latency vs offered load (4x4 deflection torus) ==");
     let topo = Topology::paper_4x4();
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "A3: NoC latency vs offered load",
+        "4x4 deflection torus",
+        &["pattern", "offered", "accepted", "mean lat", "max lat", "defl/flit"],
+    );
     for pattern in [Pattern::UniformRandom, Pattern::Transpose] {
         for load in [0.05, 0.2, 0.4, 0.6, 0.8] {
             let mut net = Network::new(topo);
             let cfg = TrafficConfig { pattern, offered_load: load, ..TrafficConfig::default() };
             let rep = run_open_loop(&mut net, topo, &cfg);
-            rows.push(vec![
+            table.push(cells![
                 pattern.to_string(),
-                format!("{load:.2}"),
-                format!("{:.3}", rep.accepted_throughput),
-                format!("{:.1}", rep.mean_latency),
-                rep.max_latency.to_string(),
-                format!("{:.2}", rep.deflections_per_flit),
+                Cell::fixed(load, 2),
+                Cell::fixed(rep.accepted_throughput, 3),
+                Cell::fixed(rep.mean_latency, 1),
+                rep.max_latency,
+                Cell::fixed(rep.deflections_per_flit, 2),
             ]);
         }
     }
-    println!(
-        "{}",
-        format_table(
-            &["pattern", "offered", "accepted", "mean lat", "max lat", "defl/flit"],
-            &rows
-        )
-    );
+    println!("{table}");
 }
 
 fn run_jacobi_once(cfg: &SystemConfig, n: usize, variant: JacobiVariant) -> u64 {

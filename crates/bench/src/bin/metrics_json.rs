@@ -1,8 +1,9 @@
 //! Profiler harness: run the paper-4×4 pingpong and mixed workloads with
 //! the `medea-metrics` subsystem enabled and write the run profiles as
-//! `BENCH_metrics.json` (same `utilization` row schema as the scaling
-//! harness) plus the self-contained `BENCH_heatmap.html` NoC heatmap of
-//! the mixed run.
+//! `BENCH_metrics.json` (a `medea-bench/1` report whose `utilization`,
+//! `hottest_routers` and `hottest_banks` sections share the scaling
+//! harness's columns, plus a per-PE `pe_breakdown`) and the
+//! self-contained `BENCH_heatmap.html` NoC heatmap of the mixed run.
 //!
 //! ```text
 //! cargo run --release -p medea-bench --bin metrics_json -- \
@@ -14,21 +15,18 @@
 //! while still committing a multi-window series.
 //!
 //! Both artifacts are validated before they are written: the JSON
-//! through `medea_trace::json` and the heatmap's SVG through
-//! `medea_metrics::heatmap::check_svg_well_formed` (tag balance, one
-//! cell per directed link), with a multi-window animation asserted — the
-//! committed artifacts are parseable by construction.
+//! through `medea_trace::json` (by the report writer) and the heatmap's
+//! SVG through `medea_metrics::heatmap::check_svg_well_formed` (tag
+//! balance, one cell per directed link), with a multi-window animation
+//! asserted — the committed artifacts are parseable by construction.
 
 use medea_apps::workloads::{pingpong_kernels, trace_mix_kernels};
-use medea_bench::{utilization_rows_json, UtilizationRow};
-use medea_core::report::{
-    format_breakdown_table, format_hot_banks_table, format_hot_routers_table,
-};
+use medea_bench::report::{breakdown_cells, breakdown_columns, utilization_tables, Report, Table};
+use medea_bench::{cells, UtilizationRow};
 use medea_core::system::{Kernel, System};
 use medea_core::{MetricsConfig, SystemConfig, Topology};
 use medea_metrics::heatmap::{check_svg_well_formed, render_heatmap_html};
 use medea_sim::Cycle;
-use medea_trace::json;
 
 struct Args {
     smoke: bool,
@@ -95,27 +93,31 @@ fn metered_point(name: &str, pes: usize, interval: Cycle, kernels: Vec<Kernel>) 
 
 fn main() {
     let args = parse_args();
+    let mut report = Report::new("metrics", if args.smoke { "smoke" } else { "full" });
     let (rounds, lock_rounds) = if args.smoke { (10, 2) } else { (40, 4) };
     let rows = vec![
         metered_point("pingpong", 2, args.interval, pingpong_kernels(rounds)),
         metered_point("mixed", 5, args.interval, trace_mix_kernels(5, lock_rounds)),
     ];
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"benchmark\": \"metrics\",\n");
-    doc.push_str("  \"metric\": \"cycle_attribution_and_sampled_utilization\",\n");
-    doc.push_str(&format!("  \"mode\": \"{}\",\n", if args.smoke { "smoke" } else { "full" }));
-    doc.push_str(&format!("  \"sample_interval\": {},\n", args.interval));
-    doc.push_str(
-        "  \"utilization\": {\"workload\": \"paper-4x4 pingpong + mixed (locks, collectives, \
-         messages, shared memory)\", \"note\": \"breakdown fractions sum to 1.0 per row; link \
-         busy is a [0,1] per-window utilization\", \"rows\": [\n",
+    let note = "paper-4x4 pingpong + mixed (locks, collectives, messages, shared memory); \
+                breakdown fractions sum to 1.0 per row; link busy is a [0,1] per-window \
+                utilization";
+    for table in utilization_tables(note, &rows) {
+        report.add(table);
+    }
+    let mut per_pe = Table::new(
+        "pe_breakdown",
+        "cycle attribution of every PE of each utilization row",
+        &[&["label", "rank"][..], &breakdown_columns()].concat(),
     );
-    doc.push_str(&utilization_rows_json(&rows));
-    doc.push_str("  ]}\n}\n");
-    json::validate(&doc).expect("emitted metrics json must be valid JSON");
-    std::fs::write(&args.out_path, &doc).expect("write metrics json");
+    for row in &rows {
+        for (rank, b) in row.report.breakdown.iter().enumerate() {
+            per_pe.push([cells![row.label.as_str(), rank], breakdown_cells(b)].concat());
+        }
+    }
+    report.add(per_pe);
+    report.write(&args.out_path);
 
     // The heatmap artifact comes from the mixed run — the only workload
     // that exercises every sampled subsystem on one timeline.
@@ -128,28 +130,5 @@ fn main() {
         "the committed heatmap must animate over at least two sample windows"
     );
     std::fs::write(&args.heatmap_path, &html).expect("write heatmap html");
-
-    for row in &rows {
-        println!("{}: {}", row.label, row.report.aggregate());
-        let per_pe: Vec<(String, _)> = row
-            .report
-            .breakdown
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (format!("rank {i}"), *b))
-            .collect();
-        print!("{}", format_breakdown_table(&per_pe));
-        let routers = row.report.hottest_routers(4);
-        if !routers.is_empty() {
-            print!("{}", format_hot_routers_table(&routers));
-        }
-        let banks = row.report.hottest_banks(4);
-        if !banks.is_empty() {
-            print!("{}", format_hot_banks_table(&banks));
-        }
-        if let Some((node, dir, u)) = row.report.peak_link_utilization() {
-            println!("peak link utilization {:.0}% at node {node} dir {dir}", u * 100.0);
-        }
-    }
-    println!("wrote {} and {}", args.out_path, args.heatmap_path);
+    println!("wrote {}", args.heatmap_path);
 }

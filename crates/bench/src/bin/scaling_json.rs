@@ -1,16 +1,18 @@
 //! Topology-scaling harness: runs the paper's Jacobi workload on 4×4,
 //! 8×8 and 16×16 tori (up to 255 compute PEs) through the topology-aware
 //! parallel sweep engine (`medea_core::explore::run_sweep`) and writes
-//! `BENCH_scaling.json` with, per point, the simulation throughput
-//! (simulated cycles per wall-clock second) and the Jacobi speedup
-//! relative to the fewest-PE point of the same torus.
+//! `BENCH_scaling.json` in the `medea-bench/1` schema
+//! (`medea_bench::report`). Its `ladder` section holds, per point, the
+//! standard run columns (simulation throughput, flit latency percentiles,
+//! deflection pressure) and the Jacobi speedup relative to the fewest-PE
+//! point of the same torus.
 //!
 //! All points of all tiers go through **one** sweep call, so the
 //! self-scheduling worker pool keeps every host core busy across the ladder
 //! rather than per tier. In full mode the most-populated 16×16 point
 //! (255 PEs) is additionally re-run with numerical validation against
-//! the sequential reference — the largest configuration is checked
-//! bit-for-bit, not just timed.
+//! the sequential reference (the `validation` section) — the largest
+//! configuration is checked bit-for-bit, not just timed.
 //!
 //! The harness also runs the **collectives microbench**: barrier and
 //! allreduce cycles per operation at the most-populated point of every
@@ -40,10 +42,11 @@
 //! every tier re-run with the `medea-metrics` profiler enabled
 //! (`SystemConfigBuilder::metrics`) at a tier-scaled sampling window.
 //! Rows report the aggregate per-PE cycle attribution (compute /
-//! recv-wait / mem / … fractions, summing to 1.0 by construction), the
-//! peak single-link utilization of any sample window and the
-//! hottest-router/bank tables. Metered runs are kept out of the timing
-//! ladder so sampling cost never pollutes the cycles/sec columns.
+//! recv-wait / mem / … fractions, summing to 1.0 by construction) and
+//! the peak single-link utilization of any sample window; the
+//! `hottest_routers` and `hottest_banks` sections list where the
+//! pressure sits. Metered runs are kept out of the timing ladder so
+//! sampling cost never pollutes the cycles/sec columns.
 //!
 //! And the **resilience sweep**: seeded fault injection (Message-flit
 //! corruption, a mid-run dead torus link, MPMMU response drops/delays)
@@ -80,19 +83,20 @@
 use medea_apps::hotspot::{self, HotspotConfig};
 use medea_apps::jacobi::{self, JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_apps::sharing::{self, SharingConfig};
-use medea_bench::{sweep_threads, utilization_rows_json, UtilizationRow};
+use medea_bench::report::{
+    recovery_cells, run_cells, utilization_tables, Cell, Report, Table, RECOVERY_COLUMNS,
+    RUN_COLUMNS,
+};
+use medea_bench::{cells, sweep_threads, UtilizationRow};
 use medea_core::api::PeApi;
 use medea_core::explore::{run_sweep, PreparedWorkload, SweepOutcome, SweepPoint, Workload};
-use medea_core::report::format_breakdown_table;
-use medea_core::system::{Kernel, RunResult, System};
+use medea_core::system::{Kernel, RunError, RunResult, System};
 use medea_core::{
-    CachePolicy, Coherence, CollectiveAlgo, CycleBreakdown, DeadLink, Empi, FaultConfig,
-    MetricsConfig, NullSink, PeActivity, ResilienceConfig, ScheduledInjector, SystemConfig,
-    SystemConfigBuilder, Topology,
+    CachePolicy, Coherence, CollectiveAlgo, DeadLink, Empi, FaultConfig, MetricsConfig, NullSink,
+    PeActivity, ResilienceConfig, ScheduledInjector, SystemConfig, SystemConfigBuilder, Topology,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One torus of the scaling ladder: its grid side and the PE counts run
 /// on it (fewest first; the speedup baseline).
@@ -100,6 +104,21 @@ struct Tier {
     side: u8,
     grid_n: usize,
     pe_counts: &'static [usize],
+}
+
+impl Tier {
+    fn topology(&self) -> Topology {
+        Topology::new(self.side, self.side).expect("valid square torus")
+    }
+
+    /// The `topology` column, e.g. `8x8`.
+    fn name(&self) -> String {
+        format!("{}x{}", self.side, self.side)
+    }
+
+    fn most_pes(&self) -> usize {
+        *self.pe_counts.last().expect("tier has PE counts")
+    }
 }
 
 /// Full ladder: fully populated tori, up to the 255-PE maximum. The grid
@@ -160,49 +179,42 @@ fn base_builder() -> SystemConfigBuilder {
     SystemConfig::builder().cycle_limit(400_000_000).shared_bytes(4 * 1024 * 1024)
 }
 
-struct Row {
-    label: String,
-    pes: usize,
-    /// Host threads the point's own cycle engine ran on (1 = sequential
-    /// engine; the sweep's worker-pool parallelism is reported globally).
-    host_threads: usize,
-    sim_cycles: u64,
-    cycles_per_iter: u64,
-    wall_s: f64,
-    cycles_per_sec: f64,
-    speedup: f64,
-    /// Flit-latency percentiles (bucket-granular upper estimates) and the
-    /// deflection pressure of the same run — the `noc` section's data.
-    lat_p50: Option<u64>,
-    lat_p99: Option<u64>,
-    lat_max: Option<u64>,
-    defl_per_flit: Option<f64>,
-}
-
-struct TierReport {
-    topology: String,
-    grid_n: usize,
-    rows: Vec<Row>,
-}
-
-fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Vec<TierReport> {
-    let topo_of = |t: &Tier| Topology::new(t.side, t.side).expect("valid square torus");
+/// The `ladder` section: every point of every tier in one sweep. Gate:
+/// every tier shows parallel speedup from its fewest- to its
+/// most-populated point (the whole reason the torus scales out).
+fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Table {
     let workload =
-        TieredJacobi { grid_by_topology: tiers.iter().map(|t| (topo_of(t), t.grid_n)).collect() };
+        TieredJacobi { grid_by_topology: tiers.iter().map(|t| (t.topology(), t.grid_n)).collect() };
     // One flat point list: the self-scheduling worker pool overlaps cheap
     // 4x4 points with the long 255-PE grind instead of idling between
     // tiers.
-    let mut points = Vec::new();
-    for tier in tiers {
-        let topology = topo_of(tier);
-        for &pes in tier.pe_counts {
-            points.push(SweepPoint::on(topology, pes, CACHE_BYTES, CachePolicy::WriteBack));
-        }
-    }
+    let points: Vec<SweepPoint> = tiers
+        .iter()
+        .flat_map(|t| {
+            t.pe_counts
+                .iter()
+                .map(|&pes| SweepPoint::on(t.topology(), pes, CACHE_BYTES, CachePolicy::WriteBack))
+        })
+        .collect();
     let outcomes =
         run_sweep(&workload, &points, &base_builder().host_threads(engine_threads), threads);
 
-    let mut reports = Vec::new();
+    let columns = [
+        "topology",
+        "grid_n",
+        "label",
+        "pes",
+        "host_threads",
+        "cycles_per_iter",
+        "jacobi_speedup_vs_fewest_pes",
+    ];
+    let mut table = Table::new(
+        "ladder",
+        "jacobi hybrid-full-mp, 1 warmup + 1 measured iteration, every point in one \
+         explore::run_sweep; host_threads is the point's own engine thread count; flit latency \
+         p50/p99 are log2-bucket upper estimates, max exact",
+        &[&columns[..], &RUN_COLUMNS].concat(),
+    );
     let mut cursor = outcomes.iter();
     for tier in tiers {
         let tier_outcomes: Vec<&SweepOutcome> =
@@ -212,125 +224,93 @@ fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Vec<Tier
             .and_then(|o| o.measured())
             .expect("fewest-PE point must succeed")
             .max(1) as f64;
-        let rows = tier_outcomes
-            .iter()
-            .map(|o| {
-                let result = o.result.as_ref().expect("scaling run failed");
-                Row {
-                    label: o.label.clone(),
-                    pes: o.point.pes,
-                    host_threads: engine_threads,
-                    sim_cycles: result.cycles,
-                    cycles_per_iter: o.measured_cycles,
-                    wall_s: result.wall.as_secs_f64(),
-                    cycles_per_sec: result.sim_rate(),
-                    speedup: baseline / o.measured_cycles.max(1) as f64,
-                    lat_p50: result.flit_latency_p50(),
-                    lat_p99: result.flit_latency_p99(),
-                    lat_max: result.fabric_max_latency,
-                    defl_per_flit: result.deflections_per_delivered(),
-                }
-            })
-            .collect();
-        reports.push(TierReport {
-            topology: format!("{}x{}", tier.side, tier.side),
-            grid_n: tier.grid_n,
-            rows,
-        });
+        let mut speedup = 0.0;
+        for o in tier_outcomes {
+            let result = o.result.as_ref().expect("scaling run failed");
+            speedup = baseline / o.measured_cycles.max(1) as f64;
+            let point = cells![
+                tier.name(),
+                tier.grid_n,
+                o.label.as_str(),
+                o.point.pes,
+                engine_threads,
+                o.measured_cycles,
+                Cell::fixed(speedup, 2),
+            ];
+            table.push([point, run_cells(result)].concat());
+        }
+        assert!(
+            speedup > 1.0,
+            "{}: {} PEs must beat {} PEs, got {speedup:.2}x",
+            tier.name(),
+            tier.most_pes(),
+            tier.pe_counts[0]
+        );
     }
-    reports
+    table
 }
 
-// ---- parallel engine microbench ----
-
-/// One thread count of one parallel-engine point.
-struct ParallelRow {
-    threads: usize,
-    wall_s: f64,
-    cycles_per_sec: f64,
-    speedup_vs_1t: f64,
-}
-
-/// One benchmarked point: a fully populated Jacobi run re-executed at
-/// every thread count of the ladder.
-struct ParallelReport {
-    topology: String,
-    grid_n: usize,
-    pes: usize,
-    sim_cycles: u64,
-    rows: Vec<ParallelRow>,
-}
-
-/// Single-run scaling of the tiled cycle engine: the most-populated
-/// Jacobi point of every tier past 4×4, re-run at each thread count.
-/// The 1-thread run is the baseline for both the speedup column and the
-/// bit-identity assertion.
-fn run_parallel_engine(tiers: &[Tier], smoke: bool) -> Vec<ParallelReport> {
+/// The `parallel_engine` section: single-run scaling of the tiled cycle
+/// engine, the most-populated Jacobi point of every tier past 4×4 re-run
+/// at each thread count. The 1-thread run is the baseline for both the
+/// speedup column and the bit-identity assertion, so every speedup is a
+/// determinism-preserving speedup by construction. Gate, on a host with
+/// enough cores: the largest point reaches ≥ 3x cycles/sec at 8 threads
+/// (≥ 1.5x at 4 threads in smoke mode).
+fn run_parallel_engine(tiers: &[Tier], smoke: bool) -> Table {
     let thread_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let mut reports = Vec::new();
+    let (gate_threads, gate_factor) = if smoke { (4, 1.5) } else { (8, 3.0) };
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let largest = tiers.last().expect("ladder is not empty").side;
+    let mut table = Table::new(
+        "parallel_engine",
+        "jacobi hybrid-full-mp, single run on the tiled engine; every multi-thread RunResult \
+         asserted bit-identical to 1 thread",
+        &[&["topology", "grid_n", "pes", "threads"][..], &RUN_COLUMNS, &["speedup_vs_1t"]].concat(),
+    );
     for tier in tiers.iter().filter(|t| t.side > 4) {
-        let topology = Topology::new(tier.side, tier.side).expect("valid square torus");
-        let pes = *tier.pe_counts.last().expect("tier has PE counts");
+        let pes = tier.most_pes();
         let jcfg = jacobi_config(tier.grid_n);
-        let mut baseline: Option<(f64, RunResult)> = None;
-        let mut rows = Vec::new();
-        let mut sim_cycles = 0;
+        let mut baseline: Option<RunResult> = None;
         for &threads in thread_counts {
             let sys = base_builder()
-                .topology(topology)
+                .topology(tier.topology())
                 .compute_pes(pes)
                 .cache_bytes(CACHE_BYTES)
                 .host_threads(threads)
                 .build()
                 .expect("parallel engine configuration");
-            let t0 = Instant::now();
-            let outcome = jacobi::run(&sys, &jcfg).expect("parallel engine run");
-            let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-            let cycles_per_sec = outcome.run.cycles as f64 / wall_s;
-            sim_cycles = outcome.run.cycles;
-            let speedup_vs_1t = match &baseline {
-                Some((base_rate, seq)) => {
-                    assert_eq!(
-                        outcome.run.divergence(seq),
-                        None,
-                        "{}x{} {pes}PE @{threads}t",
-                        tier.side,
-                        tier.side
-                    );
-                    cycles_per_sec / base_rate
-                }
-                None => {
-                    baseline = Some((cycles_per_sec, outcome.run));
-                    1.0
-                }
-            };
-            rows.push(ParallelRow { threads, wall_s, cycles_per_sec, speedup_vs_1t });
+            let run = jacobi::run(&sys, &jcfg).expect("parallel engine run").run;
+            let speedup = baseline.as_ref().map_or(1.0, |seq| {
+                assert_eq!(run.divergence(seq), None, "{} {pes}PE @{threads}t", tier.name());
+                run.sim_rate() / seq.sim_rate()
+            });
+            let point = cells![tier.name(), tier.grid_n, pes, threads];
+            table.push([point, run_cells(&run), cells![Cell::fixed(speedup, 2)]].concat());
+            if tier.side == largest && threads == gate_threads && cores >= gate_threads {
+                assert!(
+                    speedup >= gate_factor,
+                    "{} {pes} PEs: tiled engine at {gate_threads} threads must be >= \
+                     {gate_factor}x vs 1 thread, got {speedup:.2}x",
+                    tier.name()
+                );
+            }
+            baseline.get_or_insert(run);
         }
-        reports.push(ParallelReport {
-            topology: format!("{}x{}", tier.side, tier.side),
-            grid_n: tier.grid_n,
-            pes,
-            sim_cycles,
-            rows,
-        });
     }
-    reports
+    if cores < gate_threads {
+        println!(
+            "parallel-engine speedup gate skipped: host has {cores} core(s), \
+             gate needs {gate_threads}"
+        );
+    }
+    table
 }
 
 // ---- collectives microbench ----
 
 /// Operations measured per (topology, algorithm) point.
 const COLLECTIVE_ITERS: u64 = 8;
-
-/// One row of the collectives microbench.
-struct CollectiveRow {
-    topology: String,
-    pes: usize,
-    op: &'static str,
-    algo: CollectiveAlgo,
-    cycles_per_op: u64,
-    speedup_vs_linear: f64,
-}
 
 /// Measure the steady-state cost of one collective: every rank loops
 /// `COLLECTIVE_ITERS` operations between two `now()` probes at rank 0
@@ -376,33 +356,51 @@ fn collective_cycles(
     measured.load(Ordering::SeqCst)
 }
 
-/// Barrier + allreduce at the most-populated point of every tier, for
-/// every algorithm.
-fn run_collectives(tiers: &[Tier]) -> Vec<CollectiveRow> {
-    let mut rows = Vec::new();
+/// The `collectives` section: barrier + allreduce at the most-populated
+/// point of every tier, for every algorithm. Gate, the O(ranks) →
+/// O(log ranks) win: on the largest tier the binomial-tree barrier is
+/// ≥ 4x cheaper than linear on the full 255-rank run, and still ≥ 1.5x
+/// at smoke scale.
+fn run_collectives(tiers: &[Tier], smoke: bool) -> Table {
+    let largest = tiers.last().expect("ladder is not empty").side;
+    let mut table = Table::new(
+        "collectives",
+        "cycles per operation at rank 0 over iters_per_op back-to-back operations, after one \
+         warm-up barrier",
+        &["topology", "pes", "op", "algo", "iters_per_op", "cycles_per_op", "speedup_vs_linear"],
+    );
     for tier in tiers {
-        let topology = Topology::new(tier.side, tier.side).expect("valid square torus");
-        let pes = *tier.pe_counts.last().expect("tier has PE counts");
+        let pes = tier.most_pes();
         for op in ["barrier", "allreduce"] {
-            let linear = collective_cycles(topology, pes, CollectiveAlgo::Linear, op);
+            let linear = collective_cycles(tier.topology(), pes, CollectiveAlgo::Linear, op);
             for algo in CollectiveAlgo::ALL {
                 let cycles = if algo == CollectiveAlgo::Linear {
                     linear
                 } else {
-                    collective_cycles(topology, pes, algo, op)
+                    collective_cycles(tier.topology(), pes, algo, op)
                 };
-                rows.push(CollectiveRow {
-                    topology: format!("{}x{}", tier.side, tier.side),
+                let speedup = linear as f64 / cycles.max(1) as f64;
+                table.push(cells![
+                    tier.name(),
                     pes,
                     op,
-                    algo,
-                    cycles_per_op: cycles,
-                    speedup_vs_linear: linear as f64 / cycles.max(1) as f64,
-                });
+                    algo.to_string(),
+                    COLLECTIVE_ITERS,
+                    cycles,
+                    Cell::fixed(speedup, 2),
+                ]);
+                if tier.side == largest && op == "barrier" && algo == CollectiveAlgo::BinomialTree {
+                    let required = if smoke { 1.5 } else { 4.0 };
+                    assert!(
+                        speedup >= required,
+                        "binomial barrier at {pes} PEs must be >= {required}x cheaper than \
+                         linear, got {speedup:.2}x"
+                    );
+                }
             }
         }
     }
-    rows
+    table
 }
 
 // ---- memory-banks microbench ----
@@ -410,26 +408,32 @@ fn run_collectives(tiers: &[Tier]) -> Vec<CollectiveRow> {
 /// Bank counts swept per topology.
 const BANK_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// One row of the memory-banks microbench.
-struct BankRow {
-    topology: String,
-    label: String,
-    pes: usize,
-    banks: usize,
-    hotspot_cycles: u64,
-    speedup_vs_single_bank: f64,
-}
-
-/// The shared-memory hotspot on fully populated 8×8/16×16 tori for each
-/// bank count. Every node not hosting a bank hosts a PE, so the
-/// single-bank row is the 255-PE (63-PE) status quo and the multi-bank
-/// rows trade one PE per extra bank for N-way memory parallelism.
-/// Per-rank work (`ops` store+load round trips) is fixed; the window is
-/// rank 0's barrier-to-barrier time, i.e. whole-system completion.
-fn run_memory_banks(tiers: &[Tier], ops: usize) -> Vec<BankRow> {
-    let mut rows = Vec::new();
+/// The `memory_banks` section: the shared-memory hotspot on fully
+/// populated 8×8/16×16 tori for each bank count. Every node not hosting a
+/// bank hosts a PE, so the single-bank row is the 255-PE (63-PE) status
+/// quo and the multi-bank rows trade one PE per extra bank for N-way
+/// memory parallelism. Per-rank work (`ops` store+load round trips) is
+/// fixed; the window is rank 0's barrier-to-barrier time, i.e.
+/// whole-system completion. Gate, the distributed-memory payoff: on the
+/// largest torus 4 banks beat the single-bank baseline by ≥ 2x (≥ 1x in
+/// smoke mode).
+fn run_memory_banks(tiers: &[Tier], ops: usize, smoke: bool) -> Table {
+    let largest = tiers.last().expect("ladder is not empty").side;
+    let mut table = Table::new(
+        "memory_banks",
+        "hotspot uncached store+load, line-strided shared walk",
+        &[
+            "topology",
+            "label",
+            "pes",
+            "banks",
+            "ops_per_rank",
+            "hotspot_cycles",
+            "speedup_vs_single_bank",
+        ],
+    );
     for tier in tiers.iter().filter(|t| t.side >= 8) {
-        let topology = Topology::new(tier.side, tier.side).expect("valid square torus");
+        let topology = tier.topology();
         let mut single = 0u64;
         for banks in BANK_COUNTS {
             let pes = topology.nodes() - banks;
@@ -440,55 +444,68 @@ fn run_memory_banks(tiers: &[Tier], ops: usize) -> Vec<BankRow> {
                 .memory_banks(banks)
                 .build()
                 .expect("bank bench configuration");
-            let outcome =
-                hotspot::run(&sys, &HotspotConfig { ops_per_rank: ops }).expect("hotspot run");
+            let cycles = hotspot::run(&sys, &HotspotConfig { ops_per_rank: ops })
+                .expect("hotspot run")
+                .cycles;
             if banks == 1 {
-                single = outcome.cycles;
+                single = cycles;
             }
-            rows.push(BankRow {
-                topology: format!("{}x{}", tier.side, tier.side),
-                label: sys.label(),
+            let speedup = single as f64 / cycles.max(1) as f64;
+            table.push(cells![
+                tier.name(),
+                sys.label(),
                 pes,
                 banks,
-                hotspot_cycles: outcome.cycles,
-                speedup_vs_single_bank: single as f64 / outcome.cycles.max(1) as f64,
-            });
+                ops,
+                cycles,
+                Cell::fixed(speedup, 2)
+            ]);
+            if tier.side == largest && banks == 4 {
+                let required = if smoke { 1.0 } else { 2.0 };
+                assert!(
+                    speedup >= required,
+                    "{}: 4 banks must be >= {required}x faster than the single-bank baseline \
+                     on the hotspot workload, got {speedup:.2}x",
+                    sys.label()
+                );
+            }
         }
     }
-    rows
+    table
 }
 
 // ---- coherence microbench ----
 
-/// One row of the coherence microbench.
-struct CoherenceRow {
-    topology: String,
-    label: String,
-    pes: usize,
-    banks: usize,
-    mode: &'static str,
-    sharing_cycles: u64,
-    protocol_messages: u64,
-    invalidations: u64,
-    fetches: u64,
-    probe_writebacks: u64,
-    directory_lines_peak: u64,
-}
-
-/// The fine-grained-sharing workload (`medea_apps::sharing`) under both
-/// coherence modes on every tier: DII rows run the §II-E software
-/// discipline (invalidate before read, flush after write), MESI rows
-/// the plain-cached kernel with the MPMMU directory moving lines on
-/// demand. Every run validates its final counters in-kernel, so each
-/// row is a *correct* run, and the mode contracts are asserted on the
-/// counters: DII must report zero protocol messages, MESI real
-/// demand-driven invalidations and owner fetches. Deliberately no
-/// wall-clock gates — the comparison is simulated cycles and protocol
-/// traffic, both deterministic.
-fn run_coherence(tiers: &[Tier], rounds: usize) -> Vec<CoherenceRow> {
-    let mut rows = Vec::new();
+/// The `coherence` section: the fine-grained-sharing workload
+/// (`medea_apps::sharing`) under both coherence modes on every tier. DII
+/// rows run the §II-E software discipline (invalidate before read, flush
+/// after write), MESI rows the plain-cached kernel with the MPMMU
+/// directory moving lines on demand. Every run validates its final
+/// counters in-kernel, so each row is a *correct* run, and the mode
+/// contracts are asserted on the counters: DII must report zero protocol
+/// messages, MESI real demand-driven invalidations and owner fetches.
+/// Deliberately no wall-clock gates — the comparison is simulated cycles
+/// and protocol traffic, both deterministic.
+fn run_coherence(tiers: &[Tier], rounds: usize) -> Table {
+    let mut table = Table::new(
+        "coherence",
+        "fine-grained sharing: lock-guarded RMW rotation over line-interleaved counters",
+        &[
+            "topology",
+            "label",
+            "pes",
+            "banks",
+            "mode",
+            "rounds",
+            "sharing_cycles",
+            "protocol_messages",
+            "invalidations",
+            "fetches",
+            "probe_writebacks",
+            "directory_lines_peak",
+        ],
+    );
     for tier in tiers {
-        let topology = Topology::new(tier.side, tier.side).expect("valid square torus");
         // 2×side ranks: enough contention to migrate every line each
         // round, well clear of the node budget on every tier. The paper
         // 4×4 keeps its single MPMMU; the larger tori spread the
@@ -497,7 +514,7 @@ fn run_coherence(tiers: &[Tier], rounds: usize) -> Vec<CoherenceRow> {
         let banks = if tier.side == 4 { 1 } else { 4 };
         for mode in [Coherence::Dii, Coherence::MesiDirectory] {
             let sys = base_builder()
-                .topology(topology)
+                .topology(tier.topology())
                 .compute_pes(pes)
                 .cache_bytes(CACHE_BYTES)
                 .cache_policy(CachePolicy::WriteBack)
@@ -514,36 +531,39 @@ fn run_coherence(tiers: &[Tier], rounds: usize) -> Vec<CoherenceRow> {
             } else {
                 assert_eq!(coh.protocol_messages(), 0, "DII must be protocol-silent: {coh:?}");
             }
-            rows.push(CoherenceRow {
-                topology: format!("{}x{}", tier.side, tier.side),
-                label: sys.label(),
+            table.push(cells![
+                tier.name(),
+                sys.label(),
                 pes,
                 banks,
-                mode: if mode.is_hardware() { "mesi" } else { "dii" },
-                sharing_cycles: out.cycles,
-                protocol_messages: coh.protocol_messages(),
-                invalidations: coh.invalidations_sent,
-                fetches: coh.fetches_sent,
-                probe_writebacks: coh.probe_writebacks,
-                directory_lines_peak: coh.directory_lines_peak,
-            });
+                if mode.is_hardware() { "mesi" } else { "dii" },
+                rounds,
+                out.cycles,
+                coh.protocol_messages(),
+                coh.invalidations_sent,
+                coh.fetches_sent,
+                coh.probe_writebacks,
+                coh.directory_lines_peak,
+            ]);
         }
     }
-    rows
+    table
 }
 
 // ---- utilization profile ----
 
 /// Metered re-run of the most-populated Jacobi point of every tier: the
 /// cycle-attribution profiler and periodic samplers enabled at a
-/// tier-scaled window, feeding the `utilization` section. The sampling
+/// tier-scaled window, feeding the `utilization` sections. The sampling
 /// interval grows with the tier so the deepest 16×16 run still fits the
-/// default 256-window ring without evicting its early windows.
+/// default 256-window ring without evicting its early windows. Gate:
+/// every point really profiled — an exhaustive cycle attribution
+/// (fractions sum to 1.0), at least two committed windows and at least
+/// one lit link.
 fn run_utilization(tiers: &[Tier], smoke: bool) -> Vec<UtilizationRow> {
     let mut rows = Vec::new();
     for tier in tiers {
-        let topology = Topology::new(tier.side, tier.side).expect("valid square torus");
-        let pes = *tier.pe_counts.last().expect("tier has PE counts");
+        let pes = tier.most_pes();
         let interval: u64 = match (tier.side, smoke) {
             (16, false) => 65_536,
             (8, false) => 4_096,
@@ -553,7 +573,7 @@ fn run_utilization(tiers: &[Tier], smoke: bool) -> Vec<UtilizationRow> {
             (_, true) => 512,
         };
         let sys = base_builder()
-            .topology(topology)
+            .topology(tier.topology())
             .compute_pes(pes)
             .cache_bytes(CACHE_BYTES)
             .metrics(MetricsConfig::every(interval))
@@ -561,43 +581,40 @@ fn run_utilization(tiers: &[Tier], smoke: bool) -> Vec<UtilizationRow> {
             .expect("utilization configuration");
         let outcome = jacobi::run(&sys, &jacobi_config(tier.grid_n)).expect("utilization run");
         let report = outcome.run.metrics.expect("metered run attaches a metrics report");
-        rows.push(UtilizationRow {
-            topology: format!("{}x{}", tier.side, tier.side),
-            label: sys.label(),
-            pes,
-            report,
-        });
+        let label = sys.label();
+        let agg = report.aggregate();
+        let sum: f64 = PeActivity::ALL.iter().map(|&a| agg.fraction(a)).sum();
+        assert!(
+            (sum - 1.0).abs() < 1e-9,
+            "{label}: breakdown fractions must sum to 1.0, got {sum}"
+        );
+        assert!(report.windows.len() >= 2, "{label}: the sampler must commit at least two windows");
+        assert!(
+            report.peak_link_utilization().is_some(),
+            "{label}: a jacobi run must light up at least one link"
+        );
+        rows.push(UtilizationRow { topology: tier.name(), label, pes, report });
     }
     rows
 }
 
 // ---- resilience microbench ----
 
-/// The fault-injection sweep behind the `resilience` section: every
-/// scenario runs with [`ResilienceConfig::standard`] (retransmission,
-/// bridge retry, watchdog) against a seeded [`ScheduledInjector`] and
-/// must finish — validated bit-exactly for the Jacobi scenarios — while
-/// the recovery counters show the faults were really absorbed, not
-/// merely absent. Smoke mode shrinks grids and op counts, never the
-/// fault rates.
-fn run_resilience(smoke: bool) -> Vec<medea_core::report::ResilienceRow> {
+/// The `resilience` section, the fault-injection sweep: every scenario
+/// runs with [`ResilienceConfig::standard`] (retransmission, bridge
+/// retry, watchdog) against a seeded [`ScheduledInjector`]. Gate: every
+/// scenario finishes — validated bit-exactly for the Jacobi scenarios —
+/// injects real faults, and shows them absorbed in its recovery
+/// counters. Smoke mode shrinks grids and op counts, never the fault
+/// rates.
+fn run_resilience(smoke: bool) -> Table {
     // The 16-PE scenarios need one interior row per rank: grid >= 18.
     let grid = if smoke { 18 } else { 24 };
     let iters = if smoke { 1 } else { 2 };
 
-    let short = |e: &medea_core::system::RunError| -> String {
-        use medea_core::system::RunError;
-        match e {
-            RunError::CycleLimit { .. } => "cycle-limit".into(),
-            RunError::Watchdog { .. } => "watchdog".into(),
-            RunError::Deadlock { .. } => "deadlock".into(),
-            other => format!("{other}"),
-        }
-    };
-
     // Jacobi under fire: the solve must still validate bit-exactly
     // against the sequential reference after every recovery.
-    let jacobi_scenario = |name: &str, side: u8, pes: usize, schedule: FaultConfig| {
+    let jacobi_scenario = |side: u8, pes: usize, schedule: FaultConfig| {
         let sys = base_builder()
             .topology(Topology::new(side, side).expect("valid square torus"))
             .compute_pes(pes)
@@ -610,53 +627,16 @@ fn run_resilience(smoke: bool) -> Vec<medea_core::report::ResilienceRow> {
             .with_measured_iters(iters)
             .with_validation();
         let mut injector = ScheduledInjector::new(schedule);
-        match jacobi::run_faulted(&sys, &jcfg, &mut NullSink, &mut injector) {
-            Ok(outcome) => {
-                jacobi::validate_against_reference(&jcfg, &outcome)
-                    .expect("faulted jacobi must still match the sequential reference");
-                let r = &outcome.run;
-                (
-                    name.to_owned(),
-                    r.fault.total(),
-                    r.fabric_reroutes,
-                    r.retransmits(),
-                    r.nacks_sent(),
-                    r.bridge_retries(),
-                    "ok".to_owned(),
-                )
-            }
-            Err(e) => (name.to_owned(), 0, 0, 0, 0, 0, short(&e)),
-        }
+        jacobi::run_faulted(&sys, &jcfg, &mut NullSink, &mut injector).map(|outcome| {
+            jacobi::validate_against_reference(&jcfg, &outcome)
+                .expect("faulted jacobi must still match the sequential reference");
+            outcome.run
+        })
     };
-
-    let mut rows = Vec::new();
-    rows.push(jacobi_scenario(
-        "4x4 jacobi corrupt=10000ppm",
-        4,
-        8,
-        FaultConfig { seed: 0xFA_001, flit_corrupt_ppm: 10_000, ..FaultConfig::default() },
-    ));
-    rows.push(jacobi_scenario(
-        "8x8 jacobi dead-link@400",
-        8,
-        16,
-        FaultConfig { seed: 0xFA_002, ..FaultConfig::default() }.kill_link(DeadLink {
-            node: 0,
-            dir: 1,
-            at: 400,
-        }),
-    ));
-    rows.push(jacobi_scenario(
-        "8x8 jacobi dead-link+corrupt",
-        8,
-        16,
-        FaultConfig { seed: 0xFA_003, flit_corrupt_ppm: 1_000, ..FaultConfig::default() }
-            .kill_link(DeadLink { node: 0, dir: 1, at: 400 }),
-    ));
 
     // Bank-hammer: uncached read round trips under response drops and
     // service delays — recovery is the pif2NoC bridge's read retry.
-    {
+    let bank_hammer = || {
         let ops = if smoke { 64 } else { 256 };
         let pes = 4usize;
         let sys = base_builder()
@@ -685,34 +665,79 @@ fn run_resilience(smoke: bool) -> Vec<medea_core::report::ResilienceRow> {
             ..FaultConfig::default()
         };
         let mut injector = ScheduledInjector::new(schedule);
-        let name = "4x4 bank-hammer drop+delay";
-        rows.push(match System::run_with(&sys, &[], kernels, &mut NullSink, &mut injector) {
-            Ok(r) => (
-                name.to_owned(),
-                r.fault.total(),
-                r.fabric_reroutes,
-                r.retransmits(),
-                r.nacks_sent(),
-                r.bridge_retries(),
-                "ok".to_owned(),
+        System::run_with(&sys, &[], kernels, &mut NullSink, &mut injector)
+    };
+
+    let dead_link = DeadLink { node: 0, dir: 1, at: 400 };
+    let scenarios: [(&str, Result<RunResult, RunError>); 4] = [
+        (
+            "4x4 jacobi corrupt=10000ppm",
+            jacobi_scenario(
+                4,
+                8,
+                FaultConfig { seed: 0xFA_001, flit_corrupt_ppm: 10_000, ..FaultConfig::default() },
             ),
-            Err(e) => (name.to_owned(), 0, 0, 0, 0, 0, short(&e)),
-        });
+        ),
+        (
+            "8x8 jacobi dead-link@400",
+            jacobi_scenario(
+                8,
+                16,
+                FaultConfig { seed: 0xFA_002, ..FaultConfig::default() }.kill_link(dead_link),
+            ),
+        ),
+        (
+            "8x8 jacobi dead-link+corrupt",
+            jacobi_scenario(
+                8,
+                16,
+                FaultConfig { seed: 0xFA_003, flit_corrupt_ppm: 1_000, ..FaultConfig::default() }
+                    .kill_link(dead_link),
+            ),
+        ),
+        ("4x4 bank-hammer drop+delay", bank_hammer()),
+    ];
+
+    let mut table = Table::new(
+        "resilience",
+        "ResilienceConfig::standard (retransmit + bridge retry + watchdog) against seeded faults",
+        &[&["scenario"][..], &RECOVERY_COLUMNS].concat(),
+    );
+    for (name, run) in &scenarios {
+        table.push([cells![*name], recovery_cells(run)].concat());
     }
-    rows
+    for (name, run) in scenarios {
+        let r = run.unwrap_or_else(|e| panic!("{name}: faulted run must recover, got {e}"));
+        assert!(r.fault.total() > 0, "{name}: the schedule must actually inject faults");
+        assert!(
+            r.fabric_reroutes + r.retransmits() + r.bridge_retries() > 0,
+            "{name}: recovery counters must show the faults were absorbed"
+        );
+    }
+    table
 }
 
-/// Re-run the most-populated point of the largest tier with validation:
-/// every interior cell of the final grid must match the sequential
-/// reference bit-for-bit, so the 255-PE configuration is numerically
-/// checked, not just timed (the seq-number attribution assumption of the
-/// TIE receiver included).
-fn validate_largest(tiers: &[Tier]) -> (String, usize) {
+/// The `validation` section: the most-populated point of the largest
+/// tier re-run with validation — every interior cell of the final grid
+/// must match the sequential reference bit-for-bit, so the 255-PE
+/// configuration is numerically checked, not just timed (the seq-number
+/// attribution assumption of the TIE receiver included). Smoke mode skips
+/// the ~half-minute pass and leaves the section empty; the 63-rank
+/// validated run in the apps test suite covers CI.
+fn validate_largest(tiers: &[Tier], smoke: bool) -> Table {
+    let mut table = Table::new(
+        "validation",
+        "largest point, 1 measured iteration, final grid checked against the sequential \
+         reference (full mode only)",
+        &[&["label", "pes"][..], &RUN_COLUMNS].concat(),
+    );
+    if smoke {
+        return table;
+    }
     let tier = tiers.last().expect("ladder is not empty");
-    let pes = *tier.pe_counts.last().expect("tier has PE counts");
-    let topology = Topology::new(tier.side, tier.side).expect("valid square torus");
+    let pes = tier.most_pes();
     let sys = base_builder()
-        .topology(topology)
+        .topology(tier.topology())
         .compute_pes(pes)
         .cache_bytes(CACHE_BYTES)
         .build()
@@ -724,13 +749,15 @@ fn validate_largest(tiers: &[Tier]) -> (String, usize) {
     let outcome = jacobi::run(&sys, &jcfg).expect("validation run");
     jacobi::validate_against_reference(&jcfg, &outcome)
         .expect("largest configuration must match the sequential reference bit-for-bit");
-    (sys.label(), pes)
+    table.push([cells![sys.label(), pes], run_cells(&outcome.run)].concat());
+    table
 }
 
 fn main() {
+    let usage = "usage: scaling_json [--smoke] [--engine-threads N] [OUT_PATH]";
     let mut smoke = false;
     let mut engine_threads = 1usize;
-    let mut out_path: Option<String> = None;
+    let mut out_path = "BENCH_scaling.json".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -739,407 +766,32 @@ fn main() {
                 engine_threads =
                     args.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(
                         || {
-                            eprintln!("--engine-threads needs a positive integer");
+                            eprintln!("--engine-threads needs a positive integer; {usage}");
                             std::process::exit(2);
                         },
                     );
             }
             flag if flag.starts_with('-') => {
-                eprintln!(
-                    "unknown flag {flag}; usage: scaling_json [--smoke] \
-                     [--engine-threads N] [OUT_PATH]"
-                );
+                eprintln!("unknown flag {flag}; {usage}");
                 std::process::exit(2);
             }
-            path => out_path = Some(path.to_owned()),
+            path => out_path = path.to_owned(),
         }
     }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_scaling.json".to_owned());
     let tiers = if smoke { SMOKE } else { FULL };
-    let threads = sweep_threads();
-    let started = Instant::now();
-    let reports = run_ladder(tiers, threads, engine_threads);
-    let parallel = run_parallel_engine(tiers, smoke);
-    let collectives = run_collectives(tiers);
-    let hotspot_ops = if smoke { 6 } else { 16 };
-    let bank_rows = run_memory_banks(tiers, hotspot_ops);
-    let coherence_rounds = if smoke { 4 } else { 8 };
-    let coherence_rows = run_coherence(tiers, coherence_rounds);
+    let mut report = Report::new("scaling", if smoke { "smoke" } else { "full" });
+    report.add(run_ladder(tiers, sweep_threads(), engine_threads));
+    report.add(validate_largest(tiers, smoke));
+    report.add(run_parallel_engine(tiers, smoke));
+    report.add(run_collectives(tiers, smoke));
+    report.add(run_memory_banks(tiers, if smoke { 6 } else { 16 }, smoke));
+    report.add(run_coherence(tiers, if smoke { 4 } else { 8 }));
     let utilization = run_utilization(tiers, smoke);
-    let resilience_rows = run_resilience(smoke);
-    // Smoke mode skips the ~half-minute 255-PE validation pass; the
-    // 63-rank validated run in the apps test suite covers CI.
-    let validated = (!smoke).then(|| validate_largest(tiers));
-    let total_wall = started.elapsed().as_secs_f64();
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"scaling\",\n");
-    json.push_str("  \"metric\": \"simulated_cycles_per_wall_second\",\n");
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
-    json.push_str(
-        "  \"engine\": \"System::run via explore::run_sweep (scoped workers over a \
-         self-scheduling queue, one flat sweep over all tiers)\",\n",
-    );
-    json.push_str("  \"workload\": \"jacobi hybrid-full-mp, 1 warmup + 1 measured iteration\",\n");
-    json.push_str(&format!("  \"host_threads\": {threads},\n"));
-    json.push_str(&format!("  \"sweep_engine_threads\": {engine_threads},\n"));
-    json.push_str(&format!("  \"total_wall_s\": {total_wall:.2},\n"));
-    match &validated {
-        Some((label, pes)) => json.push_str(&format!(
-            "  \"validated_against_reference\": {{\"label\": \"{label}\", \"pes\": {pes}}},\n"
-        )),
-        None => json.push_str("  \"validated_against_reference\": null,\n"),
+    let note = "jacobi hybrid-full-mp, most-populated point per tier, metered re-run; breakdown \
+                fractions sum to 1.0 per row; link busy is a [0,1] per-window utilization";
+    for table in utilization_tables(note, &utilization) {
+        report.add(table);
     }
-    json.push_str("  \"topologies\": [\n");
-    for (i, t) in reports.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"grid_n\": {}, \"rows\": [\n",
-            t.topology, t.grid_n
-        ));
-        for (j, r) in t.rows.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"label\": \"{}\", \"pes\": {}, \"host_threads\": {}, \
-                 \"sim_cycles\": {}, \
-                 \"cycles_per_iter\": {}, \"wall_s\": {:.3}, \"cycles_per_sec\": {:.0}, \
-                 \"jacobi_speedup_vs_fewest_pes\": {:.2}}}{}\n",
-                r.label,
-                r.pes,
-                r.host_threads,
-                r.sim_cycles,
-                r.cycles_per_iter,
-                r.wall_s,
-                r.cycles_per_sec,
-                r.speedup,
-                if j + 1 < t.rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!("    ]}}{}\n", if i + 1 < reports.len() { "," } else { "" }));
-    }
-    json.push_str("  ],\n");
-    // The NoC latency/deflection surface of the same Jacobi runs — the
-    // FabricStats histogram finally reported instead of dropped. p50/p99
-    // are bucket-granular upper estimates (Log2Histogram::percentile);
-    // max is exact.
-    json.push_str(
-        "  \"noc\": {\"workload\": \"jacobi ladder rows above\", \"percentile_note\": \
-         \"p50/p99 are log2-bucket upper estimates, max exact\", \"rows\": [\n",
-    );
-    let noc_rows: Vec<(&TierReport, &Row)> =
-        reports.iter().flat_map(|t| t.rows.iter().map(move |r| (t, r))).collect();
-    for (i, (t, r)) in noc_rows.iter().enumerate() {
-        let opt = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |v| v.to_string());
-        json.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"label\": \"{}\", \"pes\": {}, \
-             \"flit_latency_p50\": {}, \"flit_latency_p99\": {}, \"flit_latency_max\": {}, \
-             \"deflections_per_delivered_flit\": {}}}{}\n",
-            t.topology,
-            r.label,
-            r.pes,
-            opt(r.lat_p50),
-            opt(r.lat_p99),
-            opt(r.lat_max),
-            r.defl_per_flit.map_or_else(|| "null".to_owned(), |d| format!("{d:.4}")),
-            if i + 1 < noc_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
-    // Single-run scaling of the tiled cycle engine. Multi-thread rows
-    // are asserted bit-identical to the 1-thread baseline before they
-    // are reported, so every speedup here is a determinism-preserving
-    // speedup by construction.
-    json.push_str(
-        "  \"parallel_engine\": {\"workload\": \"jacobi hybrid-full-mp, single run, tiled \
-         engine\", \"identity\": \"multi-thread RunResult asserted bit-identical to 1 \
-         thread\", \"points\": [\n",
-    );
-    for (i, p) in parallel.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"grid_n\": {}, \"pes\": {}, \"sim_cycles\": {}, \
-             \"rows\": [\n",
-            p.topology, p.grid_n, p.pes, p.sim_cycles
-        ));
-        for (j, r) in p.rows.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"threads\": {}, \"wall_s\": {:.3}, \"cycles_per_sec\": {:.0}, \
-                 \"speedup_vs_1t\": {:.2}}}{}\n",
-                r.threads,
-                r.wall_s,
-                r.cycles_per_sec,
-                r.speedup_vs_1t,
-                if j + 1 < p.rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!("    ]}}{}\n", if i + 1 < parallel.len() { "," } else { "" }));
-    }
-    json.push_str("  ]},\n");
-    json.push_str(&format!(
-        "  \"collectives\": {{\"iters_per_op\": {COLLECTIVE_ITERS}, \"rows\": [\n"
-    ));
-    for (i, c) in collectives.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"pes\": {}, \"op\": \"{}\", \"algo\": \"{}\", \
-             \"cycles_per_op\": {}, \"speedup_vs_linear\": {:.2}}}{}\n",
-            c.topology,
-            c.pes,
-            c.op,
-            c.algo,
-            c.cycles_per_op,
-            c.speedup_vs_linear,
-            if i + 1 < collectives.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
-    json.push_str(&format!(
-        "  \"memory_banks\": {{\"workload\": \"hotspot uncached store+load, line-strided \
-         shared walk\", \"ops_per_rank\": {hotspot_ops}, \"rows\": [\n"
-    ));
-    for (i, r) in bank_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"label\": \"{}\", \"pes\": {}, \"banks\": {}, \
-             \"hotspot_cycles\": {}, \"speedup_vs_single_bank\": {:.2}}}{}\n",
-            r.topology,
-            r.label,
-            r.pes,
-            r.banks,
-            r.hotspot_cycles,
-            r.speedup_vs_single_bank,
-            if i + 1 < bank_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
-    // The coherence-mode comparison: the same sharing workload under
-    // software DII and under the MESI directory, simulated cycles plus
-    // the directory's own traffic counters. Counts only — deterministic
-    // and host-independent.
-    json.push_str(&format!(
-        "  \"coherence\": {{\"workload\": \"fine-grained sharing: lock-guarded RMW rotation \
-         over line-interleaved counters\", \"rounds\": {coherence_rounds}, \"rows\": [\n"
-    ));
-    for (i, r) in coherence_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"label\": \"{}\", \"pes\": {}, \"banks\": {}, \
-             \"mode\": \"{}\", \"sharing_cycles\": {}, \"protocol_messages\": {}, \
-             \"invalidations\": {}, \"fetches\": {}, \"probe_writebacks\": {}, \
-             \"directory_lines_peak\": {}}}{}\n",
-            r.topology,
-            r.label,
-            r.pes,
-            r.banks,
-            r.mode,
-            r.sharing_cycles,
-            r.protocol_messages,
-            r.invalidations,
-            r.fetches,
-            r.probe_writebacks,
-            r.directory_lines_peak,
-            if i + 1 < coherence_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]},\n");
-    // The profiler's view of the same tiers: cycle attribution and NoC /
-    // bank pressure from metered re-runs (sampling kept out of the timed
-    // ladder above).
-    json.push_str(
-        "  \"utilization\": {\"workload\": \"jacobi hybrid-full-mp, most-populated point per \
-         tier, metered re-run\", \"note\": \"breakdown fractions sum to 1.0 per row; link \
-         busy is a [0,1] per-window utilization\", \"rows\": [\n",
-    );
-    json.push_str(&utilization_rows_json(&utilization));
-    json.push_str("  ]},\n");
-    // The fault-injection sweep: seeded faults against the standard
-    // resilience configuration, Jacobi scenarios validated bit-exactly
-    // after recovery.
-    json.push_str(
-        "  \"resilience\": {\"config\": \"ResilienceConfig::standard (retransmit + bridge \
-         retry + watchdog)\", \"rows\": [\n",
-    );
-    for (i, (label, faults, reroutes, retransmits, nacks, bridge, outcome)) in
-        resilience_rows.iter().enumerate()
-    {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{label}\", \"faults_injected\": {faults}, \
-             \"fabric_reroutes\": {reroutes}, \"empi_retransmits\": {retransmits}, \
-             \"empi_nacks\": {nacks}, \"bridge_retries\": {bridge}, \
-             \"outcome\": \"{outcome}\"}}{}\n",
-            if i + 1 < resilience_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]}\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("{json}");
-
-    for t in &reports {
-        for r in &t.rows {
-            println!(
-                "{:<6} {:>22} {:>12} cycles  {:>12.0} c/s  speedup {:>6.2}x",
-                t.topology, r.label, r.sim_cycles, r.cycles_per_sec, r.speedup
-            );
-        }
-    }
-    let latency_rows: Vec<medea_core::report::LatencyRow> = reports
-        .iter()
-        .flat_map(|t| t.rows.iter())
-        .map(|r| (r.label.clone(), r.lat_p50, r.lat_p99, r.lat_max, r.defl_per_flit))
-        .collect();
-    for p in &parallel {
-        for r in &p.rows {
-            println!(
-                "{:<6} {:>3} PEs  tiled engine {:>2} thread(s)  {:>12.0} c/s  vs 1t {:>6.2}x",
-                p.topology, p.pes, r.threads, r.cycles_per_sec, r.speedup_vs_1t
-            );
-        }
-    }
-    println!("flit latency (cycles):");
-    print!("{}", medea_core::report::format_latency_table(&latency_rows));
-    for c in &collectives {
-        println!(
-            "{:<6} {:>4} PEs  {:<9} {:<18} {:>9} cycles/op  vs linear {:>6.2}x",
-            c.topology,
-            c.pes,
-            c.op,
-            c.algo.to_string(),
-            c.cycles_per_op,
-            c.speedup_vs_linear
-        );
-    }
-    for r in &bank_rows {
-        println!(
-            "{:<6} {:>22} {:>2} bank(s)  {:>9} hotspot cycles  vs 1 bank {:>6.2}x",
-            r.topology, r.label, r.banks, r.hotspot_cycles, r.speedup_vs_single_bank
-        );
-    }
-    println!("cycle attribution (aggregate over all PEs of each metered point):");
-    let breakdown_rows: Vec<(String, CycleBreakdown)> =
-        utilization.iter().map(|r| (r.label.clone(), r.report.aggregate())).collect();
-    print!("{}", format_breakdown_table(&breakdown_rows));
-    for r in &utilization {
-        if let Some((node, dir, u)) = r.report.peak_link_utilization() {
-            println!(
-                "{}: peak link utilization {:.0}% at node {node} dir {dir} \
-                 ({} windows of {} cycles)",
-                r.label,
-                u * 100.0,
-                r.report.windows.len(),
-                r.report.interval
-            );
-        }
-    }
-    println!("resilience sweep (standard recovery config):");
-    print!("{}", medea_core::report::format_resilience_table(&resilience_rows));
-    if let Some((label, _)) = &validated {
-        println!("validated {label} against the sequential reference");
-    }
-    // Sanity: every tier must show parallel speedup from its fewest- to
-    // its most-populated point (the whole reason the torus scales out).
-    for t in &reports {
-        let last = t.rows.last().expect("tier has rows");
-        assert!(
-            last.speedup > 1.0,
-            "{}: {} PEs must beat {} PEs, got {:.2}x",
-            t.topology,
-            last.pes,
-            t.rows[0].pes,
-            last.speedup
-        );
-    }
-    // The O(ranks) → O(log ranks) acceptance gate: at the largest point,
-    // the tree barrier must be ≥ 4x cheaper than linear on the full
-    // 255-rank run; even the CI smoke scale must show a clear win.
-    let largest = collectives
-        .iter()
-        .filter(|c| c.op == "barrier")
-        .max_by_key(|c| c.pes)
-        .expect("collectives measured");
-    let tree_factor = collectives
-        .iter()
-        .filter(|c| {
-            c.op == "barrier" && c.pes == largest.pes && c.algo == CollectiveAlgo::BinomialTree
-        })
-        .map(|c| c.speedup_vs_linear)
-        .next()
-        .expect("binomial row present");
-    let required = if smoke { 1.5 } else { 4.0 };
-    assert!(
-        tree_factor >= required,
-        "binomial barrier at {} PEs must be >= {required}x cheaper than linear, got {tree_factor:.2}x",
-        largest.pes
-    );
-    // The distributed-memory acceptance gate: on the largest torus, the
-    // 4-bank system must beat the single-bank baseline (the 255-PE
-    // status quo on a full 16×16 run) under the memory-hot workload.
-    let bank_best = bank_rows
-        .iter()
-        .filter(|r| r.banks == 4)
-        .max_by(|a, b| a.pes.cmp(&b.pes))
-        .expect("bank sweep measured");
-    let bank_required = if smoke { 1.0 } else { 2.0 };
-    assert!(
-        bank_best.speedup_vs_single_bank >= bank_required,
-        "{}: 4 banks must be >= {bank_required}x faster than the single-bank baseline on the \
-         hotspot workload, got {:.2}x",
-        bank_best.label,
-        bank_best.speedup_vs_single_bank
-    );
-    // The parallel-engine acceptance gate: on a host with enough cores,
-    // the largest point must reach ≥ 3x cycles/sec at 8 threads (full)
-    // or ≥ 1.5x at 4 threads (smoke). Bit-identity was asserted during
-    // the measurement itself, ungated.
-    let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let (gate_threads, gate_factor) = if smoke { (4, 1.5) } else { (8, 3.0) };
-    if cores >= gate_threads {
-        let largest = parallel.last().expect("parallel engine measured");
-        let gated = largest
-            .rows
-            .iter()
-            .find(|r| r.threads == gate_threads)
-            .expect("gated thread count measured");
-        assert!(
-            gated.speedup_vs_1t >= gate_factor,
-            "{} {} PEs: tiled engine at {gate_threads} threads must be >= {gate_factor}x \
-             vs 1 thread, got {:.2}x",
-            largest.topology,
-            largest.pes,
-            gated.speedup_vs_1t
-        );
-    } else {
-        println!(
-            "parallel-engine speedup gate skipped: host has {cores} core(s), \
-             gate needs {gate_threads}"
-        );
-    }
-    // The utilization acceptance gate: every metered point must have
-    // really profiled — a committed sample series and an exhaustive cycle
-    // attribution (fractions sum to 1.0, every ticked cycle charged).
-    for r in &utilization {
-        let agg = r.report.aggregate();
-        let sum: f64 = PeActivity::ALL.iter().map(|&a| agg.fraction(a)).sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-9,
-            "{}: breakdown fractions must sum to 1.0, got {sum}",
-            r.label
-        );
-        assert!(
-            r.report.windows.len() >= 2,
-            "{}: the sampler must commit at least two windows",
-            r.label
-        );
-        assert!(
-            r.report.peak_link_utilization().is_some(),
-            "{}: a jacobi run must light up at least one link",
-            r.label
-        );
-    }
-    // The resilience acceptance gate: every fault scenario must complete
-    // ("ok" outcome, validated where applicable) and every scenario must
-    // both inject real faults and exercise the matching recovery path.
-    for (label, faults, reroutes, retransmits, _nacks, bridge, outcome) in &resilience_rows {
-        assert_eq!(outcome, "ok", "{label}: faulted run must recover, got {outcome}");
-        assert!(*faults > 0, "{label}: the schedule must actually inject faults");
-        assert!(
-            reroutes + retransmits + bridge > 0,
-            "{label}: recovery counters must show the faults were absorbed"
-        );
-    }
-    println!("wrote {out_path}");
+    report.add(run_resilience(smoke));
+    report.write(&out_path);
 }

@@ -10,14 +10,17 @@
 //!   parked until one arrives;
 //!
 //! — and writes the results to `BENCH_sim_speed.json` (or the path given
-//! as the first argument). Both engines produce bit-identical results:
+//! as the first argument) as the `workloads` section of a `medea-bench/1`
+//! report (`medea_bench::report`). Both engines produce bit-identical results:
 //! every point asserts that `RunResult::divergence` finds no difference
 //! between them (as do `tests/golden_determinism.rs` and the
 //! `engine_equivalence` unit test); only wall-clock differs.
 
 use medea_apps::hotspot::{self, HotspotConfig};
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
-use medea_bench::base_builder;
+use medea_apps::workloads::pingpong_kernels;
+use medea_bench::report::{Cell, Report, Table};
+use medea_bench::{base_builder, cells};
 use medea_core::api::PeApi;
 use medea_core::explore::Workload as _;
 use medea_core::system::{Kernel, RunResult, System};
@@ -32,19 +35,6 @@ const REPS: usize = 3;
 /// reference-engine run stays under about two seconds.
 const HOTSPOT_OPS: usize = 8;
 
-struct Measurement {
-    name: &'static str,
-    cycles: u64,
-    before_cps: f64,
-    after_cps: f64,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.after_cps / self.before_cps
-    }
-}
-
 /// The last of `REPS` runs and the best rate among them.
 fn best_rate(mut run: impl FnMut() -> RunResult) -> (RunResult, f64) {
     let mut last = run();
@@ -56,35 +46,30 @@ fn best_rate(mut run: impl FnMut() -> RunResult) -> (RunResult, f64) {
     (last, best)
 }
 
+/// Run one workload `REPS` times on each engine, assert the engines
+/// agree, add its row to `table` and return its speedup.
 fn measure(
-    name: &'static str,
+    table: &mut Table,
+    name: &str,
     cfg: &SystemConfig,
     preload: &[(u32, u32)],
     kernels: impl Fn() -> Vec<Kernel>,
-) -> Measurement {
+) -> f64 {
     let (before, before_cps) =
         best_rate(|| System::run_reference(cfg, preload, kernels()).expect("reference run"));
     let (after, after_cps) =
         best_rate(|| System::run(cfg, preload, kernels()).expect("optimized run"));
     assert_eq!(after.divergence(&before), None, "{name}: the engines must agree");
-    Measurement { name, cycles: after.cycles, before_cps, after_cps }
-}
-
-fn pingpong_kernels(rounds: u32) -> Vec<Kernel> {
-    let ping: Kernel = Box::new(move |api: PeApi| {
-        for i in 1..=rounds {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
-            assert_eq!(back[0], i);
-        }
-    });
-    let pong: Kernel = Box::new(move |api: PeApi| {
-        for _ in 1..=rounds {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
-        }
-    });
-    vec![ping, pong]
+    let speedup = after_cps / before_cps;
+    table.push(cells![
+        name,
+        after.cycles,
+        REPS,
+        Cell::fixed(before_cps, 0),
+        Cell::fixed(after_cps, 0),
+        Cell::fixed(speedup, 2),
+    ]);
+    speedup
 }
 
 fn reduce_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
@@ -131,7 +116,16 @@ fn imbalanced_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_sim_speed.json".to_owned());
-    let mut rows: Vec<Measurement> = Vec::new();
+    let mut report = Report::new("sim_speed", "full");
+    let mut table = Table::new(
+        "workloads",
+        "simulated cycles per wall second, best of reps_per_engine runs per engine; before = \
+         System::run_reference (naive tick-everything engine), after = System::run \
+         (zero-allocation, event-driven: eject-ready delivery, timed/delivery/probe wakes, PEs \
+         parked on a flit)",
+        &["name", "simulated_cycles", "reps_per_engine", "before_cps", "after_cps", "speedup"],
+    );
+    let mut speedups = Vec::new();
 
     // Jacobi, the paper's workload: FP-stall-heavy with bursts of NoC and
     // MPMMU traffic — the per-PE wake-scheduling showcase.
@@ -140,7 +134,7 @@ fn main() {
         let workload = JacobiWorkload { jcfg: JacobiConfig::new(16, JacobiVariant::HybridFullMp) };
         let prepared = workload.prepare(&cfg);
         let preload = prepared.preload.clone();
-        rows.push(measure("jacobi_16x16_4pe_hybrid", &cfg, &preload, || {
+        speedups.push(measure(&mut table, "jacobi_16x16_4pe_hybrid", &cfg, &preload, || {
             workload.prepare(&cfg).kernels
         }));
     }
@@ -149,21 +143,27 @@ fn main() {
     // near-empty — exercises the activity-scheduled network tick.
     {
         let cfg = base_builder().compute_pes(2).build().expect("config");
-        rows.push(measure("pingpong_mp_2000_rounds", &cfg, &[], || pingpong_kernels(2000)));
+        speedups.push(measure(&mut table, "pingpong_mp_2000_rounds", &cfg, &[], || {
+            pingpong_kernels(2000)
+        }));
     }
 
     // All-reduce with staggered compute: mixed timed stalls and barrier
     // traffic across six ranks.
     {
         let cfg = base_builder().compute_pes(6).build().expect("config");
-        rows.push(measure("reduce_6pe_100_iters", &cfg, &[], || reduce_kernels(6, 100)));
+        speedups.push(measure(&mut table, "reduce_6pe_100_iters", &cfg, &[], || {
+            reduce_kernels(6, 100)
+        }));
     }
 
     // Imbalanced fork-join: the per-PE wake-scheduling showcase (see
     // `imbalanced_kernels`).
     {
         let cfg = base_builder().compute_pes(8).build().expect("config");
-        rows.push(measure("imbalanced_forkjoin_8pe", &cfg, &[], || imbalanced_kernels(8, 4)));
+        speedups.push(measure(&mut table, "imbalanced_forkjoin_8pe", &cfg, &[], || {
+            imbalanced_kernels(8, 4)
+        }));
     }
 
     // Hotspot at the 256-router scale point: 252 PEs hammer four banks
@@ -178,7 +178,7 @@ fn main() {
             .build()
             .expect("config");
         let hcfg = HotspotConfig { ops_per_rank: HOTSPOT_OPS };
-        rows.push(measure("hotspot_16x16_252pe_4banks", &cfg, &[], || {
+        speedups.push(measure(&mut table, "hotspot_16x16_252pe_4banks", &cfg, &[], || {
             hotspot::kernels(&cfg, &hcfg, Arc::default())
         }));
     }
@@ -197,49 +197,13 @@ fn main() {
         let jcfg = JacobiConfig::new(65, JacobiVariant::HybridFullMp).with_warmup_iters(0);
         let workload = JacobiWorkload { jcfg };
         let preload = workload.prepare(&cfg).preload;
-        rows.push(measure("jacobi_8x8_63pe_hybrid", &cfg, &preload, || {
+        speedups.push(measure(&mut table, "jacobi_8x8_63pe_hybrid", &cfg, &preload, || {
             workload.prepare(&cfg).kernels
         }));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"sim_speed\",\n");
-    json.push_str("  \"metric\": \"simulated_cycles_per_wall_second\",\n");
-    json.push_str("  \"before\": \"System::run_reference (naive tick-everything engine)\",\n");
-    json.push_str(
-        "  \"after\": \"System::run (zero-allocation, event-driven: eject-ready delivery, \
-         timed/delivery/probe wakes, PEs parked on a flit)\",\n",
-    );
-    json.push_str(&format!("  \"reps_per_engine\": {REPS},\n"));
-    json.push_str("  \"workloads\": [\n");
-    for (i, m) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"simulated_cycles\": {}, \"before_cps\": {:.0}, \
-             \"after_cps\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            m.name,
-            m.cycles,
-            m.before_cps,
-            m.after_cps,
-            m.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-
-    println!("{json}");
-    for m in &rows {
-        println!(
-            "{:<28} {:>12} cycles  before {:>12.0} c/s  after {:>12.0} c/s  speedup {:>5.2}x",
-            m.name,
-            m.cycles,
-            m.before_cps,
-            m.after_cps,
-            m.speedup()
-        );
-    }
-    let best = rows.iter().map(Measurement::speedup).fold(0.0f64, f64::max);
+    report.add(table);
+    report.write(&out_path);
+    let best = speedups.into_iter().fold(0.0f64, f64::max);
     assert!(best >= 1.5, "expected at least one workload to improve >= 1.5x, best was {best:.2}x");
-    println!("wrote {out_path}");
 }

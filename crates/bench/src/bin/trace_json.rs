@@ -14,23 +14,27 @@
 //! classes (NoC, cache, MPMMU/lock, kernel spans) on one timeline;
 //! `--workload jacobi` traces one iteration of the paper's workload.
 //! `--side N` picks an N×N torus; `--pes`/`--banks` size the system
-//! (defaults: workload-dependent PEs, 1 bank).
+//! (defaults: workload-dependent PEs, 1 bank). A flag value that does not
+//! parse or gives no valid system exits 2 with the usage line.
 //!
 //! The emitted JSON is syntax-validated (`medea_trace::json`) before it
 //! is written, so the CI artifact is parseable by construction; the run's
 //! flit-latency percentiles and a trace summary (event counts per class,
-//! peak link load, lock contention) are printed alongside.
+//! peak link load, lock contention) are printed alongside as
+//! `medea_bench::report` tables.
 
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_apps::workloads::{pingpong_kernels, trace_mix_kernels};
+use medea_bench::cells;
+use medea_bench::report::{run_cells, trace_tables, Table, RUN_COLUMNS};
 use medea_core::explore::Workload as _;
-use medea_core::report::{
-    format_deflection_table, format_latency_table, format_lock_contention_table, format_table,
-    LatencyRow,
-};
 use medea_core::system::{Kernel, RunResult, System};
-use medea_core::{EventClass, NullInjector, RingSink, SystemConfig, Topology, TraceConfig};
+use medea_core::{EventClass, NullInjector, RingSink, SystemConfig, Topology};
 use medea_trace::{chrome, csv, json, TimedEvent, TraceAnalysis};
+use std::str::FromStr;
+
+const USAGE: &str = "usage: trace_json [--workload pingpong|mixed|jacobi] [--side N] [--pes N] \
+                     [--banks N] [--capacity N] [--csv CSV_PATH] [OUT_PATH]";
 
 /// One logical packet per round trip keeps the fabric lively without
 /// flooding the ring.
@@ -39,86 +43,77 @@ const PINGPONG_ROUNDS: u32 = 40;
 /// Lock-guarded counter rounds of the mixed workload.
 const MIX_LOCK_ROUNDS: usize = 4;
 
+/// A parsed command line: the workload and the system it runs on.
 struct Args {
     workload: String,
-    side: u8,
-    pes: Option<usize>,
-    banks: usize,
+    cfg: SystemConfig,
     capacity: usize,
     csv_path: Option<String>,
     out_path: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        workload: "pingpong".to_owned(),
-        side: 4,
-        pes: None,
-        banks: 1,
-        capacity: 1 << 20,
-        csv_path: None,
-        out_path: "BENCH_trace.json".to_owned(),
-    };
-    let mut it = std::env::args().skip(1);
-    let usage = "usage: trace_json [--workload pingpong|mixed|jacobi] [--side N] [--pes N] \
-                 [--banks N] [--capacity N] [--csv CSV_PATH] [OUT_PATH]";
-    let value = |it: &mut dyn Iterator<Item = String>, flag: &str| {
-        it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value; {usage}");
-            std::process::exit(2);
-        })
-    };
+/// Parse the arguments after the program name and build the traced
+/// system. A flag whose value is missing or does not parse, an unknown
+/// workload and a configuration the builder rejects are errors.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<String, String> {
+        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn number<'a, T: FromStr>(
+        it: &mut impl Iterator<Item = &'a String>,
+        flag: &str,
+    ) -> Result<T, String> {
+        value(it, flag)?.parse().map_err(|_| format!("{flag} needs a number"))
+    }
+    let (mut workload, mut side, mut pes, mut banks) = ("pingpong".to_owned(), 4u8, None, 1usize);
+    let (mut capacity, mut csv_path, mut out_path) = (1 << 20, None, "BENCH_trace.json".to_owned());
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workload" => args.workload = value(&mut it, "--workload"),
-            "--side" => args.side = value(&mut it, "--side").parse().expect("--side N"),
-            "--pes" => args.pes = Some(value(&mut it, "--pes").parse().expect("--pes N")),
-            "--banks" => args.banks = value(&mut it, "--banks").parse().expect("--banks N"),
-            "--capacity" => {
-                args.capacity = value(&mut it, "--capacity").parse().expect("--capacity N");
-            }
-            "--csv" => args.csv_path = Some(value(&mut it, "--csv")),
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag {flag}; {usage}");
-                std::process::exit(2);
-            }
-            path => args.out_path = path.to_owned(),
+            "--workload" => workload = value(&mut it, arg)?,
+            "--side" => side = number(&mut it, arg)?,
+            "--pes" => pes = Some(number(&mut it, arg)?),
+            "--banks" => banks = number(&mut it, arg)?,
+            "--capacity" => capacity = number(&mut it, arg)?,
+            "--csv" => csv_path = Some(value(&mut it, arg)?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            path => out_path = path.to_owned(),
         }
     }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    let topology = Topology::new(args.side, args.side).expect("valid square torus");
-    let free_nodes =
-        topology.nodes().checked_sub(args.banks).filter(|n| *n > 0).unwrap_or_else(|| {
-            eprintln!("--banks {} leaves no PE node on a {topology}", args.banks);
-            std::process::exit(2);
-        });
-    let default_pes = match args.workload.as_str() {
+    let topology = Topology::new(side, side).map_err(|e| format!("--side {side}: {e}"))?;
+    let free_nodes = topology
+        .nodes()
+        .checked_sub(banks)
+        .filter(|n| *n > 0)
+        .ok_or_else(|| format!("--banks {banks} leaves no PE node on a {topology}"))?;
+    let default_pes = match workload.as_str() {
         "pingpong" => 2,
         "mixed" => 5.min(free_nodes),
         "jacobi" => 4.min(free_nodes),
-        other => {
-            eprintln!("unknown workload {other} (pingpong|mixed|jacobi)");
-            std::process::exit(2);
-        }
+        other => return Err(format!("unknown workload {other}")),
     };
-    let pes = args.pes.unwrap_or(default_pes);
     let cfg = SystemConfig::builder()
         .topology(topology)
-        .compute_pes(pes)
-        .memory_banks(args.banks)
+        .compute_pes(pes.unwrap_or(default_pes))
+        .memory_banks(banks)
         .cycle_limit(400_000_000)
-        .trace(TraceConfig::all())
         .build()
-        .expect("trace point configuration");
+        .map_err(|e| e.to_string())?;
+    Ok(Args { workload, cfg, capacity, csv_path, out_path })
+}
 
-    let (preload, kernels): (Vec<(u32, u32)>, Vec<Kernel>) = match args.workload.as_str() {
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { workload, cfg, capacity, csv_path, out_path } =
+        parse_args(&args).unwrap_or_else(|e| {
+            eprintln!("{e}; {USAGE}");
+            std::process::exit(2);
+        });
+
+    let (preload, kernels): (Vec<(u32, u32)>, Vec<Kernel>) = match workload.as_str() {
         "pingpong" => (Vec::new(), pingpong_kernels(PINGPONG_ROUNDS)),
-        "mixed" => (Vec::new(), trace_mix_kernels(pes, MIX_LOCK_ROUNDS)),
-        "jacobi" => {
+        "mixed" => (Vec::new(), trace_mix_kernels(cfg.compute_pes(), MIX_LOCK_ROUNDS)),
+        _ => {
             let workload = JacobiWorkload {
                 jcfg: JacobiConfig::new(16, JacobiVariant::HybridFullMp)
                     .with_warmup_iters(0)
@@ -127,10 +122,9 @@ fn main() {
             let prepared = workload.prepare(&cfg);
             (prepared.preload, prepared.kernels)
         }
-        _ => unreachable!("validated above"),
     };
 
-    let mut sink = RingSink::new(args.capacity);
+    let mut sink = RingSink::new(capacity);
     let result: RunResult = System::run_with(&cfg, &preload, kernels, &mut sink, &mut NullInjector)
         .expect("traced run");
     let events: Vec<TimedEvent> = sink.to_vec();
@@ -150,39 +144,33 @@ fn main() {
         }
     });
     json::validate(&doc).expect("emitted chrome trace must be valid JSON");
-    std::fs::write(&args.out_path, &doc).expect("write trace json");
-    if let Some(csv_path) = &args.csv_path {
+    std::fs::write(&out_path, &doc).expect("write trace json");
+    if let Some(csv_path) = &csv_path {
         std::fs::write(csv_path, csv::to_csv(&events)).expect("write trace csv");
         println!("wrote {csv_path}");
     }
 
-    // Summary: class census, trace analytics, and the run's NoC latency
-    // percentiles through the shared report renderers.
-    let census = |class: EventClass| {
-        events.iter().filter(|t| t.event.class().intersects(class)).count().to_string()
-    };
-    print!(
-        "{}",
-        format_table(
-            &["events", "dropped", "noc", "cache", "mem", "kernel"],
-            &[vec![
-                events.len().to_string(),
-                sink.dropped().to_string(),
-                census(EventClass::NOC),
-                census(EventClass::CACHE),
-                census(EventClass::MEM),
-                census(EventClass::KERNEL),
-            ]],
-        )
+    // Summary: class census, trace analytics, and the run's standard
+    // columns (NoC latency percentiles included).
+    let census =
+        |class: EventClass| events.iter().filter(|t| t.event.class().intersects(class)).count();
+    let mut counts = Table::new(
+        "events",
+        "captured per class",
+        &["events", "dropped", "noc", "cache", "mem", "kernel"],
     );
+    counts.push(cells![
+        events.len(),
+        sink.dropped(),
+        census(EventClass::NOC),
+        census(EventClass::CACHE),
+        census(EventClass::MEM),
+        census(EventClass::KERNEL),
+    ]);
+    println!("{counts}");
     let analysis = TraceAnalysis::from_events(&events);
     if let Some((node, links)) = analysis.peak_link_load() {
         println!("peak link load: {links}/4 at node {node}");
-    }
-    let top_deflectors = analysis.top_deflecting_routers(8);
-    if !top_deflectors.is_empty() {
-        println!("hottest deflecting routers:");
-        print!("{}", format_deflection_table(&top_deflectors));
     }
     if analysis.lock_acquires > 0 {
         println!(
@@ -190,24 +178,63 @@ fn main() {
             analysis.lock_acquires, analysis.contended_acquires, analysis.lock_contention_cycles
         );
     }
-    if !analysis.lock_contention_by_bank.is_empty() {
-        println!("lock contention by bank:");
-        print!("{}", format_lock_contention_table(&analysis.lock_contention_by_bank));
+    for table in trace_tables(&analysis, 8) {
+        if !table.rows().is_empty() {
+            println!("{table}");
+        }
     }
-    for (op, count, cycles) in &analysis.spans {
-        println!("span {op}: {count} completed, {cycles} cycles total");
+    let mut run = Table::new("run", "", &[&["config"][..], &RUN_COLUMNS].concat());
+    run.push([cells![cfg.label()], run_cells(&result)].concat());
+    println!("{run}");
+    println!("{} flits delivered; wrote {out_path}", result.fabric_delivered);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
-    let rows: Vec<LatencyRow> = vec![(
-        cfg.label(),
-        result.flit_latency_p50(),
-        result.flit_latency_p99(),
-        result.fabric_max_latency,
-        result.deflections_per_delivered(),
-    )];
-    println!("flit latency (cycles):");
-    print!("{}", format_latency_table(&rows));
-    println!(
-        "{} cycles simulated, {} flits delivered; wrote {}",
-        result.cycles, result.fabric_delivered, args.out_path
-    );
+
+    #[test]
+    fn parses_every_flag() {
+        let args = parse(&[
+            "--workload",
+            "mixed",
+            "--side",
+            "8",
+            "--banks",
+            "2",
+            "--capacity",
+            "64",
+            "--csv",
+            "t.csv",
+            "out.json",
+        ])
+        .unwrap();
+        assert_eq!(args.workload, "mixed");
+        assert_eq!(args.cfg.label(), "5P_16k$_WB@8x8x2B");
+        assert_eq!((args.capacity, args.csv_path.as_deref()), (64, Some("t.csv")));
+        assert_eq!(args.out_path, "out.json");
+        let args = parse(&["--pes", "3"]).unwrap();
+        assert_eq!((args.workload.as_str(), args.cfg.compute_pes()), ("pingpong", 3));
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error() {
+        assert_eq!(parse(&["--side", "x"]).err(), Some("--side needs a number".into()));
+        assert_eq!(parse(&["--pes"]).err(), Some("--pes needs a value".into()));
+        assert_eq!(parse(&["--workload", "fft"]).err(), Some("unknown workload fft".into()));
+    }
+
+    #[test]
+    fn a_value_that_gives_no_system_is_an_error() {
+        let side = parse(&["--side", "17"]).err().unwrap();
+        assert!(side.starts_with("--side 17: "), "{side}");
+        let pes = parse(&["--pes", "99"]).err().unwrap();
+        assert!(pes.contains("99"), "{pes}");
+        let banks = parse(&["--banks", "16"]).err().unwrap();
+        assert!(banks.contains("no PE node"), "{banks}");
+    }
 }

@@ -1,16 +1,21 @@
 //! Shared machinery for regenerating every table and figure of the MEDEA
-//! paper: sweeps, speedup/area pipelines and MP-vs-SM comparisons.
+//! paper: sweeps, speedup/area pipelines and MP-vs-SM comparisons, plus
+//! the [`report`] table model every harness prints and writes through.
 //!
 //! The `figures` binary drives it (experiments E1–E8 and A1–A4; `figures
-//! all --quick` runs every one in seconds). The other binaries write the
-//! committed `BENCH_*.json` reports. The repository's timing benchmark is
-//! the separate `simbench` package.
+//! all --quick` runs every one in seconds). `scaling_json`,
+//! `sim_speed_json` and `metrics_json` write the committed `BENCH_*.json`
+//! reports, all in the one [`report::SCHEMA`] envelope; `trace_json`
+//! exports a Chrome trace. The repository's timing benchmark is the
+//! separate `simbench` package.
+
+pub mod report;
 
 use medea_apps::grid::max_ranks;
 use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_core::area::{apply_kill_rule, chip_area_mm2, pareto_frontier, DesignPoint};
 use medea_core::explore::{run_sweep, SweepOutcome, SweepPoint, Workload};
-use medea_core::{CachePolicy, MetricsReport, PeActivity, SystemConfig, SystemConfigBuilder};
+use medea_core::{CachePolicy, MetricsReport, SystemConfig, SystemConfigBuilder};
 use medea_sim::Cycle;
 
 /// How hard to push a regeneration run.
@@ -146,9 +151,9 @@ pub fn speedup_vs_area(outcomes: &[SweepOutcome]) -> SpeedupVsArea {
     SpeedupVsArea { all, frontier, optimal }
 }
 
-/// One row of the `utilization` section shared by the `scaling_json` and
-/// `metrics_json` binaries: the label of one metered run plus the
-/// [`MetricsReport`] its `RunResult` carried.
+/// One metered run of the `utilization` sections that the `scaling_json`
+/// and `metrics_json` binaries write ([`report::utilization_tables`]):
+/// the run's labels plus the [`MetricsReport`] its `RunResult` carried.
 #[derive(Debug, Clone)]
 pub struct UtilizationRow {
     /// Torus, e.g. `4x4`.
@@ -159,55 +164,6 @@ pub struct UtilizationRow {
     pub pes: usize,
     /// The profiler's run-level artifact.
     pub report: MetricsReport,
-}
-
-/// Render [`UtilizationRow`]s as the JSON row array body of a
-/// `utilization` section (rows indented four spaces, comma-separated,
-/// trailing newline) — one emitter so both bench binaries write the same
-/// schema. Per row: the aggregate [`CycleBreakdown`](medea_core::CycleBreakdown)
-/// fractions (summing to 1.0 by construction), the peak single-link
-/// utilization with its `(node, dir)`, and the hottest-router/bank
-/// tables.
-pub fn utilization_rows_json(rows: &[UtilizationRow]) -> String {
-    let mut out = String::new();
-    for (i, row) in rows.iter().enumerate() {
-        let r = &row.report;
-        let agg = r.aggregate();
-        let breakdown: Vec<String> = PeActivity::ALL
-            .iter()
-            .map(|&a| format!("\"{}\": {:.6}", a.name(), agg.fraction(a)))
-            .collect();
-        let dominant =
-            agg.dominant().map_or_else(|| "null".to_owned(), |(a, _)| format!("\"{}\"", a.name()));
-        let peak = r.peak_link_utilization().map_or_else(
-            || "null".to_owned(),
-            |(node, dir, u)| format!("{{\"node\": {node}, \"dir\": {dir}, \"busy\": {u:.4}}}"),
-        );
-        let routers: Vec<String> =
-            r.hottest_routers(4).iter().map(|(n, b)| format!("[{n}, {b}]")).collect();
-        let banks: Vec<String> =
-            r.hottest_banks(4).iter().map(|(b, p)| format!("[{b}, {p}]")).collect();
-        out.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"label\": \"{}\", \"pes\": {}, \
-             \"sim_cycles\": {}, \"sample_interval\": {}, \"windows\": {}, \
-             \"windows_dropped\": {}, \"attributed_cycles\": {}, \"dominant\": {dominant}, \
-             \"breakdown\": {{{}}}, \"peak_link\": {peak}, \
-             \"hottest_routers\": [{}], \"hottest_banks\": [{}]}}{}\n",
-            row.topology,
-            row.label,
-            row.pes,
-            r.end,
-            r.interval,
-            r.windows.len(),
-            r.windows_dropped,
-            agg.total(),
-            breakdown.join(", "),
-            routers.join(", "),
-            banks.join(", "),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out
 }
 
 /// One row of the §III hybrid-vs-SM comparison (experiments E5/E6).
@@ -310,47 +266,34 @@ mod tests {
 
     #[test]
     fn utilization_rows_json_schema() {
-        use medea_core::{CycleBreakdown, SampleWindow};
-        let mut b = CycleBreakdown::default();
-        b.record(PeActivity::Compute, 60);
-        b.record(PeActivity::RecvWait, 40);
-        let mut link_busy = vec![0u32; 16];
-        link_busy[4 * 2 + 1] = 7; // node 2, dir 1
-        let report = MetricsReport {
-            interval: 10,
-            end: 10,
-            width: 2,
-            height: 2,
-            pes: 1,
-            banks: 1,
-            breakdown: vec![b],
-            windows: vec![SampleWindow {
-                start: 0,
-                end: 10,
-                link_busy,
-                pe_activity: vec![0],
-                pe_arb: vec![0],
-                pe_rx: vec![0],
-                bank_req: vec![2],
-                bank_data: vec![0],
-                bank_out: vec![0],
-                bank_lock_nacks: vec![0],
-                bank_coh_msgs: vec![0],
-            }],
-            windows_dropped: 0,
-        };
+        let report = report::tests::tiny_report();
         let row =
             UtilizationRow { topology: "2x2".into(), label: "1P_16k$_WB".into(), pes: 1, report };
-        let json = utilization_rows_json(&[row]);
-        assert!(json.ends_with("}\n") && !json.contains("},\n"), "single row, no comma: {json}");
-        assert!(json.contains("\"dominant\": \"compute\""), "{json}");
-        assert!(json.contains("\"compute\": 0.600000"), "{json}");
+        let mut doc = report::Report::new("unit", "smoke");
+        for table in report::utilization_tables("", &[row]) {
+            doc.add(table);
+        }
+        let json = doc.to_json(0.0);
+        medea_trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         assert!(
-            json.contains("\"peak_link\": {\"node\": 2, \"dir\": 1, \"busy\": 0.7000}"),
+            json.contains(
+                "{\"topology\": \"2x2\", \"label\": \"1P_16k$_WB\", \"pes\": 1, \
+                 \"sim_cycles\": 10, \"sample_interval\": 10, \"windows\": 1, \
+                 \"windows_dropped\": 0, \"attributed_cycles\": 100, \"dominant\": \"compute\", \
+                 \"compute\": 0.600000, \"mem\": 0.000000, \"lock-wait\": 0.000000, \
+                 \"send\": 0.000000, \"recv-wait\": 0.400000, \"collective-wait\": 0.000000, \
+                 \"done\": 0.000000, \"peak_link_node\": 2, \"peak_link_dir\": 1, \
+                 \"peak_link_busy\": 0.7000}"
+            ),
             "{json}"
         );
-        assert!(json.contains("\"hottest_routers\": [[2, 7]]"), "{json}");
-        assert!(json.contains("\"hottest_banks\": [[0, 2]]"), "{json}");
+        assert!(json.contains("{\"topology\": \"2x2\", \"label\": \"1P_16k$_WB\", \"router\": 2, \"busy_link_cycles\": 7}"), "{json}");
+        assert!(
+            json.contains(
+                "{\"topology\": \"2x2\", \"label\": \"1P_16k$_WB\", \"bank\": 0, \"pressure\": 2}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct PeApi {
 impl PeApi {
     /// Wrap a raw PE port. Called by the system assembler; kernels receive
     /// the ready-made value. `trace_spans` enables the zero-cost eMPI span
-    /// markers (`SystemConfig::trace_kernel_spans`).
+    /// markers (on when the run's trace sink is active or metrics are on).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         port: PePort,

@@ -14,7 +14,6 @@ use medea_pe::fpu::{FpModel, MulOption};
 use medea_pe::pe::PeConfig;
 use medea_sim::ids::{NodeId, Rank};
 use medea_sim::Cycle;
-use medea_trace::{EventClass, TraceConfig};
 use std::fmt;
 
 /// Error from [`SystemConfigBuilder::build`].
@@ -127,7 +126,6 @@ pub struct SystemConfig {
     lock_retry_backoff: Cycle,
     cycle_limit: Cycle,
     collective_algo: CollectiveAlgo,
-    trace: TraceConfig,
     metrics: MetricsConfig,
     resilience: ResilienceConfig,
     coherence: CoherenceMode,
@@ -190,21 +188,6 @@ impl SystemConfig {
     /// node-0 MPMMU).
     pub const fn memory_banks(&self) -> usize {
         self.memory_banks
-    }
-
-    /// The tracing configuration (default off). Tracing never changes a
-    /// run's architectural results; see
-    /// [`SystemConfigBuilder::trace`] for exactly what this knob
-    /// controls (kernel-side span markers — sink-side class filtering
-    /// belongs to the sink).
-    pub const fn trace(&self) -> TraceConfig {
-        self.trace
-    }
-
-    /// Whether kernels should issue eMPI span markers (the one event
-    /// source originating on kernel threads).
-    pub const fn trace_kernel_spans(&self) -> bool {
-        self.trace.captures(EventClass::KERNEL)
     }
 
     /// The metrics-sampling configuration (default off). Like tracing,
@@ -459,7 +442,6 @@ pub struct SystemConfigBuilder {
     lock_retry_backoff: Cycle,
     cycle_limit: Cycle,
     collective_algo: CollectiveAlgo,
-    trace: TraceConfig,
     metrics: MetricsConfig,
     resilience: ResilienceConfig,
     coherence: CoherenceMode,
@@ -485,7 +467,6 @@ impl Default for SystemConfigBuilder {
             lock_retry_backoff: calib::LOCK_RETRY_BACKOFF,
             cycle_limit: 2_000_000_000,
             collective_algo: CollectiveAlgo::Linear,
-            trace: TraceConfig::off(),
             metrics: MetricsConfig::off(),
             resilience: ResilienceConfig::off(),
             coherence: CoherenceMode::Dii,
@@ -601,20 +582,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// The system-side tracing knob (default: [`TraceConfig::off`]).
-    ///
-    /// Its engine-side effect is the `KERNEL` class bit: when set,
-    /// kernels and the eMPI layer issue span markers (zero simulated
-    /// cycles, so architectural results never change — only
-    /// observability). Engine-emitted events (NoC, cache, memory) flow
-    /// to whatever sink `System::run_with` is given regardless;
-    /// *which classes a capture keeps* is the sink's decision — use
-    /// `RingSink::with_classes` to capture a subset.
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// The metrics-sampling knob (default: [`MetricsConfig::off`]).
     ///
     /// When enabled (`MetricsConfig::every(k)`), the cycle engine records
@@ -623,11 +590,10 @@ impl SystemConfigBuilder {
     /// pressure) and attaches the [`medea_metrics::MetricsReport`] to
     /// `RunResult::metrics`. Metrics observe and never steer: a
     /// metrics-on run is bit-identical to the same run with metrics off,
-    /// and like `host_threads` the knob never enters the label. The one
-    /// interaction: enabling metrics makes kernels issue their zero-cycle
-    /// span markers (the profiler needs them to classify collective
-    /// waits), so an *active trace sink* on a metrics-on run will also
-    /// see KERNEL-class events.
+    /// and like `host_threads` the knob never enters the label. Enabling
+    /// metrics makes kernels issue their zero-cycle span markers (the
+    /// profiler needs them to classify collective waits), exactly as an
+    /// active trace sink does.
     pub fn metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = metrics;
         self
@@ -757,7 +723,6 @@ impl SystemConfigBuilder {
             lock_retry_backoff: self.lock_retry_backoff,
             cycle_limit: self.cycle_limit,
             collective_algo: self.collective_algo,
-            trace: self.trace,
             metrics: self.metrics,
             resilience: self.resilience,
             coherence: self.coherence,
@@ -791,19 +756,6 @@ mod tests {
         // The default algorithm is the deliberate fingerprint-preserving
         // choice; trees are opt-in.
         assert_eq!(cfg.collective_algo(), CollectiveAlgo::Linear);
-    }
-
-    #[test]
-    fn trace_defaults_off_and_is_configurable() {
-        let cfg = SystemConfig::builder().build().unwrap();
-        assert!(cfg.trace().is_off());
-        assert!(!cfg.trace_kernel_spans());
-        let traced = SystemConfig::builder().trace(TraceConfig::all()).build().unwrap();
-        assert!(traced.trace().captures(EventClass::NOC));
-        assert!(traced.trace_kernel_spans());
-        let noc_only =
-            SystemConfig::builder().trace(TraceConfig::classes(EventClass::NOC)).build().unwrap();
-        assert!(!noc_only.trace_kernel_spans(), "kernel markers follow the KERNEL class only");
     }
 
     #[test]

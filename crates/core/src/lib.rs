@@ -63,7 +63,6 @@ pub mod config;
 pub mod empi;
 pub mod explore;
 pub mod layout;
-pub mod report;
 pub(crate) mod sched;
 pub mod system;
 pub(crate) mod tiled;
@@ -81,7 +80,7 @@ pub use medea_metrics::{CycleBreakdown, MetricsConfig, MetricsReport, PeActivity
 pub use medea_noc::coord::Topology;
 pub use medea_pe::arbiter::{ArbiterConfig, PriorityAssignment};
 pub use medea_pe::fpu::MulOption;
-pub use medea_trace::{EventClass, KernelOp, NullSink, RingSink, TraceConfig, TraceSink};
+pub use medea_trace::{EventClass, KernelOp, NullSink, RingSink, TraceSink};
 pub use system::{RunError, RunResult};
 
 /// Which fabric carries the traffic (A2 ablation knob).

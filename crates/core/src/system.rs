@@ -209,7 +209,7 @@ pub struct RunResult {
     pub fabric_max_latency: Option<u64>,
     /// The full in-network latency distribution (inject→eject per flit),
     /// as recorded by the fabric — the histogram behind the percentile
-    /// accessors and the `noc` section of `BENCH_scaling.json`.
+    /// accessors and the `ladder` section of `BENCH_scaling.json`.
     pub fabric_latency: Log2Histogram,
     /// MPMMU transaction counters, aggregated over all banks.
     pub mpmmu: MpmmuStats,
@@ -483,7 +483,7 @@ impl System {
             FabricKind::Ideal => Box::new(IdealNetwork::new(topo)),
         };
         let mut banks = build_banks(cfg, preload);
-        let mut pes = build_pes(cfg, kernels);
+        let mut pes = build_pes::<NullSink>(cfg, kernels);
 
         let wall_start = Instant::now();
         let mut now: Cycle = 0;
@@ -567,7 +567,7 @@ fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
     };
     let topo = cfg.topology();
     let banks = build_banks(cfg, preload);
-    let sched = Scheduler::new(build_pes(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
+    let sched = Scheduler::new(build_pes::<S>(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
     match cfg.fabric() {
         FabricKind::Deflection => {
             run_sequential(cfg, sched, Network::new(topo), sink, injector, meter)
@@ -926,18 +926,22 @@ fn banks_quiet(banks: &[Bank]) -> bool {
     banks.iter().all(|b| b.unit.is_idle() && b.hold.is_none())
 }
 
-pub(crate) fn build_pes(cfg: &SystemConfig, kernels: Vec<Kernel>) -> Vec<ProcessingElement> {
+/// Build the PEs for a run whose engine reports to a sink of type `S`.
+pub(crate) fn build_pes<S: TraceSink>(
+    cfg: &SystemConfig,
+    kernels: Vec<Kernel>,
+) -> Vec<ProcessingElement> {
     let topo = cfg.topology();
     let ranks = cfg.compute_pes();
     let layout = cfg.layout();
     let plan = cfg.node_plan();
     let bank_map = cfg.bank_map();
     let algo = cfg.collective_algo();
-    // Kernel-side span markers feed both the trace sink and the metrics
-    // profiler's collective-wait attribution; either consumer turns them
-    // on. Markers cost zero simulated cycles, so this never changes a
-    // run's architectural results (pinned by the golden suite).
-    let trace_spans = cfg.trace_kernel_spans() || cfg.metrics().enabled();
+    // Kernel-side span markers feed both an active trace sink and the
+    // metrics profiler's collective-wait attribution; either consumer
+    // turns them on. Markers cost zero simulated cycles, so this never
+    // changes a run's architectural results (pinned by the golden suite).
+    let trace_spans = S::ACTIVE || cfg.metrics().enabled();
     let resilience = cfg.resilience();
     kernels
         .into_iter()

@@ -234,7 +234,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     let starts = tile_starts(cfg, tiles);
 
     let banks_all = build_banks(cfg, preload);
-    let pes_all = build_pes(cfg, kernels);
+    let pes_all = build_pes::<LS>(cfg, kernels);
     let wall_start = Instant::now();
 
     let tile_of = |node: usize| starts.partition_point(|&s| (s as usize) <= node) - 1;

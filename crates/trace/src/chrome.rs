@@ -31,22 +31,9 @@
 #[cfg(doc)]
 use crate::event::KernelOp;
 use crate::event::{coh_op_name, packet_kind_name, TimedEvent, TraceEvent};
+use crate::json::escape;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn push_common(out: &mut String, name: &str, ph: char, at: u64, tid: u16) {
     out.push_str("{\"name\":\"");

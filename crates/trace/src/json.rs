@@ -1,12 +1,15 @@
-//! Minimal JSON *syntax* validator (RFC 8259 grammar, no value model).
+//! Minimal JSON *syntax* validator (RFC 8259 grammar, no value model),
+//! plus the string [`escape`] every JSON writer in the workspace shares.
 //!
 //! The workspace is offline-only — no serde — yet the CI smoke job and
 //! the exporter tests must prove that emitted Chrome traces parse. This
 //! recursive-descent checker accepts exactly the JSON value grammar and
 //! reports the byte offset of the first violation. It builds no values,
 //! so validating a multi-megabyte trace costs one pass and no allocation.
+//! Arrays and objects may nest at most [`MAX_DEPTH`] levels deep, so no
+//! input can exhaust the stack.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A syntax violation at a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,9 +28,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`validate`] accepts (serde_json's
+/// default recursion limit).
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -57,8 +66,15 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("at most 128 nested arrays/objects"));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => self.string(),
             Some(b't') => self.literal(b"true"),
             Some(b'f') => self.literal(b"false"),
@@ -194,6 +210,20 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Append `s` to `out` escaped for the inside of a JSON string literal.
+pub fn escape(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
 /// Validate that `input` is one syntactically well-formed JSON value
 /// (with optional surrounding whitespace).
 ///
@@ -201,7 +231,7 @@ impl<'a> Parser<'a> {
 ///
 /// Returns the byte offset and expectation of the first violation.
 pub fn validate(input: &str) -> Result<(), JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -250,6 +280,19 @@ mod tests {
         ] {
             assert!(validate(doc).is_err(), "{doc:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        validate(&nested(MAX_DEPTH)).expect("MAX_DEPTH levels are accepted");
+        let err = validate(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "the first level too deep is reported");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(validate(&objects).unwrap_err().at, 5 * MAX_DEPTH);
+        // Far past the limit the validator still returns instead of
+        // overflowing the stack.
+        assert!(validate(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

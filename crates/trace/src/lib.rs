@@ -79,4 +79,4 @@ pub use event::{
     coh_op_name, packet_kind_name, CacheEventKind, EventClass, KernelOp, TimedEvent, TraceEvent,
 };
 pub use file::FileSink;
-pub use sink::{NullSink, RingSink, TraceConfig, TraceSink};
+pub use sink::{NullSink, RingSink, TraceSink};

@@ -20,53 +20,6 @@
 use crate::event::{EventClass, TimedEvent, TraceEvent};
 use medea_sim::Cycle;
 
-/// What the simulator captures: the class filter handed to
-/// `SystemConfigBuilder::trace`.
-///
-/// The configuration controls which *kernel-level* markers the eMPI layer
-/// emits (spans are the one event source that crosses the kernel-thread
-/// boundary, so they are opt-in at system-assembly time); every other
-/// class is emitted by the engine and filtered at the sink. Markers cost
-/// zero simulated cycles either way — enabling or disabling tracing never
-/// changes a run's architectural results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    classes: EventClass,
-}
-
-impl TraceConfig {
-    /// Tracing off (the default): no kernel markers are issued.
-    pub const fn off() -> Self {
-        TraceConfig { classes: EventClass::NONE }
-    }
-
-    /// Capture every class.
-    pub const fn all() -> Self {
-        TraceConfig { classes: EventClass::ALL }
-    }
-
-    /// Capture exactly `classes`.
-    pub const fn classes(classes: EventClass) -> Self {
-        TraceConfig { classes }
-    }
-
-    /// Whether `class` is selected.
-    pub const fn captures(self, class: EventClass) -> bool {
-        self.classes.intersects(class)
-    }
-
-    /// Whether nothing is selected.
-    pub const fn is_off(self) -> bool {
-        self.classes.is_empty()
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
-    }
-}
-
 /// A destination for trace events.
 ///
 /// Implementations must be cheap: `record` runs inside the cycle engine's
@@ -244,12 +197,5 @@ mod tests {
         s.record(1, ev(1));
         assert_eq!(s.len(), 1);
         assert_eq!(s.dropped(), 1);
-    }
-
-    #[test]
-    fn trace_config_defaults_off() {
-        assert!(TraceConfig::default().is_off());
-        assert!(TraceConfig::all().captures(EventClass::KERNEL));
-        assert!(!TraceConfig::classes(EventClass::NOC).captures(EventClass::MEM));
     }
 }

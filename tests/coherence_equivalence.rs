@@ -28,7 +28,7 @@
 use medea::apps::sharing::{self, Discipline, SharingConfig};
 use medea::core::system::RunResult;
 use medea::core::{Coherence, CoherenceStats, SystemConfig, Topology};
-use medea::trace::{EventClass, NullSink, RingSink, TraceConfig};
+use medea::trace::{EventClass, NullSink, RingSink};
 use proptest::prelude::*;
 
 fn builder(pes: usize, mode: Coherence) -> medea::core::SystemConfigBuilder {
@@ -81,9 +81,8 @@ fn dii_sharing_fingerprint_survives_tracing() {
     assert_eq!(fingerprint(&off.run), PIN_SHARING_DII_4X4, "NullSink perturbed the engine");
 
     // Live tracing, everything captured.
-    let traced = builder(4, Coherence::Dii).trace(TraceConfig::all()).build().unwrap();
     let mut sink = RingSink::new(1 << 20);
-    let on = sharing::run_traced(&traced, &scfg, &mut sink).unwrap();
+    let on = sharing::run_traced(&cfg, &scfg, &mut sink).unwrap();
     assert_eq!(fingerprint(&on.run), PIN_SHARING_DII_4X4, "live tracing perturbed the engine");
     assert!(!sink.is_empty(), "a traced run must capture events");
 }
@@ -160,7 +159,7 @@ fn mesi_tiled_engine_is_bit_identical_to_sequential() {
 
 #[test]
 fn mesi_coherence_events_are_traced() {
-    let cfg = builder(4, Coherence::MesiDirectory).trace(TraceConfig::all()).build().unwrap();
+    let cfg = builder(4, Coherence::MesiDirectory).build().unwrap();
     let mut sink = RingSink::new(1 << 20);
     let out = sharing::run_traced(&cfg, &SharingConfig { rounds: 3 }, &mut sink).unwrap();
     assert!(out.run.coherence.invalidations_sent > 0);

@@ -17,9 +17,9 @@ use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::api::PeApi;
 use medea::core::system::{Kernel, RunResult, System};
-use medea::core::{CollectiveAlgo, Empi, NullInjector, SystemConfig, Topology};
+use medea::core::{CollectiveAlgo, Empi, MetricsConfig, NullInjector, SystemConfig, Topology};
 use medea::sim::ids::Rank;
-use medea::trace::{NullSink, RingSink, TraceConfig};
+use medea::trace::{NullSink, RingSink};
 
 fn cfg(pes: usize) -> SystemConfig {
     SystemConfig::builder().compute_pes(pes).cycle_limit(50_000_000).build().unwrap()
@@ -196,9 +196,8 @@ fn paper_4x4_fingerprints_pinned_bit_for_bit() {
 
 /// Tracing must be free: every paper-4×4 fingerprint is reproduced
 /// bit-for-bit by `run_with` with a `NullSink` (tracing compiled away)
-/// AND with a live `RingSink` on a fully trace-enabled configuration
-/// (kernel span markers included). Events are observations, never
-/// actors.
+/// AND with a live `RingSink` (kernel span markers included). Events are
+/// observations, never actors.
 #[test]
 fn tracing_reproduces_paper_fingerprints_bit_for_bit() {
     for (name, kernels, pes, pin) in paper_pins() {
@@ -206,21 +205,22 @@ fn tracing_reproduces_paper_fingerprints_bit_for_bit() {
             .expect(name);
         assert_eq!(fingerprint(&off), pin, "{name}: NullSink perturbed the engine");
 
-        let traced_cfg = SystemConfig::builder()
-            .compute_pes(pes)
-            .cycle_limit(50_000_000)
-            .trace(TraceConfig::all())
-            .build()
-            .unwrap();
         let mut sink = RingSink::new(1 << 20);
-        let on = System::run_with(&traced_cfg, &[], kernels(), &mut sink, &mut NullInjector)
-            .expect(name);
+        let on =
+            System::run_with(&cfg(pes), &[], kernels(), &mut sink, &mut NullInjector).expect(name);
         assert_eq!(fingerprint(&on), pin, "{name}: live tracing perturbed the engine");
         assert!(!sink.is_empty(), "{name}: a traced run must capture events");
 
-        // And a trace-enabled config run *untraced* is unperturbed too
-        // (markers flow, cost zero cycles, and are discarded).
-        let markers_only = System::run(&traced_cfg, &[], kernels()).expect(name);
+        // Markers without a sink are unperturbed too: metrics turn them
+        // on for the profiler, and they flow, cost zero cycles, and are
+        // discarded by the NullSink.
+        let metered = SystemConfig::builder()
+            .compute_pes(pes)
+            .cycle_limit(50_000_000)
+            .metrics(MetricsConfig::every(64))
+            .build()
+            .unwrap();
+        let markers_only = System::run(&metered, &[], kernels()).expect(name);
         assert_eq!(fingerprint(&markers_only), pin, "{name}: span markers cost cycles");
     }
 }

@@ -316,8 +316,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// The heatmap of a real metered run is well-formed SVG with one cell
-/// per directed link and a multi-window animation; the shared JSON row
-/// emitter produces parseable JSON.
+/// per directed link and a multi-window animation; the bench report
+/// writer turns its utilization sections into a valid document.
 #[test]
 fn renderers_emit_valid_artifacts() {
     let run = System::run(&metered(8, 24, 1), &[], seeded_kernels(8, 0x51AB, 12)).expect("run");
@@ -335,8 +335,11 @@ fn renderers_emit_valid_artifacts() {
         pes: 8,
         report,
     };
-    let body = medea_bench::utilization_rows_json(&[row]);
-    let doc = format!("{{\"rows\": [\n{body}]}}");
-    medea::trace::json::validate(&doc).expect("utilization rows must be valid JSON");
-    assert!(doc.contains("\"breakdown\""), "{doc}");
+    let mut doc = medea_bench::report::Report::new("metrics_equivalence", "test");
+    for table in medea_bench::report::utilization_tables("", &[row]) {
+        doc.add(table);
+    }
+    let doc = doc.to_json(0.0);
+    medea::trace::json::validate(&doc).expect("utilization sections must be valid JSON");
+    assert!(doc.contains("\"recv-wait\": ") && doc.contains("\"hottest_routers\""), "{doc}");
 }

@@ -38,7 +38,7 @@ use medea::core::{
 use medea::sim::ids::Rank;
 use medea::sim::rng::SplitMix64;
 use medea::sim::Cycle;
-use medea::trace::{NullSink, RingSink, TraceConfig};
+use medea::trace::{NullSink, RingSink};
 
 /// Thread counts the tiled engine must match single-thread at: even and
 /// odd, dividing and not dividing the node count.
@@ -319,7 +319,6 @@ fn traced_capture_matches_sequential_per_cycle() {
             .compute_pes(8)
             .memory_banks(2)
             .cycle_limit(50_000_000)
-            .trace(TraceConfig::all())
             .host_threads(threads)
             .build()
             .unwrap()

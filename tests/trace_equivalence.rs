@@ -10,7 +10,7 @@ use medea::core::api::PeApi;
 use medea::core::system::{Kernel, System};
 use medea::core::{Empi, NullInjector, SystemConfig, Topology};
 use medea::sim::rng::SplitMix64;
-use medea::trace::{RingSink, TraceConfig};
+use medea::trace::RingSink;
 use proptest::prelude::*;
 
 /// A seeded, deadlock-free mixed workload: per-rank op soup (compute,
@@ -86,7 +86,6 @@ proptest! {
             .topology(topo)
             .compute_pes(pes)
             .cycle_limit(50_000_000)
-            .trace(TraceConfig::all())
             .build()
             .expect("config");
         let untraced = System::run(&cfg, &[], seeded_kernels(pes, seed, ops)).expect("untraced");

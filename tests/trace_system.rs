@@ -9,17 +9,11 @@ use medea::apps::workloads::trace_mix_kernels;
 use medea::core::system::{Kernel, RunResult, System};
 use medea::core::{NullInjector, SystemConfig};
 use medea::trace::{
-    chrome, csv, json, EventClass, KernelOp, RingSink, TimedEvent, TraceAnalysis, TraceConfig,
-    TraceEvent,
+    chrome, csv, json, EventClass, KernelOp, RingSink, TimedEvent, TraceAnalysis, TraceEvent,
 };
 
 fn traced_cfg(pes: usize) -> SystemConfig {
-    SystemConfig::builder()
-        .compute_pes(pes)
-        .cycle_limit(50_000_000)
-        .trace(TraceConfig::all())
-        .build()
-        .unwrap()
+    SystemConfig::builder().compute_pes(pes).cycle_limit(50_000_000).build().unwrap()
 }
 
 /// The shared every-layer workload (`apps::workloads::trace_mix_kernels`,
