@@ -9,8 +9,9 @@
 //!   timed, delivery or probe wake tick — a PE waiting only for a flit is
 //!   parked until one arrives;
 //!
-//! — and writes the results to `BENCH_sim_speed.json` (or the path given
-//! as the first argument) as the `workloads` section of a `medea-bench/1`
+//! — and writes the results to `BENCH_sim_speed.json` (or the one path
+//! given as an argument; any flag or a second argument exits 2 with the
+//! usage line) as the `workloads` section of a `medea-bench/1`
 //! report (`medea_bench::report`). Both engines produce bit-identical results:
 //! every point asserts that `RunResult::divergence` finds no difference
 //! between them (as do `tests/golden_determinism.rs` and the
@@ -27,6 +28,8 @@ use medea_core::system::{Kernel, RunResult, System};
 use medea_core::{Empi, SystemConfig, Topology};
 use medea_sim::ids::Rank;
 use std::sync::Arc;
+
+const USAGE: &str = "usage: sim_speed_json [OUT_PATH]";
 
 /// Runs per engine; the best (highest) rate is reported to damp noise.
 const REPS: usize = 3;
@@ -114,8 +117,23 @@ fn imbalanced_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
         .collect()
 }
 
+/// The output path from the arguments after the program name: at most
+/// one positional, no flags.
+fn parse_args(args: &[String]) -> Result<String, String> {
+    match args {
+        [] => Ok("BENCH_sim_speed.json".to_owned()),
+        [flag, ..] if flag.starts_with('-') => Err(format!("unknown flag {flag}")),
+        [path] => Ok(path.clone()),
+        [_, extra, ..] => Err(format!("unexpected argument {extra}")),
+    }
+}
+
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_sim_speed.json".to_owned());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out_path = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}; {USAGE}");
+        std::process::exit(2);
+    });
     let mut report = Report::new("sim_speed", "full");
     let mut table = Table::new(
         "workloads",
@@ -206,4 +224,27 @@ fn main() {
     report.write(&out_path);
     let best = speedups.into_iter().fold(0.0f64, f64::max);
     assert!(best >= 1.5, "expected at least one workload to improve >= 1.5x, best was {best:.2}x");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<String, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn the_output_path_defaults_and_is_the_one_positional() {
+        assert_eq!(parse(&[]), Ok("BENCH_sim_speed.json".into()));
+        assert_eq!(parse(&["/tmp/out.json"]), Ok("/tmp/out.json".into()));
+    }
+
+    #[test]
+    fn a_flag_or_a_second_positional_is_an_error() {
+        assert_eq!(parse(&["--smoke"]), Err("unknown flag --smoke".into()));
+        assert_eq!(parse(&["-h", "out.json"]), Err("unknown flag -h".into()));
+        assert_eq!(parse(&["a.json", "b.json"]), Err("unexpected argument b.json".into()));
+        assert_eq!(parse(&["a.json", "--smoke"]), Err("unexpected argument --smoke".into()));
+    }
 }

@@ -132,7 +132,7 @@ impl PeApi {
         self.f64_resp(PeRequest::FpSub { a, b })
     }
 
-    /// Double-precision multiply (26 or 60 cycles per the MulOption).
+    /// Double-precision multiply (26 cycles: the "Multiply High" option).
     pub fn fmul(&self, a: f64, b: f64) -> f64 {
         self.f64_resp(PeRequest::FpMul { a, b })
     }

@@ -10,7 +10,7 @@ use medea_metrics::MetricsConfig;
 use medea_noc::coord::{Coord, Topology};
 use medea_pe::arbiter::ArbiterConfig;
 use medea_pe::bridge::BridgeConfig;
-use medea_pe::fpu::{FpModel, MulOption};
+use medea_pe::fpu::FpModel;
 use medea_pe::pe::PeConfig;
 use medea_sim::ids::{NodeId, Rank};
 use medea_sim::Cycle;
@@ -118,12 +118,9 @@ pub struct SystemConfig {
     memory_banks: usize,
     cache: CacheConfig,
     arbiter: ArbiterConfig,
-    mul: MulOption,
     fabric: FabricKind,
     layout: MemoryMap,
     mpmmu_cache: CacheConfig,
-    ddr: DdrModel,
-    lock_retry_backoff: Cycle,
     cycle_limit: Cycle,
     collective_algo: CollectiveAlgo,
     metrics: MetricsConfig,
@@ -151,11 +148,6 @@ impl SystemConfig {
     /// Arbiter build option.
     pub const fn arbiter(&self) -> ArbiterConfig {
         self.arbiter
-    }
-
-    /// Multiplier option of the FP-emulation model.
-    pub const fn mul_option(&self) -> MulOption {
-        self.mul
     }
 
     /// Fabric implementation (deflection torus or ideal ablation).
@@ -261,10 +253,10 @@ impl SystemConfig {
         PeConfig {
             node: self.node_of_rank(rank),
             cache: self.cache,
-            fp: FpModel::new(self.mul),
+            fp: FpModel::default(),
             arbiter: self.arbiter,
             bridge: BridgeConfig {
-                lock_retry_backoff: self.lock_retry_backoff,
+                lock_retry_backoff: calib::LOCK_RETRY_BACKOFF,
                 response_timeout: self.resilience.bridge_timeout,
             },
             coherence: self.coherence,
@@ -281,7 +273,7 @@ impl SystemConfig {
             cache_hit_latency: calib::MPMMU_CACHE_HIT,
             cache: self.mpmmu_cache,
             mem_bytes: self.layout.total_bytes(),
-            ddr: self.ddr,
+            ddr: DdrModel::new(calib::DDR_FIRST_WORD, calib::DDR_PER_WORD),
             coherence: self.coherence,
         }
     }
@@ -312,14 +304,7 @@ impl SystemConfig {
 
 impl fmt::Display for SystemConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({} arbiter, {}, {:?} fabric)",
-            self.label(),
-            self.arbiter,
-            self.mul,
-            self.fabric
-        )
+        write!(f, "{} ({} arbiter, {:?} fabric)", self.label(), self.arbiter, self.fabric)
     }
 }
 
@@ -430,16 +415,12 @@ pub struct SystemConfigBuilder {
     compute_pes: usize,
     memory_banks: usize,
     cache_bytes: usize,
-    cache_ways: usize,
     cache_policy: CachePolicy,
     arbiter: ArbiterConfig,
-    mul: MulOption,
     fabric: FabricKind,
     shared_bytes: u32,
     private_bytes: u32,
     mpmmu_cache_bytes: usize,
-    ddr: DdrModel,
-    lock_retry_backoff: Cycle,
     cycle_limit: Cycle,
     collective_algo: CollectiveAlgo,
     metrics: MetricsConfig,
@@ -455,16 +436,12 @@ impl Default for SystemConfigBuilder {
             compute_pes: 4,
             memory_banks: 1,
             cache_bytes: 16 * 1024,
-            cache_ways: CacheConfig::DEFAULT_WAYS,
             cache_policy: CachePolicy::WriteBack,
             arbiter: ArbiterConfig::default(),
-            mul: MulOption::MulHigh,
             fabric: FabricKind::Deflection,
             shared_bytes: 256 * 1024,
             private_bytes: 128 * 1024,
             mpmmu_cache_bytes: 16 * 1024,
-            ddr: DdrModel::new(calib::DDR_FIRST_WORD, calib::DDR_PER_WORD),
-            lock_retry_backoff: calib::LOCK_RETRY_BACKOFF,
             cycle_limit: 2_000_000_000,
             collective_algo: CollectiveAlgo::Linear,
             metrics: MetricsConfig::off(),
@@ -506,12 +483,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// L1 associativity (default 2).
-    pub fn cache_ways(mut self, ways: usize) -> Self {
-        self.cache_ways = ways;
-        self
-    }
-
     /// L1 write policy.
     pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
         self.cache_policy = policy;
@@ -521,12 +492,6 @@ impl SystemConfigBuilder {
     /// Arbiter build option (§II-B).
     pub fn arbiter(mut self, arbiter: ArbiterConfig) -> Self {
         self.arbiter = arbiter;
-        self
-    }
-
-    /// FP multiplier option.
-    pub fn mul_option(mut self, mul: MulOption) -> Self {
-        self.mul = mul;
         self
     }
 
@@ -551,18 +516,6 @@ impl SystemConfigBuilder {
     /// MPMMU local cache size in bytes.
     pub fn mpmmu_cache_bytes(mut self, bytes: usize) -> Self {
         self.mpmmu_cache_bytes = bytes;
-        self
-    }
-
-    /// DDR timing model.
-    pub fn ddr(mut self, ddr: DdrModel) -> Self {
-        self.ddr = ddr;
-        self
-    }
-
-    /// Lock retry backoff in cycles.
-    pub fn lock_retry_backoff(mut self, cycles: Cycle) -> Self {
-        self.lock_retry_backoff = cycles;
         self
     }
 
@@ -631,7 +584,8 @@ impl SystemConfigBuilder {
     /// advances them on a scoped worker pool in lockstep, one barrier per
     /// simulated cycle; results are bit-identical to the sequential
     /// engine at every thread count (see the parallel-engine notes in
-    /// `system.rs`). This is a host execution knob, not an architectural
+    /// `system.rs`). A run with an active trace sink, fault injector or
+    /// metrics takes the sequential engine whatever `n` is. This is a host execution knob, not an architectural
     /// parameter: it never affects [`SystemConfig::label`], and sweeps
     /// cap their own worker count so sweep threads × engine threads stay
     /// within the machine (`run_sweep`).
@@ -676,7 +630,7 @@ impl SystemConfigBuilder {
                 self.topology, self.memory_banks, self.compute_pes
             )));
         }
-        let cache = CacheConfig::with_ways(self.cache_bytes, self.cache_ways, self.cache_policy)
+        let cache = CacheConfig::new(self.cache_bytes, self.cache_policy)
             .map_err(|e| BuildConfigError(e.to_string()))?;
         let mpmmu_cache = CacheConfig::new(self.mpmmu_cache_bytes, CachePolicy::WriteBack)
             .map_err(|e| BuildConfigError(format!("mpmmu cache: {e}")))?;
@@ -715,12 +669,9 @@ impl SystemConfigBuilder {
             memory_banks: self.memory_banks,
             cache,
             arbiter: self.arbiter,
-            mul: self.mul,
             fabric: self.fabric,
             layout,
             mpmmu_cache,
-            ddr: self.ddr,
-            lock_retry_backoff: self.lock_retry_backoff,
             cycle_limit: self.cycle_limit,
             collective_algo: self.collective_algo,
             metrics: self.metrics,

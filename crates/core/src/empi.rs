@@ -279,11 +279,6 @@ impl Empi {
     /// system (`SystemConfigBuilder::collective_algo`).
     pub fn new(api: PeApi) -> Self {
         let algo = api.collective_algo();
-        Empi::with_algo(api, algo)
-    }
-
-    /// Wrap a kernel's [`PeApi`] with an explicit algorithm override.
-    pub fn with_algo(api: PeApi, algo: CollectiveAlgo) -> Self {
         let resilience = api.resilience();
         Empi {
             api,
@@ -334,40 +329,7 @@ impl Empi {
     /// packet arrives while awaiting a credit (opposite-direction sends —
     /// use [`Empi::sendrecv`] for symmetric exchanges).
     pub fn send(&self, to: Rank, words: &[u32]) {
-        self.span(KernelOp::MsgSend, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(Some(to), words, None);
-            } else {
-                s.send_inner(to, words);
-            }
-        });
-    }
-
-    fn send_inner(&self, to: Rank, words: &[u32]) {
-        assert!(
-            words.len() <= MAX_MESSAGE_WORDS,
-            "message of {} words exceeds the {MAX_MESSAGE_WORDS}-word eMPI limit \
-             ({MAX_CHUNKS} chunks of {CHUNK_DATA_WORDS} words)",
-            words.len()
-        );
-        if words.is_empty() {
-            self.api.send_to_rank(to, &[header(KIND_DATA, 0, 0)]);
-            return;
-        }
-        let total = words.len().div_ceil(CHUNK_DATA_WORDS);
-        for idx in 0..total {
-            if idx >= EAGER_CHUNKS && idx % EAGER_CHUNKS == 0 {
-                let credit = self.api.recv_from_rank(to);
-                let (kind, _, _) = parse_header(credit[0]);
-                assert_eq!(
-                    kind, KIND_CREDIT,
-                    "expected a credit from {to} but got a data packet: overlapping \
-                     opposite-direction sends — use Empi::sendrecv for the exchange"
-                );
-            }
-            self.send_chunk(to, words, idx);
-        }
+        self.point_to_point(KernelOp::MsgSend, Some(to), words, None);
     }
 
     /// Stage and transmit chunk `idx` of `words` via the reusable packet
@@ -393,25 +355,8 @@ impl Empi {
     /// the same destination without an intervening `recv` pairing) and on
     /// unexpected credit packets.
     pub fn recv(&self, from: Rank) -> Vec<u32> {
-        self.span(KernelOp::MsgRecv, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(None, &[], Some(from)).expect("recv direction present")
-            } else {
-                s.recv_inner(from)
-            }
-        })
-    }
-
-    fn recv_inner(&self, from: Rank) -> Vec<u32> {
-        let mut rx = RxState::new();
-        while !rx.done() {
-            let packet = self.api.recv_from_rank(from);
-            let (kind, _, _) = parse_header(packet[0]);
-            assert_eq!(kind, KIND_DATA, "unexpected credit packet from {from} while receiving");
-            rx.accept(&self.api, from, &packet);
-        }
-        rx.data
+        self.point_to_point(KernelOp::MsgRecv, None, &[], Some(from))
+            .expect("recv direction present")
     }
 
     /// MPI_sendrecv: send `words` to `to` while receiving one message from
@@ -431,58 +376,82 @@ impl Empi {
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
-        self.span(KernelOp::Sendrecv, |s| {
+        self.point_to_point(KernelOp::Sendrecv, to, words, from)
+    }
+
+    /// The one dispatch behind every point-to-point call: a trace span
+    /// for `op`, the library call overhead, then the protocol's engine —
+    /// [`Empi::duplex`] by default, [`Empi::resilient_engine`] with
+    /// retransmission on.
+    fn point_to_point(
+        &self,
+        op: KernelOp,
+        to: Option<Rank>,
+        words: &[u32],
+        from: Option<Rank>,
+    ) -> Option<Vec<u32>> {
+        self.span(op, |s| {
             s.api.compute(CALL_OVERHEAD_CYCLES);
             if s.resilient() {
-                return s.resilient_engine(to, words, from);
-            }
-            match (to, from) {
-                (None, None) => None,
-                (Some(to), None) => {
-                    s.send_inner(to, words);
-                    None
-                }
-                (None, Some(from)) => Some(s.recv_inner(from)),
-                (Some(to), Some(from)) => Some(s.duplex(to, words, from)),
+                s.resilient_engine(to, words, from)
+            } else {
+                s.duplex(to, words, from)
             }
         })
     }
 
-    /// The full-duplex engine behind [`Empi::sendrecv`]: one transmit
-    /// state machine (chunk cursor + credit allowance) and one receive
-    /// state machine, advanced until both complete.
-    fn duplex(&self, to: Rank, words: &[u32], from: Rank) -> Vec<u32> {
-        assert!(
-            words.len() <= MAX_MESSAGE_WORDS,
-            "message of {} words exceeds the {MAX_MESSAGE_WORDS}-word eMPI limit",
-            words.len()
-        );
-        let total_tx = if words.is_empty() { 1 } else { words.len().div_ceil(CHUNK_DATA_WORDS) };
+    /// The default protocol's point-to-point engine: transmit `words` to
+    /// `to` (if present) while receiving one message from `from` (if
+    /// present), with one transmit state machine (chunk cursor + credit
+    /// allowance) and one receive state machine, advanced until both
+    /// complete. With one side absent it is a plain send or receive:
+    /// a send waits for a credit before every even chunk from the third
+    /// on, a receive blocks on its source, and an empty message is a bare
+    /// header.
+    fn duplex(&self, to: Option<Rank>, words: &[u32], from: Option<Rank>) -> Option<Vec<u32>> {
+        let total_tx = match to {
+            Some(_) => {
+                assert!(
+                    words.len() <= MAX_MESSAGE_WORDS,
+                    "message of {} words exceeds the {MAX_MESSAGE_WORDS}-word eMPI limit \
+                     ({MAX_CHUNKS} chunks of {CHUNK_DATA_WORDS} words)",
+                    words.len()
+                );
+                chunks_of(words)
+            }
+            None => 0,
+        };
         let mut next = 0usize; // next chunk to transmit
         let mut allowance = EAGER_CHUNKS; // chunks the credit window permits
         let mut rx = RxState::new();
         loop {
             let tx_done = next >= total_tx;
-            if tx_done && rx.done() {
+            let rx_done = from.is_none() || rx.done();
+            if tx_done && rx_done {
                 break;
             }
             if !tx_done && next < allowance {
+                let to = to.expect("transmitting implies a destination");
                 self.send_chunk(to, words, next);
                 next += 1;
                 continue;
             }
             // Transmit is blocked on a credit and/or the receive is still
             // incomplete: service whatever arrives next.
-            let take_credit = |allowance: &mut usize, credit: &[u32]| {
+            let take_credit = |to: Rank, allowance: &mut usize, credit: &[u32]| {
+                let cause = if from.is_none() {
+                    "overlapping opposite-direction sends — use Empi::sendrecv for the exchange"
+                } else {
+                    "a third party is sending into this exchange"
+                };
                 assert_eq!(
                     parse_header(credit[0]).0,
                     KIND_CREDIT,
-                    "expected a credit from {to} but got a data packet: a third party is \
-                     sending into this exchange"
+                    "expected a credit from {to} but got a data packet: {cause}"
                 );
                 *allowance += EAGER_CHUNKS;
             };
-            let take_data = |rx: &mut RxState, packet: &[u32]| {
+            let take_data = |from: Rank, rx: &mut RxState, packet: &[u32]| {
                 assert_eq!(
                     parse_header(packet[0]).0,
                     KIND_DATA,
@@ -490,45 +459,52 @@ impl Empi {
                 );
                 rx.accept(&self.api, from, packet);
             };
-            if to == from {
-                let packet = self.api.recv_from_rank(from);
-                if parse_header(packet[0]).0 == KIND_CREDIT {
-                    assert!(!tx_done, "credit from {from} after the last chunk was sent");
-                    allowance += EAGER_CHUNKS;
-                } else {
-                    rx.accept(&self.api, from, &packet);
+            match (to, from) {
+                (Some(to), Some(from)) if to == from => {
+                    let packet = self.api.recv_from_rank(from);
+                    if parse_header(packet[0]).0 == KIND_CREDIT {
+                        assert!(!tx_done, "credit from {from} after the last chunk was sent");
+                        allowance += EAGER_CHUNKS;
+                    } else {
+                        rx.accept(&self.api, from, &packet);
+                    }
                 }
-            } else if tx_done {
                 // Only the receive side is pending.
-                let packet = self.api.recv_from_rank(from);
-                take_data(&mut rx, &packet);
-            } else if rx.done() {
+                (_, Some(from)) if tx_done => {
+                    let packet = self.api.recv_from_rank(from);
+                    take_data(from, &mut rx, &packet);
+                }
                 // Only the credit wait is pending.
-                let credit = self.api.recv_from_rank(to);
-                take_credit(&mut allowance, &credit);
-            } else {
+                (Some(to), _) if rx_done => {
+                    let credit = self.api.recv_from_rank(to);
+                    take_credit(to, &mut allowance, &credit);
+                }
                 // Both directions pending against *different* peers: poll
                 // each so neither side of the exchange can starve the
                 // other (a chain of sendrecvs pipelines instead of
                 // cascading serially). TryRecv charges at least one cycle,
                 // so the simulation always advances.
-                if let Some(credit) = self.api.try_recv_from_rank(to) {
-                    take_credit(&mut allowance, &credit);
-                } else if let Some(packet) = self.api.try_recv_from_rank(from) {
-                    take_data(&mut rx, &packet);
+                (Some(to), Some(from)) => {
+                    if let Some(credit) = self.api.try_recv_from_rank(to) {
+                        take_credit(to, &mut allowance, &credit);
+                    } else if let Some(packet) = self.api.try_recv_from_rank(from) {
+                        take_data(from, &mut rx, &packet);
+                    }
                 }
+                // Handled above: a one-sided exchange waits only on its side.
+                (None, _) | (_, None) => unreachable!("one-sided exchange already dispatched"),
             }
         }
-        rx.data
+        from.map(|_| rx.data)
     }
 
     // ---- resilient delivery (ARQ engine) ----
 
-    /// The resilient counterpart of `send_inner`/`recv_inner`/`duplex`,
-    /// unified: transmit `words` to `to` (if present) while receiving one
-    /// message from `from` (if present), tolerating corrupt packets via
-    /// NACK-driven retransmission and confirming delivery end-to-end (see
-    /// the module's *Resilient delivery* section for the protocol).
+    /// The resilient counterpart of [`Empi::duplex`]: transmit `words` to
+    /// `to` (if present) while receiving one message from `from` (if
+    /// present), tolerating corrupt packets via NACK-driven
+    /// retransmission and confirming delivery end-to-end (see the module's
+    /// *Resilient delivery* section for the protocol).
     ///
     /// Every wait polls (`TryRecv` costs at least one cycle, so the
     /// simulation always advances); timeouts back off exponentially,
@@ -753,15 +729,7 @@ impl Empi {
 
     /// Send a slice of doubles (two words each).
     pub fn send_f64(&self, to: Rank, values: &[f64]) {
-        let stage = self.stage_f64(values);
-        self.span(KernelOp::MsgSend, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(Some(to), &stage, None);
-            } else {
-                s.send_inner(to, &stage);
-            }
-        });
+        self.send(to, &self.stage_f64(values));
     }
 
     /// Receive a slice of doubles.

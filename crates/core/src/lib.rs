@@ -79,7 +79,6 @@ pub use medea_mem::BankMap;
 pub use medea_metrics::{CycleBreakdown, MetricsConfig, MetricsReport, PeActivity, SampleWindow};
 pub use medea_noc::coord::Topology;
 pub use medea_pe::arbiter::{ArbiterConfig, PriorityAssignment};
-pub use medea_pe::fpu::MulOption;
 pub use medea_trace::{EventClass, KernelOp, NullSink, RingSink, TraceSink};
 pub use system::{RunError, RunResult};
 

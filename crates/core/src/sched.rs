@@ -5,7 +5,9 @@
 //! in the tiled engine — and [`Scheduler::cycle`] is the one cycle body
 //! both engines run over them: sampling catch-up, the cycle's scheduled
 //! link kills, then deliver ejected flits, tick the runnable components,
-//! offer injection, and tick the fabric. Each phase costs time in
+//! offer injection, and tick the fabric. The hooks (trace sink, fault
+//! injector, meter) are live only in the sequential engine; the tiled
+//! engine runs the body with all three inactive. Each phase costs time in
 //! proportion to the components that can act, not to the PE count:
 //!
 //! * **delivery** walks only the nodes whose ejection queue holds a flit
@@ -52,16 +54,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 
 /// How many engine-side fault events the hang diagnostics keep.
-pub(crate) const FAULT_LOG_CAP: usize = 64;
-
-/// Fault-log phase of a scheduled link kill. The phases are the order of
-/// the engine's fault hooks within one cycle, so per-tile logs sorted by
-/// `(cycle, phase, tile)` merge into the sequential engine's push order.
-const FAULT_LINK_KILL: u8 = 0;
-/// Fault-log phase of a flit corrupted at ejection.
-const FAULT_CORRUPT: u8 = 1;
-/// Fault-log phase of an injected PE stall.
-const FAULT_PE_STALL: u8 = 2;
+const FAULT_LOG_CAP: usize = 64;
 
 /// `pe_at` entry of a node that hosts no PE.
 const NO_PE: u32 = u32::MAX;
@@ -71,11 +64,6 @@ const NO_PE: u32 = u32::MAX;
 pub(crate) struct Scheduler {
     pub(crate) pes: Vec<ProcessingElement>,
     pub(crate) banks: Vec<Bank>,
-    /// Global meter slots of `pes[0]` and `banks[0]`: the tiles partition
-    /// the monotone rank and bank orders, so local index `i` is global
-    /// slot `base + i`.
-    pe_base: usize,
-    bank_base: usize,
     /// First node of the range this scheduler's components occupy.
     node_base: usize,
     /// `pe_at[node - node_base]`: index of the PE at that node, or
@@ -95,24 +83,16 @@ pub(crate) struct Scheduler {
     /// once `wake[pe]` no longer equals its cycle.
     timers: BinaryHeap<Reverse<(Cycle, u32)>>,
     live: usize,
-    /// The tail of engine-side fault events, `(cycle, phase, event)`,
-    /// capped at [`FAULT_LOG_CAP`] (a superset of the global tail when
-    /// per-tile logs merge).
-    faults: VecDeque<(Cycle, u8, TraceEvent)>,
+    /// The tail of engine-side fault events, `(cycle, event)`, capped at
+    /// [`FAULT_LOG_CAP`].
+    faults: VecDeque<(Cycle, TraceEvent)>,
 }
 
 impl Scheduler {
     /// Schedule `pes` and `banks`, all of them due at cycle 0. `nodes` is
     /// the range of nodes they occupy (the whole torus, or one tile's
-    /// shard); `pe_base`/`bank_base` are the global meter slots of the
-    /// first PE and bank.
-    pub(crate) fn new(
-        pes: Vec<ProcessingElement>,
-        banks: Vec<Bank>,
-        nodes: Range<usize>,
-        pe_base: usize,
-        bank_base: usize,
-    ) -> Self {
+    /// shard).
+    pub(crate) fn new(pes: Vec<ProcessingElement>, banks: Vec<Bank>, nodes: Range<usize>) -> Self {
         let mut pe_at = vec![NO_PE; nodes.len()];
         for (i, pe) in pes.iter().enumerate() {
             pe_at[pe.node().index() - nodes.start] = i as u32;
@@ -121,8 +101,6 @@ impl Scheduler {
         Scheduler {
             pes,
             banks,
-            pe_base,
-            bank_base,
             node_base: nodes.start,
             pe_at,
             wake: vec![0; n],
@@ -152,33 +130,28 @@ impl Scheduler {
     }
 
     /// Append an engine-side fault event to the diagnostic tail.
-    fn log_fault(&mut self, now: Cycle, phase: u8, event: TraceEvent) {
+    fn log_fault(&mut self, now: Cycle, event: TraceEvent) {
         if self.faults.len() == FAULT_LOG_CAP {
             self.faults.pop_front();
         }
-        self.faults.push_back((now, phase, event));
+        self.faults.push_back((now, event));
     }
 
-    /// The fault tail, `(cycle, phase, event)`, oldest first.
-    pub(crate) fn faults(&self) -> impl Iterator<Item = (Cycle, u8, TraceEvent)> + '_ {
-        self.faults.iter().copied()
+    /// The fault tail, `(cycle, event)`, oldest first.
+    pub(crate) fn faults(&mut self) -> &[(Cycle, TraceEvent)] {
+        self.faults.make_contiguous()
     }
 
     /// Snapshot every PE and bank into `meter` at a sample-window
     /// boundary.
     fn sample<M: Meter>(&self, meter: &mut M) {
         for (i, pe) in self.pes.iter().enumerate() {
-            meter.sample_pe(
-                self.pe_base + i,
-                pe.activity(),
-                pe.arbiter_occupancy(),
-                pe.rx_backlog(),
-            );
+            meter.sample_pe(i, pe.activity(), pe.arbiter_occupancy(), pe.rx_backlog());
         }
         for (i, bank) in self.banks.iter().enumerate() {
             let (req, data, out) = bank.unit.fifo_occupancy();
             meter.sample_bank(
-                self.bank_base + i,
+                i,
                 req,
                 data,
                 out,
@@ -189,9 +162,7 @@ impl Scheduler {
     }
 
     /// Close `meter` when the run stops at `end`: a final snapshot, then
-    /// the open attribution spans and the partial last window. Every tile
-    /// flushes at the same `end`, so per-tile forks stay in window
-    /// lockstep for the absorb.
+    /// the open attribution spans and the partial last window.
     pub(crate) fn flush<M: Meter>(&self, meter: &mut M, end: Cycle) {
         if M::ACTIVE {
             self.sample(meter);
@@ -227,18 +198,13 @@ impl Scheduler {
             }
         }
 
-        // 0b. Scheduled permanent faults, before any traffic moves. Every
-        // tile disables the link ends it owns (a dead link has a router on
-        // each side, possibly in different tiles); the one at node 0 —
-        // the whole machine in the sequential engine — logs the kill, once.
+        // 0b. Scheduled permanent faults, before any traffic moves.
         for &(node, dir) in kills {
-            if self.node_base == 0 {
-                let event = TraceEvent::FaultLinkKilled { node, dir };
-                if S::ACTIVE {
-                    sink.record(now, event);
-                }
-                self.log_fault(now, FAULT_LINK_KILL, event);
+            let event = TraceEvent::FaultLinkKilled { node, dir };
+            if S::ACTIVE {
+                sink.record(now, event);
             }
+            self.log_fault(now, event);
             fabric.kill_link(NodeId::new(node), Dir::ALL[dir as usize & 3]);
         }
 
@@ -322,7 +288,7 @@ impl Scheduler {
                         if S::ACTIVE {
                             sink.record(now, event);
                         }
-                        self.log_fault(now, FAULT_CORRUPT, event);
+                        self.log_fault(now, event);
                     }
                 }
                 if S::ACTIVE {
@@ -370,7 +336,7 @@ impl Scheduler {
                     if S::ACTIVE {
                         sink.record(now, event);
                     }
-                    self.log_fault(now, FAULT_PE_STALL, event);
+                    self.log_fault(now, event);
                     self.schedule(i, now + Cycle::from(stall), now);
                     continue;
                 }
@@ -381,7 +347,7 @@ impl Scheduler {
                 // Interval attribution: the recorder charges the span
                 // since this PE's previous tick to its previous activity,
                 // so skipped cycles are charged to the state it waited in.
-                meter.pe_state(self.pe_base + i, now, pe.activity());
+                meter.pe_state(i, now, pe.activity());
             }
             if !was_done && pe.is_done() {
                 self.live -= 1;

@@ -32,11 +32,14 @@
 //!   barrier, mutex or mailbox;
 //! * the **tiled** driver ([`crate::tiled`]) — selected by
 //!   [`crate::config::SystemConfigBuilder::host_threads`] when more than
-//!   one thread is requested on a deflection fabric. Each worker runs the
-//!   cycle body over one tile's components and its shard of the fabric;
-//!   at the per-cycle barrier the leader folds the tile reports in tile
-//!   order and runs the same decision chain. Results stay
-//!   **bit-identical** at every thread count
+//!   one thread is requested on a deflection fabric and the run is
+//!   hook-free: its trace sink, fault injector and meter are all
+//!   inactive (a compile-time constant, like every hook guard). A traced,
+//!   faulted or metered run takes the sequential driver at any thread
+//!   count. Each worker runs the cycle body over one tile's components
+//!   and its shard of the fabric; at the per-cycle barrier the leader
+//!   folds the tile reports in tile order and runs the same decision
+//!   chain. Results stay **bit-identical** at every thread count
 //!   (`tests/parallel_equivalence.rs`).
 //!
 //! "Bit-identical" always means [`RunResult::divergence`] finds no
@@ -550,24 +553,27 @@ impl System {
 }
 
 /// The engine behind [`System::run_with`], generic over the meter: the
-/// tiled driver when the configuration selects it, otherwise the
-/// sequential driver on the configured fabric. Kernel count is already
-/// checked by the caller.
+/// tiled driver when the configuration selects it and the run is
+/// hook-free, otherwise the sequential driver on the configured fabric.
+/// Kernel count is already checked by the caller.
 fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
-    kernels: Vec<Kernel>,
+    mut kernels: Vec<Kernel>,
     sink: &mut S,
     injector: &mut I,
     meter: &mut M,
 ) -> Result<RunResult, RunError> {
-    let kernels = match crate::tiled::try_run_tiled(cfg, preload, kernels, sink, injector, meter) {
-        Ok(outcome) => return outcome,
-        Err(kernels) => kernels,
-    };
+    // A traced, faulted or metered run is sequential at any thread count.
+    if !S::ACTIVE && !I::ACTIVE && !M::ACTIVE {
+        kernels = match crate::tiled::try_run_tiled(cfg, preload, kernels) {
+            Ok(outcome) => return outcome,
+            Err(kernels) => kernels,
+        };
+    }
     let topo = cfg.topology();
     let banks = build_banks(cfg, preload);
-    let sched = Scheduler::new(build_pes::<S>(cfg, kernels), banks, 0..topo.nodes(), 0, 0);
+    let sched = Scheduler::new(build_pes::<S>(cfg, kernels), banks, 0..topo.nodes());
     match cfg.fabric() {
         FabricKind::Deflection => {
             run_sequential(cfg, sched, Network::new(topo), sink, injector, meter)
@@ -601,7 +607,7 @@ fn run_sequential<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
         }
     };
     sched.flush(meter, now);
-    let faults: Vec<(Cycle, TraceEvent)> = sched.faults().map(|(at, _, ev)| (at, ev)).collect();
+    let faults = sched.faults().to_vec();
     stop.conclude(&sched.pes, &sched.banks, &faults, fabric.stats(), injector.stats(), wall_start)
 }
 

@@ -16,6 +16,12 @@
 //! only the boundary import/export, the tile report, the barrier and the
 //! merges.
 //!
+//! Only hook-free runs come here: `System::run_with` offers a run to
+//! [`try_run_tiled`] only when its trace sink, fault injector and meter
+//! are all inactive, so every tile drives [`Scheduler::cycle`] with
+//! `NullSink`, `NullInjector` and `NullMeter`. A traced, faulted or
+//! metered run takes the sequential driver at any thread count.
+//!
 //! # Why the result is bit-identical to the sequential driver
 //!
 //! * **Flit arbitration does not need cross-tile coordination.** Routers
@@ -32,38 +38,33 @@
 //!   can never be confused with its neighbor's still-pending cycle-`t−1`
 //!   imports.
 //! * **All folds are merged in fixed tile-index order.** Statistics
-//!   (bucket-wise histogram sums), the cycle reports (sums, ORs and the
-//!   quiet fold's AND/MIN, with an identity for empty tiles) and the
-//!   fault-event tail (sorted by `(cycle, phase, tile)`) are all
+//!   (bucket-wise histogram sums) and the cycle reports (sums, ORs and
+//!   the quiet fold's AND/MIN, with an identity for empty tiles) are
 //!   order-insensitive or merged in tile order, never in
 //!   thread-completion order.
 //! * **One leader makes every global decision.** Tile 0 (on the calling
-//!   thread) runs the decision chain over the folded report and is the
-//!   only agent that drains the fault injector's link-kill schedule, so
-//!   the scheduled-fault stream is consumed in exactly the sequential
-//!   order.
+//!   thread) runs the decision chain over the folded report.
 //!
 //! `tests/parallel_equivalence.rs` pins all of this: identical
-//! [`RunResult`]s, error details and trace captures at every thread
-//! count, including the golden paper-4×4 fingerprints and fault-injected
-//! runs.
+//! [`RunResult`]s and error details at every thread count, including the
+//! golden paper-4×4 fingerprints.
 
 use crate::config::SystemConfig;
-use crate::sched::{Scheduler, FAULT_LOG_CAP};
+use crate::sched::Scheduler;
 use crate::system::{
     build_banks, build_pes, Bank, Chain, CycleReport, Kernel, RunError, RunResult, Stop,
 };
 use crate::FabricKind;
 use medea_cache::Addr;
-use medea_fault::FaultInjector;
-use medea_metrics::Meter;
+use medea_fault::{FaultStats, NullInjector};
+use medea_metrics::NullMeter;
 use medea_noc::network::{BoundaryFlit, Network};
 use medea_noc::{Fabric, FabricStats};
 use medea_pe::pe::ProcessingElement;
 use medea_sim::ids::NodeId;
 use medea_sim::par::Phaser;
 use medea_sim::Cycle;
-use medea_trace::{NullSink, TraceEvent, TraceSink};
+use medea_trace::NullSink;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -72,116 +73,38 @@ use std::time::Instant;
 /// Run `kernels` on the tiled engine if the configuration selects it,
 /// or hand the kernels back (`Err`) for the sequential path.
 ///
-/// The tiled engine engages only when all of these hold:
-///
-/// * `cfg.host_threads() > 1` and at least two tiles fit the torus;
-/// * the fabric is the deflection torus (the ideal fabric is a
-///   contention-free ablation model with no shard decomposition);
-/// * the fault injector can be forked per tile
-///   ([`FaultInjector::fork_for_tile`]).
-pub(crate) fn try_run_tiled<S: TraceSink, I: FaultInjector, M: Meter>(
+/// The tiled engine engages only when `cfg.host_threads() > 1`, at least
+/// two tiles fit the torus, and the fabric is the deflection torus (the
+/// ideal fabric is a contention-free ablation model with no shard
+/// decomposition). The caller offers only hook-free runs.
+pub(crate) fn try_run_tiled(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
     kernels: Vec<Kernel>,
-    sink: &mut S,
-    injector: &mut I,
-    meter: &mut M,
 ) -> Result<Result<RunResult, RunError>, Vec<Kernel>> {
     let tiles = cfg.host_threads().min(cfg.topology().nodes());
     if tiles < 2 || cfg.fabric() != FabricKind::Deflection {
         return Err(kernels);
     }
-    let mut forks = Vec::with_capacity(tiles);
-    for _ in 0..tiles {
-        match injector.fork_for_tile() {
-            Some(fork) => forks.push(fork),
-            None => return Err(kernels),
-        }
-    }
-    // Workers buffer trace events locally (the caller's sink cannot be
-    // shared across threads); the buffers are replayed into `sink` after
-    // the join, merged in (cycle, tile) order. The dispatch keeps the
-    // untraced instantiation free of buffering entirely.
-    let (result, trace) = if S::ACTIVE {
-        run_tiled::<BufSink, I, M>(cfg, preload, kernels, injector, forks, meter)
-    } else {
-        run_tiled::<NullSink, I, M>(cfg, preload, kernels, injector, forks, meter)
-    };
-    for (at, event) in trace {
-        sink.record(at, event);
-    }
-    Ok(result)
-}
-
-/// A tile-local trace sink that can surrender its buffered events.
-trait WorkerSink: TraceSink {
-    /// A fresh, empty sink.
-    fn fresh() -> Self;
-    /// The `(cycle, event)` stream recorded so far, cycles nondecreasing.
-    fn into_events(self) -> Vec<(Cycle, TraceEvent)>;
-}
-
-impl WorkerSink for NullSink {
-    fn fresh() -> Self {
-        NullSink
-    }
-    fn into_events(self) -> Vec<(Cycle, TraceEvent)> {
-        Vec::new()
-    }
-}
-
-/// Unbounded in-order event buffer for traced tiled runs.
-struct BufSink(Vec<(Cycle, TraceEvent)>);
-
-impl TraceSink for BufSink {
-    const ACTIVE: bool = true;
-    fn record(&mut self, at: Cycle, event: TraceEvent) {
-        self.0.push((at, event));
-    }
-}
-
-impl WorkerSink for BufSink {
-    fn fresh() -> Self {
-        BufSink(Vec::new())
-    }
-    fn into_events(self) -> Vec<(Cycle, TraceEvent)> {
-        self.0
-    }
+    Ok(run_tiled(cfg, preload, kernels, tiles))
 }
 
 /// Everything one worker owns: a contiguous shard of the fabric and a
 /// scheduler over the PEs/banks whose nodes fall inside it (rank→node and
 /// bank→node maps are monotone, so each tile's lists are contiguous runs
-/// of the global rank/bank order). The scheduler also keeps the tile's
-/// fault tail, which the main thread merges by `(cycle, phase, tile)`
-/// into the sequential push order.
-struct Tile<I, M> {
+/// of the global rank/bank order).
+struct Tile {
     index: usize,
     fabric: Network,
     sched: Scheduler,
-    injector: I,
-    /// This tile's full-size meter fork: it writes only the slots of the
-    /// components the tile owns, so absorbing the forks in tile-index
-    /// order element-wise-sums to the sequential recording.
-    meter: M,
-    trace: Vec<(Cycle, TraceEvent)>,
-}
-
-/// The leader's verdict for the next round.
-#[derive(Clone)]
-enum Decision {
-    /// Simulate cycle `now`; apply `kills` (the chain's `(node, dir)`
-    /// pairs) before any traffic moves.
-    Go { now: Cycle, kills: Vec<(u16, u8)> },
-    /// The run is over as of cycle `at`; workers flush their meters and
-    /// exit without running another cycle.
-    Stop { at: Cycle },
 }
 
 /// Cross-thread coordination state, shared by reference into the scope.
 struct Shared {
     phaser: Phaser,
-    decision: Mutex<Decision>,
+    /// The leader's verdict for the next round: the cycle to simulate,
+    /// or `None` once the run is over.
+    decision: Mutex<Option<Cycle>>,
     reports: Vec<Mutex<CycleReport>>,
     /// Whether reports carry the watchdog's inputs.
     watchdog: bool,
@@ -221,20 +144,17 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
+fn run_tiled(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
     kernels: Vec<Kernel>,
-    injector: &mut I,
-    forks: Vec<I>,
-    meter: &mut M,
-) -> (Result<RunResult, RunError>, Vec<(Cycle, TraceEvent)>) {
+    tiles: usize,
+) -> Result<RunResult, RunError> {
     let topo = cfg.topology();
-    let tiles = forks.len();
     let starts = tile_starts(cfg, tiles);
 
     let banks_all = build_banks(cfg, preload);
-    let pes_all = build_pes::<LS>(cfg, kernels);
+    let pes_all = build_pes::<NullSink>(cfg, kernels);
     let wall_start = Instant::now();
 
     let tile_of = |node: usize| starts.partition_point(|&s| (s as usize) <= node) - 1;
@@ -246,28 +166,21 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     for bank in banks_all {
         tile_banks[tile_of(bank.node.index())].push(bank);
     }
-    let (mut pe_base, mut bank_base) = (0usize, 0usize);
-    let mut tile_vec: Vec<Tile<I, M>> = Vec::with_capacity(tiles);
-    for (i, ((fork, pes), banks)) in forks.into_iter().zip(tile_pes).zip(tile_banks).enumerate() {
+    let mut tile_vec: Vec<Tile> = Vec::with_capacity(tiles);
+    for (i, (pes, banks)) in tile_pes.into_iter().zip(tile_banks).enumerate() {
         let nodes = starts[i] as usize..starts[i + 1] as usize;
-        let (pes_here, banks_here) = (pes.len(), banks.len());
         tile_vec.push(Tile {
             index: i,
             fabric: Network::shard(topo, nodes.start, nodes.end),
-            sched: Scheduler::new(pes, banks, nodes, pe_base, bank_base),
-            injector: fork,
-            meter: meter.fork(),
-            trace: Vec::new(),
+            sched: Scheduler::new(pes, banks, nodes),
         });
-        pe_base += pes_here;
-        bank_base += banks_here;
     }
 
-    let mut chain = Chain::new(cfg, injector);
+    let mut chain = Chain::new(cfg, &mut NullInjector);
     let boxes = || (0..tiles * tiles).map(|_| Mutex::new(Vec::new())).collect::<Vec<_>>();
     let shared = Shared {
         phaser: Phaser::new(tiles),
-        decision: Mutex::new(Decision::Go { now: 0, kills: chain.kills().to_vec() }),
+        decision: Mutex::new(Some(0)),
         reports: (0..tiles).map(|_| Mutex::new(CycleReport::default())).collect(),
         watchdog: chain.watchdog_on(),
         mailboxes: [boxes(), boxes()],
@@ -277,10 +190,10 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
 
     let mut tile_iter = tile_vec.into_iter();
     let mut leader_tile = tile_iter.next().expect("tiles >= 2");
-    let followers: Vec<Tile<I, M>> = tile_iter.collect();
+    let followers: Vec<Tile> = tile_iter.collect();
 
     let mut stop: Option<Stop> = None;
-    let mut joined: Vec<Tile<I, M>> = Vec::with_capacity(tiles - 1);
+    let mut joined: Vec<Tile> = Vec::with_capacity(tiles - 1);
     std::thread::scope(|scope| {
         let shared = &shared;
         let handles: Vec<_> = followers
@@ -288,7 +201,7 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
             .map(|mut tile| {
                 scope.spawn(move || {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        worker::<LS, I, M>(&mut tile, shared, None);
+                        worker(&mut tile, shared, None);
                     }));
                     if let Err(payload) = outcome {
                         shared.store_panic(payload);
@@ -298,9 +211,8 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
             })
             .collect();
 
-        let leader_outcome = catch_unwind(AssertUnwindSafe(|| {
-            worker::<LS, I, M>(&mut leader_tile, shared, Some((&mut chain, injector)))
-        }));
+        let leader_outcome =
+            catch_unwind(AssertUnwindSafe(|| worker(&mut leader_tile, shared, Some(&mut chain))));
         match leader_outcome {
             Ok(outcome) => stop = outcome,
             Err(payload) => shared.store_panic(payload),
@@ -320,43 +232,17 @@ fn run_tiled<LS: WorkerSink, I: FaultInjector, M: Meter>(
     // Reassemble global state in tile-index order — which *is* rank order
     // for PEs and bank order for banks, because both maps are monotone in
     // the node index the tiles partition.
-    let mut all_tiles = Vec::with_capacity(tiles);
-    all_tiles.push(leader_tile);
-    all_tiles.extend(joined);
-
     let mut pes: Vec<ProcessingElement> = Vec::new();
     let mut banks: Vec<Bank> = Vec::new();
     let mut fstats = FabricStats::default();
-    let mut fault = injector.stats();
-    let mut log_entries: Vec<(Cycle, u8, usize, usize, TraceEvent)> = Vec::new();
-    let mut traces: Vec<Vec<(Cycle, TraceEvent)>> = Vec::new();
-    let mut meter_parts: Vec<M> = Vec::with_capacity(tiles);
-    for (ti, tile) in all_tiles.into_iter().enumerate() {
+    for tile in std::iter::once(leader_tile).chain(joined) {
         fstats.merge(tile.fabric.stats());
-        fault.merge(&tile.injector.stats());
-        for (seq, (cycle, phase, event)) in tile.sched.faults().enumerate() {
-            log_entries.push((cycle, phase, ti, seq, event));
-        }
         pes.extend(tile.sched.pes);
         banks.extend(tile.sched.banks);
-        traces.push(tile.trace);
-        meter_parts.push(tile.meter);
     }
-    // Merge the per-tile meter forks back in tile-index order: every
-    // series slot has exactly one writer, so the element-wise sum is
-    // bit-identical to sequential recording. The forks already flushed
-    // at the stop decision; the caller must NOT finish again.
-    meter.absorb(meter_parts);
-    log_entries.sort_by_key(|&(cycle, phase, ti, seq, _)| (cycle, phase, ti, seq));
-    let fault_log: Vec<(Cycle, TraceEvent)> = log_entries
-        .iter()
-        .skip(log_entries.len().saturating_sub(FAULT_LOG_CAP))
-        .map(|&(cycle, _, _, _, event)| (cycle, event))
-        .collect();
-    let trace = merge_traces(traces);
 
     let stop = stop.expect("tiled engine stopped without a cause or a panic");
-    (stop.conclude(&pes, &banks, &fault_log, &fstats, fault, wall_start), trace)
+    stop.conclude(&pes, &banks, &[], &fstats, FaultStats::default(), wall_start)
 }
 
 /// Per-cycle cost weight of a node hosting a PE or an MPMMU bank,
@@ -410,60 +296,20 @@ fn tile_starts(cfg: &SystemConfig, tiles: usize) -> Vec<u16> {
     starts
 }
 
-/// Merge per-tile trace buffers into one deterministic stream: cycles
-/// ascending, ties broken by tile index, each tile's within-cycle order
-/// preserved. (Within a cycle the sequential engine interleaves
-/// components phase-major, so cross-engine comparisons are per-cycle
-/// multiset equality — see `tests/parallel_equivalence.rs`.)
-fn merge_traces(per_tile: Vec<Vec<(Cycle, TraceEvent)>>) -> Vec<(Cycle, TraceEvent)> {
-    let mut out = Vec::with_capacity(per_tile.iter().map(Vec::len).sum());
-    let mut heads = vec![0usize; per_tile.len()];
-    loop {
-        let mut min_cycle: Option<Cycle> = None;
-        for (t, buf) in per_tile.iter().enumerate() {
-            if let Some(&(c, _)) = buf.get(heads[t]) {
-                min_cycle = Some(min_cycle.map_or(c, |m| m.min(c)));
-            }
-        }
-        let Some(cycle) = min_cycle else { break };
-        for (t, buf) in per_tile.iter().enumerate() {
-            while let Some(&(c, event)) = buf.get(heads[t]) {
-                if c != cycle {
-                    break;
-                }
-                out.push((c, event));
-                heads[t] += 1;
-            }
-        }
-    }
-    out
-}
-
 /// One tile's thread: simulate the cycles the leader decides until it
-/// stops the run. The leader — tile 0, holding the decision chain and the
-/// original injector — waits for the followers at the clock edge, folds
-/// the tile reports in tile order, runs the chain, and releases the
-/// followers into the next round. Returns the chain's stop on the leader,
-/// `None` on a follower or when a panic poisoned the phaser.
-fn worker<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    tile: &mut Tile<I, M>,
-    shared: &Shared,
-    mut leader: Option<(&mut Chain, &mut I)>,
-) -> Option<Stop> {
-    let mut sink = LS::fresh();
+/// stops the run. The leader — tile 0, holding the decision chain — waits
+/// for the followers at the clock edge, folds the tile reports in tile
+/// order, runs the chain, and releases the followers into the next
+/// round. Returns the chain's stop on the leader, `None` on a follower or
+/// when a panic poisoned the phaser.
+fn worker(tile: &mut Tile, shared: &Shared, mut leader: Option<&mut Chain>) -> Option<Stop> {
     let mut gen = shared.phaser.generation();
     let mut stop = None;
     loop {
-        let decision = lock(&shared.decision).clone();
-        let (now, kills) = match decision {
-            Decision::Go { now, kills } => (now, kills),
-            Decision::Stop { at } => {
-                tile.sched.flush(&mut tile.meter, at);
-                break;
-            }
-        };
-        execute_cycle(tile, shared, now, &kills, gen, &mut sink);
-        let Some((chain, injector)) = leader.as_mut() else {
+        // The guard drops with this statement: the leader relocks it below.
+        let Some(now) = *lock(&shared.decision) else { break };
+        execute_cycle(tile, shared, now, gen);
+        let Some(chain) = leader.as_mut() else {
             if !shared.phaser.arrive_and_wait(gen) {
                 break;
             }
@@ -477,19 +323,16 @@ fn worker<LS: WorkerSink, I: FaultInjector, M: Meter>(
         for other in &shared.reports[1..] {
             report.merge(&lock(other));
         }
-        *lock(&shared.decision) = match chain.decide(now, &report, &mut **injector) {
-            ControlFlow::Continue(next) => {
-                Decision::Go { now: next, kills: chain.kills().to_vec() }
-            }
+        *lock(&shared.decision) = match chain.decide(now, &report, &mut NullInjector) {
+            ControlFlow::Continue(next) => Some(next),
             ControlFlow::Break(cause) => {
                 stop = Some(cause);
-                Decision::Stop { at: now }
+                None
             }
         };
         shared.phaser.release();
         gen += 1;
     }
-    tile.trace = sink.into_events();
     stop
 }
 
@@ -497,23 +340,15 @@ fn worker<LS: WorkerSink, I: FaultInjector, M: Meter>(
 /// the neighbours exported last cycle, run the cycle body
 /// ([`Scheduler::cycle`]) over the tile's shard, publish the tile's
 /// report, and export this cycle's boundary flits.
-fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
-    tile: &mut Tile<I, M>,
-    shared: &Shared,
-    now: Cycle,
-    kills: &[(u16, u8)],
-    round: u64,
-    sink: &mut LS,
-) {
+fn execute_cycle(tile: &mut Tile, shared: &Shared, now: Cycle, round: u64) {
     let tiles = shared.tiles();
     let cur = (round & 1) as usize;
 
     // Input latches are untouched until the route phase at the end of
     // this cycle, so importing here is exactly the sequential phase-2
-    // delivery (and sampling after it is equivalent to sampling before:
-    // no sampled quantity reads an input latch). Fixed from-tile order
-    // keeps the walk deterministic; the final latch state is
-    // order-independent anyway (one writer per (router, dir) input).
+    // delivery. Fixed from-tile order keeps the walk deterministic; the
+    // final latch state is order-independent anyway (one writer per
+    // (router, dir) input).
     for from in 0..tiles {
         let mut inbox = lock(&shared.mailboxes[cur ^ 1][from * tiles + tile.index]);
         for (to, from_dir, flit) in inbox.drain(..) {
@@ -521,7 +356,7 @@ fn execute_cycle<LS: WorkerSink, I: FaultInjector, M: Meter>(
         }
     }
 
-    tile.sched.cycle(&mut tile.fabric, now, kills, sink, &mut tile.injector, &mut tile.meter);
+    tile.sched.cycle(&mut tile.fabric, now, &[], &mut NullSink, &mut NullInjector, &mut NullMeter);
 
     // The report counts the undrained exports as in flight.
     let report = CycleReport::new(&tile.sched, tile.fabric.in_flight(), now, shared.watchdog);

@@ -26,6 +26,9 @@
 //!   same [`FaultConfig`] therefore produces the same fault schedule
 //!   regardless of event interleaving — fault runs replay exactly.
 //!
+//! A run with an active injector takes the engine's sequential driver at
+//! any `host_threads`, so one injector answers every hook of the run.
+//!
 //! # Fault classes (one per layer)
 //!
 //! | fault | layer | decision hook | recovery path |
@@ -159,20 +162,6 @@ impl FaultStats {
             + self.bank_delays
             + self.pe_stalls
     }
-
-    /// Fold another injector's counters into this one. Every field is a
-    /// plain sum, so merging the per-tile forks of the tiled cycle engine
-    /// (see [`FaultInjector::fork_for_tile`]) in any order reproduces the
-    /// totals a single sequential injector would have counted.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.flits_corrupted += other.flits_corrupted;
-        self.links_killed += other.links_killed;
-        self.bank_drops += other.bank_drops;
-        self.bank_delays += other.bank_delays;
-        self.bank_delay_cycles += other.bank_delay_cycles;
-        self.pe_stalls += other.pe_stalls;
-        self.pe_stall_cycles += other.pe_stall_cycles;
-    }
 }
 
 /// Fault-decision source the cycle engine is generic over.
@@ -180,12 +169,7 @@ impl FaultStats {
 /// Mirrors `medea_trace::TraceSink`: when [`ACTIVE`](Self::ACTIVE) is
 /// `false` every call site is guarded out at compile time, so the
 /// default engine carries zero overhead — not even a branch.
-///
-/// `Send` is a supertrait because the tiled parallel cycle engine moves
-/// per-tile injector forks (see [`FaultInjector::fork_for_tile`]) onto
-/// worker threads; both shipped injectors are plain data and satisfy it
-/// trivially.
-pub trait FaultInjector: Send {
+pub trait FaultInjector {
     /// Whether this injector can ever inject. `false` lets the engine
     /// monomorphize all fault hooks away.
     const ACTIVE: bool;
@@ -212,27 +196,6 @@ pub trait FaultInjector: Send {
 
     /// Faults injected so far.
     fn stats(&self) -> FaultStats;
-
-    /// An independent injector for one tile of the parallel cycle engine,
-    /// or `None` if this injector cannot be split (the engine then falls
-    /// back to the sequential path).
-    ///
-    /// A fork must answer every *stateless* decision hook —
-    /// [`corrupt_flit`](Self::corrupt_flit),
-    /// [`bank_drop`](Self::bank_drop), [`bank_delay`](Self::bank_delay),
-    /// [`pe_stall`](Self::pe_stall) — exactly as the parent would, so
-    /// that partitioning components across forks cannot change the fault
-    /// schedule. Forks start with zeroed [`FaultStats`] (the engine merges
-    /// them back with [`FaultStats::merge`]) and are never polled for
-    /// [`take_link_kill`](Self::take_link_kill): link kills are global
-    /// events the engine's leader drains from the *original* injector
-    /// once per cycle.
-    fn fork_for_tile(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
 }
 
 /// The inert injector: never injects, compiles to nothing.
@@ -270,11 +233,6 @@ impl FaultInjector for NullInjector {
     #[inline(always)]
     fn stats(&self) -> FaultStats {
         FaultStats::default()
-    }
-
-    #[inline(always)]
-    fn fork_for_tile(&self) -> Option<Self> {
-        Some(NullInjector)
     }
 }
 
@@ -375,16 +333,6 @@ impl FaultInjector for ScheduledInjector {
 
     fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Every decision is a stateless hash of `(seed, domain, component,
-    /// cycle)`, so a fresh injector over the same schedule answers every
-    /// per-component hook identically (pinned by
-    /// `decisions_are_stateless_and_order_independent`); only the
-    /// fired-link bookkeeping is stateful, and forks are never asked for
-    /// link kills.
-    fn fork_for_tile(&self) -> Option<Self> {
-        Some(ScheduledInjector::new(self.cfg))
     }
 }
 
@@ -495,33 +443,6 @@ mod tests {
         assert_eq!(inj.take_link_kill(40), Some(DeadLink { node: 3, dir: 1, at: 25 }));
         assert_eq!(inj.take_link_kill(41), None);
         assert_eq!(inj.stats().links_killed, 3);
-    }
-
-    #[test]
-    fn forks_replay_the_parent_schedule_and_stats_merge() {
-        // A tile fork must answer every stateless hook exactly like the
-        // parent, and splitting the component space across forks must
-        // leave merged stats equal to a single injector's.
-        let parent = ScheduledInjector::new(cfg(31));
-        let mut whole = ScheduledInjector::new(cfg(31));
-        let mut fork_a = parent.fork_for_tile().expect("scheduled injector forks");
-        let mut fork_b = parent.fork_for_tile().expect("scheduled injector forks");
-        for now in 0..20_000u64 {
-            // Components 0..4 on fork A, 4..8 on fork B.
-            for node in 0..8u16 {
-                let fork = if node < 4 { &mut fork_a } else { &mut fork_b };
-                assert_eq!(whole.corrupt_flit(now, node), fork.corrupt_flit(now, node));
-                assert_eq!(whole.bank_drop(now, node), fork.bank_drop(now, node));
-                assert_eq!(whole.bank_delay(now, node), fork.bank_delay(now, node));
-                assert_eq!(whole.pe_stall(now, node), fork.pe_stall(now, node));
-            }
-        }
-        let mut merged = fork_a.stats();
-        merged.merge(&fork_b.stats());
-        assert_eq!(merged, whole.stats());
-        assert!(merged.total() > 0, "schedule should have fired");
-        // The null injector forks too (to a null fork).
-        assert_eq!(NullInjector.fork_for_tile(), Some(NullInjector));
     }
 
     #[test]

@@ -44,15 +44,11 @@
 //! *read*, never perturbed: metrics-on runs produce numerically identical
 //! architectural results (pinned by `tests/metrics_equivalence.rs`).
 //!
-//! # Tiled-engine determinism
+//! # Metered runs are sequential
 //!
-//! The tiled parallel engine forks one full-size [`Recorder`] per tile
-//! ([`Meter::fork`]); tiles write disjoint PE/bank/router slots, and the
-//! forks are merged back in fixed tile-index order ([`Meter::absorb`]).
-//! Because every per-slot field has exactly one writer and merging is a
-//! plain element-wise sum, a multi-threaded run yields a bit-identical
-//! sample series and breakdown to the sequential engine at any thread
-//! count.
+//! A metered run takes the sequential driver whatever its
+//! `host_threads`, so one [`Recorder`] sees every PE, bank and router,
+//! and the sample series is the same at any thread count.
 
 pub mod heatmap;
 pub mod meter;

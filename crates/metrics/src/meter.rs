@@ -1,8 +1,8 @@
 //! The [`Meter`] instrumentation interface and its two implementations:
 //! the zero-cost [`NullMeter`] and the recording [`Recorder`].
 //!
-//! The cycle engines (sequential and tiled) are generic over `M: Meter`
-//! and call into it at four kinds of site, all guarded by `M::ACTIVE`:
+//! The cycle engine is generic over `M: Meter` and calls into it at four
+//! kinds of site, all guarded by `M::ACTIVE`:
 //!
 //! * [`Meter::link_busy`] — once per active router per cycle, from the
 //!   fabric tick, with the 4-bit occupancy mask of its output latches;
@@ -20,11 +20,8 @@
 //! * [`Meter::finish`] — once at end of run, after a final snapshot:
 //!   flushes the open attribution spans and the partial last window.
 //!
-//! [`Meter::fork`] / [`Meter::absorb`] support the tiled engine: each tile
-//! runs a full-size fork and writes only its own PE/bank/router slots;
-//! absorbing the forks in tile-index order element-wise-sums the series,
-//! which is bit-identical to sequential recording because every slot has
-//! exactly one writer.
+//! A metered run always takes the sequential driver, whatever its
+//! `host_threads`, so one meter sees the whole machine.
 
 use crate::report::{CycleBreakdown, MetricsReport, SampleWindow};
 use crate::PeActivity;
@@ -89,10 +86,9 @@ impl Default for MetricsConfig {
 /// A destination for engine telemetry. See the module docs for the call
 /// sites and their contract.
 ///
-/// Implementations must be cheap (`link_busy`/`pe_state` run inside the
-/// engine hot loops) and `Send` (the tiled engine moves forks onto worker
-/// threads).
-pub trait Meter: Send {
+/// Implementations must be cheap: `link_busy`/`pe_state` run inside the
+/// engine hot loops.
+pub trait Meter {
     /// Whether this meter observes anything. `false` only for
     /// [`NullMeter`]; the constant lets monomorphization delete every
     /// instrumentation site.
@@ -140,18 +136,6 @@ pub trait Meter: Send {
     /// End of run at cycle `end`: flush open attribution spans and commit
     /// the partial final window (if any) from the staged snapshots.
     fn finish(&mut self, _end: Cycle) {}
-
-    /// A fresh same-shape meter for one tile of the tiled engine.
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Merge per-tile forks back, in tile-index order.
-    fn absorb(&mut self, _parts: Vec<Self>)
-    where
-        Self: Sized,
-    {
-    }
 }
 
 /// The no-op meter: metrics off. All instrumentation sites compile away.
@@ -160,11 +144,6 @@ pub struct NullMeter;
 
 impl Meter for NullMeter {
     const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn fork(&self) -> Self {
-        NullMeter
-    }
 }
 
 /// The recording meter behind [`MetricsReport`].
@@ -207,7 +186,6 @@ pub struct Recorder {
     windows_dropped: u64,
 
     end: Cycle,
-    finished: bool,
 }
 
 impl Recorder {
@@ -248,7 +226,6 @@ impl Recorder {
             ring_start: 0,
             windows_dropped: 0,
             end: 0,
-            finished: false,
         }
     }
 
@@ -312,57 +289,6 @@ impl Recorder {
         self.link_acc.fill(0);
         self.lock_delta.fill(0);
         self.coh_delta.fill(0);
-    }
-
-    /// Merge one tile's finished fork into this recorder. Every per-slot
-    /// value has exactly one writer across forks, so element-wise sums
-    /// reproduce the sequential recording bit for bit.
-    fn merge_from(&mut self, other: Recorder) {
-        debug_assert_eq!(self.interval, other.interval);
-        debug_assert_eq!(self.pes, other.pes);
-        debug_assert_eq!(self.banks, other.banks);
-        for (mine, theirs) in self.breakdown.iter_mut().zip(&other.breakdown) {
-            mine.add(theirs);
-        }
-        self.end = self.end.max(other.end);
-        self.finished |= other.finished;
-        if self.ring.is_empty() {
-            self.ring = other.ring;
-            self.ring_start = other.ring_start;
-            self.windows_dropped = other.windows_dropped;
-            self.window = other.window;
-            return;
-        }
-        debug_assert_eq!(self.ring.len(), other.ring.len(), "forks commit in lockstep");
-        debug_assert_eq!(self.ring_start, other.ring_start);
-        for (mine, theirs) in self.ring.iter_mut().zip(&other.ring) {
-            debug_assert_eq!((mine.start, mine.end), (theirs.start, theirs.end));
-            fn add_u32(a: &mut [u32], b: &[u32]) {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += *y;
-                }
-            }
-            fn add_u16(a: &mut [u16], b: &[u16]) {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += *y;
-                }
-            }
-            fn add_u8(a: &mut [u8], b: &[u8]) {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += *y;
-                }
-            }
-            add_u32(&mut mine.link_busy, &theirs.link_busy);
-            add_u8(&mut mine.pe_activity, &theirs.pe_activity);
-            add_u16(&mut mine.pe_arb, &theirs.pe_arb);
-            add_u16(&mut mine.pe_rx, &theirs.pe_rx);
-            add_u16(&mut mine.bank_req, &theirs.bank_req);
-            add_u16(&mut mine.bank_data, &theirs.bank_data);
-            add_u16(&mut mine.bank_out, &theirs.bank_out);
-            add_u32(&mut mine.bank_lock_nacks, &theirs.bank_lock_nacks);
-            add_u32(&mut mine.bank_coh_msgs, &theirs.bank_coh_msgs);
-        }
-        self.windows_dropped = self.windows_dropped.max(other.windows_dropped);
     }
 }
 
@@ -444,23 +370,6 @@ impl Meter for Recorder {
             self.push_window(start, end);
         }
         self.end = end;
-        self.finished = true;
-    }
-
-    fn fork(&self) -> Self {
-        Recorder::new(
-            MetricsConfig::every(self.interval).with_max_windows(self.max_windows),
-            self.width,
-            self.height,
-            self.pes,
-            self.banks,
-        )
-    }
-
-    fn absorb(&mut self, parts: Vec<Self>) {
-        for part in parts {
-            self.merge_from(part);
-        }
     }
 }
 
@@ -496,7 +405,6 @@ mod tests {
         m.pe_state(0, 5, PeActivity::Compute);
         m.commit_window();
         m.finish(10);
-        m.fork().absorb(vec![NullMeter]);
     }
 
     #[test]
@@ -565,45 +473,5 @@ mod tests {
         assert_eq!(report.windows[0].start, 30);
         assert_eq!(report.windows[1].start, 40);
         assert_eq!(report.windows[1].pe_arb[0], 4);
-    }
-
-    #[test]
-    fn fork_absorb_matches_single_recorder() {
-        // One recorder sees both PEs; two forks each see one. Merged in
-        // tile order, the series must be bit-identical.
-        let mut whole = recorder(10);
-        let mut left = whole.fork();
-        let mut right = whole.fork();
-        for (t, acts) in [
-            (0u64, [PeActivity::Compute, PeActivity::Send]),
-            (4, [PeActivity::Mem, PeActivity::Send]),
-            (9, [PeActivity::Compute, PeActivity::RecvWait]),
-        ] {
-            whole.pe_state(0, t, acts[0]);
-            whole.pe_state(1, t, acts[1]);
-            left.pe_state(0, t, acts[0]);
-            right.pe_state(1, t, acts[1]);
-        }
-        whole.link_busy(0, 0b11);
-        left.link_busy(0, 0b11);
-        whole.link_busy(3, 0b100);
-        right.link_busy(3, 0b100);
-        for r in [&mut whole, &mut left, &mut right] {
-            r.sample_bank(0, 0, 0, 0, 0, 0);
-        }
-        // Tile-owned PE snapshots: whole samples both, forks one each.
-        whole.sample_pe(0, PeActivity::Compute, 1, 0);
-        whole.sample_pe(1, PeActivity::RecvWait, 0, 2);
-        left.sample_pe(0, PeActivity::Compute, 1, 0);
-        right.sample_pe(1, PeActivity::RecvWait, 0, 2);
-        for r in [&mut whole, &mut left, &mut right] {
-            r.commit_window();
-            r.finish(12);
-        }
-        let mut merged = whole.fork();
-        merged.absorb(vec![left, right]);
-        let (a, b) = (merged.into_report(), whole.into_report());
-        assert_eq!(a, b);
-        assert_eq!(a.aggregate().total(), 24, "two PEs x 12 cycles");
     }
 }

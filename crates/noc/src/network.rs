@@ -246,8 +246,8 @@ impl Fabric for Network {
     /// Reports per-router deflections (from [`DeflectionRouter::route`])
     /// and the occupancy of every active router's output latches: the
     /// latched-link count as a [`TraceEvent::LinkLoad`] to `sink`, the
-    /// 4-bit direction mask to [`Meter::link_busy`]. Nodes keep their
-    /// global ids, so per-tile meters merge by element-wise sum.
+    /// 4-bit direction mask to [`Meter::link_busy`], under the nodes'
+    /// global ids.
     fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, sink: &mut S, meter: &mut M) {
         // This cycle's working set, moved out so the `active` field can
         // start accumulating the next cycle's set into the spare buffer

@@ -6,8 +6,8 @@
 //! cycle, each worker finishes its tile's phases, publishes a small report,
 //! and waits; one distinguished **leader** (tile 0, which runs on the
 //! calling thread) waits for all followers, makes the serial end-of-cycle
-//! decision (termination, watchdog, timed-wait jump, fault-schedule link
-//! kills), publishes it, and releases everyone into the next cycle.
+//! decision (termination, cycle limit, watchdog, timed-wait jump,
+//! deadlock), publishes it, and releases everyone into the next cycle.
 //!
 //! The barrier *is* the clock edge: no tile can observe another tile's
 //! cycle-`T` state until every tile has finished cycle `T`, so cross-tile

@@ -25,21 +25,16 @@
 //! [`Coherence::Dii`]: medea::core::Coherence
 //! [`CoherenceStats`]: medea::core::CoherenceStats
 
+mod common;
+
+use common::{fingerprint, Fingerprint};
 use medea::apps::sharing::{self, Discipline, SharingConfig};
-use medea::core::system::RunResult;
 use medea::core::{Coherence, CoherenceStats, SystemConfig, Topology};
 use medea::trace::{EventClass, NullSink, RingSink};
 use proptest::prelude::*;
 
 fn builder(pes: usize, mode: Coherence) -> medea::core::SystemConfigBuilder {
     SystemConfig::builder().compute_pes(pes).coherence(mode).cycle_limit(50_000_000)
-}
-
-/// The engine observables every variant must reproduce bit-identically.
-type Fingerprint = (u64, u64, u64, Option<u64>);
-
-fn fingerprint(r: &RunResult) -> Fingerprint {
-    (r.cycles, r.fabric_delivered, r.fabric_deflections, r.fabric_max_latency)
 }
 
 // ---------------------------------------------------------------------

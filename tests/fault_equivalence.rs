@@ -13,8 +13,11 @@
 //!   faulted run reproduces the unfaulted `RunResult`
 //!   (`RunResult::divergence` finds no difference).
 
+mod common;
+
+use common::{fingerprint, Fingerprint};
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{Kernel, System};
 use medea::core::{Empi, FaultConfig, ScheduledInjector, SystemConfig, Topology};
 use medea::sim::rng::SplitMix64;
 use medea::trace::NullSink;
@@ -112,12 +115,6 @@ proptest! {
 }
 
 // ---- golden paper-4×4 pins (literals carried from golden_determinism) ----
-
-type Fingerprint = (u64, u64, u64, Option<u64>);
-
-fn fingerprint(r: &RunResult) -> Fingerprint {
-    (r.cycles, r.fabric_delivered, r.fabric_deflections, r.fabric_max_latency)
-}
 
 fn cfg(pes: usize) -> SystemConfig {
     SystemConfig::builder().compute_pes(pes).cycle_limit(50_000_000).build().unwrap()

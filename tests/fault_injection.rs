@@ -11,6 +11,7 @@
 //!   deadlock detection cannot fire) until the progress watchdog
 //!   converts the livelock into [`RunError::Watchdog`] with per-PE
 //!   diagnostics.
+//! * A hang under a fault schedule lists the injected faults, in order.
 //! * The cycle-limit error carries the same per-PE blocked-state detail.
 //! * A receiver parked on a message that never comes while its peer polls
 //!   forever: the watchdog's carve-out for healthy timed stalls must not
@@ -149,6 +150,40 @@ fn watchdog_converts_retransmission_livelock_into_structured_error() {
         }
         other => panic!("expected Watchdog, got {other}"),
     }
+}
+
+/// A hang under a live fault schedule names the faults it injected: the
+/// watchdog error's detail ends with the engine's fault tail, oldest
+/// first, each event at the cycle it struck.
+#[test]
+fn hang_detail_lists_the_injected_faults_in_order() {
+    let sys = SystemConfig::builder()
+        .compute_pes(2)
+        .cycle_limit(50_000_000)
+        .resilience(ResilienceConfig {
+            empi_retransmit: true,
+            empi_timeout: 1_000,
+            watchdog_cycles: 40_000,
+            ..ResilienceConfig::off()
+        })
+        .build()
+        .expect("resilient configuration");
+    let kernels: Vec<Kernel> = vec![
+        Box::new(|api: PeApi| {
+            let _ = Empi::new(api).recv(Rank::new(1)); // peer never sends
+        }),
+        Box::new(|api: PeApi| Empi::new(api).compute(10)),
+    ];
+    let schedule = FaultConfig { seed: 0x11FE, ..FaultConfig::default() }
+        .kill_link(DeadLink { node: 1, dir: 1, at: 300 })
+        .kill_link(DeadLink { node: 2, dir: 2, at: 2_000 });
+    let mut injector = ScheduledInjector::new(schedule);
+    let err = System::run_with(&sys, &[], kernels, &mut NullSink, &mut injector)
+        .expect_err("must not hang silently");
+    let RunError::Watchdog { detail, .. } = &err else { panic!("expected Watchdog, got {err}") };
+    let tail = "; recent faults: [@300 FaultLinkKilled { node: 1, dir: 1 }, \
+                @2000 FaultLinkKilled { node: 2, dir: 2 }]";
+    assert!(detail.ends_with(tail), "fault tail missing or out of order: {detail}");
 }
 
 /// Without the watchdog the same livelock runs into the cycle limit —

@@ -13,10 +13,14 @@
 //! paper-4×4 fingerprints. The tree algorithms get their own stability
 //! pins below.
 
+mod common;
+
+use common::{fingerprint, gather_kernels, reduce_kernels, sharedmem_kernels, Fingerprint};
 use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
+use medea::apps::workloads::pingpong_kernels;
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{Kernel, System};
 use medea::core::{CollectiveAlgo, Empi, MetricsConfig, NullInjector, SystemConfig, Topology};
 use medea::sim::ids::Rank;
 use medea::trace::{NullSink, RingSink};
@@ -35,69 +39,8 @@ fn cfg_banked(pes: usize, banks: usize) -> SystemConfig {
         .unwrap()
 }
 
-/// The fields of [`RunResult`] the literal pins fix. Run-over-run checks
-/// compare whole results with [`RunResult::divergence`].
-type Fingerprint = (u64, u64, u64, Option<u64>);
-
 /// A pinned workload: name, kernel factory, PE count, expected print.
 type PinnedWorkload = (&'static str, fn() -> Vec<Kernel>, usize, Fingerprint);
-
-fn fingerprint(r: &RunResult) -> Fingerprint {
-    (r.cycles, r.fabric_delivered, r.fabric_deflections, r.fabric_max_latency)
-}
-
-/// One-word ping-pong over raw TIE messages, 40 round trips.
-fn pingpong_kernels() -> Vec<Kernel> {
-    let ping: Kernel = Box::new(|api: PeApi| {
-        for i in 1..=40u32 {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
-            assert_eq!(back[0], i);
-        }
-    });
-    let pong: Kernel = Box::new(|api: PeApi| {
-        for _ in 1..=40u32 {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
-        }
-    });
-    vec![ping, pong]
-}
-
-/// Gather-to-root + broadcast all-reduce, hand-rolled on the
-/// communicator's point-to-point ops with a compute phase so timed stalls
-/// and traffic interleave. Deliberately NOT `Empi::allreduce`: this is
-/// the seed's exact call sequence (barrier, then per-rank send/recv
-/// pairs), kept verbatim so the fingerprint pins the same behavior the
-/// pre-communicator engine produced. The library collectives get their
-/// own per-algorithm fingerprints below.
-fn reduce_kernels(ranks: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(50 + 137 * r as u64);
-                comm.barrier();
-                let mine = r as f64 + 0.5;
-                let total = if comm.rank().is_master() {
-                    let mut acc = mine;
-                    for src in 1..comm.ranks() {
-                        acc = comm.fadd(acc, comm.recv_f64(Rank::new(src as u8))[0]);
-                    }
-                    for dst in 1..comm.ranks() {
-                        comm.send_f64(Rank::new(dst as u8), &[acc]);
-                    }
-                    acc
-                } else {
-                    comm.send_f64(Rank::new(0), &[mine]);
-                    comm.recv_f64(Rank::new(0))[0]
-                };
-                let expect = (0..comm.ranks()).map(|k| k as f64 + 0.5).sum::<f64>();
-                assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
-        })
-        .collect()
-}
 
 /// The same reduction through the library collective — the surface the
 /// per-algorithm fingerprint test pins.
@@ -116,54 +59,11 @@ fn allreduce_kernels(ranks: usize) -> Vec<Kernel> {
         .collect()
 }
 
-/// Every rank simultaneously streams a message to rank 0 — heavy
-/// contention on the torus and the ejection channel, so the deflection
-/// path is actually exercised.
-fn gather_kernels(ranks: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                if r == 0 {
-                    for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
-                        assert_eq!(got.len(), 40);
-                    }
-                } else {
-                    let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
-                }
-            }) as Kernel
-        })
-        .collect()
-}
-
-/// Shared-memory traffic through locks, uncached accesses and flushes —
-/// the MPMMU-heavy counterpart of the message workloads above.
-fn sharedmem_kernels(ranks: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                const COUNTER: u32 = 0x100;
-                const LOCK: u32 = 0x200;
-                for _ in 0..6 {
-                    api.lock(LOCK);
-                    let v = api.uncached_load_u32(COUNTER);
-                    api.uncached_store_u32(COUNTER, v + 1);
-                    api.unlock(LOCK);
-                }
-                api.store_f64(api.private_base(), r as f64);
-                api.flush_line(api.private_base());
-            }) as Kernel
-        })
-        .collect()
-}
-
 /// The four pinned paper-4×4 workloads with their literal fingerprints
 /// (captured from the pre-bank single-MPMMU engine).
 fn paper_pins() -> [PinnedWorkload; 4] {
     [
-        ("pingpong", || pingpong_kernels(), 2, (320, 80, 0, Some(1))),
+        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
         ("reduce", || reduce_kernels(6), 6, (960, 50, 0, Some(3))),
         ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
         ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
@@ -272,7 +172,7 @@ const PIN_2BANK_8X8_PER_BANK: [(usize, u64, u64); 2] = [(0, 186, 186), (4, 186, 
 
 #[test]
 fn pingpong_fingerprint_stable_across_runs() {
-    let run = || System::run(&cfg(2), &[], pingpong_kernels()).expect("pingpong run");
+    let run = || System::run(&cfg(2), &[], pingpong_kernels(40)).expect("pingpong run");
     let a = run();
     assert_eq!(a.divergence(&run()), None);
     assert!(a.fabric_delivered > 0, "pingpong must use the fabric");

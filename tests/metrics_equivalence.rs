@@ -10,25 +10,18 @@
 //!   mixes and sampling intervals, a metered run reproduces the unmetered
 //!   `RunResult` (`RunResult::divergence`, property-tested), and the paper
 //!   pins hold with live sampling enabled.
-//! * **Tiled sampling is sequential sampling** — the per-tile recorder
-//!   forks merge to a [`MetricsReport`] bit-identical to the sequential
-//!   engine's at every thread count: same windows, same series, same
-//!   per-PE attribution (`MetricsReport` is `PartialEq`; the whole report
-//!   is compared at once).
 //! * **Renderers emit valid artifacts** — the HTML heatmap's SVG is
 //!   well-formed with exactly one cell per directed link, and the shared
 //!   `utilization` JSON rows parse.
 
-use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult, System};
-use medea::core::{Empi, MetricsConfig, PeActivity, SystemConfig, Topology};
-use medea::metrics::heatmap::{check_svg_well_formed, render_heatmap_html};
-use medea::sim::ids::Rank;
-use medea::sim::rng::SplitMix64;
-use proptest::prelude::*;
+mod common;
 
-/// Thread counts the tiled sampler must match single-thread at.
-const THREADS: [usize; 3] = [2, 3, 4];
+use common::{fingerprint, gather_kernels, seeded_kernels, sharedmem_kernels, Fingerprint};
+use medea::apps::workloads::pingpong_kernels;
+use medea::core::system::{Kernel, System};
+use medea::core::{MetricsConfig, PeActivity, SystemConfig, Topology};
+use medea::metrics::heatmap::{check_svg_well_formed, render_heatmap_html};
+use proptest::prelude::*;
 
 fn builder(pes: usize) -> medea::core::SystemConfigBuilder {
     SystemConfig::builder().compute_pes(pes).cycle_limit(50_000_000)
@@ -38,131 +31,19 @@ fn metered(pes: usize, interval: u64, threads: usize) -> SystemConfig {
     builder(pes).metrics(MetricsConfig::every(interval)).host_threads(threads).build().unwrap()
 }
 
-/// Seeded, deadlock-free mixed workload (the shape shared with the trace
-/// and parallel equivalence suites): per-rank op soup, ring exchange,
-/// barrier + allreduce, so every sampled subsystem fires.
-fn seeded_kernels(ranks: usize, seed: u64, ops: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                const LOCK: u32 = 0x40;
-                const COUNTER: u32 = 0x44;
-                let comm = Empi::new(api);
-                let mut rng = SplitMix64::new(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
-                let base = comm.private_base();
-                for i in 0..ops {
-                    match rng.next_u64() % 6 {
-                        0 => comm.compute(1 + rng.next_u64() % 64),
-                        1 => comm.store_u32(base + (i as u32 % 16) * 4, rng.next_u64() as u32),
-                        2 => {
-                            let _ = comm.load_u32(base + (i as u32 % 16) * 4);
-                        }
-                        3 => {
-                            comm.flush_line(base);
-                            comm.invalidate_line(base);
-                        }
-                        4 => {
-                            comm.uncached_store_u32(0x80 + r as u32 * 4, i as u32);
-                            let _ = comm.uncached_load_u32(0x80 + r as u32 * 4);
-                        }
-                        _ => {
-                            comm.lock(LOCK);
-                            let v = comm.uncached_load_u32(COUNTER);
-                            comm.uncached_store_u32(COUNTER, v + 1);
-                            comm.unlock(LOCK);
-                        }
-                    }
-                }
-                if comm.ranks() > 1 {
-                    let rank = comm.rank().index();
-                    let ranks = comm.ranks();
-                    let next = Rank::new(((rank + 1) % ranks) as u8);
-                    let prev = Rank::new(((rank + ranks - 1) % ranks) as u8);
-                    let payload: Vec<u32> = (0..8).map(|i| (rank * 100 + i) as u32).collect();
-                    let got = comm.sendrecv(Some(next), &payload, Some(prev)).expect("ring");
-                    assert_eq!(got[0] as usize, ((rank + ranks - 1) % ranks) * 100);
-                }
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.25);
-                let expect = (0..comm.ranks()).map(|k| k as f64 + 0.25).sum::<f64>();
-                assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // Pinned paper workloads (shapes shared with tests/golden_determinism.rs)
 // ---------------------------------------------------------------------
 
-fn pingpong_kernels() -> Vec<Kernel> {
-    let ping: Kernel = Box::new(|api: PeApi| {
-        for i in 1..=40u32 {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
-            assert_eq!(back[0], i);
-        }
-    });
-    let pong: Kernel = Box::new(|api: PeApi| {
-        for _ in 1..=40u32 {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
-        }
-    });
-    vec![ping, pong]
-}
-
-fn gather_kernels(ranks: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                if r == 0 {
-                    for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
-                        assert_eq!(got.len(), 40);
-                    }
-                } else {
-                    let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
-                }
-            }) as Kernel
-        })
-        .collect()
-}
-
-fn sharedmem_kernels(ranks: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                const COUNTER: u32 = 0x100;
-                const LOCK: u32 = 0x200;
-                for _ in 0..6 {
-                    api.lock(LOCK);
-                    let v = api.uncached_load_u32(COUNTER);
-                    api.uncached_store_u32(COUNTER, v + 1);
-                    api.unlock(LOCK);
-                }
-                api.store_f64(api.private_base(), r as f64);
-                api.flush_line(api.private_base());
-            }) as Kernel
-        })
-        .collect()
-}
-
 /// The paper-4×4 golden fingerprints (literal values carried from
 /// `tests/golden_determinism.rs`).
-type Pin = (&'static str, fn() -> Vec<Kernel>, usize, (u64, u64, u64, Option<u64>));
+type Pin = (&'static str, fn() -> Vec<Kernel>, usize, Fingerprint);
 fn paper_pins() -> [Pin; 3] {
     [
-        ("pingpong", pingpong_kernels, 2, (320, 80, 0, Some(1))),
+        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
         ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
         ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
     ]
-}
-
-fn fingerprint(r: &RunResult) -> (u64, u64, u64, Option<u64>) {
-    (r.cycles, r.fabric_delivered, r.fabric_deflections, r.fabric_max_latency)
 }
 
 // ---------------------------------------------------------------------
@@ -192,51 +73,6 @@ fn metrics_on_reproduces_paper_fingerprints_bit_for_bit() {
             assert!(!report.windows.is_empty(), "{name}: sampler committed no windows");
             assert_eq!(report.end, run.cycles, "{name}: report end is the run end");
             assert_eq!(report.breakdown.len(), pes);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tiled == sequential, report included
-// ---------------------------------------------------------------------
-
-/// The per-tile recorder forks merge to the *identical* report: every
-/// sample window, every series, every per-PE breakdown, at every thread
-/// count — compared wholesale through `MetricsReport: PartialEq`.
-#[test]
-fn tiled_sample_series_bit_identical_to_sequential() {
-    let cases: [(u8, u8, usize, usize, u64); 4] = [
-        // (cols, rows, pes, banks, seed)
-        (4, 4, 8, 1, 0xD1CE),
-        (4, 4, 12, 4, 0xBEEF),
-        (8, 2, 10, 2, 0xCAFE),
-        (2, 4, 6, 2, 0xF00D),
-    ];
-    for (cols, rows, pes, banks, seed) in cases {
-        let topo = Topology::new(cols, rows).expect("valid torus");
-        let label = format!("{cols}x{rows}/{pes}pe/{banks}bank");
-        let build = |threads: usize| {
-            SystemConfig::builder()
-                .topology(topo)
-                .compute_pes(pes)
-                .memory_banks(banks)
-                .cycle_limit(50_000_000)
-                .metrics(MetricsConfig::every(48))
-                .host_threads(threads)
-                .build()
-                .unwrap()
-        };
-        let seq = System::run(&build(1), &[], seeded_kernels(pes, seed, 12)).expect(&label);
-        let seq_report = seq.metrics.as_ref().expect("sequential report");
-        assert!(seq_report.windows.len() >= 2, "{label}: workload too short to compare series");
-        for threads in THREADS {
-            let tiled = System::run(&build(threads), &[], seeded_kernels(pes, seed, 12))
-                .unwrap_or_else(|e| panic!("{label}@{threads}t: {e}"));
-            assert_eq!(tiled.divergence(&seq), None, "{label}@{threads}t");
-            assert_eq!(
-                tiled.metrics, seq.metrics,
-                "{label}@{threads}t: tiled report must be bit-identical"
-            );
         }
     }
 }
