@@ -23,9 +23,8 @@
 //! [`SystemConfigBuilder::memory_banks`]: medea_core::SystemConfigBuilder::memory_banks
 
 use medea_cache::LINE_BYTES;
-use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, RunResult, System};
-use medea_core::{Empi, SystemConfig};
+use medea_core::system::{RunError, RunResult, System, Task};
+use medea_core::{AsyncEmpi, SystemConfig};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,7 +73,7 @@ pub fn run(sys: &SystemConfig, hcfg: &HotspotConfig) -> Result<HotspotOutcome, R
 /// # Panics
 ///
 /// Panics if the strided slices do not fit the shared segment.
-pub fn kernels(sys: &SystemConfig, hcfg: &HotspotConfig, window: Arc<AtomicU64>) -> Vec<Kernel> {
+pub fn kernels(sys: &SystemConfig, hcfg: &HotspotConfig, window: Arc<AtomicU64>) -> Vec<Task> {
     let ranks = sys.compute_pes();
     let ops = hcfg.ops_per_rank;
     let lines_needed = (ranks * ops) as u64 * LINE_BYTES as u64;
@@ -86,23 +85,24 @@ pub fn kernels(sys: &SystemConfig, hcfg: &HotspotConfig, window: Arc<AtomicU64>)
     (0..ranks)
         .map(|r| {
             let cell = Arc::clone(&window);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 let ranks = comm.ranks();
                 let addr = |i: usize| ((r + i * ranks) * LINE_BYTES) as u32;
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for i in 0..ops {
-                    comm.uncached_store_u32(addr(i), encode(r, i));
+                    comm.uncached_store_u32(addr(i), encode(r, i)).await;
                 }
                 for i in 0..ops {
-                    assert_eq!(comm.uncached_load_u32(addr(i)), encode(r, i), "rank {r} op {i}");
+                    let got = comm.uncached_load_u32(addr(i)).await;
+                    assert_eq!(got, encode(r, i), "rank {r} op {i}");
                 }
-                comm.barrier();
+                comm.barrier().await;
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }

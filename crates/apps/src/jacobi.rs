@@ -25,11 +25,11 @@
 use crate::grid::{initial_grid, jacobi_reference, max_ranks, partition_rows};
 use crate::sm::SmBarrier;
 use medea_cache::Addr;
-use medea_core::api::PeApi;
+use medea_core::api::AsyncPeApi;
 use medea_core::calib::LOOP_OVERHEAD_CYCLES;
 use medea_core::explore::{PreparedWorkload, Workload};
-use medea_core::system::{Kernel, RunError, RunResult, System};
-use medea_core::{Empi, FaultInjector, NullInjector, NullSink, SystemConfig, TraceSink};
+use medea_core::system::{RunError, RunResult, System, Task};
+use medea_core::{AsyncEmpi, FaultInjector, NullInjector, NullSink, SystemConfig, TraceSink};
 use medea_pe::kernel_if::f64_to_words;
 use medea_sim::ids::Rank;
 use medea_sim::Cycle;
@@ -165,8 +165,15 @@ struct KernelCtx {
     sm_barrier: SmBarrier,
 }
 
-fn jacobi_kernel(api: PeApi, ctx: KernelCtx) {
-    let comm = Empi::new(api);
+impl KernelCtx {
+    /// The kernel of one rank, as a task.
+    fn task(self) -> Task {
+        Task::new(move |api| jacobi_kernel(api, self))
+    }
+}
+
+async fn jacobi_kernel(api: AsyncPeApi, ctx: KernelCtx) {
+    let comm = AsyncEmpi::new(api);
     let jcfg = ctx.jcfg;
     let n = jcfg.n;
     let ranks = comm.ranks();
@@ -178,98 +185,106 @@ fn jacobi_kernel(api: PeApi, ctx: KernelCtx) {
         "grid slice does not fit the private segment"
     );
 
-    let barrier = |comm: &Empi| match jcfg.variant {
-        JacobiVariant::PureSharedMemory => ctx.sm_barrier.wait(comm, ranks),
-        _ => comm.barrier(),
-    };
-
     let mut cur = 0usize;
     let mut t0: Cycle = 0;
     for it in 0..jcfg.total_iters() {
         if it == jcfg.warmup_iters {
-            barrier(&comm);
-            t0 = comm.now();
+            barrier(&comm, jcfg.variant, &ctx.sm_barrier).await;
+            t0 = comm.now().await;
         }
         let nxt = 1 - cur;
-        sweep(&comm, &lay, cur, nxt);
+        sweep(&comm, &lay, cur, nxt).await;
         match jcfg.variant {
-            JacobiVariant::HybridFullMp => exchange_mp(&comm, &lay, nxt),
-            JacobiVariant::HybridSyncOnly => {
-                exchange_shared(&comm, &lay, nxt, it % 2, false, &barrier)
-            }
-            JacobiVariant::PureSharedMemory => {
-                exchange_shared(&comm, &lay, nxt, it % 2, true, &barrier)
-            }
+            JacobiVariant::HybridFullMp => exchange_mp(&comm, &lay, nxt).await,
+            variant => exchange_shared(&comm, &lay, nxt, it % 2, variant, &ctx.sm_barrier).await,
         }
         cur = nxt;
     }
-    barrier(&comm);
+    barrier(&comm, jcfg.variant, &ctx.sm_barrier).await;
     if r == 0 {
-        let t1 = comm.now();
+        let t1 = comm.now().await;
         let window = t1.saturating_sub(t0).max(1);
         ctx.measured.store(window / jcfg.measured_iters.max(1) as u64, Ordering::SeqCst);
     }
     if let Some(sink) = &ctx.collect {
         let mut rows = Vec::with_capacity(lay.owned);
         for (li, gi) in (g0..g1).enumerate().map(|(i, gi)| (i + 1, gi)) {
-            let row: Vec<f64> = (0..n).map(|j| comm.load_f64(lay.cell(cur, li, j))).collect();
-            rows.push((gi, row));
+            rows.push((gi, read_row(&comm, &lay, cur, li).await));
         }
         sink.lock().expect("collection mutex").extend(rows);
     }
 }
 
+/// The iteration barrier: the lock-based shared-memory barrier in the
+/// pure shared-memory model, the eMPI barrier in both hybrid models.
+async fn barrier(comm: &AsyncEmpi, variant: JacobiVariant, sm_barrier: &SmBarrier) {
+    match variant {
+        JacobiVariant::PureSharedMemory => sm_barrier.wait(comm, comm.ranks()).await,
+        _ => comm.barrier().await,
+    }
+}
+
 /// One stencil sweep over the owned rows: `nxt[i][j] = 0.25 * (N + S + W +
 /// E)` with the exact operation order of the reference solver.
-fn sweep(api: &PeApi, lay: &RankLayout, cur: usize, nxt: usize) {
+async fn sweep(api: &AsyncPeApi, lay: &RankLayout, cur: usize, nxt: usize) {
     let n = lay.n;
     for li in 1..=lay.owned {
         for j in 1..n - 1 {
-            let nn = api.load_f64(lay.cell(cur, li - 1, j));
-            let ss = api.load_f64(lay.cell(cur, li + 1, j));
-            let ww = api.load_f64(lay.cell(cur, li, j - 1));
-            let ee = api.load_f64(lay.cell(cur, li, j + 1));
-            let s1 = api.fadd(nn, ss);
-            let s2 = api.fadd(ww, ee);
-            let sum = api.fadd(s1, s2);
-            let v = api.fmul(sum, 0.25);
-            api.store_f64(lay.cell(nxt, li, j), v);
-            api.compute(LOOP_OVERHEAD_CYCLES);
+            let nn = api.load_f64(lay.cell(cur, li - 1, j)).await;
+            let ss = api.load_f64(lay.cell(cur, li + 1, j)).await;
+            let ww = api.load_f64(lay.cell(cur, li, j - 1)).await;
+            let ee = api.load_f64(lay.cell(cur, li, j + 1)).await;
+            let s1 = api.fadd(nn, ss).await;
+            let s2 = api.fadd(ww, ee).await;
+            let sum = api.fadd(s1, s2).await;
+            let v = api.fmul(sum, 0.25).await;
+            api.store_f64(lay.cell(nxt, li, j), v).await;
+            api.compute(LOOP_OVERHEAD_CYCLES).await;
         }
     }
 }
 
-fn read_row(api: &PeApi, lay: &RankLayout, buf: usize, li: usize) -> Vec<f64> {
-    (0..lay.n).map(|j| api.load_f64(lay.cell(buf, li, j))).collect()
+async fn read_row(api: &AsyncPeApi, lay: &RankLayout, buf: usize, li: usize) -> Vec<f64> {
+    let mut row = Vec::with_capacity(lay.n);
+    for j in 0..lay.n {
+        row.push(api.load_f64(lay.cell(buf, li, j)).await);
+    }
+    row
 }
 
-fn write_row(api: &PeApi, lay: &RankLayout, buf: usize, li: usize, values: &[f64]) {
+async fn write_row(api: &AsyncPeApi, lay: &RankLayout, buf: usize, li: usize, values: &[f64]) {
     for (j, v) in values.iter().enumerate() {
-        api.store_f64(lay.cell(buf, li, j), *v);
+        api.store_f64(lay.cell(buf, li, j), *v).await;
     }
 }
 
 /// Message-passing halo exchange on the freshly written buffer: one
-/// [`Empi::sendrecv_f64`] per direction. The full-duplex progress engine
-/// services both sides of the chain at once, so no even/odd phasing is
-/// needed and the pipeline never serializes rank-by-rank; boundary ranks
-/// fall out of the `None` (MPI_PROC_NULL) arms.
-fn exchange_mp(comm: &Empi, lay: &RankLayout, buf: usize) {
+/// [`AsyncEmpi::sendrecv_f64`] per direction. The full-duplex progress
+/// engine services both sides of the chain at once, so no even/odd
+/// phasing is needed and the pipeline never serializes rank-by-rank;
+/// boundary ranks fall out of the `None` (MPI_PROC_NULL) arms.
+async fn exchange_mp(comm: &AsyncEmpi, lay: &RankLayout, buf: usize) {
     let ranks = comm.ranks();
     let r = comm.rank().index();
     let prev = (r > 0).then(|| Rank::new((r - 1) as u8));
     let next = (r + 1 < ranks).then(|| Rank::new((r + 1) as u8));
     // Downward traffic: my bottom owned row -> next rank's top halo,
     // while my top halo arrives from prev.
-    let bottom = next.map(|_| read_row(comm, lay, buf, lay.owned));
-    if let Some(row) = comm.sendrecv_f64(next, bottom.as_deref().unwrap_or(&[]), prev) {
-        write_row(comm, lay, buf, 0, &row);
+    let bottom = match next {
+        Some(_) => read_row(comm, lay, buf, lay.owned).await,
+        None => Vec::new(),
+    };
+    if let Some(row) = comm.sendrecv_f64(next, &bottom, prev).await {
+        write_row(comm, lay, buf, 0, &row).await;
     }
     // Upward traffic: my top owned row -> previous rank's bottom halo,
     // while my bottom halo arrives from next.
-    let top = prev.map(|_| read_row(comm, lay, buf, 1));
-    if let Some(row) = comm.sendrecv_f64(prev, top.as_deref().unwrap_or(&[]), next) {
-        write_row(comm, lay, buf, lay.owned + 1, &row);
+    let top = match prev {
+        Some(_) => read_row(comm, lay, buf, 1).await,
+        None => Vec::new(),
+    };
+    if let Some(row) = comm.sendrecv_f64(prev, &top, next).await {
+        write_row(comm, lay, buf, lay.owned + 1, &row).await;
     }
 }
 
@@ -277,87 +292,85 @@ fn exchange_mp(comm: &Empi, lay: &RankLayout, buf: usize) {
 /// flush), synchronize, consume neighbours' rows (DII invalidate + cached
 /// load) — the §II-E producer/consumer protocol.
 ///
-/// In the pure shared-memory model (`locked = true`) every shared-segment
-/// access additionally acquires the MPMMU lock on its slot first, per
-/// §II-C: "Every processor which aims to access the shared memory segment
-/// for read/write operations must first request lock. If granted, the line
+/// In the pure shared-memory model every shared-segment access
+/// additionally acquires the MPMMU lock on its slot first, per §II-C:
+/// "Every processor which aims to access the shared memory segment for
+/// read/write operations must first request lock. If granted, the line
 /// can be read/written. Before releasing the locked line with an unlock
 /// command, the processor must perform a L1 cache flush operation of the
 /// locked line". The hybrid sync-only model relies on its eMPI barrier for
 /// ordering instead, which is exactly the synchronization saving the paper
 /// credits message passing for.
-fn exchange_shared(
-    comm: &Empi,
+async fn exchange_shared(
+    comm: &AsyncEmpi,
     lay: &RankLayout,
     buf: usize,
     parity: usize,
-    locked: bool,
-    barrier: &impl Fn(&Empi),
+    variant: JacobiVariant,
+    sm_barrier: &SmBarrier,
 ) {
-    let api: &PeApi = comm;
+    let api: &AsyncPeApi = comm;
+    let locked = variant == JacobiVariant::PureSharedMemory;
     let ranks = api.ranks();
     let r = api.rank().index();
     let n = lay.n;
-    let row_bytes = (n * 8) as u32;
-    // §II-C line-granularity protocol for the pure-SM model: lock the
-    // line, read/write it, flush it (producer side), unlock. Two doubles
-    // per 16-byte line.
-    let publish = |slot: Addr, values: &[f64]| {
-        let mut j = 0usize;
-        while j < values.len() {
-            let line = slot + (j * 8) as u32;
-            if locked {
-                api.lock(line);
-            }
-            api.store_f64(line, values[j]);
-            if j + 1 < values.len() {
-                api.store_f64(line + 8, values[j + 1]);
-            }
-            api.flush_line(line);
-            if locked {
-                api.unlock(line);
-            }
-            j += 2;
-        }
-    };
-    let consume = |slot: Addr| -> Vec<f64> {
-        let mut row = Vec::with_capacity(n);
-        let mut j = 0usize;
-        while j < n {
-            let line = slot + (j * 8) as u32;
-            if locked {
-                api.lock(line);
-            }
-            api.invalidate_line(line);
-            row.push(api.load_f64(line));
-            if j + 1 < n {
-                row.push(api.load_f64(line + 8));
-            }
-            if locked {
-                api.unlock(line);
-            }
-            j += 2;
-        }
-        row
-    };
-    let _ = row_bytes;
     // Publish.
     if r > 0 {
-        publish(pub_slot(n, r, 0, parity), &read_row(api, lay, buf, 1));
+        let row = read_row(api, lay, buf, 1).await;
+        publish(api, pub_slot(n, r, 0, parity), &row, locked).await;
     }
     if r + 1 < ranks {
-        publish(pub_slot(n, r, 1, parity), &read_row(api, lay, buf, lay.owned));
+        let row = read_row(api, lay, buf, lay.owned).await;
+        publish(api, pub_slot(n, r, 1, parity), &row, locked).await;
     }
-    barrier(comm);
+    barrier(comm, variant, sm_barrier).await;
     // Consume.
     if r > 0 {
-        let row = consume(pub_slot(n, r - 1, 1, parity));
-        write_row(api, lay, buf, 0, &row);
+        let row = consume(api, pub_slot(n, r - 1, 1, parity), n, locked).await;
+        write_row(api, lay, buf, 0, &row).await;
     }
     if r + 1 < ranks {
-        let row = consume(pub_slot(n, r + 1, 0, parity));
-        write_row(api, lay, buf, lay.owned + 1, &row);
+        let row = consume(api, pub_slot(n, r + 1, 0, parity), n, locked).await;
+        write_row(api, lay, buf, lay.owned + 1, &row).await;
     }
+}
+
+/// Producer side of the §II-C line-granularity protocol: per 16-byte line
+/// (two doubles), [lock,] store, flush[, unlock].
+async fn publish(api: &AsyncPeApi, slot: Addr, values: &[f64], locked: bool) {
+    for (pair, chunk) in values.chunks(2).enumerate() {
+        let line = slot + (pair * 16) as u32;
+        if locked {
+            api.lock(line).await;
+        }
+        for (k, v) in chunk.iter().enumerate() {
+            api.store_f64(line + (k * 8) as u32, *v).await;
+        }
+        api.flush_line(line).await;
+        if locked {
+            api.unlock(line).await;
+        }
+    }
+}
+
+/// Consumer side: per line, [lock,] DII-invalidate, load[, unlock].
+async fn consume(api: &AsyncPeApi, slot: Addr, n: usize, locked: bool) -> Vec<f64> {
+    let mut row = Vec::with_capacity(n);
+    for j in (0..n).step_by(2) {
+        let line = slot + (j * 8) as u32;
+        if locked {
+            api.lock(line).await;
+        }
+        api.invalidate_line(line).await;
+        row.push(api.load_f64(line).await);
+        if j + 1 < n {
+            row.push(api.load_f64(line + 8).await);
+        }
+        if locked {
+            api.unlock(line).await;
+        }
+    }
+    row
 }
 
 // ---- driver ----
@@ -437,15 +450,15 @@ pub fn run_faulted<S: TraceSink, I: FaultInjector>(
         pub_slot(jcfg.n, sys.compute_pes(), 0, 0) + 64 <= sys.layout().shared_bytes(),
         "shared segment too small for the halo slots"
     );
-    let kernels: Vec<Kernel> = (0..sys.compute_pes())
+    let kernels: Vec<Task> = (0..sys.compute_pes())
         .map(|_| {
-            let ctx = KernelCtx {
+            KernelCtx {
                 jcfg: *jcfg,
                 measured: Arc::clone(&measured),
                 collect: collect.clone(),
                 sm_barrier,
-            };
-            Box::new(move |api: PeApi| jacobi_kernel(api, ctx)) as Kernel
+            }
+            .task()
         })
         .collect();
     let preload = preload_for(sys, jcfg);
@@ -511,11 +524,10 @@ impl Workload for JacobiWorkload {
         jcfg.validate = false;
         let measured = Arc::new(AtomicU64::new(0));
         let sm_barrier = SmBarrier::at_top_of_shared(cfg.layout().shared_bytes());
-        let kernels: Vec<Kernel> = (0..cfg.compute_pes())
+        let kernels: Vec<Task> = (0..cfg.compute_pes())
             .map(|_| {
-                let ctx =
-                    KernelCtx { jcfg, measured: Arc::clone(&measured), collect: None, sm_barrier };
-                Box::new(move |api: PeApi| jacobi_kernel(api, ctx)) as Kernel
+                KernelCtx { jcfg, measured: Arc::clone(&measured), collect: None, sm_barrier }
+                    .task()
             })
             .collect();
         PreparedWorkload::new(preload_for(cfg, &jcfg), kernels, measured)

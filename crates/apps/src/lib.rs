@@ -19,6 +19,9 @@
 //!   read-modify-writes of line-interleaved counters), the workload
 //!   behind the `coherence` scaling section: software DII flushes and
 //!   invalidates unconditionally, directory MESI moves lines on demand.
+//!
+//! Every kernel here is a [`medea_core::Task`]: an `async` body over
+//! `AsyncPeApi`/`AsyncEmpi` that its PE polls in place.
 
 pub mod grid;
 pub mod hotspot;
@@ -32,6 +35,6 @@ pub mod workloads;
 
 use std::sync::{Arc, Mutex};
 
-/// Shared sink collecting `(rank, values)` rows from kernel threads —
+/// Shared sink collecting `(rank, values)` rows from kernels —
 /// the host-side result channel of the matrix workloads.
 pub type RowSink = Arc<Mutex<Vec<(usize, Vec<f64>)>>>;

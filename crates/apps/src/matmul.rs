@@ -9,10 +9,9 @@
 
 use crate::RowSink;
 use medea_cache::Addr;
-use medea_core::api::PeApi;
 use medea_core::calib::LOOP_OVERHEAD_CYCLES;
-use medea_core::system::{Kernel, RunError, RunResult, System};
-use medea_core::{Empi, SystemConfig};
+use medea_core::system::{RunError, RunResult, System, Task};
+use medea_core::{AsyncEmpi, SystemConfig};
 use medea_pe::kernel_if::f64_to_words;
 use medea_sim::ids::Rank;
 use medea_sim::Cycle;
@@ -85,92 +84,113 @@ fn rows_of(n: usize, ranks: usize, rank: usize) -> (usize, usize) {
 /// Panics if more PEs than rows are configured or the data does not fit
 /// the private segment.
 pub fn run(sys: &SystemConfig, mcfg: &MatmulConfig) -> Result<MatmulOutcome, RunError> {
+    let window = Arc::new(AtomicU64::new(0));
+    let sink: RowSink = Arc::new(Mutex::new(Vec::new()));
+    let kernels = kernels(sys, mcfg, Arc::clone(&window), Arc::clone(&sink));
+    let run = System::run(sys, &preload(sys, mcfg), kernels)?;
+    let mut c_rows = Arc::try_unwrap(sink).expect("kernels done").into_inner().expect("sink");
+    c_rows.sort_by_key(|(gi, _)| *gi);
+    Ok(MatmulOutcome { run, cycles: window.load(Ordering::SeqCst), c_rows })
+}
+
+/// Offset of `B` in rank `r`'s private segment (after its `A` band); `C`
+/// follows `B`.
+fn b_offset(n: usize, ranks: usize, r: usize) -> u32 {
+    let (s, e) = rows_of(n, ranks, r);
+    ((e - s) * n * 8) as u32
+}
+
+/// The DDR preload: every rank's `A` band and a full copy of `B`.
+///
+/// # Panics
+///
+/// Panics if more PEs than rows are configured or the data does not fit
+/// the private segment.
+pub fn preload(sys: &SystemConfig, mcfg: &MatmulConfig) -> Vec<(Addr, u32)> {
     let n = mcfg.n;
     let ranks = sys.compute_pes();
     assert!(ranks <= n, "more PEs than matrix rows");
     let a = matrix_a(n);
     let b = matrix_b(n);
-
-    // Private layout offsets.
-    let band_rows = |r: usize| {
-        let (s, e) = rows_of(n, ranks, r);
-        e - s
-    };
-    let a_off = 0u32;
-    let b_off = |r: usize| (band_rows(r) * n * 8) as u32;
-    let c_off = |r: usize| b_off(r) + (n * n * 8) as u32;
-
     let mut preload = Vec::new();
     for r in 0..ranks {
         let base = sys.layout().private_base(Rank::new(r as u8));
         let (s, e) = rows_of(n, ranks, r);
-        let need = c_off(r) + ((e - s) * n * 8) as u32;
+        let b_off = b_offset(n, ranks, r);
+        let need = b_off + (n * n * 8) as u32 + ((e - s) * n * 8) as u32;
         assert!(need <= sys.layout().private_bytes(), "matrices do not fit private segment");
         for (li, gi) in (s..e).enumerate() {
             for k in 0..n {
                 let (lo, hi) = f64_to_words(a[gi * n + k]);
-                let addr = base + a_off + ((li * n + k) * 8) as u32;
+                let addr = base + ((li * n + k) * 8) as u32;
                 preload.push((addr, lo));
                 preload.push((addr + 4, hi));
             }
         }
         for (k, &bv) in b.iter().enumerate() {
             let (lo, hi) = f64_to_words(bv);
-            let addr = base + b_off(r) + (k * 8) as u32;
+            let addr = base + b_off + (k * 8) as u32;
             preload.push((addr, lo));
             preload.push((addr + 4, hi));
         }
     }
+    preload
+}
 
-    let window = Arc::new(AtomicU64::new(0));
-    let sink: RowSink = Arc::new(Mutex::new(Vec::new()));
-    let kernels: Vec<Kernel> = (0..ranks)
+/// The benchmark's kernels, one per configured PE, over the
+/// [`preload`]ed data. Rank 0 stores the measured multiply cycles into
+/// `window`; every rank ships its `C` rows to `sink`.
+pub fn kernels(
+    sys: &SystemConfig,
+    mcfg: &MatmulConfig,
+    window: Arc<AtomicU64>,
+    sink: RowSink,
+) -> Vec<Task> {
+    let n = mcfg.n;
+    (0..sys.compute_pes())
         .map(|r| {
             let cell = Arc::clone(&window);
             let sink = Arc::clone(&sink);
-            let n = mcfg.n;
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 let base = comm.private_base();
                 let (s, e) = rows_of(n, comm.ranks(), r);
                 let a_at = |li: usize, k: usize| base + ((li * n + k) * 8) as u32;
-                let b_base = base + ((e - s) * n * 8) as u32;
+                let b_base = base + b_offset(n, comm.ranks(), r);
                 let b_at = |k: usize, j: usize| b_base + ((k * n + j) * 8) as u32;
                 let c_base = b_base + (n * n * 8) as u32;
                 let c_at = |li: usize, j: usize| c_base + ((li * n + j) * 8) as u32;
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for li in 0..e - s {
                     for j in 0..n {
                         let mut acc = 0.0;
                         for k in 0..n {
-                            let av = comm.load_f64(a_at(li, k));
-                            let bv = comm.load_f64(b_at(k, j));
-                            let prod = comm.fmul(av, bv);
-                            acc = comm.fadd(acc, prod);
-                            comm.compute(LOOP_OVERHEAD_CYCLES);
+                            let av = comm.load_f64(a_at(li, k)).await;
+                            let bv = comm.load_f64(b_at(k, j)).await;
+                            let prod = comm.fmul(av, bv).await;
+                            acc = comm.fadd(acc, prod).await;
+                            comm.compute(LOOP_OVERHEAD_CYCLES).await;
                         }
-                        comm.store_f64(c_at(li, j), acc);
+                        comm.store_f64(c_at(li, j), acc).await;
                     }
                 }
-                comm.barrier();
+                comm.barrier().await;
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
                 }
                 let mut rows = Vec::new();
                 for (li, gi) in (s..e).enumerate() {
-                    let row: Vec<f64> = (0..n).map(|j| comm.load_f64(c_at(li, j))).collect();
+                    let mut row = Vec::with_capacity(n);
+                    for j in 0..n {
+                        row.push(comm.load_f64(c_at(li, j)).await);
+                    }
                     rows.push((gi, row));
                 }
                 sink.lock().expect("matmul sink").extend(rows);
-            }) as Kernel
+            })
         })
-        .collect();
-
-    let run = System::run(sys, &preload, kernels)?;
-    let mut c_rows = Arc::try_unwrap(sink).expect("kernels done").into_inner().expect("sink");
-    c_rows.sort_by_key(|(gi, _)| *gi);
-    Ok(MatmulOutcome { run, cycles: window.load(Ordering::SeqCst), c_rows })
+        .collect()
 }
 
 /// Check a run against the host reference, bitwise.

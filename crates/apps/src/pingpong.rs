@@ -10,9 +10,8 @@
 //! path.
 
 use crate::sm::SmMailbox;
-use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, System};
-use medea_core::{Empi, SystemConfig};
+use medea_core::system::{RunError, System, Task};
+use medea_core::{AsyncEmpi, SystemConfig};
 use medea_sim::ids::Rank;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,68 +51,81 @@ pub fn run(
     transport: PingPongTransport,
     rounds: u64,
 ) -> Result<PingPongReport, RunError> {
+    let window = Arc::new(AtomicU64::new(0));
+    System::run(sys, &[], kernels(sys, transport, rounds, Arc::clone(&window)))?;
+    Ok(PingPongReport {
+        rounds,
+        cycles_per_round: window.load(Ordering::SeqCst) as f64 / rounds as f64,
+    })
+}
+
+/// The benchmark's kernels: ping on rank 0 (which stores the measured
+/// cycles of all `rounds` into `window`), pong on rank 1, and idle
+/// kernels on any further configured PEs.
+///
+/// # Panics
+///
+/// Panics if `sys` has fewer than two PEs or `rounds` is zero.
+pub fn kernels(
+    sys: &SystemConfig,
+    transport: PingPongTransport,
+    rounds: u64,
+    window: Arc<AtomicU64>,
+) -> Vec<Task> {
     assert!(sys.compute_pes() >= 2, "ping-pong needs two ranks");
     assert!(rounds > 0);
-    let window = Arc::new(AtomicU64::new(0));
-    let cell = Arc::clone(&window);
     // Two mailboxes on distinct lines in the shared segment.
     let ping_box = SmMailbox { flag: 0x40, data: 0x50 };
     let pong_box = SmMailbox { flag: 0x80, data: 0x90 };
 
-    let ping: Kernel = Box::new(move |api: PeApi| {
-        let comm = Empi::new(api);
-        let t0 = comm.now();
+    let ping = Task::new(move |api| async move {
+        let comm = AsyncEmpi::new(api);
+        let t0 = comm.now().await;
         for i in 1..=rounds {
             match transport {
                 PingPongTransport::MessagePassing => {
-                    comm.send_to_rank(Rank::new(1), &[i as u32]);
-                    let back = comm.recv_from_rank(Rank::new(1));
+                    comm.send_to_rank(Rank::new(1), &[i as u32]).await;
+                    let back = comm.recv_from_rank(Rank::new(1)).await;
                     debug_assert_eq!(back[0], i as u32);
                 }
                 PingPongTransport::EmpiFramed => {
-                    comm.send(Rank::new(1), &[i as u32]);
-                    let back = comm.recv(Rank::new(1));
+                    comm.send(Rank::new(1), &[i as u32]).await;
+                    let back = comm.recv(Rank::new(1)).await;
                     debug_assert_eq!(back[0], i as u32);
                 }
                 PingPongTransport::SharedMemory => {
-                    ping_box.post(&comm, i as u32, i as u32);
-                    let back = pong_box.take(&comm, i as u32);
+                    ping_box.post(&comm, i as u32, i as u32).await;
+                    let back = pong_box.take(&comm, i as u32).await;
                     debug_assert_eq!(back, i as u32);
                 }
             }
         }
-        let t1 = comm.now();
-        cell.store(t1 - t0, Ordering::SeqCst);
+        let t1 = comm.now().await;
+        window.store(t1 - t0, Ordering::SeqCst);
     });
-    let pong: Kernel = Box::new(move |api: PeApi| {
-        let comm = Empi::new(api);
+    let pong = Task::new(move |api| async move {
+        let comm = AsyncEmpi::new(api);
         for i in 1..=rounds {
             match transport {
                 PingPongTransport::MessagePassing => {
-                    let v = comm.recv_from_rank(Rank::new(0));
-                    comm.send_to_rank(Rank::new(0), &v);
+                    let v = comm.recv_from_rank(Rank::new(0)).await;
+                    comm.send_to_rank(Rank::new(0), &v).await;
                 }
                 PingPongTransport::EmpiFramed => {
-                    let v = comm.recv(Rank::new(0));
-                    comm.send(Rank::new(0), &v);
+                    let v = comm.recv(Rank::new(0)).await;
+                    comm.send(Rank::new(0), &v).await;
                 }
                 PingPongTransport::SharedMemory => {
-                    let v = ping_box.take(&comm, i as u32);
-                    pong_box.post(&comm, i as u32, v);
+                    let v = ping_box.take(&comm, i as u32).await;
+                    pong_box.post(&comm, i as u32, v).await;
                 }
             }
         }
     });
     let mut kernels = vec![ping, pong];
     // Idle kernels for any extra configured PEs.
-    for _ in 2..sys.compute_pes() {
-        kernels.push(Box::new(|_api: PeApi| {}));
-    }
-    System::run(sys, &[], kernels)?;
-    Ok(PingPongReport {
-        rounds,
-        cycles_per_round: window.load(Ordering::SeqCst) as f64 / rounds as f64,
-    })
+    kernels.extend((2..sys.compute_pes()).map(|_| Task::new(|_api| async {})));
+    kernels
 }
 
 #[cfg(test)]

@@ -5,9 +5,8 @@
 //! (linear, binomial tree, recursive doubling) is what gets measured.
 
 use crate::sm::SmBarrier;
-use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, System};
-use medea_core::{Empi, SystemConfig};
+use medea_core::system::{RunError, System, Task};
+use medea_core::{AsyncEmpi, SystemConfig};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,42 +43,9 @@ pub fn run(
     transport: ReduceTransport,
     contribution: fn(usize) -> f64,
 ) -> Result<ReduceReport, RunError> {
-    let ranks = sys.compute_pes();
     let window = Arc::new(AtomicU64::new(0));
     let sums: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let bar = SmBarrier::at_top_of_shared(sys.layout().shared_bytes());
-
-    let kernels: Vec<Kernel> = (0..ranks)
-        .map(|r| {
-            let cell = Arc::clone(&window);
-            let sums = Arc::clone(&sums);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                let mine = contribution(r);
-                comm.barrier();
-                let t0 = comm.now();
-                let total = match transport {
-                    ReduceTransport::MessagePassing => comm.allreduce(mine),
-                    ReduceTransport::SharedMemory => {
-                        // Accumulate under the MPMMU lock, then rendezvous
-                        // at the SM barrier and read the total back.
-                        comm.lock(LOCK);
-                        let acc = comm.uncached_load_f64(ACC_LO);
-                        let acc = comm.fadd(acc, mine);
-                        comm.uncached_store_f64(ACC_LO, acc);
-                        comm.unlock(LOCK);
-                        bar.wait(&comm, comm.ranks());
-                        comm.uncached_load_f64(ACC_LO)
-                    }
-                };
-                if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
-                }
-                sums.lock().expect("reduce sink").push(total);
-            }) as Kernel
-        })
-        .collect();
-
+    let kernels = kernels(sys, transport, contribution, Arc::clone(&window), Arc::clone(&sums));
     System::run(sys, &[], kernels)?;
     let sums = Arc::try_unwrap(sums).expect("kernels done").into_inner().expect("sink");
     let first = sums[0];
@@ -87,6 +53,49 @@ pub fn run(
         assert_eq!(s.to_bits(), first.to_bits(), "ranks disagree on the reduction");
     }
     Ok(ReduceReport { cycles: window.load(Ordering::SeqCst), sum: first })
+}
+
+/// The benchmark's kernels, one per configured PE. Rank 0 stores the
+/// measured cycles into `window`; every rank pushes the sum it observed
+/// to `sums`.
+pub fn kernels(
+    sys: &SystemConfig,
+    transport: ReduceTransport,
+    contribution: fn(usize) -> f64,
+    window: Arc<AtomicU64>,
+    sums: Arc<Mutex<Vec<f64>>>,
+) -> Vec<Task> {
+    let bar = SmBarrier::at_top_of_shared(sys.layout().shared_bytes());
+    (0..sys.compute_pes())
+        .map(|r| {
+            let cell = Arc::clone(&window);
+            let sums = Arc::clone(&sums);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
+                let mine = contribution(r);
+                comm.barrier().await;
+                let t0 = comm.now().await;
+                let total = match transport {
+                    ReduceTransport::MessagePassing => comm.allreduce(mine).await,
+                    ReduceTransport::SharedMemory => {
+                        // Accumulate under the MPMMU lock, then rendezvous
+                        // at the SM barrier and read the total back.
+                        comm.lock(LOCK).await;
+                        let acc = comm.uncached_load_f64(ACC_LO).await;
+                        let acc = comm.fadd(acc, mine).await;
+                        comm.uncached_store_f64(ACC_LO, acc).await;
+                        comm.unlock(LOCK).await;
+                        bar.wait(&comm, comm.ranks()).await;
+                        comm.uncached_load_f64(ACC_LO).await
+                    }
+                };
+                if r == 0 {
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
+                }
+                sums.lock().expect("reduce sink").push(total);
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

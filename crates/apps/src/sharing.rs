@@ -32,9 +32,8 @@
 //! [`RunResult::coherence`]: medea_core::RunResult
 
 use medea_cache::{Addr, LINE_BYTES};
-use medea_core::api::PeApi;
-use medea_core::system::{Kernel, RunError, RunResult, System};
-use medea_core::{Empi, NullInjector, NullSink, SystemConfig, TraceSink};
+use medea_core::system::{RunError, RunResult, System, Task};
+use medea_core::{AsyncEmpi, NullInjector, NullSink, SystemConfig, TraceSink};
 use medea_sim::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,62 +158,72 @@ pub fn run_disciplined_traced<S: TraceSink>(
         lock_addr(ranks) as u64 + LINE_BYTES as u64 <= sys.layout().shared_bytes() as u64,
         "{ranks} counters + line locks do not fit the shared segment"
     );
-    let rounds = scfg.rounds;
-
     let window = Arc::new(AtomicU64::new(0));
     let readback: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let kernels: Vec<Kernel> = (0..ranks)
+    let kernels = kernels(sys, scfg, discipline, Arc::clone(&window), Arc::clone(&readback));
+    let run = System::run_with(sys, &[], kernels, sink, &mut NullInjector)?;
+    let counters = std::mem::take(&mut *readback.lock().unwrap());
+    Ok(SharingOutcome { run, cycles: window.load(Ordering::SeqCst), counters })
+}
+
+/// The benchmark's kernels under `discipline`, one per configured PE.
+/// Rank 0 stores the measured cycles into `window` and the final counter
+/// values into `readback`.
+pub fn kernels(
+    sys: &SystemConfig,
+    scfg: &SharingConfig,
+    discipline: Discipline,
+    window: Arc<AtomicU64>,
+    readback: Arc<Mutex<Vec<u32>>>,
+) -> Vec<Task> {
+    let rounds = scfg.rounds;
+    (0..sys.compute_pes())
         .map(|r| {
             let cell = Arc::clone(&window);
             let sink = Arc::clone(&readback);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 let ranks = comm.ranks();
-                comm.barrier();
-                let t0 = comm.now();
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for round in 0..rounds {
                     let c = (r + round) % ranks;
                     let addr = counter_addr(c);
-                    comm.lock(lock_addr(c));
+                    comm.lock(lock_addr(c)).await;
                     let v = match discipline {
                         Discipline::Software => {
-                            comm.invalidate_line(addr);
-                            let v = comm.load_u32(addr);
-                            comm.store_u32(addr, v + 1);
-                            comm.flush_line(addr);
+                            comm.invalidate_line(addr).await;
+                            let v = comm.load_u32(addr).await;
+                            comm.store_u32(addr, v + 1).await;
+                            comm.flush_line(addr).await;
                             v
                         }
                         Discipline::Hardware => {
-                            let v = comm.load_u32(addr);
-                            comm.store_u32(addr, v + 1);
+                            let v = comm.load_u32(addr).await;
+                            comm.store_u32(addr, v + 1).await;
                             v
                         }
                     };
                     assert!(v <= rounds as u32, "rank {r} counter {c} overshot: {v}");
-                    comm.unlock(lock_addr(c));
+                    comm.unlock(lock_addr(c)).await;
                 }
-                comm.barrier();
+                comm.barrier().await;
                 if r == 0 {
-                    cell.store(comm.now() - t0, Ordering::SeqCst);
-                    let finals: Vec<u32> = (0..ranks)
-                        .map(|c| {
-                            if discipline == Discipline::Software {
-                                comm.invalidate_line(counter_addr(c));
-                            }
-                            let v = comm.load_u32(counter_addr(c));
-                            assert_eq!(v, rounds as u32, "counter {c}");
-                            v
-                        })
-                        .collect();
+                    cell.store(comm.now().await - t0, Ordering::SeqCst);
+                    let mut finals = Vec::with_capacity(ranks);
+                    for c in 0..ranks {
+                        if discipline == Discipline::Software {
+                            comm.invalidate_line(counter_addr(c)).await;
+                        }
+                        let v = comm.load_u32(counter_addr(c)).await;
+                        assert_eq!(v, rounds as u32, "counter {c}");
+                        finals.push(v);
+                    }
                     *sink.lock().unwrap() = finals;
                 }
-            }) as Kernel
+            })
         })
-        .collect();
-
-    let run = System::run_with(sys, &[], kernels, sink, &mut NullInjector)?;
-    let counters = std::mem::take(&mut *readback.lock().unwrap());
-    Ok(SharingOutcome { run, cycles: window.load(Ordering::SeqCst), counters })
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! instead of eMPI tokens.
 
 use medea_cache::Addr;
-use medea_core::api::PeApi;
+use medea_core::api::AsyncPeApi;
 use medea_sim::Cycle;
 
 /// Cycles a spinning PE waits between polls of the barrier generation
@@ -41,22 +41,22 @@ impl SmBarrier {
     /// under the MPMMU lock; the last arrival resets the counter and bumps
     /// the generation; everyone else spins on uncached reads of the
     /// generation word.
-    pub fn wait(&self, api: &PeApi, ranks: usize) {
+    pub async fn wait(&self, api: &AsyncPeApi, ranks: usize) {
         if ranks <= 1 {
             return;
         }
-        api.lock(self.lock);
-        let gen = api.uncached_load_u32(self.generation);
-        let arrived = api.uncached_load_u32(self.count) + 1;
+        api.lock(self.lock).await;
+        let gen = api.uncached_load_u32(self.generation).await;
+        let arrived = api.uncached_load_u32(self.count).await + 1;
         if arrived as usize == ranks {
-            api.uncached_store_u32(self.count, 0);
-            api.uncached_store_u32(self.generation, gen.wrapping_add(1));
-            api.unlock(self.lock);
+            api.uncached_store_u32(self.count, 0).await;
+            api.uncached_store_u32(self.generation, gen.wrapping_add(1)).await;
+            api.unlock(self.lock).await;
         } else {
-            api.uncached_store_u32(self.count, arrived);
-            api.unlock(self.lock);
-            while api.uncached_load_u32(self.generation) == gen {
-                api.compute(SPIN_BACKOFF_CYCLES);
+            api.uncached_store_u32(self.count, arrived).await;
+            api.unlock(self.lock).await;
+            while api.uncached_load_u32(self.generation).await == gen {
+                api.compute(SPIN_BACKOFF_CYCLES).await;
             }
         }
     }
@@ -75,26 +75,25 @@ pub struct SmMailbox {
 
 impl SmMailbox {
     /// Post `value` with sequence number `seq` (nonzero).
-    pub fn post(&self, api: &PeApi, seq: u32, value: u32) {
+    pub async fn post(&self, api: &AsyncPeApi, seq: u32, value: u32) {
         debug_assert_ne!(seq, 0);
-        api.uncached_store_u32(self.data, value);
-        api.uncached_store_u32(self.flag, seq);
+        api.uncached_store_u32(self.data, value).await;
+        api.uncached_store_u32(self.flag, seq).await;
     }
 
     /// Spin until sequence number `seq` is posted, then read the payload.
-    pub fn take(&self, api: &PeApi, seq: u32) -> u32 {
-        while api.uncached_load_u32(self.flag) != seq {
-            api.compute(SPIN_BACKOFF_CYCLES);
+    pub async fn take(&self, api: &AsyncPeApi, seq: u32) -> u32 {
+        while api.uncached_load_u32(self.flag).await != seq {
+            api.compute(SPIN_BACKOFF_CYCLES).await;
         }
-        api.uncached_load_u32(self.data)
+        api.uncached_load_u32(self.data).await
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medea_core::api::PeApi;
-    use medea_core::system::{Kernel, System};
+    use medea_core::system::{System, Task};
     use medea_core::SystemConfig;
 
     fn cfg(pes: usize) -> SystemConfig {
@@ -106,15 +105,15 @@ mod tests {
         let sys = cfg(3);
         let bar = SmBarrier::at_top_of_shared(sys.layout().shared_bytes());
         let slow = 30_000u64;
-        let kernels: Vec<Kernel> = (0..3)
+        let kernels: Vec<Task> = (0..3)
             .map(|r| {
-                Box::new(move |api: PeApi| {
+                Task::new(move |api| async move {
                     if r == 0 {
-                        api.compute(slow);
+                        api.compute(slow).await;
                     }
-                    bar.wait(&api, 3);
-                    assert!(api.now() >= slow, "rank {r} left the barrier early");
-                }) as Kernel
+                    bar.wait(&api, 3).await;
+                    assert!(api.now().await >= slow, "rank {r} left the barrier early");
+                })
             })
             .collect();
         System::run(&sys, &[], kernels).unwrap();
@@ -124,14 +123,14 @@ mod tests {
     fn sm_barrier_reusable_across_iterations() {
         let sys = cfg(2);
         let bar = SmBarrier::at_top_of_shared(sys.layout().shared_bytes());
-        let kernels: Vec<Kernel> = (0..2)
+        let kernels: Vec<Task> = (0..2)
             .map(|r| {
-                Box::new(move |api: PeApi| {
+                Task::new(move |api| async move {
                     for it in 0..5u64 {
-                        api.compute(1 + r as u64 * 50 + it);
-                        bar.wait(&api, 2);
+                        api.compute(1 + r as u64 * 50 + it).await;
+                        bar.wait(&api, 2).await;
                     }
-                }) as Kernel
+                })
             })
             .collect();
         let result = System::run(&sys, &[], kernels).unwrap();
@@ -143,14 +142,14 @@ mod tests {
     fn mailbox_roundtrip() {
         let sys = cfg(2);
         let mbox = SmMailbox { flag: 0x40, data: 0x50 };
-        let kernels: Vec<Kernel> = vec![
-            Box::new(move |api: PeApi| {
-                mbox.post(&api, 1, 99);
-                assert_eq!(mbox.take(&api, 2), 100);
+        let kernels = vec![
+            Task::new(move |api| async move {
+                mbox.post(&api, 1, 99).await;
+                assert_eq!(mbox.take(&api, 2).await, 100);
             }),
-            Box::new(move |api: PeApi| {
-                assert_eq!(mbox.take(&api, 1), 99);
-                mbox.post(&api, 2, 100);
+            Task::new(move |api| async move {
+                assert_eq!(mbox.take(&api, 1).await, 99);
+                mbox.post(&api, 2, 100).await;
             }),
         ];
         System::run(&sys, &[], kernels).unwrap();
@@ -163,8 +162,8 @@ mod tests {
         let result = System::run(
             &sys,
             &[],
-            vec![Box::new(move |api: PeApi| {
-                bar.wait(&api, 1);
+            vec![Task::new(move |api| async move {
+                bar.wait(&api, 1).await;
             })],
         )
         .unwrap();

@@ -7,25 +7,24 @@
 //! engine — and the single definition keeps the CI trace artifact and
 //! the integration tests validating the *same* workload.
 
-use medea_core::api::PeApi;
-use medea_core::system::Kernel;
-use medea_core::Empi;
+use medea_core::system::Task;
+use medea_core::AsyncEmpi;
 use medea_sim::ids::Rank;
 
 /// One-word ping-pong over raw TIE messages between ranks 0 and 1,
 /// `rounds` round trips (needs a 2-PE system).
-pub fn pingpong_kernels(rounds: u32) -> Vec<Kernel> {
-    let ping: Kernel = Box::new(move |api: PeApi| {
+pub fn pingpong_kernels(rounds: u32) -> Vec<Task> {
+    let ping = Task::new(move |api| async move {
         for i in 1..=rounds {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
+            api.send_to_rank(Rank::new(1), &[i]).await;
+            let back = api.recv_from_rank(Rank::new(1)).await;
             assert_eq!(back[0], i);
         }
     });
-    let pong: Kernel = Box::new(move |api: PeApi| {
+    let pong = Task::new(move |api| async move {
         for _ in 1..=rounds {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
+            let v = api.recv_from_rank(Rank::new(0)).await;
+            api.send_to_rank(Rank::new(0), &v).await;
         }
     });
     vec![ping, pong]
@@ -36,28 +35,29 @@ pub fn pingpong_kernels(rounds: u32) -> Vec<Kernel> {
 /// and a self-checked allreduce per rank — messages, cache, MPMMU/lock
 /// and eMPI collective activity on one timeline (the workload behind
 /// `trace_json --workload mixed` and the trace integration tests).
-pub fn trace_mix_kernels(ranks: usize, lock_rounds: usize) -> Vec<Kernel> {
+pub fn trace_mix_kernels(ranks: usize, lock_rounds: usize) -> Vec<Task> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
+            Task::new(move |api| async move {
                 const COUNTER: u32 = 0x100;
                 const LOCK: u32 = 0x200;
-                let comm = Empi::new(api);
+                let comm = AsyncEmpi::new(api);
                 for _ in 0..lock_rounds {
-                    comm.lock(LOCK);
-                    let v = comm.uncached_load_u32(COUNTER);
-                    comm.uncached_store_u32(COUNTER, v + 1);
-                    comm.unlock(LOCK);
+                    comm.lock(LOCK).await;
+                    let v = comm.uncached_load_u32(COUNTER).await;
+                    comm.uncached_store_u32(COUNTER, v + 1).await;
+                    comm.unlock(LOCK).await;
                 }
-                comm.store_f64(comm.private_base(), r as f64);
-                comm.flush_line(comm.private_base());
-                comm.invalidate_line(comm.private_base());
-                let _ = comm.load_f64(comm.private_base());
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.5);
+                let base = comm.private_base();
+                comm.store_f64(base, r as f64).await;
+                comm.flush_line(base).await;
+                comm.invalidate_line(base).await;
+                let _ = comm.load_f64(base).await;
+                comm.barrier().await;
+                let total = comm.allreduce(r as f64 + 0.5).await;
                 let expect = (0..comm.ranks()).map(|k| k as f64 + 0.5).sum::<f64>();
                 assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
+            })
         })
         .collect()
 }

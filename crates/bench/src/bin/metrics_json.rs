@@ -23,7 +23,7 @@
 use medea_apps::workloads::{pingpong_kernels, trace_mix_kernels};
 use medea_bench::report::{breakdown_cells, breakdown_columns, utilization_tables, Report, Table};
 use medea_bench::{cells, UtilizationRow};
-use medea_core::system::{Kernel, System};
+use medea_core::system::{System, Task};
 use medea_core::{MetricsConfig, SystemConfig, Topology};
 use medea_metrics::heatmap::{check_svg_well_formed, render_heatmap_html};
 use medea_sim::Cycle;
@@ -73,7 +73,7 @@ fn parse_args() -> Args {
 }
 
 /// Run one metered paper-4×4 point and wrap its report as a row.
-fn metered_point(name: &str, pes: usize, interval: Cycle, kernels: Vec<Kernel>) -> UtilizationRow {
+fn metered_point(name: &str, pes: usize, interval: Cycle, kernels: Vec<Task>) -> UtilizationRow {
     let cfg = SystemConfig::builder()
         .topology(Topology::new(4, 4).expect("valid square torus"))
         .compute_pes(pes)

@@ -24,7 +24,7 @@ use medea_bench::report::{Cell, Report, Table};
 use medea_bench::{base_builder, cells};
 use medea_core::api::PeApi;
 use medea_core::explore::Workload as _;
-use medea_core::system::{Kernel, RunResult, System};
+use medea_core::system::{AnyKernel, Kernel, RunResult, System};
 use medea_core::{Empi, SystemConfig, Topology};
 use medea_sim::ids::Rank;
 use std::sync::Arc;
@@ -51,12 +51,12 @@ fn best_rate(mut run: impl FnMut() -> RunResult) -> (RunResult, f64) {
 
 /// Run one workload `REPS` times on each engine, assert the engines
 /// agree, add its row to `table` and return its speedup.
-fn measure(
+fn measure<K: Into<AnyKernel>>(
     table: &mut Table,
     name: &str,
     cfg: &SystemConfig,
     preload: &[(u32, u32)],
-    kernels: impl Fn() -> Vec<Kernel>,
+    kernels: impl Fn() -> Vec<K>,
 ) -> f64 {
     let (before, before_cps) =
         best_rate(|| System::run_reference(cfg, preload, kernels()).expect("reference run"));

@@ -28,7 +28,7 @@ use medea_apps::workloads::{pingpong_kernels, trace_mix_kernels};
 use medea_bench::cells;
 use medea_bench::report::{run_cells, trace_tables, Table, RUN_COLUMNS};
 use medea_core::explore::Workload as _;
-use medea_core::system::{Kernel, RunResult, System};
+use medea_core::system::{AnyKernel, RunResult, System};
 use medea_core::{EventClass, NullInjector, RingSink, SystemConfig, Topology};
 use medea_trace::{chrome, csv, json, TimedEvent, TraceAnalysis};
 use std::str::FromStr;
@@ -110,9 +110,10 @@ fn main() {
             std::process::exit(2);
         });
 
-    let (preload, kernels): (Vec<(u32, u32)>, Vec<Kernel>) = match workload.as_str() {
-        "pingpong" => (Vec::new(), pingpong_kernels(PINGPONG_ROUNDS)),
-        "mixed" => (Vec::new(), trace_mix_kernels(cfg.compute_pes(), MIX_LOCK_ROUNDS)),
+    let any = |tasks: Vec<_>| tasks.into_iter().map(AnyKernel::Task).collect();
+    let (preload, kernels): (Vec<(u32, u32)>, Vec<AnyKernel>) = match workload.as_str() {
+        "pingpong" => (Vec::new(), any(pingpong_kernels(PINGPONG_ROUNDS))),
+        "mixed" => (Vec::new(), any(trace_mix_kernels(cfg.compute_pes(), MIX_LOCK_ROUNDS))),
         _ => {
             let workload = JacobiWorkload {
                 jcfg: JacobiConfig::new(16, JacobiVariant::HybridFullMp)

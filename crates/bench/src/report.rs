@@ -539,7 +539,7 @@ pub(crate) mod tests {
     fn resilience_table_renders_counters_and_outcome() {
         let cfg = SystemConfig::builder().compute_pes(1).build().unwrap();
         let ok = System::run(&cfg, &[], compute_only());
-        let err = System::run(&cfg, &[], Vec::new());
+        let err = System::run(&cfg, &[], Vec::<Kernel>::new());
         let mut t = Table::new("resilience", "", &[&["scenario"][..], &RECOVERY_COLUMNS].concat());
         t.push([cells!["clean"], recovery_cells(&ok)].concat());
         t.push([cells!["no kernels"], recovery_cells(&err)].concat());

@@ -7,11 +7,19 @@
 //! cases the access to the global-memory."
 //!
 //! The reproduction grows the paper's three primitives into a
-//! communicator object, [`Empi`]: one per kernel, wrapping its [`PeApi`],
-//! exposing point-to-point transfers ([`Empi::send`], [`Empi::recv`],
-//! [`Empi::sendrecv`]) and the collective surface ([`Empi::barrier`],
-//! [`Empi::bcast`], [`Empi::reduce`], [`Empi::allreduce`],
-//! [`Empi::gather`], [`Empi::scatter`]) on top of them.
+//! communicator object: one per kernel, wrapping its API, exposing
+//! point-to-point transfers ([`AsyncEmpi::send`], [`AsyncEmpi::recv`],
+//! [`AsyncEmpi::sendrecv`]) and the collective surface
+//! ([`AsyncEmpi::barrier`], [`AsyncEmpi::bcast`], [`AsyncEmpi::reduce`],
+//! [`AsyncEmpi::allreduce`], [`AsyncEmpi::gather`],
+//! [`AsyncEmpi::scatter`]) on top of them.
+//!
+//! The protocol engines, the collectives and the f64 helpers are written
+//! once, as `async` methods of [`AsyncEmpi`], for both kernel kinds (see
+//! [`crate::api`]): a task kernel wraps its [`AsyncPeApi`] in an
+//! [`AsyncEmpi`] and awaits each operation; a thread kernel wraps its
+//! [`PeApi`] in an [`Empi`], whose methods drive the same operations over
+//! the kernel thread's port. Both issue the same request stream.
 //!
 //! # Framing
 //!
@@ -111,14 +119,15 @@
 //! injection; with it off, every path below is byte-identical to the
 //! pinned golden behavior.
 
-use crate::api::PeApi;
+use crate::api::{drive, AsyncPeApi, PeApi};
 use crate::calib::CALL_OVERHEAD_CYCLES;
 use medea_pe::kernel_if::{f64_to_words, words_to_f64};
 use medea_sim::ids::Rank;
 use medea_trace::KernelOp;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::future::Future;
+use std::sync::{Mutex, PoisonError};
 
 /// Data words per chunk (16-word packet minus the frame header).
 pub const CHUNK_DATA_WORDS: usize = 15;
@@ -197,11 +206,38 @@ fn chunks_of(words: &[u32]) -> usize {
     }
 }
 
+/// The data packet for chunk `idx` of `words`, behind frame header `head`.
+fn chunk_packet(head: u32, words: &[u32], idx: usize) -> Vec<u32> {
+    let mut packet = Vec::with_capacity(1 + CHUNK_DATA_WORDS);
+    packet.push(head);
+    if !words.is_empty() {
+        let base = idx * CHUNK_DATA_WORDS;
+        let end = (base + CHUNK_DATA_WORDS).min(words.len());
+        packet.extend_from_slice(&words[base..end]);
+    }
+    packet
+}
+
 /// The retransmission cache: the last message sent to one destination.
 #[derive(Debug)]
 struct SentMsg {
     serial: u32,
     words: Vec<u32>,
+}
+
+/// The resilient protocol's per-peer state. All three maps stay empty
+/// when retransmission is off.
+#[derive(Debug, Default)]
+struct ArqState {
+    /// Last message per destination, kept for NACK-driven retransmission
+    /// until overwritten by the next send to the same rank.
+    sent_cache: HashMap<u8, SentMsg>,
+    /// Alternating-bit serial of the *latest* message sent per
+    /// destination.
+    send_serials: HashMap<u8, u32>,
+    /// Alternating-bit serial of the *last completed* message received
+    /// per source (the next expected serial is its complement).
+    recv_serials: HashMap<u8, u32>,
 }
 
 /// Which algorithm the communicator's collectives run (see the module
@@ -237,59 +273,47 @@ impl CollectiveAlgo {
         [CollectiveAlgo::Linear, CollectiveAlgo::BinomialTree, CollectiveAlgo::RecursiveDoubling];
 }
 
-/// The eMPI communicator: one per kernel, owning its [`PeApi`].
+/// The eMPI communicator of a task kernel: one per kernel, owning its
+/// [`AsyncPeApi`]; every operation is `async`.
 ///
-/// Derefs to [`PeApi`], so kernels keep direct access to loads/stores,
-/// coherence operations and raw TIE messaging through the communicator.
-/// The send path stages every outgoing packet in one reusable buffer per
-/// communicator — steady-state point-to-point traffic allocates nothing
-/// beyond the received message itself.
+/// Derefs to the wrapped API, so kernels keep direct access to
+/// loads/stores, coherence operations and raw TIE messaging through the
+/// communicator. The protocol engines and collectives are written once,
+/// here: the sync [`Empi`] is this communicator over a thread kernel's
+/// [`PeApi`] (`A = PeApi`), driving the same operations.
 #[derive(Debug)]
-pub struct Empi {
-    api: PeApi,
+pub struct AsyncEmpi<A = AsyncPeApi> {
+    api: A,
     algo: CollectiveAlgo,
-    /// Reusable staging buffer for one outgoing packet (≤ 16 words).
-    packet: RefCell<Vec<u32>>,
-    /// Reusable staging buffer for f64 → word conversion on the send side.
-    staging: RefCell<Vec<u32>>,
-    /// Resilient-delivery knobs (`ResilienceConfig` on the system). All
-    /// three maps below stay empty when retransmission is off.
+    /// Resilient-delivery knobs (`ResilienceConfig` on the system).
     resilience: crate::config::ResilienceConfig,
-    /// Last message per destination, kept for NACK-driven retransmission
-    /// until overwritten by the next send to the same rank.
-    sent_cache: RefCell<HashMap<u8, SentMsg>>,
-    /// Alternating-bit serial of the *latest* message sent per
-    /// destination.
-    send_serials: RefCell<HashMap<u8, u32>>,
-    /// Alternating-bit serial of the *last completed* message received
-    /// per source (the next expected serial is its complement).
-    recv_serials: RefCell<HashMap<u8, u32>>,
+    arq: Mutex<ArqState>,
 }
 
-impl std::ops::Deref for Empi {
-    type Target = PeApi;
+impl<A> std::ops::Deref for AsyncEmpi<A> {
+    type Target = A;
 
-    fn deref(&self) -> &PeApi {
+    fn deref(&self) -> &A {
         &self.api
     }
 }
 
-impl Empi {
-    /// Wrap a kernel's [`PeApi`], adopting the algorithm configured on the
+impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
+    /// Wrap a kernel's API, adopting the algorithm configured on the
     /// system (`SystemConfigBuilder::collective_algo`).
-    pub fn new(api: PeApi) -> Self {
-        let algo = api.collective_algo();
-        let resilience = api.resilience();
-        Empi {
-            api,
-            algo,
-            packet: RefCell::new(Vec::with_capacity(1 + CHUNK_DATA_WORDS)),
-            staging: RefCell::new(Vec::with_capacity(64)),
-            resilience,
-            sent_cache: RefCell::new(HashMap::new()),
-            send_serials: RefCell::new(HashMap::new()),
-            recv_serials: RefCell::new(HashMap::new()),
-        }
+    pub fn new(api: A) -> Self {
+        let algo = api.as_ref().collective_algo();
+        let resilience = api.as_ref().resilience();
+        AsyncEmpi { api, algo, resilience, arq: Mutex::new(ArqState::default()) }
+    }
+
+    /// The operations every protocol step issues.
+    fn pe(&self) -> &AsyncPeApi {
+        self.api.as_ref()
+    }
+
+    fn arq(&self) -> std::sync::MutexGuard<'_, ArqState> {
+        self.arq.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the end-to-end retransmission protocol is active.
@@ -302,18 +326,20 @@ impl Empi {
         self.algo
     }
 
-    /// The wrapped [`PeApi`].
-    pub const fn api(&self) -> &PeApi {
+    /// The wrapped API.
+    pub const fn api(&self) -> &A {
         &self.api
     }
 
-    /// Delimit `f` with kernel-level trace span markers for `op` — a
-    /// no-op (and zero simulated cycles regardless) unless the system
-    /// traces the `KERNEL` event class.
-    fn span<R>(&self, op: KernelOp, f: impl FnOnce(&Self) -> R) -> R {
-        self.api.trace_span_begin(op);
-        let result = f(self);
-        self.api.trace_span_end(op);
+    /// Delimit `body` with kernel-level trace span markers for `op` — a
+    /// no-op (and zero simulated cycles regardless) unless the run's trace
+    /// sink is active or metrics are on. The operation's library call
+    /// overhead is charged inside the span.
+    async fn span<R>(&self, op: KernelOp, body: impl Future<Output = R>) -> R {
+        self.pe().trace_span_begin(op).await;
+        self.pe().compute(CALL_OVERHEAD_CYCLES).await;
+        let result = body.await;
+        self.pe().trace_span_end(op).await;
         result
     }
 
@@ -327,23 +353,15 @@ impl Empi {
     ///
     /// Panics if the message exceeds [`MAX_MESSAGE_WORDS`], or if a data
     /// packet arrives while awaiting a credit (opposite-direction sends —
-    /// use [`Empi::sendrecv`] for symmetric exchanges).
-    pub fn send(&self, to: Rank, words: &[u32]) {
-        self.point_to_point(KernelOp::MsgSend, Some(to), words, None);
+    /// use [`AsyncEmpi::sendrecv`] for symmetric exchanges).
+    pub async fn send(&self, to: Rank, words: &[u32]) {
+        self.point_to_point(KernelOp::MsgSend, Some(to), words, None).await;
     }
 
-    /// Stage and transmit chunk `idx` of `words` via the reusable packet
-    /// buffer.
-    fn send_chunk(&self, to: Rank, words: &[u32], idx: usize) {
-        let mut packet = self.packet.borrow_mut();
-        packet.clear();
-        packet.push(header(KIND_DATA, words.len(), idx));
-        if !words.is_empty() {
-            let base = idx * CHUNK_DATA_WORDS;
-            let end = (base + CHUNK_DATA_WORDS).min(words.len());
-            packet.extend_from_slice(&words[base..end]);
-        }
-        self.api.send_to_rank(to, &packet);
+    /// Transmit chunk `idx` of `words`.
+    async fn send_chunk(&self, to: Rank, words: &[u32], idx: usize) {
+        let packet = chunk_packet(header(KIND_DATA, words.len(), idx), words, idx);
+        self.pe().send_packet(to, packet).await;
     }
 
     /// MPI_receive: block until the complete message from `from` has
@@ -354,8 +372,9 @@ impl Empi {
     /// Panics on interleaved messages from the same source (two `send`s to
     /// the same destination without an intervening `recv` pairing) and on
     /// unexpected credit packets.
-    pub fn recv(&self, from: Rank) -> Vec<u32> {
+    pub async fn recv(&self, from: Rank) -> Vec<u32> {
         self.point_to_point(KernelOp::MsgRecv, None, &[], Some(from))
+            .await
             .expect("recv direction present")
     }
 
@@ -370,34 +389,34 @@ impl Empi {
     /// blocked on a credit, so two ranks may exchange windowed messages
     /// *with each other* concurrently, and chains/rings of exchanges
     /// pipeline instead of serializing.
-    pub fn sendrecv(
+    pub async fn sendrecv(
         &self,
         to: Option<Rank>,
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
-        self.point_to_point(KernelOp::Sendrecv, to, words, from)
+        self.point_to_point(KernelOp::Sendrecv, to, words, from).await
     }
 
     /// The one dispatch behind every point-to-point call: a trace span
-    /// for `op`, the library call overhead, then the protocol's engine —
-    /// [`Empi::duplex`] by default, [`Empi::resilient_engine`] with
-    /// retransmission on.
-    fn point_to_point(
+    /// for `op` (with the library call overhead), then the protocol's
+    /// engine — [`AsyncEmpi::duplex`] by default,
+    /// [`AsyncEmpi::resilient_engine`] with retransmission on.
+    async fn point_to_point(
         &self,
         op: KernelOp,
         to: Option<Rank>,
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
-        self.span(op, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.resilient() {
-                s.resilient_engine(to, words, from)
+        self.span(op, async {
+            if self.resilient() {
+                self.resilient_engine(to, words, from).await
             } else {
-                s.duplex(to, words, from)
+                self.duplex(to, words, from).await
             }
         })
+        .await
     }
 
     /// The default protocol's point-to-point engine: transmit `words` to
@@ -408,7 +427,13 @@ impl Empi {
     /// a send waits for a credit before every even chunk from the third
     /// on, a receive blocks on its source, and an empty message is a bare
     /// header.
-    fn duplex(&self, to: Option<Rank>, words: &[u32], from: Option<Rank>) -> Option<Vec<u32>> {
+    async fn duplex(
+        &self,
+        to: Option<Rank>,
+        words: &[u32],
+        from: Option<Rank>,
+    ) -> Option<Vec<u32>> {
+        let pe = self.pe();
         let total_tx = match to {
             Some(_) => {
                 assert!(
@@ -424,6 +449,26 @@ impl Empi {
         let mut next = 0usize; // next chunk to transmit
         let mut allowance = EAGER_CHUNKS; // chunks the credit window permits
         let mut rx = RxState::new();
+        let take_credit = |to: Rank, allowance: &mut usize, credit: &[u32]| {
+            let cause = if from.is_none() {
+                "overlapping opposite-direction sends — use Empi::sendrecv for the exchange"
+            } else {
+                "a third party is sending into this exchange"
+            };
+            assert_eq!(
+                parse_header(credit[0]).0,
+                KIND_CREDIT,
+                "expected a credit from {to} but got a data packet: {cause}"
+            );
+            *allowance += EAGER_CHUNKS;
+        };
+        let expect_data = |from: Rank, packet: &[u32]| {
+            assert_eq!(
+                parse_header(packet[0]).0,
+                KIND_DATA,
+                "unexpected credit packet from {from} while receiving"
+            );
+        };
         loop {
             let tx_done = next >= total_tx;
             let rx_done = from.is_none() || rx.done();
@@ -432,51 +477,31 @@ impl Empi {
             }
             if !tx_done && next < allowance {
                 let to = to.expect("transmitting implies a destination");
-                self.send_chunk(to, words, next);
+                self.send_chunk(to, words, next).await;
                 next += 1;
                 continue;
             }
             // Transmit is blocked on a credit and/or the receive is still
             // incomplete: service whatever arrives next.
-            let take_credit = |to: Rank, allowance: &mut usize, credit: &[u32]| {
-                let cause = if from.is_none() {
-                    "overlapping opposite-direction sends — use Empi::sendrecv for the exchange"
-                } else {
-                    "a third party is sending into this exchange"
-                };
-                assert_eq!(
-                    parse_header(credit[0]).0,
-                    KIND_CREDIT,
-                    "expected a credit from {to} but got a data packet: {cause}"
-                );
-                *allowance += EAGER_CHUNKS;
-            };
-            let take_data = |from: Rank, rx: &mut RxState, packet: &[u32]| {
-                assert_eq!(
-                    parse_header(packet[0]).0,
-                    KIND_DATA,
-                    "unexpected credit packet from {from} while receiving"
-                );
-                rx.accept(&self.api, from, packet);
-            };
             match (to, from) {
                 (Some(to), Some(from)) if to == from => {
-                    let packet = self.api.recv_from_rank(from);
+                    let packet = pe.recv_from_rank(from).await;
                     if parse_header(packet[0]).0 == KIND_CREDIT {
                         assert!(!tx_done, "credit from {from} after the last chunk was sent");
                         allowance += EAGER_CHUNKS;
                     } else {
-                        rx.accept(&self.api, from, &packet);
+                        rx.accept(pe, from, &packet).await;
                     }
                 }
                 // Only the receive side is pending.
                 (_, Some(from)) if tx_done => {
-                    let packet = self.api.recv_from_rank(from);
-                    take_data(from, &mut rx, &packet);
+                    let packet = pe.recv_from_rank(from).await;
+                    expect_data(from, &packet);
+                    rx.accept(pe, from, &packet).await;
                 }
                 // Only the credit wait is pending.
                 (Some(to), _) if rx_done => {
-                    let credit = self.api.recv_from_rank(to);
+                    let credit = pe.recv_from_rank(to).await;
                     take_credit(to, &mut allowance, &credit);
                 }
                 // Both directions pending against *different* peers: poll
@@ -485,10 +510,11 @@ impl Empi {
                 // cascading serially). TryRecv charges at least one cycle,
                 // so the simulation always advances.
                 (Some(to), Some(from)) => {
-                    if let Some(credit) = self.api.try_recv_from_rank(to) {
+                    if let Some(credit) = pe.try_recv_from_rank(to).await {
                         take_credit(to, &mut allowance, &credit);
-                    } else if let Some(packet) = self.api.try_recv_from_rank(from) {
-                        take_data(from, &mut rx, &packet);
+                    } else if let Some(packet) = pe.try_recv_from_rank(from).await {
+                        expect_data(from, &packet);
+                        rx.accept(pe, from, &packet).await;
                     }
                 }
                 // Handled above: a one-sided exchange waits only on its side.
@@ -500,21 +526,22 @@ impl Empi {
 
     // ---- resilient delivery (ARQ engine) ----
 
-    /// The resilient counterpart of [`Empi::duplex`]: transmit `words` to
-    /// `to` (if present) while receiving one message from `from` (if
-    /// present), tolerating corrupt packets via NACK-driven
+    /// The resilient counterpart of [`AsyncEmpi::duplex`]: transmit
+    /// `words` to `to` (if present) while receiving one message from
+    /// `from` (if present), tolerating corrupt packets via NACK-driven
     /// retransmission and confirming delivery end-to-end (see the module's
     /// *Resilient delivery* section for the protocol).
     ///
     /// Every wait polls (`TryRecv` costs at least one cycle, so the
     /// simulation always advances); timeouts back off exponentially,
     /// capped at 16× `empi_timeout`.
-    fn resilient_engine(
+    async fn resilient_engine(
         &self,
         to: Option<Rank>,
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
+        let pe = self.pe();
         let cfg = self.resilience;
         let (tx_serial, total_tx) = match to {
             Some(to) => {
@@ -524,8 +551,8 @@ impl Empi {
                     words.len()
                 );
                 let serial = self.next_send_serial(to);
-                self.sent_cache
-                    .borrow_mut()
+                self.arq()
+                    .sent_cache
                     .insert(to.index() as u8, SentMsg { serial, words: words.to_vec() });
                 (serial, chunks_of(words))
             }
@@ -539,7 +566,7 @@ impl Empi {
         let mut retransmits = 0u32;
         let mut nacks = 0u32;
         let mut attempt = 0u32;
-        let mut deadline = self.api.now() + cfg.empi_timeout;
+        let mut deadline = pe.now().await + cfg.empi_timeout;
         loop {
             let rx_done = from.is_none() || rx.done();
             if tx_acked && rx_done {
@@ -547,20 +574,19 @@ impl Empi {
             }
             if next < total_tx && next < allowance {
                 let to = to.expect("transmitting implies a destination");
-                self.send_chunk_r(to, tx_serial, words, next);
+                self.send_chunk_r(to, tx_serial, words, next).await;
                 next += 1;
                 continue;
             }
             // Poll the peers this exchange involves (one poll per
             // iteration keeps the two directions fair).
             let intake = match (to, from) {
-                (Some(t), Some(f)) if t != f => self
-                    .api
-                    .try_recv_from_rank_flagged(t)
-                    .map(|(w, c)| (t, w, c))
-                    .or_else(|| self.api.try_recv_from_rank_flagged(f).map(|(w, c)| (f, w, c))),
+                (Some(t), Some(f)) if t != f => match pe.try_recv_from_rank_flagged(t).await {
+                    Some((w, c)) => Some((t, w, c)),
+                    None => pe.try_recv_from_rank_flagged(f).await.map(|(w, c)| (f, w, c)),
+                },
                 (Some(p), _) | (None, Some(p)) => {
-                    self.api.try_recv_from_rank_flagged(p).map(|(w, c)| (p, w, c))
+                    pe.try_recv_from_rank_flagged(p).await.map(|(w, c)| (p, w, c))
                 }
                 (None, None) => unreachable!(),
             };
@@ -571,16 +597,16 @@ impl Empi {
                         // incomplete this may have been a data chunk —
                         // request the lowest missing one immediately.
                         if from == Some(peer) && !rx.done() {
-                            self.send_nack(peer, rx_serial, rx.lowest_missing());
+                            self.send_nack(peer, rx_serial, rx.lowest_missing()).await;
                             nacks += 1;
                         }
                         // A corrupted credit/ACK recovers via our timeout
                         // poke or the peer's timeout NACK.
                     }
                     Intake::Data(s) if from == Some(peer) && s == rx_serial => {
-                        rx.accept_r(&self.api, peer, &pkt, rx_serial);
+                        rx.accept_r(pe, peer, &pkt, rx_serial).await;
                         if rx.done() {
-                            self.send_ack(peer, rx_serial);
+                            self.send_ack(peer, rx_serial).await;
                             self.commit_recv_serial(peer);
                         }
                     }
@@ -597,7 +623,7 @@ impl Empi {
                             // Stale retransmit (poke) of a message we
                             // already completed: the peer missed our ACK —
                             // re-confirm.
-                            self.send_ack(peer, s);
+                            self.send_ack(peer, s).await;
                         }
                     }
                     Intake::Credit(s) => {
@@ -614,7 +640,7 @@ impl Empi {
                             // corruption, so the transfer degrades to
                             // NACK-paced lockstep instead of stalling.
                             if c < total_tx {
-                                self.send_chunk_r(peer, tx_serial, words, c);
+                                self.send_chunk_r(peer, tx_serial, words, c).await;
                                 if c < next {
                                     retransmits += 1;
                                 }
@@ -624,7 +650,7 @@ impl Empi {
                         } else {
                             // About an earlier, completed send to `peer`:
                             // serve it from the retransmission cache.
-                            retransmits += self.service_cached_nack(peer, s, c);
+                            retransmits += self.service_cached_nack(peer, s, c).await;
                         }
                     }
                     Intake::Ack(s) => {
@@ -636,12 +662,12 @@ impl Empi {
                     }
                 }
                 attempt = 0;
-                deadline = self.api.now() + cfg.empi_timeout;
-            } else if self.api.now() >= deadline {
+                deadline = pe.now().await + cfg.empi_timeout;
+            } else if pe.now().await >= deadline {
                 attempt += 1;
                 if !rx_done {
                     let from = from.expect("rx pending implies a source");
-                    self.send_nack(from, rx_serial, rx.lowest_missing());
+                    self.send_nack(from, rx_serial, rx.lowest_missing()).await;
                     nacks += 1;
                 }
                 if next >= total_tx && !tx_acked {
@@ -656,57 +682,50 @@ impl Empi {
                         // completed re-ACKs it; one still missing data
                         // NACKs what it needs.
                         let to = to.expect("tx pending implies a destination");
-                        self.send_chunk_r(to, tx_serial, words, total_tx - 1);
+                        self.send_chunk_r(to, tx_serial, words, total_tx - 1).await;
                         retransmits += 1;
                     }
                 }
-                deadline = self.api.now() + (cfg.empi_timeout << attempt.min(4));
+                deadline = pe.now().await + (cfg.empi_timeout << attempt.min(4));
             }
         }
         if retransmits > 0 || nacks > 0 {
-            self.api.fault_note(retransmits, nacks);
+            pe.fault_note(retransmits, nacks).await;
         }
         from.map(|_| rx.data)
     }
 
     /// `send_chunk` with the resilient header (serial bit).
-    fn send_chunk_r(&self, to: Rank, serial: u32, words: &[u32], idx: usize) {
-        let mut packet = self.packet.borrow_mut();
-        packet.clear();
-        packet.push(header_r(KIND_DATA, serial, words.len(), idx));
-        if !words.is_empty() {
-            let base = idx * CHUNK_DATA_WORDS;
-            let end = (base + CHUNK_DATA_WORDS).min(words.len());
-            packet.extend_from_slice(&words[base..end]);
-        }
-        self.api.send_to_rank(to, &packet);
+    async fn send_chunk_r(&self, to: Rank, serial: u32, words: &[u32], idx: usize) {
+        let packet = chunk_packet(header_r(KIND_DATA, serial, words.len(), idx), words, idx);
+        self.pe().send_packet(to, packet).await;
     }
 
-    fn send_nack(&self, peer: Rank, serial: u32, chunk: usize) {
-        self.api.send_to_rank(peer, &[header_r(KIND_NACK, serial, 0, chunk)]);
+    async fn send_nack(&self, peer: Rank, serial: u32, chunk: usize) {
+        self.pe().send_to_rank(peer, &[header_r(KIND_NACK, serial, 0, chunk)]).await;
     }
 
-    fn send_ack(&self, peer: Rank, serial: u32) {
-        self.api.send_to_rank(peer, &[header_r(KIND_ACK, serial, 0, 0)]);
+    async fn send_ack(&self, peer: Rank, serial: u32) {
+        self.pe().send_to_rank(peer, &[header_r(KIND_ACK, serial, 0, 0)]).await;
     }
 
     /// Flip and return the serial for a new message to `to`.
     fn next_send_serial(&self, to: Rank) -> u32 {
-        let mut serials = self.send_serials.borrow_mut();
-        let s = serials.entry(to.index() as u8).or_insert(0);
+        let mut arq = self.arq();
+        let s = arq.send_serials.entry(to.index() as u8).or_insert(0);
         *s ^= 1;
         *s
     }
 
     /// The serial the next message from `from` will carry.
     fn expected_recv_serial(&self, from: Rank) -> u32 {
-        self.recv_serials.borrow().get(&(from.index() as u8)).copied().unwrap_or(0) ^ 1
+        self.arq().recv_serials.get(&(from.index() as u8)).copied().unwrap_or(0) ^ 1
     }
 
     /// Record that the expected message from `from` completed.
     fn commit_recv_serial(&self, from: Rank) {
-        let mut serials = self.recv_serials.borrow_mut();
-        let s = serials.entry(from.index() as u8).or_insert(0);
+        let mut arq = self.arq();
+        let s = arq.recv_serials.entry(from.index() as u8).or_insert(0);
         *s ^= 1;
     }
 
@@ -714,22 +733,26 @@ impl Empi {
     /// from the retransmission cache. Returns the number of chunks
     /// retransmitted (0 when the cache has moved past that serial — the
     /// watchdog backstops that pathological interleaving).
-    fn service_cached_nack(&self, peer: Rank, serial: u32, chunk: usize) -> u32 {
-        let cache = self.sent_cache.borrow();
-        if let Some(msg) = cache.get(&(peer.index() as u8)) {
-            if msg.serial == serial && chunk < chunks_of(&msg.words) {
-                self.send_chunk_r(peer, serial, &msg.words, chunk);
-                return 1;
+    async fn service_cached_nack(&self, peer: Rank, serial: u32, chunk: usize) -> u32 {
+        let packet = self.arq().sent_cache.get(&(peer.index() as u8)).and_then(|msg| {
+            (msg.serial == serial && chunk < chunks_of(&msg.words)).then(|| {
+                chunk_packet(header_r(KIND_DATA, serial, msg.words.len(), chunk), &msg.words, chunk)
+            })
+        });
+        match packet {
+            Some(packet) => {
+                self.pe().send_packet(peer, packet).await;
+                1
             }
+            None => 0,
         }
-        0
     }
 
     // ---- f64 convenience ----
 
     /// Send a slice of doubles (two words each).
-    pub fn send_f64(&self, to: Rank, values: &[f64]) {
-        self.send(to, &self.stage_f64(values));
+    pub async fn send_f64(&self, to: Rank, values: &[f64]) {
+        self.send(to, &f64s_to_words(values)).await;
     }
 
     /// Receive a slice of doubles.
@@ -737,235 +760,210 @@ impl Empi {
     /// # Panics
     ///
     /// Panics if the incoming message has an odd word count.
-    pub fn recv_f64(&self, from: Rank) -> Vec<f64> {
-        let words = self.recv(from);
-        words_to_f64_vec(&words)
+    pub async fn recv_f64(&self, from: Rank) -> Vec<f64> {
+        words_to_f64_vec(&self.recv(from).await)
     }
 
-    /// [`Empi::sendrecv`] over doubles.
-    pub fn sendrecv_f64(
+    /// [`AsyncEmpi::sendrecv`] over doubles.
+    pub async fn sendrecv_f64(
         &self,
         to: Option<Rank>,
         values: &[f64],
         from: Option<Rank>,
     ) -> Option<Vec<f64>> {
-        let stage = self.stage_f64(values);
-        self.sendrecv(to, &stage, from).map(|words| words_to_f64_vec(&words))
-    }
-
-    /// Copy `values` into the reusable word-staging buffer and hand back a
-    /// shared borrow of it — the send paths only need `&[u32]`, and the
-    /// packet buffer is a separate cell, so nothing re-enters this one
-    /// while the borrow is live.
-    fn stage_f64(&self, values: &[f64]) -> std::cell::Ref<'_, Vec<u32>> {
-        let mut stage = self.staging.borrow_mut();
-        stage.clear();
-        for v in values {
-            let (lo, hi) = f64_to_words(*v);
-            stage.push(lo);
-            stage.push(hi);
-        }
-        drop(stage);
-        self.staging.borrow()
+        let words = f64s_to_words(values);
+        self.sendrecv(to, &words, from).await.map(|words| words_to_f64_vec(&words))
     }
 
     // ---- collectives ----
 
     /// MPI_barrier: synchronization-token exchange over the NoC — the
     /// hybrid model's key primitive, no shared memory touched.
-    pub fn barrier(&self) {
-        self.span(KernelOp::Barrier, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            let ranks = s.api.ranks();
-            if ranks == 1 {
+    pub async fn barrier(&self) {
+        self.span(KernelOp::Barrier, async {
+            if self.pe().ranks() == 1 {
                 return;
             }
-            match s.algo {
-                CollectiveAlgo::Linear => s.linear_barrier(),
+            match self.algo {
+                CollectiveAlgo::Linear => self.linear_barrier().await,
                 CollectiveAlgo::BinomialTree => {
-                    s.binomial_reduce_tokens();
-                    let _ = s.binomial_bcast(Rank::new(0), &[]);
+                    self.binomial_reduce_tokens().await;
+                    let _ = self.binomial_bcast(Rank::new(0), &[]).await;
                 }
-                CollectiveAlgo::RecursiveDoubling => s.doubling_barrier(),
+                CollectiveAlgo::RecursiveDoubling => self.doubling_barrier().await,
             }
-        });
+        })
+        .await;
     }
 
     /// Broadcast `words` from `root` to every rank; every rank returns the
     /// message. Non-root callers' `words` are ignored (pass `&[]`).
-    pub fn bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        self.span(KernelOp::Bcast, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.api.ranks() == 1 {
+    pub async fn bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
+        self.span(KernelOp::Bcast, async {
+            if self.pe().ranks() == 1 {
                 return words.to_vec();
             }
-            match s.algo {
-                CollectiveAlgo::Linear => s.linear_bcast(root, words),
+            match self.algo {
+                CollectiveAlgo::Linear => self.linear_bcast(root, words).await,
                 CollectiveAlgo::BinomialTree | CollectiveAlgo::RecursiveDoubling => {
-                    s.binomial_bcast(root, words)
+                    self.binomial_bcast(root, words).await
                 }
             }
         })
+        .await
     }
 
     /// Broadcast doubles from `root`.
-    pub fn bcast_f64(&self, root: Rank, values: &[f64]) -> Vec<f64> {
-        let stage = self.stage_f64(values);
-        let words = self.bcast(root, &stage);
-        drop(stage);
-        words_to_f64_vec(&words)
+    pub async fn bcast_f64(&self, root: Rank, values: &[f64]) -> Vec<f64> {
+        let words = f64s_to_words(values);
+        words_to_f64_vec(&self.bcast(root, &words).await)
     }
 
     /// Sum-reduce one double per rank to `root` (FP adds are charged on
     /// the combining PEs). Returns `Some(sum)` at the root, `None`
     /// elsewhere. The accumulation order is fixed per algorithm, so the
     /// result is bit-deterministic run over run.
-    pub fn reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        self.span(KernelOp::Reduce, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.api.ranks() == 1 {
-                return (s.api.rank() == root).then_some(value);
+    pub async fn reduce(&self, root: Rank, value: f64) -> Option<f64> {
+        self.span(KernelOp::Reduce, async {
+            let pe = self.pe();
+            if pe.ranks() == 1 {
+                return (pe.rank() == root).then_some(value);
             }
-            match s.algo {
-                CollectiveAlgo::Linear => s.linear_reduce(root, value),
-                CollectiveAlgo::BinomialTree => s.binomial_reduce(root, value),
+            match self.algo {
+                CollectiveAlgo::Linear => self.linear_reduce(root, value).await,
+                CollectiveAlgo::BinomialTree => self.binomial_reduce(root, value).await,
                 CollectiveAlgo::RecursiveDoubling => {
-                    let sum = s.doubling_allreduce(value);
-                    (s.api.rank() == root).then_some(sum)
+                    let sum = self.doubling_allreduce(value).await;
+                    (pe.rank() == root).then_some(sum)
                 }
             }
         })
+        .await
     }
 
     /// Sum-reduce one double per rank; every rank returns the sum.
-    pub fn allreduce(&self, value: f64) -> f64 {
-        self.span(KernelOp::Allreduce, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            if s.api.ranks() == 1 {
+    pub async fn allreduce(&self, value: f64) -> f64 {
+        self.span(KernelOp::Allreduce, async {
+            if self.pe().ranks() == 1 {
                 return value;
             }
             let root = Rank::new(0);
-            match s.algo {
+            match self.algo {
                 CollectiveAlgo::Linear => {
-                    let sum = s.linear_reduce(root, value);
-                    s.linear_bcast_f64_scalar(root, sum)
+                    let sum = self.linear_reduce(root, value).await;
+                    self.linear_bcast_f64_scalar(root, sum).await
                 }
-                CollectiveAlgo::BinomialTree => {
-                    let sum = s.binomial_reduce(root, value);
-                    match sum {
-                        Some(total) => {
-                            s.binomial_bcast(root, &s.stage_f64(&[total]));
-                            total
-                        }
-                        None => {
-                            let words = s.binomial_bcast(root, &[]);
-                            words_to_f64_vec(&words)[0]
-                        }
+                CollectiveAlgo::BinomialTree => match self.binomial_reduce(root, value).await {
+                    Some(total) => {
+                        self.binomial_bcast(root, &f64s_to_words(&[total])).await;
+                        total
                     }
-                }
-                CollectiveAlgo::RecursiveDoubling => s.doubling_allreduce(value),
+                    None => words_to_f64_vec(&self.binomial_bcast(root, &[]).await)[0],
+                },
+                CollectiveAlgo::RecursiveDoubling => self.doubling_allreduce(value).await,
             }
         })
+        .await
     }
 
     /// Gather each rank's `words` to `root` (rank-indexed). Returns
     /// `Some(messages)` at the root, `None` elsewhere. Linear under every
     /// algorithm — each rank contributes distinct data, so a tree cannot
     /// reduce the volume through the root's ejection port.
-    pub fn gather(&self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
-        self.span(KernelOp::Gather, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            let ranks = s.api.ranks();
-            if s.api.rank() == root {
+    pub async fn gather(&self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
+        self.span(KernelOp::Gather, async {
+            let ranks = self.pe().ranks();
+            if self.pe().rank() == root {
                 let mut out: Vec<Vec<u32>> = vec![Vec::new(); ranks];
                 out[root.index()] = words.to_vec();
-                for src in (0..ranks).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                    out[src.index()] = s.recv(src);
+                for src in others(ranks, root) {
+                    out[src.index()] = self.recv(src).await;
                 }
                 Some(out)
             } else {
-                s.send(root, words);
+                self.send(root, words).await;
                 None
             }
         })
+        .await
     }
 
     /// Scatter `chunks[rank]` from `root` to each rank; every rank returns
     /// its chunk. Non-root callers' `chunks` are ignored (pass `&[]`).
-    /// Linear under every algorithm (see [`Empi::gather`]).
+    /// Linear under every algorithm (see [`AsyncEmpi::gather`]).
     ///
     /// # Panics
     ///
     /// Panics at the root if `chunks.len()` differs from the rank count.
-    pub fn scatter(&self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
-        self.span(KernelOp::Scatter, |s| {
-            s.api.compute(CALL_OVERHEAD_CYCLES);
-            let ranks = s.api.ranks();
-            if s.api.rank() == root {
+    pub async fn scatter(&self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
+        self.span(KernelOp::Scatter, async {
+            let ranks = self.pe().ranks();
+            if self.pe().rank() == root {
                 assert_eq!(chunks.len(), ranks, "scatter needs one chunk per rank");
-                for dst in (0..ranks).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                    s.send(dst, &chunks[dst.index()]);
+                for dst in others(ranks, root) {
+                    self.send(dst, &chunks[dst.index()]).await;
                 }
                 chunks[root.index()].clone()
             } else {
-                s.recv(root)
+                self.recv(root).await
             }
         })
+        .await
     }
 
     // ---- linear algorithms (the seed's message patterns) ----
 
-    fn linear_barrier(&self) {
-        let ranks = self.api.ranks();
-        if self.api.rank().is_master() {
+    async fn linear_barrier(&self) {
+        let ranks = self.pe().ranks();
+        if self.pe().rank().is_master() {
             for r in 1..ranks {
-                let _ = self.recv(Rank::new(r as u8));
+                let _ = self.recv(Rank::new(r as u8)).await;
             }
             for r in 1..ranks {
-                self.send(Rank::new(r as u8), &[]);
+                self.send(Rank::new(r as u8), &[]).await;
             }
         } else {
-            self.send(Rank::new(0), &[]);
-            let _ = self.recv(Rank::new(0));
+            self.send(Rank::new(0), &[]).await;
+            let _ = self.recv(Rank::new(0)).await;
         }
     }
 
-    fn linear_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        if self.api.rank() == root {
-            for dst in (0..self.api.ranks()).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                self.send(dst, words);
+    async fn linear_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
+        if self.pe().rank() == root {
+            for dst in others(self.pe().ranks(), root) {
+                self.send(dst, words).await;
             }
             words.to_vec()
         } else {
-            self.recv(root)
+            self.recv(root).await
         }
     }
 
-    fn linear_reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        if self.api.rank() == root {
+    async fn linear_reduce(&self, root: Rank, value: f64) -> Option<f64> {
+        if self.pe().rank() == root {
             let mut acc = value;
-            for src in (0..self.api.ranks()).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                let v = self.recv_f64(src);
-                acc = self.api.fadd(acc, v[0]);
+            for src in others(self.pe().ranks(), root) {
+                let v = self.recv_f64(src).await;
+                acc = self.pe().fadd(acc, v[0]).await;
             }
             Some(acc)
         } else {
-            self.send_f64(root, &[value]);
+            self.send_f64(root, &[value]).await;
             None
         }
     }
 
     /// The broadcast half of the linear allreduce, kept message-for-
     /// message identical to the seed's hand-rolled gather + broadcast.
-    fn linear_bcast_f64_scalar(&self, root: Rank, sum: Option<f64>) -> f64 {
-        if self.api.rank() == root {
+    async fn linear_bcast_f64_scalar(&self, root: Rank, sum: Option<f64>) -> f64 {
+        if self.pe().rank() == root {
             let s = sum.expect("root holds the reduction");
-            for dst in (0..self.api.ranks()).map(|r| Rank::new(r as u8)).filter(|r| *r != root) {
-                self.send_f64(dst, &[s]);
+            for dst in others(self.pe().ranks(), root) {
+                self.send_f64(dst, &[s]).await;
             }
             s
         } else {
-            self.recv_f64(root)[0]
+            self.recv_f64(root).await[0]
         }
     }
 
@@ -974,29 +972,29 @@ impl Empi {
     /// This rank's position relative to `root` (the tree is rooted at the
     /// collective's root by rank rotation).
     fn relative_rank(&self, root: Rank) -> usize {
-        let ranks = self.api.ranks();
-        (self.api.rank().index() + ranks - root.index()) % ranks
+        let ranks = self.pe().ranks();
+        (self.pe().rank().index() + ranks - root.index()) % ranks
     }
 
     fn absolute_rank(&self, root: Rank, relative: usize) -> Rank {
-        Rank::new(((relative + root.index()) % self.api.ranks()) as u8)
+        Rank::new(((relative + root.index()) % self.pe().ranks()) as u8)
     }
 
     /// Binomial reduce of one double to `root`: leaves send first, every
     /// subtree parent combines its children in ascending-mask order.
-    fn binomial_reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        let ranks = self.api.ranks();
+    async fn binomial_reduce(&self, root: Rank, value: f64) -> Option<f64> {
+        let ranks = self.pe().ranks();
         let rel = self.relative_rank(root);
         let mut acc = value;
         let mut mask = 1usize;
         while mask < ranks {
             if rel & mask != 0 {
-                self.send_f64(self.absolute_rank(root, rel - mask), &[acc]);
+                self.send_f64(self.absolute_rank(root, rel - mask), &[acc]).await;
                 return None;
             }
             if rel + mask < ranks {
-                let v = self.recv_f64(self.absolute_rank(root, rel + mask));
-                acc = self.api.fadd(acc, v[0]);
+                let v = self.recv_f64(self.absolute_rank(root, rel + mask)).await;
+                acc = self.pe().fadd(acc, v[0]).await;
             }
             mask <<= 1;
         }
@@ -1005,14 +1003,14 @@ impl Empi {
 
     /// Binomial broadcast from `root`: each rank receives from its parent,
     /// then forwards down its subtree in descending-mask order.
-    fn binomial_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        let ranks = self.api.ranks();
+    async fn binomial_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
+        let ranks = self.pe().ranks();
         let rel = self.relative_rank(root);
         let mut mask = 1usize;
         let mut data: Option<Vec<u32>> = (rel == 0).then(|| words.to_vec());
         while mask < ranks {
             if rel & mask != 0 {
-                data = Some(self.recv(self.absolute_rank(root, rel - mask)));
+                data = Some(self.recv(self.absolute_rank(root, rel - mask)).await);
                 break;
             }
             mask <<= 1;
@@ -1023,7 +1021,7 @@ impl Empi {
         mask >>= 1;
         while mask > 0 {
             if rel + mask < ranks {
-                self.send(self.absolute_rank(root, rel + mask), &data);
+                self.send(self.absolute_rank(root, rel + mask), &data).await;
             }
             mask >>= 1;
         }
@@ -1034,17 +1032,17 @@ impl Empi {
     /// messages, no FP combine — the FP variant would charge fake adds).
     /// The broadcast half of the barrier is just `binomial_bcast` of an
     /// empty message.
-    fn binomial_reduce_tokens(&self) {
-        let ranks = self.api.ranks();
-        let rel = self.api.rank().index();
+    async fn binomial_reduce_tokens(&self) {
+        let ranks = self.pe().ranks();
+        let rel = self.pe().rank().index();
         let mut mask = 1usize;
         while mask < ranks {
             if rel & mask != 0 {
-                self.send(Rank::new((rel - mask) as u8), &[]);
+                self.send(Rank::new((rel - mask) as u8), &[]).await;
                 return;
             }
             if rel + mask < ranks {
-                let _ = self.recv(Rank::new((rel + mask) as u8));
+                let _ = self.recv(Rank::new((rel + mask) as u8)).await;
             }
             mask <<= 1;
         }
@@ -1054,7 +1052,7 @@ impl Empi {
 
     /// Largest power of two ≤ `ranks` and the surplus beyond it.
     fn doubling_split(&self) -> (usize, usize) {
-        let ranks = self.api.ranks();
+        let ranks = self.pe().ranks();
         let pof2 = 1usize << (usize::BITS - 1 - ranks.leading_zeros());
         (pof2, ranks - pof2)
     }
@@ -1065,18 +1063,18 @@ impl Empi {
     /// Both partners of a round compute `fadd(acc, theirs)`; IEEE addition
     /// is commutative bitwise (NaN aside), so every rank converges to the
     /// same bits.
-    fn doubling_allreduce(&self, value: f64) -> f64 {
+    async fn doubling_allreduce(&self, value: f64) -> f64 {
         let (pof2, rem) = self.doubling_split();
-        let r = self.api.rank().index();
+        let r = self.pe().rank().index();
         let mut acc = value;
         // Fold-in phase for the surplus ranks.
         let newrank = if r < 2 * rem {
             if r.is_multiple_of(2) {
-                self.send_f64(Rank::new((r + 1) as u8), &[acc]);
+                self.send_f64(Rank::new((r + 1) as u8), &[acc]).await;
                 None
             } else {
-                let v = self.recv_f64(Rank::new((r - 1) as u8));
-                acc = self.api.fadd(acc, v[0]);
+                let v = self.recv_f64(Rank::new((r - 1) as u8)).await;
+                acc = self.pe().fadd(acc, v[0]).await;
                 Some(r / 2)
             }
         } else {
@@ -1085,23 +1083,21 @@ impl Empi {
         if let Some(newrank) = newrank {
             let mut mask = 1usize;
             while mask < pof2 {
-                let partner_new = newrank ^ mask;
-                let partner =
-                    if partner_new < rem { partner_new * 2 + 1 } else { partner_new + rem };
-                let partner = Rank::new(partner as u8);
+                let partner = Rank::new(doubling_partner(newrank ^ mask, rem) as u8);
                 let v = self
                     .sendrecv_f64(Some(partner), &[acc], Some(partner))
+                    .await
                     .expect("duplex exchange returns the partner's value");
-                acc = self.api.fadd(acc, v[0]);
+                acc = self.pe().fadd(acc, v[0]).await;
                 mask <<= 1;
             }
         }
         // Unfold phase: hand the result back to the folded-in even ranks.
         if r < 2 * rem {
             if r.is_multiple_of(2) {
-                acc = self.recv_f64(Rank::new((r + 1) as u8))[0];
+                acc = self.recv_f64(Rank::new((r + 1) as u8)).await[0];
             } else {
-                self.send_f64(Rank::new((r - 1) as u8), &[acc]);
+                self.send_f64(Rank::new((r - 1) as u8), &[acc]).await;
             }
         }
         acc
@@ -1109,15 +1105,15 @@ impl Empi {
 
     /// Recursive-doubling barrier: the allreduce exchange pattern with
     /// empty tokens.
-    fn doubling_barrier(&self) {
+    async fn doubling_barrier(&self) {
         let (pof2, rem) = self.doubling_split();
-        let r = self.api.rank().index();
+        let r = self.pe().rank().index();
         let newrank = if r < 2 * rem {
             if r.is_multiple_of(2) {
-                self.send(Rank::new((r + 1) as u8), &[]);
+                self.send(Rank::new((r + 1) as u8), &[]).await;
                 None
             } else {
-                let _ = self.recv(Rank::new((r - 1) as u8));
+                let _ = self.recv(Rank::new((r - 1) as u8)).await;
                 Some(r / 2)
             }
         } else {
@@ -1126,24 +1122,162 @@ impl Empi {
         if let Some(newrank) = newrank {
             let mut mask = 1usize;
             while mask < pof2 {
-                let partner_new = newrank ^ mask;
-                let partner =
-                    if partner_new < rem { partner_new * 2 + 1 } else { partner_new + rem };
-                let _ = self.sendrecv(
-                    Some(Rank::new(partner as u8)),
-                    &[],
-                    Some(Rank::new(partner as u8)),
-                );
+                let partner = Rank::new(doubling_partner(newrank ^ mask, rem) as u8);
+                let _ = self.sendrecv(Some(partner), &[], Some(partner)).await;
                 mask <<= 1;
             }
         }
         if r < 2 * rem {
             if r.is_multiple_of(2) {
-                let _ = self.recv(Rank::new((r + 1) as u8));
+                let _ = self.recv(Rank::new((r + 1) as u8)).await;
             } else {
-                self.send(Rank::new((r - 1) as u8), &[]);
+                self.send(Rank::new((r - 1) as u8), &[]).await;
             }
         }
+    }
+}
+
+/// Every rank of `0..ranks` but `root`, ascending.
+fn others(ranks: usize, root: Rank) -> impl Iterator<Item = Rank> {
+    (0..ranks).map(|r| Rank::new(r as u8)).filter(move |r| *r != root)
+}
+
+/// The absolute rank of recursive-doubling participant `partner_new`
+/// when `rem` surplus ranks folded in.
+fn doubling_partner(partner_new: usize, rem: usize) -> usize {
+    if partner_new < rem {
+        partner_new * 2 + 1
+    } else {
+        partner_new + rem
+    }
+}
+
+/// The eMPI communicator of a thread kernel: one per kernel, owning its
+/// [`PeApi`]. Each method drives the [`AsyncEmpi`] operation of the same
+/// name over the kernel thread's port.
+///
+/// Derefs to [`PeApi`], so kernels keep direct access to loads/stores,
+/// coherence operations and raw TIE messaging through the communicator.
+#[derive(Debug)]
+pub struct Empi {
+    comm: AsyncEmpi<PeApi>,
+}
+
+impl std::ops::Deref for Empi {
+    type Target = PeApi;
+
+    fn deref(&self) -> &PeApi {
+        self.comm.api()
+    }
+}
+
+impl Empi {
+    /// Wrap a kernel's [`PeApi`], adopting the algorithm configured on the
+    /// system (`SystemConfigBuilder::collective_algo`).
+    pub fn new(api: PeApi) -> Self {
+        Empi { comm: AsyncEmpi::new(api) }
+    }
+
+    /// The algorithm this communicator's collectives run.
+    pub const fn algo(&self) -> CollectiveAlgo {
+        self.comm.algo()
+    }
+
+    /// The wrapped [`PeApi`].
+    pub const fn api(&self) -> &PeApi {
+        self.comm.api()
+    }
+
+    /// [`AsyncEmpi::send`].
+    ///
+    /// # Panics
+    ///
+    /// As [`AsyncEmpi::send`]; use [`Empi::sendrecv`] for symmetric
+    /// exchanges.
+    pub fn send(&self, to: Rank, words: &[u32]) {
+        drive(self.comm.send(to, words));
+    }
+
+    /// [`AsyncEmpi::recv`].
+    ///
+    /// # Panics
+    ///
+    /// As [`AsyncEmpi::recv`].
+    pub fn recv(&self, from: Rank) -> Vec<u32> {
+        drive(self.comm.recv(from))
+    }
+
+    /// [`AsyncEmpi::sendrecv`].
+    pub fn sendrecv(
+        &self,
+        to: Option<Rank>,
+        words: &[u32],
+        from: Option<Rank>,
+    ) -> Option<Vec<u32>> {
+        drive(self.comm.sendrecv(to, words, from))
+    }
+
+    /// [`AsyncEmpi::send_f64`].
+    pub fn send_f64(&self, to: Rank, values: &[f64]) {
+        drive(self.comm.send_f64(to, values));
+    }
+
+    /// [`AsyncEmpi::recv_f64`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the incoming message has an odd word count.
+    pub fn recv_f64(&self, from: Rank) -> Vec<f64> {
+        drive(self.comm.recv_f64(from))
+    }
+
+    /// [`AsyncEmpi::sendrecv_f64`].
+    pub fn sendrecv_f64(
+        &self,
+        to: Option<Rank>,
+        values: &[f64],
+        from: Option<Rank>,
+    ) -> Option<Vec<f64>> {
+        drive(self.comm.sendrecv_f64(to, values, from))
+    }
+
+    /// [`AsyncEmpi::barrier`].
+    pub fn barrier(&self) {
+        drive(self.comm.barrier());
+    }
+
+    /// [`AsyncEmpi::bcast`].
+    pub fn bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
+        drive(self.comm.bcast(root, words))
+    }
+
+    /// [`AsyncEmpi::bcast_f64`].
+    pub fn bcast_f64(&self, root: Rank, values: &[f64]) -> Vec<f64> {
+        drive(self.comm.bcast_f64(root, values))
+    }
+
+    /// [`AsyncEmpi::reduce`].
+    pub fn reduce(&self, root: Rank, value: f64) -> Option<f64> {
+        drive(self.comm.reduce(root, value))
+    }
+
+    /// [`AsyncEmpi::allreduce`].
+    pub fn allreduce(&self, value: f64) -> f64 {
+        drive(self.comm.allreduce(value))
+    }
+
+    /// [`AsyncEmpi::gather`].
+    pub fn gather(&self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
+        drive(self.comm.gather(root, words))
+    }
+
+    /// [`AsyncEmpi::scatter`].
+    ///
+    /// # Panics
+    ///
+    /// Panics at the root if `chunks.len()` differs from the rank count.
+    pub fn scatter(&self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
+        drive(self.comm.scatter(root, chunks))
     }
 }
 
@@ -1177,40 +1311,10 @@ impl RxState {
         self.started && self.count == self.total_chunks
     }
 
-    /// Integrate one data packet, granting a flow-control credit when the
-    /// window schedule calls for one.
-    fn accept(&mut self, api: &PeApi, from: Rank, packet: &[u32]) {
-        let (_, len, idx) = parse_header(packet[0]);
-        if !self.started {
-            self.started = true;
-            self.len = len;
-            self.total_chunks = if len == 0 { 1 } else { len.div_ceil(CHUNK_DATA_WORDS) };
-            self.data = vec![0u32; len];
-        } else {
-            assert_eq!(len, self.len, "interleaved eMPI messages from {from}");
-        }
-        let (word, bit) = (idx / 64, idx % 64);
-        assert!(self.seen[word] & (1 << bit) == 0, "duplicate chunk {idx} from {from}");
-        self.seen[word] |= 1 << bit;
-        if self.len > 0 {
-            let base = idx * CHUNK_DATA_WORDS;
-            let n = (self.len - base).min(CHUNK_DATA_WORDS);
-            self.data[base..base + n].copy_from_slice(&packet[1..1 + n]);
-        }
-        self.count += 1;
-        if self.total_chunks > EAGER_CHUNKS
-            && self.count.is_multiple_of(EAGER_CHUNKS)
-            && self.count < self.total_chunks
-        {
-            api.send_to_rank(from, &[header(KIND_CREDIT, 0, 0)]);
-        }
-    }
-
-    /// The resilient variant of [`RxState::accept`]: duplicate chunks
-    /// (retransmissions racing a NACK, ACK-phase pokes) are benign and
-    /// dropped; credits carry the message serial. Returns whether the
-    /// chunk was new.
-    fn accept_r(&mut self, api: &PeApi, from: Rank, packet: &[u32], serial: u32) -> bool {
+    /// Place one data chunk; returns whether it was new (the resilient
+    /// protocol tolerates duplicates, the default one asserts there are
+    /// none) and whether the window schedule calls for a credit now.
+    fn place(&mut self, from: Rank, packet: &[u32]) -> (bool, bool) {
         let (_, len, idx) = parse_header(packet[0]);
         if !self.started {
             self.started = true;
@@ -1222,7 +1326,7 @@ impl RxState {
         }
         let (word, bit) = (idx / 64, idx % 64);
         if self.seen[word] & (1 << bit) != 0 {
-            return false;
+            return (false, false);
         }
         self.seen[word] |= 1 << bit;
         if self.len > 0 {
@@ -1231,13 +1335,29 @@ impl RxState {
             self.data[base..base + n].copy_from_slice(&packet[1..1 + n]);
         }
         self.count += 1;
-        if self.total_chunks > EAGER_CHUNKS
+        let credit = self.total_chunks > EAGER_CHUNKS
             && self.count.is_multiple_of(EAGER_CHUNKS)
-            && self.count < self.total_chunks
-        {
-            api.send_to_rank(from, &[header_r(KIND_CREDIT, serial, 0, 0)]);
+            && self.count < self.total_chunks;
+        (true, credit)
+    }
+
+    /// Integrate one data packet, granting a flow-control credit when the
+    /// window schedule calls for one.
+    async fn accept(&mut self, api: &AsyncPeApi, from: Rank, packet: &[u32]) {
+        let (new, credit) = self.place(from, packet);
+        assert!(new, "duplicate chunk {} from {from}", parse_header(packet[0]).2);
+        if credit {
+            api.send_to_rank(from, &[header(KIND_CREDIT, 0, 0)]).await;
         }
-        true
+    }
+
+    /// The resilient variant of [`RxState::accept`]: duplicate chunks
+    /// (retransmissions racing a NACK, ACK-phase pokes) are benign and
+    /// dropped; credits carry the message serial.
+    async fn accept_r(&mut self, api: &AsyncPeApi, from: Rank, packet: &[u32], serial: u32) {
+        if let (_, true) = self.place(from, packet) {
+            api.send_to_rank(from, &[header_r(KIND_CREDIT, serial, 0, 0)]).await;
+        }
     }
 
     /// Lowest chunk index not yet received (0 before the first chunk) —
@@ -1248,6 +1368,17 @@ impl RxState {
         }
         (0..self.total_chunks).find(|i| self.seen[i / 64] & (1 << (i % 64)) == 0).unwrap_or(0)
     }
+}
+
+/// Doubles as the word stream the f64 helpers send: (low, high) per value.
+fn f64s_to_words(values: &[f64]) -> Vec<u32> {
+    values
+        .iter()
+        .flat_map(|v| {
+            let (lo, hi) = f64_to_words(*v);
+            [lo, hi]
+        })
+        .collect()
 }
 
 fn words_to_f64_vec(words: &[u32]) -> Vec<f64> {

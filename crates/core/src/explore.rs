@@ -13,9 +13,8 @@
 //! point, so cheap 4×4 points never leave a core idle while another thread
 //! grinds through a 255-PE run.
 
-use crate::api::PeApi;
 use crate::config::SystemConfig;
-use crate::system::{Kernel, RunError, RunResult, System};
+use crate::system::{kernel_list, AnyKernel, RunError, RunResult, System, Task};
 use medea_cache::{Addr, CacheConfig, CachePolicy};
 use medea_noc::coord::Topology;
 use medea_sim::Cycle;
@@ -97,8 +96,8 @@ pub fn quick_grid() -> Vec<SweepPoint> {
 pub struct PreparedWorkload {
     /// Words preloaded into DDR before the first cycle.
     pub preload: Vec<(Addr, u32)>,
-    /// One kernel per rank.
-    pub kernels: Vec<Kernel>,
+    /// One kernel per rank, of either kind.
+    pub kernels: Vec<AnyKernel>,
     /// Rank 0 stores the measured-window length (cycles) here before
     /// returning; [`SweepOutcome::measured_cycles`] reads it.
     pub measured: Arc<AtomicU64>,
@@ -106,8 +105,12 @@ pub struct PreparedWorkload {
 
 impl PreparedWorkload {
     /// Convenience constructor wiring the measurement cell.
-    pub fn new(preload: Vec<(Addr, u32)>, kernels: Vec<Kernel>, measured: Arc<AtomicU64>) -> Self {
-        PreparedWorkload { preload, kernels, measured }
+    pub fn new(
+        preload: Vec<(Addr, u32)>,
+        kernels: Vec<impl Into<AnyKernel>>,
+        measured: Arc<AtomicU64>,
+    ) -> Self {
+        PreparedWorkload { preload, kernels: kernel_list(kernels), measured }
     }
 }
 
@@ -258,18 +261,18 @@ impl Workload for ComputeOnlyWorkload {
 
     fn prepare(&self, cfg: &SystemConfig) -> PreparedWorkload {
         let measured = Arc::new(AtomicU64::new(0));
-        let kernels: Vec<Kernel> = (0..cfg.compute_pes())
+        let kernels: Vec<Task> = (0..cfg.compute_pes())
             .map(|rank| {
                 let cell = Arc::clone(&measured);
                 let cycles = self.cycles_per_rank;
-                Box::new(move |api: PeApi| {
-                    let t0 = api.now();
-                    api.compute(cycles);
-                    let t1 = api.now();
+                Task::new(move |api| async move {
+                    let t0 = api.now().await;
+                    api.compute(cycles).await;
+                    let t1 = api.now().await;
                     if rank == 0 {
                         cell.store(t1 - t0, Ordering::SeqCst);
                     }
-                }) as Kernel
+                })
             })
             .collect();
         PreparedWorkload::new(Vec::new(), kernels, measured)

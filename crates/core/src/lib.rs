@@ -12,15 +12,19 @@
 //!   banks spread across the torus (default 1 at node 0 — the paper's
 //!   single-slave instance, reproduced bit-for-bit);
 //! * [`System`](system::System) — the cycle engine with idle fast-forward;
-//! * [`PeApi`](api::PeApi) — the architectural-operation interface kernels
-//!   program against (loads/stores through the cache, §II-E coherence
-//!   operations, lock/unlock, raw TIE messages);
+//!   it runs one kernel per PE, a [`Task`] (an `async` body its PE polls in
+//!   place) or a thread [`Kernel`](system::Kernel) (a blocking closure on
+//!   its own OS thread);
+//! * [`AsyncPeApi`](api::AsyncPeApi) — the architectural-operation
+//!   interface kernels program against (loads/stores through the cache,
+//!   §II-E coherence operations, lock/unlock, raw TIE messages), and
+//!   [`PeApi`](api::PeApi), the same operations for a thread kernel;
 //! * [`empi`] — the embedded-MPI layer (§II-E) as a communicator object:
-//!   [`Empi`](empi::Empi) wraps a kernel's `PeApi` with point-to-point
-//!   transfers (`send`/`recv`/`sendrecv`) and algorithm-selectable
-//!   collectives (`barrier`, `bcast`, `reduce`, `allreduce`, `gather`,
-//!   `scatter` — linear, binomial-tree or recursive-doubling per
-//!   [`CollectiveAlgo`]);
+//!   [`AsyncEmpi`] (and [`Empi`] for a thread kernel) wraps a kernel's API
+//!   with point-to-point transfers (`send`/`recv`/`sendrecv`) and
+//!   algorithm-selectable collectives (`barrier`, `bcast`, `reduce`,
+//!   `allreduce`, `gather`, `scatter` — linear, binomial-tree or
+//!   recursive-doubling per [`CollectiveAlgo`]);
 //! * [`area`] — the TSMC-65nm area model with kill-rule Pareto pruning
 //!   used for Figs. 7 and 9;
 //! * [`explore`] — the multi-configuration design-space exploration driver
@@ -29,8 +33,9 @@
 //! # Example
 //!
 //! ```
-//! use medea_core::{SystemConfig, CachePolicy};
+//! use medea_core::{AsyncEmpi, CachePolicy, SystemConfig, Task};
 //! use medea_core::system::System;
+//! use medea_sim::ids::Rank;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = SystemConfig::builder()
@@ -41,14 +46,13 @@
 //! // Two kernels exchanging one framed eMPI message through their
 //! // communicators.
 //! let result = System::run(&cfg, &[], vec![
-//!     Box::new(|api: medea_core::api::PeApi| {
-//!         let comm = medea_core::Empi::new(api);
-//!         let message = comm.recv(medea_sim::ids::Rank::new(1));
+//!     Task::new(|api| async move {
+//!         let comm = AsyncEmpi::new(api);
+//!         let message = comm.recv(Rank::new(1)).await;
 //!         assert_eq!(message, vec![42]);
 //!     }),
-//!     Box::new(|api: medea_core::api::PeApi| {
-//!         let comm = medea_core::Empi::new(api);
-//!         comm.send(medea_sim::ids::Rank::new(0), &[42]);
+//!     Task::new(|api| async move {
+//!         AsyncEmpi::new(api).send(Rank::new(0), &[42]).await;
 //!     }),
 //! ])?;
 //! assert!(result.cycles > 0);
@@ -68,7 +72,7 @@ pub mod system;
 pub(crate) mod tiled;
 
 pub use config::{BuildConfigError, NodePlan, ResilienceConfig, SystemConfig, SystemConfigBuilder};
-pub use empi::{CollectiveAlgo, Empi};
+pub use empi::{AsyncEmpi, CollectiveAlgo, Empi};
 pub use medea_cache::CachePolicy;
 pub use medea_cache::CoherenceMode as Coherence;
 pub use medea_cache::CoherenceStats;
@@ -80,7 +84,7 @@ pub use medea_metrics::{CycleBreakdown, MetricsConfig, MetricsReport, PeActivity
 pub use medea_noc::coord::Topology;
 pub use medea_pe::arbiter::{ArbiterConfig, PriorityAssignment};
 pub use medea_trace::{EventClass, KernelOp, NullSink, RingSink, TraceSink};
-pub use system::{RunError, RunResult};
+pub use system::{AnyKernel, RunError, RunResult, Task};
 
 /// Which fabric carries the traffic (A2 ablation knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

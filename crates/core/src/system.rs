@@ -79,7 +79,7 @@
 //! pair is the before/after baseline of the `BENCH_sim_speed.json`
 //! harness.
 
-use crate::api::PeApi;
+use crate::api::{AsyncPeApi, KernelContext, PeApi};
 use crate::config::SystemConfig;
 use crate::sched::Scheduler;
 use crate::FabricKind;
@@ -100,11 +100,75 @@ use medea_sim::stats::Log2Histogram;
 use medea_sim::Cycle;
 use medea_trace::{NullSink, TraceEvent, TraceSink};
 use std::fmt;
+use std::future::Future;
 use std::ops::ControlFlow;
+use std::pin::Pin;
 use std::time::{Duration, Instant};
 
-/// A kernel to run on one PE.
+/// A thread kernel: a blocking closure on its own OS thread, programming
+/// against [`PeApi`].
 pub type Kernel = Box<dyn FnOnce(PeApi) + Send + 'static>;
+
+/// The future a task kernel runs as.
+type KernelFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+
+/// A task kernel: an `async` body over [`AsyncPeApi`] that its PE polls in
+/// place, on the engine thread (or the tile worker) that owns the PE.
+pub struct Task(Box<dyn FnOnce(AsyncPeApi) -> KernelFuture + Send + 'static>);
+
+impl Task {
+    /// Wrap an `async` kernel body. The future must be `Send`: the tiled
+    /// engine moves PEs, kernels included, into its worker threads.
+    pub fn new<F, Fut>(body: F) -> Self
+    where
+        F: FnOnce(AsyncPeApi) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        Task(Box::new(move |api| Box::pin(body(api))))
+    }
+
+    /// The same body as a thread kernel, driven over the kernel thread's
+    /// port — it issues the same request stream, so a run gives the same
+    /// result either way.
+    pub fn into_thread(self) -> Kernel {
+        Box::new(move |api: PeApi| api.block_on(self.0))
+    }
+}
+
+/// A kernel of either kind, one per configured PE.
+pub enum AnyKernel {
+    /// A task its PE polls in place.
+    Task(Task),
+    /// A blocking closure on its own kernel thread.
+    Thread(Kernel),
+}
+
+impl AnyKernel {
+    /// This kernel on a kernel thread ([`Task::into_thread`] for a task).
+    pub fn into_thread(self) -> Kernel {
+        match self {
+            AnyKernel::Task(task) => task.into_thread(),
+            AnyKernel::Thread(kernel) => kernel,
+        }
+    }
+}
+
+impl From<Task> for AnyKernel {
+    fn from(task: Task) -> Self {
+        AnyKernel::Task(task)
+    }
+}
+
+impl From<Kernel> for AnyKernel {
+    fn from(kernel: Kernel) -> Self {
+        AnyKernel::Thread(kernel)
+    }
+}
+
+/// One kernel per configured PE, of either kind.
+pub(crate) fn kernel_list(kernels: Vec<impl Into<AnyKernel>>) -> Vec<AnyKernel> {
+    kernels.into_iter().map(Into::into).collect()
+}
 
 /// Why a run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -378,7 +442,7 @@ impl System {
     pub fn run(
         cfg: &SystemConfig,
         preload: &[(Addr, u32)],
-        kernels: Vec<Kernel>,
+        kernels: Vec<impl Into<AnyKernel>>,
     ) -> Result<RunResult, RunError> {
         Self::run_with(cfg, preload, kernels, &mut NullSink, &mut NullInjector)
     }
@@ -427,10 +491,11 @@ impl System {
     pub fn run_with<S: TraceSink, I: FaultInjector>(
         cfg: &SystemConfig,
         preload: &[(Addr, u32)],
-        kernels: Vec<Kernel>,
+        kernels: Vec<impl Into<AnyKernel>>,
         sink: &mut S,
         injector: &mut I,
     ) -> Result<RunResult, RunError> {
+        let kernels = kernel_list(kernels);
         check_kernel_count(cfg, &kernels)?;
         // Metrics dispatch mirrors the sink/injector pattern one level
         // up: the engine below is generic over `M: Meter`, and the
@@ -477,8 +542,9 @@ impl System {
     pub fn run_reference(
         cfg: &SystemConfig,
         preload: &[(Addr, u32)],
-        kernels: Vec<Kernel>,
+        kernels: Vec<impl Into<AnyKernel>>,
     ) -> Result<RunResult, RunError> {
+        let kernels = kernel_list(kernels);
         check_kernel_count(cfg, &kernels)?;
         let topo = cfg.topology();
         let mut fabric: Box<dyn Fabric> = match cfg.fabric() {
@@ -559,7 +625,7 @@ impl System {
 fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
-    mut kernels: Vec<Kernel>,
+    mut kernels: Vec<AnyKernel>,
     sink: &mut S,
     injector: &mut I,
     meter: &mut M,
@@ -805,7 +871,7 @@ impl Chain {
     }
 }
 
-fn check_kernel_count(cfg: &SystemConfig, kernels: &[Kernel]) -> Result<(), RunError> {
+fn check_kernel_count(cfg: &SystemConfig, kernels: &[AnyKernel]) -> Result<(), RunError> {
     if kernels.len() != cfg.compute_pes() {
         return Err(RunError::KernelCountMismatch {
             kernels: kernels.len(),
@@ -935,14 +1001,14 @@ fn banks_quiet(banks: &[Bank]) -> bool {
 /// Build the PEs for a run whose engine reports to a sink of type `S`.
 pub(crate) fn build_pes<S: TraceSink>(
     cfg: &SystemConfig,
-    kernels: Vec<Kernel>,
+    kernels: Vec<AnyKernel>,
 ) -> Vec<ProcessingElement> {
     let topo = cfg.topology();
     let ranks = cfg.compute_pes();
     let layout = cfg.layout();
     let plan = cfg.node_plan();
     let bank_map = cfg.bank_map();
-    let algo = cfg.collective_algo();
+    let collective_algo = cfg.collective_algo();
     // Kernel-side span markers feed both an active trace sink and the
     // metrics profiler's collective-wait attribution; either consumer
     // turns them on. Markers cost zero simulated cycles, so this never
@@ -954,9 +1020,26 @@ pub(crate) fn build_pes<S: TraceSink>(
         .enumerate()
         .map(|(i, kernel)| {
             let rank = Rank::new(i as u8);
-            ProcessingElement::new(cfg.pe_config(rank), topo, bank_map, move |port| {
-                kernel(PeApi::new(port, rank, ranks, layout, plan, algo, trace_spans, resilience))
-            })
+            let pe = cfg.pe_config(rank);
+            let cx = KernelContext {
+                rank,
+                ranks,
+                layout,
+                plan,
+                collective_algo,
+                trace_spans,
+                resilience,
+            };
+            match kernel {
+                AnyKernel::Task(task) => ProcessingElement::new_task(pe, topo, bank_map, |port| {
+                    (task.0)(AsyncPeApi::new(port, cx))
+                }),
+                AnyKernel::Thread(kernel) => {
+                    ProcessingElement::new(pe, topo, bank_map, move |port| {
+                        kernel(PeApi::new(port, cx))
+                    })
+                }
+            }
         })
         .collect()
 }
@@ -1179,7 +1262,7 @@ mod tests {
 
     #[test]
     fn kernel_count_checked() {
-        let err = System::run(&cfg(3), &[], vec![]).unwrap_err();
+        let err = System::run(&cfg(3), &[], Vec::<Kernel>::new()).unwrap_err();
         assert!(matches!(err, RunError::KernelCountMismatch { kernels: 0, pes: 3 }));
     }
 
@@ -1190,7 +1273,7 @@ mod tests {
             &[],
             vec![Box::new(|api: PeApi| {
                 api.compute(1000);
-            })],
+            }) as Kernel],
         )
         .unwrap();
         // Fast-forward must not distort time: ~1000 cycles plus small
@@ -1214,7 +1297,7 @@ mod tests {
                 api.flush_line(0x2000);
                 api.invalidate_line(0x2000);
                 assert_eq!(api.load_f64(0x2000), 2.75);
-            })],
+            }) as Kernel],
         )
         .unwrap();
         assert!(result.mpmmu.block_reads.get() >= 2);
@@ -1231,12 +1314,12 @@ mod tests {
                     let words = api.recv_from_rank(Rank::new(1));
                     assert_eq!(words[0], 7);
                     api.send_to_rank(Rank::new(1), &[8]);
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     api.send_to_rank(Rank::new(0), &[7]);
                     let words = api.recv_from_rank(Rank::new(0));
                     assert_eq!(words[0], 8);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1258,23 +1341,23 @@ mod tests {
                     comm.compute(slow);
                     comm.barrier();
                     assert!(comm.now() >= slow);
-                }),
+                }) as Kernel,
                 Box::new(move |api: PeApi| {
                     let comm = Empi::new(api);
                     comm.barrier();
                     assert!(comm.now() >= slow);
-                }),
+                }) as Kernel,
                 Box::new(move |api: PeApi| {
                     let comm = Empi::new(api);
                     comm.compute(100);
                     comm.barrier();
                     assert!(comm.now() >= slow);
-                }),
+                }) as Kernel,
                 Box::new(move |api: PeApi| {
                     let comm = Empi::new(api);
                     comm.barrier();
                     assert!(comm.now() >= slow);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1292,10 +1375,10 @@ mod tests {
                 Box::new(move |api: PeApi| {
                     let got = Empi::new(api).recv(Rank::new(1));
                     assert_eq!(got, expect);
-                }),
+                }) as Kernel,
                 Box::new(move |api: PeApi| {
                     Empi::new(api).send(Rank::new(0), &payload);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1310,10 +1393,10 @@ mod tests {
                 Box::new(|api: PeApi| {
                     let got = Empi::new(api).recv_f64(Rank::new(1));
                     assert_eq!(got, vec![1.5, -2.25, 1e300]);
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     Empi::new(api).send_f64(Rank::new(0), &[1.5, -2.25, 1e300]);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1346,7 +1429,7 @@ mod tests {
                 // Fresh system: counter starts at 0 again — so instead
                 // assert on the previous run's lock stats only.
                 let _ = api.now();
-            })],
+            }) as Kernel],
         );
         assert!(verify.is_ok());
     }
@@ -1364,12 +1447,12 @@ mod tests {
                     let _ = api.recv_from_rank(Rank::new(1)); // ready token
                     api.invalidate_line(DATA);
                     assert_eq!(api.load_f64(DATA), 9.5);
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     api.store_f64(DATA, 9.5);
                     api.flush_line(DATA);
                     api.send_to_rank(Rank::new(0), &[1]);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1392,12 +1475,12 @@ mod tests {
                     assert_eq!(api.load_u32(DATA), 111, "must read the stale cached copy");
                     api.invalidate_line(DATA);
                     assert_eq!(api.load_u32(DATA), 222, "fresh after DII");
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     let _ = api.recv_from_rank(Rank::new(0));
                     api.uncached_store_u32(DATA, 222);
                     api.send_to_rank(Rank::new(0), &[1]);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1411,10 +1494,10 @@ mod tests {
             vec![
                 Box::new(|api: PeApi| {
                     let _ = api.recv_from_rank(Rank::new(1)); // never sent
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     let _ = api.recv_from_rank(Rank::new(0)); // never sent
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap_err();
@@ -1429,7 +1512,7 @@ mod tests {
             &[],
             vec![Box::new(|api: PeApi| {
                 api.compute(1_000_000);
-            })],
+            }) as Kernel],
         )
         .unwrap_err();
         assert!(matches!(err, RunError::CycleLimit { limit: 100, .. }), "{err}");
@@ -1447,7 +1530,7 @@ mod tests {
             vec![Box::new(|api: PeApi| {
                 api.compute(5);
                 api.compute(Cycle::MAX);
-            })]
+            }) as Kernel]
         };
         let seq = System::run(&limit(1), &[], kernels()).unwrap_err();
         assert!(matches!(seq, RunError::CycleLimit { limit: 10_000, .. }), "{seq}");
@@ -1468,17 +1551,17 @@ mod tests {
                             comm.store_u32(comm.private_base() + i * 4, i);
                         }
                         comm.barrier();
-                    }),
+                    }) as Kernel,
                     Box::new(|api: PeApi| {
                         let comm = Empi::new(api);
                         comm.compute(500);
                         comm.barrier();
-                    }),
+                    }) as Kernel,
                     Box::new(|api: PeApi| {
                         let comm = Empi::new(api);
                         comm.store_f64(comm.private_base(), 3.25);
                         comm.barrier();
-                    }),
+                    }) as Kernel,
                 ],
             )
             .unwrap()
@@ -1498,19 +1581,19 @@ mod tests {
                 comm.barrier();
                 let v = comm.recv_f64(Rank::new(1));
                 assert_eq!(v[0], 2.5);
-            }),
+            }) as Kernel,
             Box::new(|api: PeApi| {
                 let comm = Empi::new(api);
                 comm.barrier();
                 comm.send_f64(Rank::new(0), &[2.5]);
-            }),
+            }) as Kernel,
             Box::new(|api: PeApi| {
                 let comm = Empi::new(api);
                 for i in 0..8u32 {
                     comm.uncached_store_u32(0x400 + i * 4, i);
                 }
                 comm.barrier();
-            }),
+            }) as Kernel,
         ]
     }
 
@@ -1603,10 +1686,10 @@ mod tests {
                 Box::new(|api: PeApi| {
                     api.compute(300);
                     let _ = api.recv_from_rank(Rank::new(1));
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     let _ = api.recv_from_rank(Rank::new(0));
-                }),
+                }) as Kernel,
             ]
         };
         let fast = System::run(&cfg(2), &[], kernels()).unwrap_err();
@@ -1716,7 +1799,7 @@ mod tests {
                         let addr = line * 16;
                         assert_eq!(api.uncached_load_u32(addr), 1000 + line);
                     }
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     // Cached traffic crosses banks too: f64 spanning one
                     // line each on both parities, flushed and reloaded.
@@ -1728,10 +1811,10 @@ mod tests {
                     api.invalidate_line(0x50);
                     assert_eq!(api.load_f64(0x40), 2.5);
                     assert_eq!(api.load_f64(0x50), 3.5);
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     api.compute(100);
-                }),
+                }) as Kernel,
             ],
         )
         .unwrap();
@@ -1863,11 +1946,11 @@ mod tests {
             vec![
                 Box::new(|api: PeApi| {
                     assert_eq!(api.recv_from_rank(Rank::new(1)), vec![5, 6]);
-                }),
+                }) as Kernel,
                 Box::new(|api: PeApi| {
                     api.compute(10_000);
                     api.send_to_rank(Rank::new(0), &[5, 6]);
-                }),
+                }) as Kernel,
             ]
         };
         let run = both_engines(&cfg(2), kernels, "recv");
@@ -1945,7 +2028,7 @@ mod tests {
             &[],
             vec![Box::new(|api: PeApi| {
                 api.uncached_store_u32(0x40, 9);
-            })],
+            }) as Kernel],
         )
         .unwrap();
         assert_eq!(result.banks.len(), 1);

@@ -52,7 +52,7 @@
 use crate::config::SystemConfig;
 use crate::sched::Scheduler;
 use crate::system::{
-    build_banks, build_pes, Bank, Chain, CycleReport, Kernel, RunError, RunResult, Stop,
+    build_banks, build_pes, AnyKernel, Bank, Chain, CycleReport, RunError, RunResult, Stop,
 };
 use crate::FabricKind;
 use medea_cache::Addr;
@@ -80,8 +80,8 @@ use std::time::Instant;
 pub(crate) fn try_run_tiled(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
-    kernels: Vec<Kernel>,
-) -> Result<Result<RunResult, RunError>, Vec<Kernel>> {
+    kernels: Vec<AnyKernel>,
+) -> Result<Result<RunResult, RunError>, Vec<AnyKernel>> {
     let tiles = cfg.host_threads().min(cfg.topology().nodes());
     if tiles < 2 || cfg.fabric() != FabricKind::Deflection {
         return Err(kernels);
@@ -147,7 +147,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn run_tiled(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
-    kernels: Vec<Kernel>,
+    kernels: Vec<AnyKernel>,
     tiles: usize,
 ) -> Result<RunResult, RunError> {
     let topo = cfg.topology();

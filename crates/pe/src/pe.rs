@@ -16,6 +16,13 @@
 //!
 //! The PE is *blocking*: one architectural operation at a time, like the
 //! simple in-order cores the paper argues many-core CMPs are moving to.
+//!
+//! The kernel is hosted in one of two kinds ([`medea_sim::coroutine`]): a
+//! *task* — a `Send` future the PE polls in place, on whichever engine
+//! thread owns the PE, each time it fetches the next request — or a
+//! *thread* — a blocking closure on its own OS thread, resumed by a
+//! channel rendezvous. The reply→fetch→begin chain in the step loop is
+//! the same for both.
 
 use crate::arbiter::{ArbiterConfig, NocArbiter};
 use crate::bridge::{BridgeConfig, BridgeOp, BridgeResult, Pif2NocBridge};
@@ -31,16 +38,20 @@ use medea_mem::BankMap;
 use medea_metrics::PeActivity;
 use medea_noc::coord::Topology;
 use medea_noc::flit::{CohOp, Flit, PacketKind, SubKind};
-use medea_sim::coroutine::{Fetched, KernelHost, KernelPort};
+use medea_sim::coroutine::{Fetched, KernelHost, KernelPort, TaskPort};
 use medea_sim::ids::NodeId;
 use medea_sim::stats::Counter;
 use medea_sim::Cycle;
 use medea_trace::{CacheEventKind, KernelOp, TraceEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
 
-/// The port type kernels receive: issue [`PeRequest`]s, get
+/// The port a thread kernel receives: issue [`PeRequest`]s, block for
 /// [`PeResponse`]s.
 pub type PePort = KernelPort<PeRequest, PeResponse>;
+
+/// The port a task kernel receives: each [`PeRequest`] is awaited.
+pub type PeTaskPort = TaskPort<PeRequest, PeResponse>;
 
 /// Processing-element configuration.
 #[derive(Debug, Clone, Copy)]
@@ -160,7 +171,8 @@ enum Exec {
     Done,
 }
 
-/// One processing element with its kernel thread.
+/// One processing element with its kernel (a task it polls in place or a
+/// kernel thread; see [`medea_sim::coroutine`]).
 #[derive(Debug)]
 pub struct ProcessingElement {
     cfg: PeConfig,
@@ -189,15 +201,35 @@ pub struct ProcessingElement {
 }
 
 impl ProcessingElement {
-    /// Build the PE and spawn its kernel thread. Shared-memory
-    /// transactions are routed to their owning MPMMU bank via `banks`.
+    /// Build the PE and spawn its kernel on a thread of its own.
+    /// Shared-memory transactions are routed to their owning MPMMU bank
+    /// via `banks`.
     pub fn new<F>(cfg: PeConfig, topo: Topology, banks: BankMap, kernel: F) -> Self
     where
         F: FnOnce(PePort) + Send + 'static,
     {
+        Self::hosting(cfg, topo, banks, KernelHost::spawn(&cfg.node.to_string(), kernel))
+    }
+
+    /// Build the PE around a task kernel: `kernel` receives the task port
+    /// and returns the future the PE polls wherever it fetches the next
+    /// request.
+    pub fn new_task<F, Fut>(cfg: PeConfig, topo: Topology, banks: BankMap, kernel: F) -> Self
+    where
+        F: FnOnce(PeTaskPort) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        Self::hosting(cfg, topo, banks, KernelHost::task(&cfg.node.to_string(), kernel))
+    }
+
+    fn hosting(
+        cfg: PeConfig,
+        topo: Topology,
+        banks: BankMap,
+        host: KernelHost<PeRequest, PeResponse>,
+    ) -> Self {
         let src_id = u8::try_from(cfg.node.index())
             .expect("node index exceeds the 8-bit src-id budget (at most 256 nodes)");
-        let host = KernelHost::spawn(&format!("pe{}", cfg.node.index()), kernel);
         ProcessingElement {
             cfg,
             topo,
@@ -490,7 +522,7 @@ impl ProcessingElement {
                         // diagnostic into a baffling downstream deadlock.
                         assert!(
                             !self.host.join(),
-                            "kernel on {} panicked; see the kernel thread's message above",
+                            "kernel on {} panicked; see the kernel's panic message above",
                             self.cfg.node
                         );
                         self.exec = Exec::Done;

@@ -1,30 +1,56 @@
-//! Kernel-thread rendezvous: the SC_THREAD replacement.
+//! Kernel hosting: the SC_THREAD replacement.
 //!
 //! In the original SystemC model, application code runs inside simulation
-//! threads that block on hardware events. We reproduce that execution model
-//! with real OS threads: each processing element's kernel runs on its own
-//! thread and *rendezvous* with the cycle engine at every architectural
-//! operation (load, store, FP op, message op). The engine is the only
-//! scheduler — kernel threads never observe each other except through the
+//! threads that block on hardware events and that the SystemC scheduler
+//! resumes in-process. A kernel here *rendezvous* with the cycle engine at
+//! every architectural operation (load, store, FP op, message op): it
+//! issues one request, the engine simulates however many cycles the
+//! operation takes, answers, and the kernel resumes, computes in zero
+//! simulated time, and issues the next request. The engine is the only
+//! scheduler — kernels never observe each other except through the
 //! simulated hardware — so simulations are fully deterministic.
 //!
-//! The protocol is strict half-duplex:
+//! A [`KernelHost`] is the engine-side endpoint and backs a kernel in one
+//! of two ways:
 //!
-//! 1. the kernel sends a request (`Req`) and blocks;
+//! * a **task** ([`KernelHost::task`]) — the kernel is a `Send` future the
+//!   engine polls in place, on its own thread. An operation leaves its
+//!   request in a slot shared with the host and returns `Pending`;
+//!   [`KernelHost::fetch`] polls the future once (with a no-op waker, under
+//!   `catch_unwind`) and takes the request from the slot;
+//!   [`KernelHost::reply`] fills the slot, and the next poll resumes the
+//!   kernel with the answer. Resuming a task costs one poll;
+//! * a **thread** ([`KernelHost::spawn`]) — the kernel is a blocking
+//!   closure on its own OS thread, talking to the host over a pair of
+//!   rendezvous channels through a [`KernelPort`]. Resuming it costs two
+//!   thread switches.
+//!
+//! The protocol is the same strict half-duplex for both:
+//!
+//! 1. the kernel issues a request (`Req`) and waits;
 //! 2. the engine picks the request up with [`KernelHost::fetch`], simulates
-//!    however many cycles the operation takes, then answers with
-//!    [`KernelHost::reply`];
-//! 3. the kernel resumes, computes (in zero simulated time), and issues the
-//!    next request.
+//!    the operation, then answers with [`KernelHost::reply`];
+//! 3. the kernel resumes and issues the next request.
 //!
-//! A kernel that returns closes its channel; `fetch` then reports
-//! [`Fetched::Finished`] and the engine retires the PE.
+//! A kernel that returns reports [`Fetched::Finished`] and the engine
+//! retires the PE. A kernel that panics reports `Finished` too, and
+//! [`KernelHost::join`] returns `true`. A task that returns `Pending`
+//! without leaving a request awaited something other than an engine
+//! operation, which could never complete: `fetch` panics naming the
+//! kernel.
 
+use std::fmt;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
-/// Error observed by a kernel when the simulation is torn down while the
-/// kernel is still running (e.g. the system hit its cycle limit).
+/// Error observed by a thread kernel when the simulation is torn down
+/// while the kernel is still running (e.g. the system hit its cycle
+/// limit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimAbortedError;
 
@@ -36,7 +62,7 @@ impl std::fmt::Display for SimAbortedError {
 
 impl std::error::Error for SimAbortedError {}
 
-/// The kernel-side endpoint: issue a request, block until the engine
+/// The thread kernel's endpoint: issue a request, block until the engine
 /// answers.
 #[derive(Debug)]
 pub struct KernelPort<Req, Resp> {
@@ -57,22 +83,98 @@ impl<Req, Resp> KernelPort<Req, Resp> {
     }
 }
 
+/// The request/response slot a task shares with its host.
+struct Slot<Req, Resp> {
+    request: Option<Req>,
+    response: Option<Resp>,
+}
+
+type SharedSlot<Req, Resp> = Arc<Mutex<Slot<Req, Resp>>>;
+
+/// Lock a slot. Nothing panics while holding the lock, so a poisoned
+/// lock still holds a consistent slot.
+fn lock<Req, Resp>(slot: &SharedSlot<Req, Resp>) -> MutexGuard<'_, Slot<Req, Resp>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The task kernel's endpoint: each [`TaskPort::call`] is one engine
+/// operation.
+pub struct TaskPort<Req, Resp> {
+    slot: SharedSlot<Req, Resp>,
+}
+
+impl<Req, Resp> fmt::Debug for TaskPort<Req, Resp> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaskPort").finish_non_exhaustive()
+    }
+}
+
+impl<Req, Resp> TaskPort<Req, Resp> {
+    /// Leave `req` for the engine, yield to it, and return its reply.
+    pub async fn call(&self, req: Req) -> Resp {
+        lock(&self.slot).request = Some(req);
+        YieldOnce(false).await;
+        lock(&self.slot).response.take().expect("the engine replies before it resumes a task")
+    }
+}
+
+/// A future that is `Pending` on its first poll and ready on the next:
+/// the point where a task hands control back to its host.
+struct YieldOnce(bool);
+
+impl Future for YieldOnce {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        if self.0 {
+            Poll::Ready(())
+        } else {
+            self.0 = true;
+            Poll::Pending
+        }
+    }
+}
+
 /// Result of [`KernelHost::fetch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fetched<Req> {
-    /// The kernel issued a request and is now blocked awaiting a reply.
+    /// The kernel issued a request and is now waiting for the reply.
     Request(Req),
     /// The kernel function returned; no more requests will arrive.
     Finished,
 }
 
-/// The engine-side endpoint owning the kernel thread.
-#[derive(Debug)]
+/// A task kernel: the boxed future its host polls.
+type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+
+/// What runs the kernel.
+enum Backing<Req, Resp> {
+    /// A future polled in place; `None` once it returned or panicked.
+    Task { future: Option<TaskFuture>, slot: SharedSlot<Req, Resp> },
+    /// An OS thread behind two rendezvous channels.
+    Thread { req_rx: Receiver<Req>, resp_tx: SyncSender<Resp>, join: Option<JoinHandle<()>> },
+}
+
+/// The engine-side endpoint owning one kernel.
 pub struct KernelHost<Req, Resp> {
-    req_rx: Receiver<Req>,
-    resp_tx: SyncSender<Resp>,
-    join: Option<JoinHandle<()>>,
+    name: String,
+    backing: Backing<Req, Resp>,
     finished: bool,
+    panicked: bool,
+}
+
+impl<Req, Resp> fmt::Debug for KernelHost<Req, Resp> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self.backing {
+            Backing::Task { .. } => "task",
+            Backing::Thread { .. } => "thread",
+        };
+        f.debug_struct("KernelHost")
+            .field("name", &self.name)
+            .field("kind", &kind)
+            .field("finished", &self.finished)
+            .finish()
+    }
 }
 
 impl<Req: Send + 'static, Resp: Send + 'static> KernelHost<Req, Resp> {
@@ -96,33 +198,88 @@ impl<Req: Send + 'static, Resp: Send + 'static> KernelHost<Req, Resp> {
             .name(format!("medea-kernel-{name}"))
             .spawn(move || kernel(port))
             .expect("spawning kernel thread");
-        KernelHost { req_rx, resp_tx, join: Some(join), finished: false }
+        KernelHost {
+            name: name.to_string(),
+            backing: Backing::Thread { req_rx, resp_tx, join: Some(join) },
+            finished: false,
+            panicked: false,
+        }
     }
 
-    /// Block until the kernel's next request (or its termination).
+    /// Host `kernel` as a task: `kernel` receives a [`TaskPort`] and
+    /// returns the future the engine polls. Nothing of the kernel runs
+    /// before the first [`KernelHost::fetch`]. A panic inside the future
+    /// surfaces as [`Fetched::Finished`] plus a `true` return from
+    /// [`KernelHost::join`], as a thread kernel's does.
+    pub fn task<F, Fut>(name: &str, kernel: F) -> Self
+    where
+        F: FnOnce(TaskPort<Req, Resp>) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        let slot = Arc::new(Mutex::new(Slot { request: None, response: None }));
+        let future = Box::pin(kernel(TaskPort { slot: Arc::clone(&slot) }));
+        KernelHost {
+            name: name.to_string(),
+            backing: Backing::Task { future: Some(future), slot },
+            finished: false,
+            panicked: false,
+        }
+    }
+
+    /// Resume the kernel until its next request (or its termination).
     ///
-    /// Blocking here is sound: the kernel is either about to send (pure
-    /// host-time computation) or has returned, so the wait is bounded by
-    /// real compute time, never by simulated time.
+    /// For a thread kernel this blocks, soundly: the kernel is either about
+    /// to send (pure host-time computation) or has returned, so the wait is
+    /// bounded by real compute time, never by simulated time. For a task it
+    /// polls the future once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a task returns `Pending` without leaving a request: it
+    /// awaited something that is not an engine operation.
     pub fn fetch(&mut self) -> Fetched<Req> {
         if self.finished {
             return Fetched::Finished;
         }
-        match self.req_rx.recv() {
-            Ok(req) => Fetched::Request(req),
-            Err(_) => {
-                self.finished = true;
-                Fetched::Finished
+        match &mut self.backing {
+            Backing::Task { future, slot } => {
+                let running = future.as_mut().expect("an unfinished task has its future");
+                let mut cx = Context::from_waker(Waker::noop());
+                match catch_unwind(AssertUnwindSafe(|| running.as_mut().poll(&mut cx))) {
+                    Ok(Poll::Pending) => match lock(slot).request.take() {
+                        Some(req) => return Fetched::Request(req),
+                        None => panic!(
+                            "kernel on {} is pending without a request: it awaited something \
+                             that is not a PE operation",
+                            self.name
+                        ),
+                    },
+                    Ok(Poll::Ready(())) => {}
+                    Err(_) => self.panicked = true,
+                }
+                *future = None;
+            }
+            Backing::Thread { req_rx, .. } => {
+                if let Ok(req) = req_rx.recv() {
+                    return Fetched::Request(req);
+                }
             }
         }
+        self.finished = true;
+        Fetched::Finished
     }
 
     /// Answer the kernel's outstanding request, unblocking it.
     ///
-    /// A reply sent after the kernel exited (possible during teardown) is
-    /// silently dropped.
+    /// A reply sent after a thread kernel exited (possible during teardown)
+    /// is silently dropped.
     pub fn reply(&mut self, resp: Resp) {
-        let _ = self.resp_tx.send(resp);
+        match &mut self.backing {
+            Backing::Task { slot, .. } => lock(slot).response = Some(resp),
+            Backing::Thread { resp_tx, .. } => {
+                let _ = resp_tx.send(resp);
+            }
+        }
     }
 
     /// Whether the kernel function has returned (observed via `fetch`).
@@ -130,28 +287,34 @@ impl<Req: Send + 'static, Resp: Send + 'static> KernelHost<Req, Resp> {
         self.finished
     }
 
-    /// Join the kernel thread, returning `true` if it panicked.
+    /// Reap the kernel, returning `true` if it panicked.
     ///
-    /// Must only be called once the kernel is unblocked (finished, or the
-    /// channels have been dropped).
+    /// A thread kernel must only be joined once it is unblocked (finished,
+    /// or the channels have been dropped).
     pub fn join(&mut self) -> bool {
-        match self.join.take() {
-            Some(handle) => handle.join().is_err(),
-            None => false,
+        match &mut self.backing {
+            Backing::Task { .. } => self.panicked,
+            Backing::Thread { join, .. } => match join.take() {
+                Some(handle) => handle.join().is_err(),
+                None => false,
+            },
         }
     }
 }
 
 impl<Req, Resp> Drop for KernelHost<Req, Resp> {
     fn drop(&mut self) {
-        // Wake any kernel blocked in `call` by dropping our channel ends
-        // first, then reap the thread so tests never leak.
-        let (dead_tx, _) = sync_channel::<Resp>(1);
-        self.resp_tx = dead_tx;
-        let (_, dead_rx) = sync_channel::<Req>(1);
-        self.req_rx = dead_rx;
-        if let Some(handle) = self.join.take() {
-            let _ = handle.join();
+        // A task's future is simply dropped with the host. A thread kernel
+        // blocked in `call` is woken by dropping our channel ends first,
+        // then reaped so tests never leak.
+        if let Backing::Thread { req_rx, resp_tx, join } = &mut self.backing {
+            let (dead_tx, _) = sync_channel::<Resp>(1);
+            *resp_tx = dead_tx;
+            let (_, dead_rx) = sync_channel::<Req>(1);
+            *req_rx = dead_rx;
+            if let Some(handle) = join.take() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -214,5 +377,55 @@ mod tests {
         });
         assert_eq!(host.fetch(), Fetched::Finished);
         assert!(host.join(), "join must report the panic");
+    }
+
+    #[test]
+    fn task_roundtrips_stay_ordered() {
+        let mut host: KernelHost<u64, u64> = KernelHost::task("t", |port| async move {
+            for i in 0..100u64 {
+                assert_eq!(port.call(i).await, i + 1);
+            }
+        });
+        let mut served = 0;
+        while let Fetched::Request(v) = host.fetch() {
+            host.reply(v + 1);
+            served += 1;
+        }
+        assert_eq!(served, 100);
+        assert!(host.is_finished());
+        assert!(!host.join());
+    }
+
+    #[test]
+    fn task_runs_nothing_before_the_first_fetch() {
+        let started = Arc::new(Mutex::new(false));
+        let flag = Arc::clone(&started);
+        let mut host: KernelHost<u32, u32> = KernelHost::task("t", |_port| async move {
+            *flag.lock().unwrap() = true;
+        });
+        assert!(!*started.lock().unwrap());
+        assert_eq!(host.fetch(), Fetched::Finished);
+        assert!(*started.lock().unwrap());
+    }
+
+    #[test]
+    fn task_panic_is_contained() {
+        let mut host: KernelHost<u32, u32> = KernelHost::task("t", |port| async move {
+            let _ = port.call(1).await;
+            panic!("kernel bug");
+        });
+        assert_eq!(host.fetch(), Fetched::Request(1));
+        host.reply(0);
+        assert_eq!(host.fetch(), Fetched::Finished);
+        assert!(host.join(), "join must report the panic");
+        assert_eq!(host.fetch(), Fetched::Finished, "a finished task stays finished");
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel on stray is pending without a request")]
+    fn task_pending_without_a_request_fails_loudly() {
+        let mut host: KernelHost<u32, u32> =
+            KernelHost::task("stray", |_port| std::future::pending::<()>());
+        let _ = host.fetch();
     }
 }

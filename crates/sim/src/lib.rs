@@ -13,9 +13,10 @@
 //!   measurements.
 //! * [`rng`] — a small deterministic PRNG (SplitMix64) so simulations are
 //!   bit-reproducible across runs and platforms.
-//! * [`coroutine`] — the SC_THREAD replacement: application kernels run on
-//!   real OS threads and rendezvous with the cycle engine at every
-//!   architectural operation.
+//! * [`coroutine`] — the SC_THREAD replacement: an application kernel is a
+//!   future its PE polls in place (or a blocking closure on its own OS
+//!   thread) and rendezvous with the cycle engine at every architectural
+//!   operation.
 //! * [`par`] — the spin phaser that keeps the tiled parallel cycle engine's
 //!   worker pool in lockstep, one barrier per simulated clock edge.
 //!

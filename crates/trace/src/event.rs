@@ -20,8 +20,9 @@
 use medea_sim::Cycle;
 use std::fmt;
 
-/// Bitmask of event classes — the capture filter of a sink and the
-/// `SystemConfigBuilder::trace` knob.
+/// Bitmask of event classes — the capture filter of a sink
+/// (`RingSink::with_classes`). Kernel span markers flow whenever the run's
+/// sink is active or metrics are on; the filter decides what is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventClass(u8);
 

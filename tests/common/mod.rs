@@ -5,10 +5,16 @@
 #![allow(dead_code)]
 
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, RunResult};
+use medea::core::system::{AnyKernel, Kernel, RunResult};
 use medea::core::Empi;
 use medea::sim::ids::Rank;
 use medea::sim::rng::SplitMix64;
+
+/// One kernel list of either kind, for suites that mix the tasks of
+/// `medea::apps` with the thread kernels below.
+pub fn any_kernels(kernels: Vec<impl Into<AnyKernel>>) -> Vec<AnyKernel> {
+    kernels.into_iter().map(Into::into).collect()
+}
 
 /// The fields of [`RunResult`] the literal pins fix. Run-over-run checks
 /// compare whole results with [`RunResult::divergence`].

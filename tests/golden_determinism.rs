@@ -15,12 +15,14 @@
 
 mod common;
 
-use common::{fingerprint, gather_kernels, reduce_kernels, sharedmem_kernels, Fingerprint};
+use common::{
+    any_kernels, fingerprint, gather_kernels, reduce_kernels, sharedmem_kernels, Fingerprint,
+};
 use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::apps::workloads::pingpong_kernels;
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
+use medea::core::system::{AnyKernel, Kernel, System};
 use medea::core::{CollectiveAlgo, Empi, MetricsConfig, NullInjector, SystemConfig, Topology};
 use medea::sim::ids::Rank;
 use medea::trace::{NullSink, RingSink};
@@ -40,7 +42,7 @@ fn cfg_banked(pes: usize, banks: usize) -> SystemConfig {
 }
 
 /// A pinned workload: name, kernel factory, PE count, expected print.
-type PinnedWorkload = (&'static str, fn() -> Vec<Kernel>, usize, Fingerprint);
+type PinnedWorkload = (&'static str, fn() -> Vec<AnyKernel>, usize, Fingerprint);
 
 /// The same reduction through the library collective — the surface the
 /// per-algorithm fingerprint test pins.
@@ -63,10 +65,10 @@ fn allreduce_kernels(ranks: usize) -> Vec<Kernel> {
 /// (captured from the pre-bank single-MPMMU engine).
 fn paper_pins() -> [PinnedWorkload; 4] {
     [
-        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
-        ("reduce", || reduce_kernels(6), 6, (960, 50, 0, Some(3))),
-        ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
-        ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
+        ("pingpong", || any_kernels(pingpong_kernels(40)), 2, (320, 80, 0, Some(1))),
+        ("reduce", || any_kernels(reduce_kernels(6)), 6, (960, 50, 0, Some(3))),
+        ("gather", || any_kernels(gather_kernels(8)), 8, (695, 343, 5081, Some(187))),
+        ("sharedmem", || any_kernels(sharedmem_kernels(5)), 5, (2263, 704, 17, Some(5))),
     ]
 }
 
@@ -269,12 +271,24 @@ fn jacobi_8x8_63pe_fingerprint_stable_across_runs() {
         jacobi::run(&sys, &jcfg).expect("8x8 Jacobi run")
     };
     let a = run();
+    assert_eq!(fingerprint(&a.run), PIN_JACOBI_8X8_63PE, "63-PE 8x8 Jacobi fingerprint drifted");
+    assert_eq!(
+        a.cycles_per_iter, PIN_JACOBI_8X8_63PE_CPI,
+        "63-PE 8x8 cycles per iteration drifted"
+    );
     let b = run();
     assert_eq!(a.run.divergence(&b.run), None);
     assert_eq!(a.cycles_per_iter, b.cycles_per_iter);
     assert!(a.run.fabric_delivered > 0, "63-PE Jacobi must use the fabric");
     assert_eq!(a.run.pe.len(), 63);
 }
+
+/// Literal 63-PE 8×8 Jacobi fingerprint (n = 65, one measured
+/// iteration), captured from the thread-kernel engine before the apps
+/// became polled tasks.
+const PIN_JACOBI_8X8_63PE: Fingerprint = (453087, 79700, 2907, Some(62));
+/// Rank 0's measured cycles per iteration for the same run.
+const PIN_JACOBI_8X8_63PE_CPI: u64 = 452394;
 
 #[test]
 fn per_pe_stats_stable_across_runs() {

@@ -25,10 +25,10 @@
 
 mod common;
 
-use common::{gather_kernels, reduce_kernels, seeded_kernels, sharedmem_kernels};
+use common::{any_kernels, gather_kernels, reduce_kernels, seeded_kernels, sharedmem_kernels};
 use medea::apps::workloads::pingpong_kernels;
 use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
+use medea::core::system::{AnyKernel, Kernel, System};
 use medea::core::{
     DeadLink, Empi, FaultConfig, MetricsConfig, ResilienceConfig, RunError, ScheduledInjector,
     SystemConfig, Topology,
@@ -69,12 +69,12 @@ fn cfg_on(topo: Topology, pes: usize, banks: usize, threads: usize) -> SystemCon
 /// the sequential run counter for counter on the paper 4×4 torus.
 #[test]
 fn paper_workloads_tiled_match_sequential() {
-    type Factory = fn() -> Vec<Kernel>;
+    type Factory = fn() -> Vec<AnyKernel>;
     let workloads: [(&str, Factory, usize); 4] = [
-        ("pingpong", (|| pingpong_kernels(40)) as Factory, 2),
-        ("reduce", (|| reduce_kernels(6)) as Factory, 6),
-        ("gather", (|| gather_kernels(8)) as Factory, 8),
-        ("sharedmem", (|| sharedmem_kernels(5)) as Factory, 5),
+        ("pingpong", (|| any_kernels(pingpong_kernels(40))) as Factory, 2),
+        ("reduce", (|| any_kernels(reduce_kernels(6))) as Factory, 6),
+        ("gather", (|| any_kernels(gather_kernels(8))) as Factory, 8),
+        ("sharedmem", (|| any_kernels(sharedmem_kernels(5))) as Factory, 5),
     ];
     for (name, kernels, pes) in workloads {
         let seq = System::run(&cfg(pes, 1), &[], kernels()).expect(name);
@@ -133,12 +133,12 @@ fn oversubscribed_thread_counts_still_match() {
 /// sequential behavior, not merely to the current build's.
 #[test]
 fn paper_4x4_fingerprints_hold_at_four_threads() {
-    type Pin = (&'static str, fn() -> Vec<Kernel>, usize, (u64, u64, u64, Option<u64>));
+    type Pin = (&'static str, fn() -> Vec<AnyKernel>, usize, (u64, u64, u64, Option<u64>));
     let pins: [Pin; 4] = [
-        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
-        ("reduce", || reduce_kernels(6), 6, (960, 50, 0, Some(3))),
-        ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
-        ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
+        ("pingpong", || any_kernels(pingpong_kernels(40)), 2, (320, 80, 0, Some(1))),
+        ("reduce", || any_kernels(reduce_kernels(6)), 6, (960, 50, 0, Some(3))),
+        ("gather", || any_kernels(gather_kernels(8)), 8, (695, 343, 5081, Some(187))),
+        ("sharedmem", || any_kernels(sharedmem_kernels(5)), 5, (2263, 704, 17, Some(5))),
     ];
     for (name, kernels, pes, pin) in pins {
         let run = System::run(&cfg(pes, 4), &[], kernels()).expect(name);

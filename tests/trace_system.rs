@@ -6,7 +6,7 @@
 //! the run untouched.
 
 use medea::apps::workloads::trace_mix_kernels;
-use medea::core::system::{Kernel, RunResult, System};
+use medea::core::system::{RunResult, System, Task};
 use medea::core::{NullInjector, SystemConfig};
 use medea::trace::{
     chrome, csv, json, EventClass, KernelOp, RingSink, TimedEvent, TraceAnalysis, TraceEvent,
@@ -19,7 +19,7 @@ fn traced_cfg(pes: usize) -> SystemConfig {
 /// The shared every-layer workload (`apps::workloads::trace_mix_kernels`,
 /// the same kernels the CI `trace_json --workload mixed` artifact runs),
 /// with 3 lock rounds per rank.
-fn mixed_kernels(ranks: usize) -> Vec<Kernel> {
+fn mixed_kernels(ranks: usize) -> Vec<Task> {
     trace_mix_kernels(ranks, 3)
 }
 
