@@ -436,7 +436,7 @@ impl PeApi {
     /// # Panics
     ///
     /// Panics if the body awaits something that is not a PE operation.
-    pub fn block_on<Fut: Future<Output = ()>>(self, body: impl FnOnce(AsyncPeApi) -> Fut) {
+    pub(crate) fn block_on<Fut: Future<Output = ()>>(self, body: impl FnOnce(AsyncPeApi) -> Fut) {
         drive(body(self.api));
     }
 
