@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub enum PingPongTransport {
     /// Raw TIE messages (bare hardware path, no framing).
     MessagePassing,
-    /// Framed eMPI messages via [`Empi::send`]/[`Empi::recv`].
+    /// Framed eMPI messages via [`AsyncEmpi::send`]/[`AsyncEmpi::recv`].
     EmpiFramed,
     /// Shared-memory mailboxes (uncached flag + data words).
     SharedMemory,

@@ -1,7 +1,7 @@
 //! All-reduce (global sum) in message-passing and shared-memory flavours —
 //! the collective behind convergence tests in iterative solvers, and
 //! another direct MP-vs-SM synchronization comparison. The MP flavour is
-//! [`Empi::allreduce`], so the communicator's configured algorithm
+//! [`AsyncEmpi::allreduce`], so the communicator's configured algorithm
 //! (linear, binomial tree, recursive doubling) is what gets measured.
 
 use crate::sm::SmBarrier;
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 /// How the reduction is communicated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceTransport {
-    /// [`Empi::allreduce`] over the NoC (algorithm per the system config).
+    /// [`AsyncEmpi::allreduce`] over the NoC (algorithm per the system config).
     MessagePassing,
     /// Lock-protected accumulator word in shared memory + SM barrier.
     SharedMemory,
