@@ -111,8 +111,15 @@ impl<Req, Resp> fmt::Debug for TaskPort<Req, Resp> {
 
 impl<Req, Resp> TaskPort<Req, Resp> {
     /// Leave `req` for the engine, yield to it, and return its reply.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task already left a request the engine has not
+    /// taken: a task awaits one operation at a time, as a thread kernel
+    /// blocks on one.
     pub async fn call(&self, req: Req) -> Resp {
-        lock(&self.slot).request = Some(req);
+        let pending = lock(&self.slot).request.replace(req);
+        assert!(pending.is_none(), "a task issued a second request before the first");
         YieldOnce(false).await;
         lock(&self.slot).response.take().expect("the engine replies before it resumes a task")
     }
@@ -419,6 +426,21 @@ mod tests {
         assert_eq!(host.fetch(), Fetched::Finished);
         assert!(host.join(), "join must report the panic");
         assert_eq!(host.fetch(), Fetched::Finished, "a finished task stays finished");
+    }
+
+    #[test]
+    fn task_issuing_two_requests_at_once_panics() {
+        // Two operations polled side by side in one poll: the second
+        // would overwrite the first's request.
+        let mut host: KernelHost<u32, u32> = KernelHost::task("t", |port| async move {
+            let mut a = std::pin::pin!(port.call(1));
+            let mut b = std::pin::pin!(port.call(2));
+            let mut cx = Context::from_waker(Waker::noop());
+            let _ = a.as_mut().poll(&mut cx);
+            let _ = b.as_mut().poll(&mut cx);
+        });
+        assert_eq!(host.fetch(), Fetched::Finished);
+        assert!(host.join(), "the second request must panic the task");
     }
 
     #[test]
