@@ -55,23 +55,9 @@
 //! sequential reference — with nonzero recovery counters (deflection
 //! reroutes, eMPI retransmissions, bridge retries), asserted.
 //!
-//! And the **parallel-engine microbench**: the most-populated Jacobi
-//! point of the 8×8 and 16×16 tiers (63 and 255 PEs in full mode), each
-//! re-run single-run at 1/2/4/8 host threads through the tiled cycle
-//! engine. Every multi-thread run must reproduce the single-thread
-//! `RunResult` bit-for-bit (asserted, always), and on hosts with enough
-//! cores the 255-PE point must reach ≥ 3× cycles/sec at 8 threads
-//! (≥ 1.5× at 4 threads at CI smoke scale).
-//!
 //! ```text
-//! cargo run --release -p medea-bench --bin scaling_json -- \
-//!     [--smoke] [--engine-threads N] [OUT_PATH]
+//! cargo run --release -p medea-bench --bin scaling_json -- [--smoke] [OUT_PATH]
 //! ```
-//!
-//! `--engine-threads N` runs every sweep point's cycle engine tiled over
-//! N host threads (`SystemConfigBuilder::host_threads`); the sweep's own
-//! worker count is then capped so sweep threads × engine threads never
-//! oversubscribes the host.
 //!
 //! `--smoke` shrinks grids and PE counts to CI scale while still covering
 //! all three topologies. Exception: the memory-banks sweep keeps its
@@ -182,7 +168,7 @@ fn base_builder() -> SystemConfigBuilder {
 /// The `ladder` section: every point of every tier in one sweep. Gate:
 /// every tier shows parallel speedup from its fewest- to its
 /// most-populated point (the whole reason the torus scales out).
-fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Table {
+fn run_ladder(tiers: &[Tier], threads: usize) -> Table {
     let workload =
         TieredJacobi { grid_by_topology: tiers.iter().map(|t| (t.topology(), t.grid_n)).collect() };
     // One flat point list: the self-scheduling worker pool overlaps cheap
@@ -196,23 +182,14 @@ fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Table {
                 .map(|&pes| SweepPoint::on(t.topology(), pes, CACHE_BYTES, CachePolicy::WriteBack))
         })
         .collect();
-    let outcomes =
-        run_sweep(&workload, &points, &base_builder().host_threads(engine_threads), threads);
+    let outcomes = run_sweep(&workload, &points, &base_builder(), threads);
 
-    let columns = [
-        "topology",
-        "grid_n",
-        "label",
-        "pes",
-        "host_threads",
-        "cycles_per_iter",
-        "jacobi_speedup_vs_fewest_pes",
-    ];
+    let columns =
+        ["topology", "grid_n", "label", "pes", "cycles_per_iter", "jacobi_speedup_vs_fewest_pes"];
     let mut table = Table::new(
         "ladder",
         "jacobi hybrid-full-mp, 1 warmup + 1 measured iteration, every point in one \
-         explore::run_sweep; host_threads is the point's own engine thread count; flit latency \
-         p50/p99 are log2-bucket upper estimates, max exact",
+         explore::run_sweep; flit latency p50/p99 are log2-bucket upper estimates, max exact",
         &[&columns[..], &RUN_COLUMNS].concat(),
     );
     let mut cursor = outcomes.iter();
@@ -233,7 +210,6 @@ fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Table {
                 tier.grid_n,
                 o.label.as_str(),
                 o.point.pes,
-                engine_threads,
                 o.measured_cycles,
                 Cell::fixed(speedup, 2),
             ];
@@ -245,63 +221,6 @@ fn run_ladder(tiers: &[Tier], threads: usize, engine_threads: usize) -> Table {
             tier.name(),
             tier.most_pes(),
             tier.pe_counts[0]
-        );
-    }
-    table
-}
-
-/// The `parallel_engine` section: single-run scaling of the tiled cycle
-/// engine, the most-populated Jacobi point of every tier past 4×4 re-run
-/// at each thread count. The 1-thread run is the baseline for both the
-/// speedup column and the bit-identity assertion, so every speedup is a
-/// determinism-preserving speedup by construction. Gate, on a host with
-/// enough cores: the largest point reaches ≥ 3x cycles/sec at 8 threads
-/// (≥ 1.5x at 4 threads in smoke mode).
-fn run_parallel_engine(tiers: &[Tier], smoke: bool) -> Table {
-    let thread_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let (gate_threads, gate_factor) = if smoke { (4, 1.5) } else { (8, 3.0) };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let largest = tiers.last().expect("ladder is not empty").side;
-    let mut table = Table::new(
-        "parallel_engine",
-        "jacobi hybrid-full-mp, single run on the tiled engine; every multi-thread RunResult \
-         asserted bit-identical to 1 thread",
-        &[&["topology", "grid_n", "pes", "threads"][..], &RUN_COLUMNS, &["speedup_vs_1t"]].concat(),
-    );
-    for tier in tiers.iter().filter(|t| t.side > 4) {
-        let pes = tier.most_pes();
-        let jcfg = jacobi_config(tier.grid_n);
-        let mut baseline: Option<RunResult> = None;
-        for &threads in thread_counts {
-            let sys = base_builder()
-                .topology(tier.topology())
-                .compute_pes(pes)
-                .cache_bytes(CACHE_BYTES)
-                .host_threads(threads)
-                .build()
-                .expect("parallel engine configuration");
-            let run = jacobi::run(&sys, &jcfg).expect("parallel engine run").run;
-            let speedup = baseline.as_ref().map_or(1.0, |seq| {
-                assert_eq!(run.divergence(seq), None, "{} {pes}PE @{threads}t", tier.name());
-                run.sim_rate() / seq.sim_rate()
-            });
-            let point = cells![tier.name(), tier.grid_n, pes, threads];
-            table.push([point, run_cells(&run), cells![Cell::fixed(speedup, 2)]].concat());
-            if tier.side == largest && threads == gate_threads && cores >= gate_threads {
-                assert!(
-                    speedup >= gate_factor,
-                    "{} {pes} PEs: tiled engine at {gate_threads} threads must be >= \
-                     {gate_factor}x vs 1 thread, got {speedup:.2}x",
-                    tier.name()
-                );
-            }
-            baseline.get_or_insert(run);
-        }
-    }
-    if cores < gate_threads {
-        println!(
-            "parallel-engine speedup gate skipped: host has {cores} core(s), \
-             gate needs {gate_threads}"
         );
     }
     table
@@ -754,23 +673,12 @@ fn validate_largest(tiers: &[Tier], smoke: bool) -> Table {
 }
 
 fn main() {
-    let usage = "usage: scaling_json [--smoke] [--engine-threads N] [OUT_PATH]";
+    let usage = "usage: scaling_json [--smoke] [OUT_PATH]";
     let mut smoke = false;
-    let mut engine_threads = 1usize;
     let mut out_path = "BENCH_scaling.json".to_owned();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--engine-threads" => {
-                engine_threads =
-                    args.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(
-                        || {
-                            eprintln!("--engine-threads needs a positive integer; {usage}");
-                            std::process::exit(2);
-                        },
-                    );
-            }
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag {flag}; {usage}");
                 std::process::exit(2);
@@ -780,9 +688,8 @@ fn main() {
     }
     let tiers = if smoke { SMOKE } else { FULL };
     let mut report = Report::new("scaling", if smoke { "smoke" } else { "full" });
-    report.add(run_ladder(tiers, sweep_threads(), engine_threads));
+    report.add(run_ladder(tiers, sweep_threads()));
     report.add(validate_largest(tiers, smoke));
-    report.add(run_parallel_engine(tiers, smoke));
     report.add(run_collectives(tiers, smoke));
     report.add(run_memory_banks(tiers, if smoke { 6 } else { 16 }, smoke));
     report.add(run_coherence(tiers, if smoke { 4 } else { 8 }));

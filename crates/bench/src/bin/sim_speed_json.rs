@@ -22,10 +22,9 @@ use medea_apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
 use medea_apps::workloads::pingpong_kernels;
 use medea_bench::report::{Cell, Report, Table};
 use medea_bench::{base_builder, cells};
-use medea_core::api::PeApi;
 use medea_core::explore::Workload as _;
-use medea_core::system::{AnyKernel, Kernel, RunResult, System};
-use medea_core::{Empi, SystemConfig, Topology};
+use medea_core::system::{AnyKernel, RunResult, System, Task};
+use medea_core::{AsyncEmpi, SystemConfig, Topology};
 use medea_sim::ids::Rank;
 use std::sync::Arc;
 
@@ -75,17 +74,17 @@ fn measure<K: Into<AnyKernel>>(
     speedup
 }
 
-fn reduce_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
+fn reduce_kernels(ranks: usize, iters: u32) -> Vec<Task> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 for _ in 0..iters {
-                    comm.compute(200 + 37 * r as u64);
-                    comm.barrier();
-                    let _ = comm.allreduce(r as f64 + 0.5);
+                    comm.compute(200 + 37 * r as u64).await;
+                    comm.barrier().await;
+                    let _ = comm.allreduce(r as f64 + 0.5).await;
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -97,22 +96,22 @@ fn reduce_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
 /// not timed), so the naive engine ticks the stalled master — and scans
 /// the idle fabric — every one of those cycles. Per-PE wake scheduling
 /// is built for exactly this shape.
-fn imbalanced_kernels(ranks: usize, iters: u32) -> Vec<Kernel> {
+fn imbalanced_kernels(ranks: usize, iters: u32) -> Vec<Task> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
+            Task::new(move |api| async move {
                 for _ in 0..iters {
                     if api.rank().is_master() {
-                        api.compute(150_000);
+                        api.compute(150_000).await;
                         for dst in 1..api.ranks() {
-                            api.send_to_rank(Rank::new(dst as u8), &[1]);
+                            api.send_to_rank(Rank::new(dst as u8), &[1]).await;
                         }
                     } else {
-                        let _ = api.recv_from_rank(Rank::new(0));
-                        api.compute(2_000 + 53 * r as u64);
+                        let _ = api.recv_from_rank(Rank::new(0)).await;
+                        api.compute(2_000 + 53 * r as u64).await;
                     }
                 }
-            }) as Kernel
+            })
         })
         .collect()
 }

@@ -34,7 +34,6 @@ use medea_sim::Cycle;
 use medea_trace::KernelOp;
 use std::future::Future;
 use std::pin::pin;
-use std::sync::{Mutex, PoisonError};
 use std::task::{Context, Poll, Waker};
 
 /// Where a kernel's requests go.
@@ -42,15 +41,12 @@ use std::task::{Context, Poll, Waker};
 enum Port {
     /// A task's slot: each operation yields to the polling PE.
     Task(PeTaskPort),
-    /// A kernel thread's rendezvous channel, behind a mutex so the API is
-    /// `Sync` whichever port it holds (a task's future holds `&` borrows of
-    /// it across its awaits).
-    Thread(Mutex<PePort>),
+    /// A kernel thread's rendezvous channel.
+    Thread(PePort),
 }
 
 /// Issue `req` over a kernel thread's port and block for the answer.
-fn call_blocking(port: &Mutex<PePort>, req: PeRequest) -> PeResponse {
-    let port = port.lock().unwrap_or_else(PoisonError::into_inner);
+fn call_blocking(port: &PePort, req: PeRequest) -> PeResponse {
     port.call(req).unwrap_or_else(|aborted| std::panic::resume_unwind(Box::new(aborted)))
 }
 
@@ -426,7 +422,7 @@ impl PeApi {
     /// Wrap a kernel thread's port. Called by the system assembler;
     /// kernels receive the ready-made value.
     pub fn new(port: PePort, cx: KernelContext) -> Self {
-        PeApi { api: AsyncPeApi { port: Port::Thread(Mutex::new(port)), cx } }
+        PeApi { api: AsyncPeApi { port: Port::Thread(port), cx } }
     }
 
     /// Run an `async` kernel body on this kernel thread: `body` receives

@@ -202,11 +202,9 @@ impl SystemConfig {
         self.coherence
     }
 
-    /// Host worker threads the cycle engine may use inside one run
-    /// (default 1 = the sequential engine). See
-    /// [`SystemConfigBuilder::host_threads`]; purely a host-side
-    /// execution knob, never part of the architectural configuration or
-    /// its label.
+    /// The value given to [`SystemConfigBuilder::host_threads`] (default
+    /// 1). It selects nothing: every run takes the one engine. Never part
+    /// of the architectural configuration or its label.
     pub const fn host_threads(&self) -> usize {
         self.host_threads
     }
@@ -543,7 +541,7 @@ impl SystemConfigBuilder {
     /// pressure) and attaches the [`medea_metrics::MetricsReport`] to
     /// `RunResult::metrics`. Metrics observe and never steer: a
     /// metrics-on run is bit-identical to the same run with metrics off,
-    /// and like `host_threads` the knob never enters the label. Enabling
+    /// and the knob never enters the label. Enabling
     /// metrics makes kernels issue their zero-cycle span markers (the
     /// profiler needs them to classify collective waits), exactly as an
     /// active trace sink does.
@@ -576,28 +574,15 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Host worker threads the cycle engine may use *inside* one run
-    /// (default 1 = the sequential engine).
-    ///
-    /// With `n > 1` on a deflection fabric, `System::run` domain-
-    /// decomposes the torus into up to `n` contiguous node tiles and
-    /// advances them on a scoped worker pool in lockstep, one barrier per
-    /// simulated cycle; results are bit-identical to the sequential
-    /// engine at every thread count (see the parallel-engine notes in
-    /// `system.rs`). A run with an active trace sink, fault injector or
-    /// metrics takes the sequential engine whatever `n` is. This is a host execution knob, not an architectural
-    /// parameter: it never affects [`SystemConfig::label`], and sweeps
-    /// cap their own worker count so sweep threads × engine threads stay
-    /// within the machine (`run_sweep`).
+    /// Host threads for one run (default 1). Inert: every run takes the
+    /// one engine on the calling thread, whatever `n` is, and parallelism
+    /// comes from sweeping design points (`run_sweep`). The method stays
+    /// only while a workload of the repository benchmark (`simbench`)
+    /// still sets it; `build` still rejects 0. It never affects
+    /// [`SystemConfig::label`].
     pub fn host_threads(mut self, n: usize) -> Self {
         self.host_threads = n;
         self
-    }
-
-    /// The configured engine thread count (used by `run_sweep` to avoid
-    /// oversubscribing the host).
-    pub(crate) const fn configured_host_threads(&self) -> usize {
-        self.host_threads
     }
 
     /// Validate and build.

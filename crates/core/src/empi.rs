@@ -124,10 +124,10 @@ use crate::calib::CALL_OVERHEAD_CYCLES;
 use medea_pe::kernel_if::{f64_to_words, words_to_f64};
 use medea_sim::ids::Rank;
 use medea_trace::KernelOp;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::future::Future;
-use std::sync::{Mutex, PoisonError};
 
 /// Data words per chunk (16-word packet minus the frame header).
 pub const CHUNK_DATA_WORDS: usize = 15;
@@ -287,7 +287,8 @@ pub struct AsyncEmpi<A = AsyncPeApi> {
     algo: CollectiveAlgo,
     /// Resilient-delivery knobs (`ResilienceConfig` on the system).
     resilience: crate::config::ResilienceConfig,
-    arq: Mutex<ArqState>,
+    /// Borrowed only between awaits, never across one.
+    arq: RefCell<ArqState>,
 }
 
 impl<A> std::ops::Deref for AsyncEmpi<A> {
@@ -304,7 +305,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     pub fn new(api: A) -> Self {
         let algo = api.as_ref().collective_algo();
         let resilience = api.as_ref().resilience();
-        AsyncEmpi { api, algo, resilience, arq: Mutex::new(ArqState::default()) }
+        AsyncEmpi { api, algo, resilience, arq: RefCell::default() }
     }
 
     /// The operations every protocol step issues.
@@ -312,8 +313,8 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
         self.api.as_ref()
     }
 
-    fn arq(&self) -> std::sync::MutexGuard<'_, ArqState> {
-        self.arq.lock().unwrap_or_else(PoisonError::into_inner)
+    fn arq(&self) -> RefMut<'_, ArqState> {
+        self.arq.borrow_mut()
     }
 
     /// Whether the end-to-end retransmission protocol is active.

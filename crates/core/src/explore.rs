@@ -158,41 +158,21 @@ impl WorkQueue<'_> {
     }
 }
 
-/// Cap the sweep's worker count so sweep threads × per-run engine threads
-/// never oversubscribe the host.
-///
-/// With the tiled cycle engine
-/// ([`crate::config::SystemConfigBuilder::host_threads`]) every run may
-/// itself occupy `engine_threads` cores, so a sweep asked for `requested`
-/// workers on a machine with `available` cores is clamped to
-/// `available / engine_threads` (at least one worker always runs). Pure
-/// arithmetic, separated out so it can be tested without spawning anything.
-fn capped_sweep_threads(requested: usize, engine_threads: usize, available: usize) -> usize {
-    let budget = (available / engine_threads.max(1)).max(1);
-    requested.max(1).min(budget)
-}
-
-/// Run `workload` on every `point`, using up to `threads` host threads.
+/// Run `workload` on every `point`, using up to `threads` host threads
+/// (at least one, at most one per point): each worker runs whole points,
+/// one run per host thread, as the paper spread its 168 architectures
+/// over servers.
 ///
 /// `base` carries the sweep-invariant configuration; each point overrides
 /// topology, PE count, cache size and policy. Outcomes are returned in
 /// `points` order regardless of scheduling.
-///
-/// When `base` configures a multi-threaded cycle engine
-/// (`host_threads > 1`), the sweep caps its own worker count so that
-/// sweep workers × engine threads stays within the machine's available
-/// parallelism — otherwise a 8-worker sweep of 8-thread runs would put
-/// 64 runnable threads on the barrier spin loops at once.
 pub fn run_sweep<W: Workload>(
     workload: &W,
     points: &[SweepPoint],
     base: &crate::config::SystemConfigBuilder,
     threads: usize,
 ) -> Vec<SweepOutcome> {
-    let available =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let threads = capped_sweep_threads(threads, base.configured_host_threads(), available)
-        .min(points.len().max(1));
+    let threads = threads.clamp(1, points.len().max(1));
     let queue = WorkQueue { points, next: AtomicUsize::new(0) };
     let (tx, rx) = mpsc::channel::<(usize, SweepOutcome)>();
 
@@ -354,18 +334,6 @@ mod tests {
         for (_, s) in &speedups {
             assert!((0.9..=1.1).contains(s), "speedup {s}");
         }
-    }
-
-    #[test]
-    fn sweep_thread_cap_respects_engine_threads() {
-        // No engine parallelism: the requested count stands.
-        assert_eq!(capped_sweep_threads(8, 1, 16), 8);
-        // 4-thread engine on 16 cores: at most 4 sweep workers.
-        assert_eq!(capped_sweep_threads(8, 4, 16), 4);
-        // Engine wider than the machine: one worker still runs.
-        assert_eq!(capped_sweep_threads(8, 32, 16), 1);
-        // Degenerate inputs clamp instead of panicking.
-        assert_eq!(capped_sweep_threads(0, 0, 0), 1);
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub mod explore;
 pub mod layout;
 pub(crate) mod sched;
 pub mod system;
-pub(crate) mod tiled;
 
 pub use config::{BuildConfigError, NodePlan, ResilienceConfig, SystemConfig, SystemConfigBuilder};
 pub use empi::{AsyncEmpi, CollectiveAlgo, Empi};

@@ -1,14 +1,12 @@
-//! The component scheduler and the cycle body shared by both engines.
+//! The component scheduler and the production engine's cycle body.
 //!
-//! A [`Scheduler`] owns the processing elements and MPMMU banks one
-//! engine drives — all of them in the sequential engine, one tile's share
-//! in the tiled engine — and [`Scheduler::cycle`] is the one cycle body
-//! both engines run over them: sampling catch-up, the cycle's scheduled
-//! link kills, then deliver ejected flits, tick the runnable components,
-//! offer injection, and tick the fabric. The hooks (trace sink, fault
-//! injector, meter) are live only in the sequential engine; the tiled
-//! engine runs the body with all three inactive. Each phase costs time in
-//! proportion to the components that can act, not to the PE count:
+//! A [`Scheduler`] owns every processing element and MPMMU bank of a run,
+//! and [`Scheduler::cycle`] is the cycle body the engine runs over them:
+//! sampling catch-up, the cycle's scheduled link kills, then deliver
+//! ejected flits, tick the runnable components, offer injection, and tick
+//! the fabric, with the run's hooks (trace sink, fault injector, meter)
+//! live throughout. Each phase costs time in proportion to the
+//! components that can act, not to the PE count:
 //!
 //! * **delivery** walks only the nodes whose ejection queue holds a flit
 //!   ([`Fabric::next_ejectable`]), in ascending node order — which is
@@ -51,7 +49,6 @@ use medea_sim::Cycle;
 use medea_trace::{TraceEvent, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::ops::Range;
 
 /// How many engine-side fault events the hang diagnostics keep.
 const FAULT_LOG_CAP: usize = 64;
@@ -59,15 +56,12 @@ const FAULT_LOG_CAP: usize = 64;
 /// `pe_at` entry of a node that hosts no PE.
 const NO_PE: u32 = u32::MAX;
 
-/// The PEs and banks one engine (or one tile) drives, with their wake
-/// schedule (see the module docs).
+/// The PEs and banks the engine drives, with their wake schedule (see
+/// the module docs).
 pub(crate) struct Scheduler {
     pub(crate) pes: Vec<ProcessingElement>,
     pub(crate) banks: Vec<Bank>,
-    /// First node of the range this scheduler's components occupy.
-    node_base: usize,
-    /// `pe_at[node - node_base]`: index of the PE at that node, or
-    /// [`NO_PE`].
+    /// `pe_at[node]`: index of the PE at that node, or [`NO_PE`].
     pe_at: Vec<u32>,
     /// The cycle each PE is next due: `now + 1`, the end of a time stall,
     /// or `Cycle::MAX` while it is parked or retired.
@@ -89,19 +83,17 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Schedule `pes` and `banks`, all of them due at cycle 0. `nodes` is
-    /// the range of nodes they occupy (the whole torus, or one tile's
-    /// shard).
-    pub(crate) fn new(pes: Vec<ProcessingElement>, banks: Vec<Bank>, nodes: Range<usize>) -> Self {
-        let mut pe_at = vec![NO_PE; nodes.len()];
+    /// Schedule `pes` and `banks` on a torus of `nodes` nodes, all of them
+    /// due at cycle 0.
+    pub(crate) fn new(pes: Vec<ProcessingElement>, banks: Vec<Bank>, nodes: usize) -> Self {
+        let mut pe_at = vec![NO_PE; nodes];
         for (i, pe) in pes.iter().enumerate() {
-            pe_at[pe.node().index() - nodes.start] = i as u32;
+            pe_at[pe.node().index()] = i as u32;
         }
         let n = pes.len();
         Scheduler {
             pes,
             banks,
-            node_base: nodes.start,
             pe_at,
             wake: vec![0; n],
             parked_at: vec![None; n],
@@ -170,9 +162,8 @@ impl Scheduler {
         }
     }
 
-    /// Cycle `now` of this scheduler's components over `fabric` — the one
-    /// cycle body of both engines. `kills` are the link kills the decision
-    /// chain drained for this cycle.
+    /// Cycle `now` of this scheduler's components over `fabric`. `kills`
+    /// are the link kills the decision chain drained for this cycle.
     pub(crate) fn cycle<F, S, I, M>(
         &mut self,
         fabric: &mut F,
@@ -269,12 +260,10 @@ impl Scheduler {
         if fabric.in_flight() == 0 {
             return;
         }
-        let mut from = self.node_base;
+        let mut from = 0;
         while let Some(node) = fabric.next_ejectable(from) {
             from = node.index() + 1;
-            let Some(&i) = self.pe_at.get(node.index() - self.node_base) else {
-                break;
-            };
+            let i = self.pe_at[node.index()];
             if i == NO_PE {
                 continue; // a bank's node (served by `banks_deliver`) or a bare router
             }

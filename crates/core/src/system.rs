@@ -18,29 +18,16 @@
 //! needs is one set of helpers ([`banks_deliver`], [`banks_tick`],
 //! [`banks_inject`], [`banks_quiet`]) shared by every engine.
 //!
-//! [`System::run`] and [`System::run_with`] drive the production engine:
-//! one cycle body, [`crate::sched::Scheduler::cycle`] (sampling catch-up,
-//! scheduled link kills, phases 1–4), and one end-of-cycle decision chain,
+//! [`System::run`] and [`System::run_with`] drive the production engine,
+//! one driver on one host thread: a scheduler over every PE and bank, one
+//! fabric over the whole torus (generic over [`medea_noc::Fabric`],
+//! dispatched once on the configured kind), and a plain loop of one cycle
+//! body, [`crate::sched::Scheduler::cycle`] (sampling catch-up, scheduled
+//! link kills, phases 1–4), and one end-of-cycle decision chain,
 //! [`Chain`], which reads a [`CycleReport`] of the cycle and returns the
-//! next cycle to simulate or the [`Stop`] that ends the run. Both exist
-//! once and serve two drivers:
-//!
-//! * the **sequential** driver below — one scheduler over every PE and
-//!   bank, one fabric over the whole torus (generic over
-//!   [`medea_noc::Fabric`], dispatched once on the configured kind), and a
-//!   plain loop: it is the one-tile case of the tiled engine, with no
-//!   barrier, mutex or mailbox;
-//! * the **tiled** driver ([`crate::tiled`]) — selected by
-//!   [`crate::config::SystemConfigBuilder::host_threads`] when more than
-//!   one thread is requested on a deflection fabric and the run is
-//!   hook-free: its trace sink, fault injector and meter are all
-//!   inactive (a compile-time constant, like every hook guard). A traced,
-//!   faulted or metered run takes the sequential driver at any thread
-//!   count. Each worker runs the cycle body over one tile's components
-//!   and its shard of the fabric; at the per-cycle barrier the leader
-//!   folds the tile reports in tile order and runs the same decision
-//!   chain. Results stay **bit-identical** at every thread count
-//!   (`tests/parallel_equivalence.rs`).
+//! next cycle to simulate or the [`Stop`] that ends the run. Parallelism
+//! lives one level up, across design points
+//! ([`crate::explore::run_sweep`]), as in the paper's own exploration.
 //!
 //! "Bit-identical" always means [`RunResult::divergence`] finds no
 //! difference: every simulated field agrees, and only the host-side wall
@@ -110,19 +97,22 @@ use std::time::{Duration, Instant};
 pub type Kernel = Box<dyn FnOnce(PeApi) + Send + 'static>;
 
 /// The future a task kernel runs as.
-type KernelFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+type KernelFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
 /// A task kernel: an `async` body over [`AsyncPeApi`] that its PE polls in
-/// place, on the engine thread (or the tile worker) that owns the PE.
+/// place, on the engine thread.
 pub struct Task(Box<dyn FnOnce(AsyncPeApi) -> KernelFuture + Send + 'static>);
 
 impl Task {
-    /// Wrap an `async` kernel body. The future must be `Send`: the tiled
-    /// engine moves PEs, kernels included, into its worker threads.
+    /// Wrap an `async` kernel body. The body is `Send`, so a task can be
+    /// built on one thread and run on another ([`Task::into_thread`], a
+    /// sweep worker); the future it returns is built and polled on the
+    /// thread that runs the PE and need not be `Send`. Hold no `RefCell`
+    /// borrow across an `.await`: a task's poll ends at every await.
     pub fn new<F, Fut>(body: F) -> Self
     where
         F: FnOnce(AsyncPeApi) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         Task(Box::new(move |api| Box::pin(body(api))))
     }
@@ -597,7 +587,7 @@ impl System {
             }
             let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
             if quiet {
-                match QuietFold::of(&pes).classify() {
+                match QuietState::of(&pes) {
                     QuietState::AllTimed { min_wake } => {
                         let t = min_wake.min(cfg.cycle_limit());
                         if t > now + 1 {
@@ -619,27 +609,19 @@ impl System {
 }
 
 /// The engine behind [`System::run_with`], generic over the meter: the
-/// tiled driver when the configuration selects it and the run is
-/// hook-free, otherwise the sequential driver on the configured fabric.
-/// Kernel count is already checked by the caller.
+/// driver on the configured fabric. Kernel count is already checked by
+/// the caller.
 fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     preload: &[(Addr, u32)],
-    mut kernels: Vec<AnyKernel>,
+    kernels: Vec<AnyKernel>,
     sink: &mut S,
     injector: &mut I,
     meter: &mut M,
 ) -> Result<RunResult, RunError> {
-    // A traced, faulted or metered run is sequential at any thread count.
-    if !S::ACTIVE && !I::ACTIVE && !M::ACTIVE {
-        kernels = match crate::tiled::try_run_tiled(cfg, preload, kernels) {
-            Ok(outcome) => return outcome,
-            Err(kernels) => kernels,
-        };
-    }
     let topo = cfg.topology();
     let banks = build_banks(cfg, preload);
-    let sched = Scheduler::new(build_pes::<S>(cfg, kernels), banks, 0..topo.nodes());
+    let sched = Scheduler::new(build_pes::<S>(cfg, kernels), banks, topo.nodes());
     match cfg.fabric() {
         FabricKind::Deflection => {
             run_sequential(cfg, sched, Network::new(topo), sink, injector, meter)
@@ -650,9 +632,8 @@ fn run_engine<S: TraceSink, I: FaultInjector, M: Meter>(
     }
 }
 
-/// The sequential driver: `sched` over every PE and bank, `fabric` over
-/// the whole torus, and a plain loop — the one-tile case of the tiled
-/// engine's cycle body and decision chain.
+/// The driver: `sched` over every PE and bank, `fabric` over the whole
+/// torus, and a plain loop of the cycle body and the decision chain.
 fn run_sequential<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     cfg: &SystemConfig,
     mut sched: Scheduler,
@@ -677,13 +658,11 @@ fn run_sequential<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     stop.conclude(&sched.pes, &sched.banks, &faults, fabric.stats(), injector.stats(), wall_start)
 }
 
-/// What the decision chain reads after a cycle: one scheduler's state, or
-/// the tile-order fold of every tile's ([`CycleReport::merge`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CycleReport {
+/// What the decision chain reads after a cycle: the scheduler's state.
+struct CycleReport {
     /// PEs whose kernel has not returned.
     live: usize,
-    /// Flits in the fabric, boundary exports included.
+    /// Flits in the fabric.
     in_flight: usize,
     /// The watchdog's [`progress_fingerprint`] (0 with the watchdog off).
     fingerprint: u64,
@@ -692,42 +671,28 @@ pub(crate) struct CycleReport {
     timed_stall: bool,
     /// `Some` exactly when the fabric and every bank are drained — the
     /// only time the chain reads it.
-    quiet: Option<QuietFold>,
+    quiet: Option<QuietState>,
 }
 
 impl CycleReport {
     /// The report of `sched`'s components after cycle `now`, with
     /// `in_flight` flits in its fabric. The watchdog inputs are computed
-    /// only when `watchdog` is on, the quiet fold only when drained.
-    pub(crate) fn new(sched: &Scheduler, in_flight: usize, now: Cycle, watchdog: bool) -> Self {
+    /// only when `watchdog` is on, the quiet state only when drained.
+    fn new(sched: &Scheduler, in_flight: usize, now: Cycle, watchdog: bool) -> Self {
         let drained = in_flight == 0 && banks_quiet(&sched.banks);
         CycleReport {
             live: sched.live(),
             in_flight,
             fingerprint: if watchdog { progress_fingerprint(&sched.pes, &sched.banks) } else { 0 },
             timed_stall: watchdog && sched.timed_stall_pending(now),
-            quiet: drained.then(|| QuietFold::of(&sched.pes)),
+            quiet: drained.then(|| QuietState::of(&sched.pes)),
         }
-    }
-
-    /// Fold another tile's report into this one. Every field is a sum, an
-    /// OR or the quiet fold's AND/MIN, so the tile-order fold is exactly
-    /// the report of the whole machine.
-    pub(crate) fn merge(&mut self, other: &CycleReport) {
-        self.live += other.live;
-        self.in_flight += other.in_flight;
-        self.fingerprint = self.fingerprint.wrapping_add(other.fingerprint);
-        self.timed_stall |= other.timed_stall;
-        self.quiet = match (self.quiet, other.quiet) {
-            (Some(a), Some(b)) => Some(a.merge(b)),
-            _ => None,
-        };
     }
 }
 
 /// Why the decision chain ended a run.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Stop {
+enum Stop {
     /// Every kernel returned by cycle `at`.
     Done { at: Cycle },
     /// The cycle limit passed with `in_flight` flits in the fabric.
@@ -741,7 +706,7 @@ pub(crate) enum Stop {
 impl Stop {
     /// The run's outcome, from its PEs and banks in rank and bank order,
     /// the engine-side fault tail and the fabric and fault statistics.
-    pub(crate) fn conclude(
+    fn conclude(
         self,
         pes: &[ProcessingElement],
         banks: &[Bank],
@@ -764,11 +729,10 @@ impl Stop {
     }
 }
 
-/// The end-of-cycle decision chain, the one copy both drivers run: the
-/// sequential loop after every cycle, the tiled leader at every barrier.
-/// It owns the cross-cycle decision state (the watchdog window) and is
-/// the only reader of the fault injector's link-kill schedule.
-pub(crate) struct Chain {
+/// The end-of-cycle decision chain the driver runs after every cycle. It
+/// owns the cross-cycle decision state (the watchdog window) and is the
+/// only reader of the fault injector's link-kill schedule.
+struct Chain {
     limit: Cycle,
     /// Watchdog window, 0 = off.
     watchdog: Cycle,
@@ -780,7 +744,7 @@ pub(crate) struct Chain {
 
 impl Chain {
     /// The chain for a run of `cfg`, holding cycle 0's link kills.
-    pub(crate) fn new<I: FaultInjector>(cfg: &SystemConfig, injector: &mut I) -> Self {
+    fn new<I: FaultInjector>(cfg: &SystemConfig, injector: &mut I) -> Self {
         let mut chain = Chain {
             limit: cfg.cycle_limit(),
             watchdog: cfg.resilience().watchdog_cycles,
@@ -793,12 +757,12 @@ impl Chain {
     }
 
     /// Whether cycle reports must carry the watchdog's inputs.
-    pub(crate) const fn watchdog_on(&self) -> bool {
+    const fn watchdog_on(&self) -> bool {
         self.watchdog > 0
     }
 
     /// The link kills to apply at the top of the next cycle.
-    pub(crate) fn kills(&self) -> &[(u16, u8)] {
+    fn kills(&self) -> &[(u16, u8)] {
         &self.kills
     }
 
@@ -806,7 +770,7 @@ impl Chain {
     /// watchdog, then — when the fabric and banks are drained — an idle
     /// fast-forward or a deadlock, and finally the next cycle's link
     /// kills. `Continue` carries the next cycle to simulate.
-    pub(crate) fn decide<I: FaultInjector>(
+    fn decide<I: FaultInjector>(
         &mut self,
         now: Cycle,
         report: &CycleReport,
@@ -839,7 +803,7 @@ impl Chain {
             }
         }
         let mut next = now + 1;
-        match report.quiet.map(QuietFold::classify) {
+        match report.quiet {
             Some(QuietState::AllTimed { min_wake }) => {
                 // Never skip past the cycle limit: the limit check must
                 // still observe the overrun.
@@ -891,7 +855,7 @@ pub(crate) struct Bank {
 }
 
 /// Build the bank vector and route every preload word to its owning bank.
-pub(crate) fn build_banks(cfg: &SystemConfig, preload: &[(Addr, u32)]) -> Vec<Bank> {
+fn build_banks(cfg: &SystemConfig, preload: &[(Addr, u32)]) -> Vec<Bank> {
     let map = cfg.bank_map();
     let mut banks: Vec<Bank> = cfg
         .bank_nodes()
@@ -999,10 +963,7 @@ fn banks_quiet(banks: &[Bank]) -> bool {
 }
 
 /// Build the PEs for a run whose engine reports to a sink of type `S`.
-pub(crate) fn build_pes<S: TraceSink>(
-    cfg: &SystemConfig,
-    kernels: Vec<AnyKernel>,
-) -> Vec<ProcessingElement> {
+fn build_pes<S: TraceSink>(cfg: &SystemConfig, kernels: Vec<AnyKernel>) -> Vec<ProcessingElement> {
     let topo = cfg.topology();
     let ranks = cfg.compute_pes();
     let layout = cfg.layout();
@@ -1057,54 +1018,29 @@ enum QuietState {
     Mixed,
 }
 
-/// The commutative core of the quiet-cycle verdict: `(all_timed AND,
-/// min_wake MIN, all_recv_blocked AND)` folded over a slice of PEs. The
-/// empty slice's fold is the identity (an empty tile constrains
-/// nothing), so tiles fold independently and merge in any order — the
-/// merged fold equals folding the whole rank-ordered PE list at once.
-#[derive(Debug, Clone, Copy)]
-struct QuietFold {
-    all_timed: bool,
-    min_wake: Option<Cycle>,
-    all_recv_blocked: bool,
-}
-
-impl QuietFold {
+impl QuietState {
+    /// The verdict over `pes`: all timed (AND) with the earliest wake
+    /// (MIN), or all blocked in `Recv` (AND).
     fn of(pes: &[ProcessingElement]) -> Self {
-        let mut fold = QuietFold { all_timed: true, min_wake: None, all_recv_blocked: true };
+        let (mut all_timed, mut min_wake, mut all_recv_blocked) = (true, None, true);
         for pe in pes {
             match pe.wakeup() {
                 Wakeup::Done => {}
                 Wakeup::At(t) => {
-                    fold.all_recv_blocked = false;
-                    fold.min_wake = Some(fold.min_wake.map_or(t, |m| m.min(t)));
+                    all_recv_blocked = false;
+                    min_wake = Some(min_wake.map_or(t, |m: Cycle| m.min(t)));
                 }
                 Wakeup::External => {
-                    fold.all_timed = false;
+                    all_timed = false;
                     if !pe.is_recv_blocked() {
-                        fold.all_recv_blocked = false;
+                        all_recv_blocked = false;
                     }
                 }
             }
         }
-        fold
-    }
-
-    fn merge(self, other: QuietFold) -> QuietFold {
-        QuietFold {
-            all_timed: self.all_timed && other.all_timed,
-            min_wake: match (self.min_wake, other.min_wake) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            all_recv_blocked: self.all_recv_blocked && other.all_recv_blocked,
-        }
-    }
-
-    fn classify(self) -> QuietState {
-        match (self.all_timed, self.min_wake) {
+        match (all_timed, min_wake) {
             (true, Some(min_wake)) => QuietState::AllTimed { min_wake },
-            _ if self.all_recv_blocked && !self.all_timed => QuietState::Deadlocked,
+            _ if all_recv_blocked && !all_timed => QuietState::Deadlocked,
             _ => QuietState::Mixed,
         }
     }
@@ -1522,20 +1458,16 @@ mod tests {
     fn unbounded_compute_sleeps_into_the_cycle_limit() {
         // `now + cycles` and the compute counter saturate, so the PE sleeps
         // until the limit stops the run on every engine.
-        let limit = |threads| {
-            let b = SystemConfig::builder().compute_pes(1).cycle_limit(10_000);
-            b.host_threads(threads).build().unwrap()
-        };
+        let limit = SystemConfig::builder().compute_pes(1).cycle_limit(10_000).build().unwrap();
         let kernels = || -> Vec<Kernel> {
             vec![Box::new(|api: PeApi| {
                 api.compute(5);
                 api.compute(Cycle::MAX);
             }) as Kernel]
         };
-        let seq = System::run(&limit(1), &[], kernels()).unwrap_err();
+        let seq = System::run(&limit, &[], kernels()).unwrap_err();
         assert!(matches!(seq, RunError::CycleLimit { limit: 10_000, .. }), "{seq}");
-        assert_eq!(System::run(&limit(2), &[], kernels()).unwrap_err(), seq, "tiled");
-        assert_eq!(System::run_reference(&limit(1), &[], kernels()).unwrap_err(), seq, "reference");
+        assert_eq!(System::run_reference(&limit, &[], kernels()).unwrap_err(), seq, "reference");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   same [`FaultConfig`] therefore produces the same fault schedule
 //!   regardless of event interleaving — fault runs replay exactly.
 //!
-//! A run with an active injector takes the engine's sequential driver at
-//! any `host_threads`, so one injector answers every hook of the run.
+//! The engine runs on one host thread, so one injector answers every hook
+//! of the run.
 //!
 //! # Fault classes (one per layer)
 //!

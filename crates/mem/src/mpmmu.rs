@@ -17,18 +17,6 @@
 //! linear node index of the requester (the field is sized per topology to
 //! hold a full node index, up to 256 nodes on a 16×16 torus), which is
 //! how responses find their way back.
-//!
-//! # Tiled execution
-//!
-//! Under the tiled parallel cycle engine each MPMMU bank is owned
-//! exclusively by the tile that owns its node: a bank only ever observes
-//! flits ejected from its own router and only injects into its own
-//! router, so bank state needs no synchronization — the per-cycle
-//! barrier and the fixed tile-order merge of boundary latches are the
-//! only cross-tile channels. `Mpmmu` is therefore deliberately
-//! `Send`-but-not-`Sync` (plain `Cell`-based counters, no atomics): a
-//! bank moves to its owning worker thread and stays there for the whole
-//! run (asserted below).
 
 use crate::backing::BackingStore;
 use crate::ddr::DdrModel;
@@ -1040,14 +1028,6 @@ impl Mpmmu {
         lat
     }
 }
-
-// Compile-time pin of the tiled-engine ownership contract: a bank must
-// be movable to its owning worker thread (`Send`). `Sync` is neither
-// needed nor wanted — shared access would hide a tiling bug.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Mpmmu>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -44,11 +44,8 @@
 //! *read*, never perturbed: metrics-on runs produce numerically identical
 //! architectural results (pinned by `tests/metrics_equivalence.rs`).
 //!
-//! # Metered runs are sequential
-//!
-//! A metered run takes the sequential driver whatever its
-//! `host_threads`, so one [`Recorder`] sees every PE, bank and router,
-//! and the sample series is the same at any thread count.
+//! The engine runs on one host thread, so one [`Recorder`] sees every PE,
+//! bank and router of the run.
 
 pub mod heatmap;
 pub mod meter;

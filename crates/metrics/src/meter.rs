@@ -15,13 +15,13 @@
 //!   top of every simulated cycle: while the next window boundary has
 //!   passed, snapshot every PE and bank and commit the window (the loop
 //!   form makes multi-window fast-forward jumps emit one window per
-//!   boundary, with frozen state — exactly what the sequential engine
+//!   boundary, with frozen state — exactly what cycle-by-cycle execution
 //!   would have observed);
 //! * [`Meter::finish`] — once at end of run, after a final snapshot:
 //!   flushes the open attribution spans and the partial last window.
 //!
-//! A metered run always takes the sequential driver, whatever its
-//! `host_threads`, so one meter sees the whole machine.
+//! The engine runs on one host thread, so one meter sees the whole
+//! machine.
 
 use crate::report::{CycleBreakdown, MetricsReport, SampleWindow};
 use crate::PeActivity;

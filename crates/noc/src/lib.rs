@@ -13,9 +13,8 @@
 //! * the **three-level packet format** of Fig. 5 ([`flit`], [`codec`]) with
 //!   its seven packet types and 4-bit sequence numbers for out-of-order
 //!   reassembly at the receiver;
-//! * the deflection fabric over the whole torus or one tile of it
-//!   ([`network`]) and a contention-free reference fabric ([`ideal`])
-//!   used by the ablation benchmarks;
+//! * the deflection fabric ([`network`]) and a contention-free reference
+//!   fabric ([`ideal`]) used by the ablation benchmarks;
 //! * synthetic traffic generators and a standalone measurement loop
 //!   ([`traffic`]) for NoC-only characterization.
 //!
@@ -73,24 +72,6 @@ pub struct FabricStats {
     /// was dead, so the flit left through another port). Zero unless
     /// fault injection killed a link.
     pub reroutes: u64,
-}
-
-impl FabricStats {
-    /// Fold another fabric's statistics into this one.
-    ///
-    /// Every field is a sum (the latency histogram merges bucket-wise), so
-    /// the fold is commutative and merging per-tile shard stats in tile
-    /// order reproduces bit-for-bit what a single whole-fabric recorder
-    /// would have counted — the property the tiled cycle engine's stats
-    /// reduction depends on.
-    pub fn merge(&mut self, other: &FabricStats) {
-        self.latency.merge(&other.latency);
-        self.delivered += other.delivered;
-        self.injected += other.injected;
-        self.deflections += other.deflections;
-        self.inject_refusals += other.inject_refusals;
-        self.reroutes += other.reroutes;
-    }
 }
 
 /// A network fabric: anything that can carry MEDEA flits between nodes.

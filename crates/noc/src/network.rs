@@ -1,23 +1,16 @@
 //! The deflection-routed folded-torus fabric.
 //!
-//! A [`Network`] owns the routers of one contiguous node range and moves
-//! flits between them with single-cycle links: the whole torus
-//! ([`Network::new`]) for the sequential cycle engine, or one tile of it
-//! ([`Network::shard`]) for the tiled engine. The two-phase tick (route
+//! A [`Network`] owns the routers of the whole torus and moves flits
+//! between them with single-cycle links. The two-phase tick (route
 //! everything, then deliver everything) gives the delta-cycle semantics
 //! of the original SystemC model: all routers observe the state left by
-//! the previous cycle. A latched flit whose receiving router lies outside
-//! the range becomes an *export* instead of a delivery; the tiled engine
-//! hands exports to the owning tile, which [`Network::import`]s them
-//! before its next route phase — the same single-cycle link timing. A
-//! whole-torus network owns every receiver, so it never exports.
+//! the previous cycle.
 //!
 //! The tick is the simulator's hot path and is engineered to be
 //! allocation-free and activity-scheduled:
 //!
 //! * link latches are a persistent double buffer (`latches`), not a
-//!   per-cycle collect, and the export list keeps its buffer across
-//!   cycles ([`Network::drain_exports`]);
+//!   per-cycle collect;
 //! * only *active* switches — those holding a latched flit or a pending
 //!   injection at the cycle boundary — are routed; an idle switch costs
 //!   nothing, which matters because realistic workloads leave most of the
@@ -45,10 +38,9 @@ use medea_trace::{NullSink, TraceEvent, TraceSink};
 /// within one cycle the engine offers PE flits in rank order, then bank
 /// responses in bank order, and both the rank→node and bank→node maps are
 /// strictly increasing. Encoding `(is_bank, node)` in the low 9 bits
-/// therefore sorts exactly like a shared injection counter would — but is
-/// locally computable, which is what lets the tiled parallel engine assign
-/// uids without any cross-tile coordination (and why the sequential engine
-/// uses the same scheme, keeping both engines bit-identical).
+/// therefore sorts exactly like a shared injection counter would, and
+/// every engine and fabric that assigns uids this way arbitrates the same
+/// flits the same way.
 ///
 /// The uid is unique among concurrently-resident flits: a router accepts at
 /// most one injection per node per cycle, and no node hosts both a PE and a
@@ -58,11 +50,6 @@ use medea_trace::{NullSink, TraceEvent, TraceSink};
 pub fn compose_uid(now: Cycle, from_bank: bool, node: NodeId) -> u64 {
     (now << 9) | ((from_bank as u64) << 8) | node.index() as u64
 }
-
-/// A flit crossing a network boundary: `(receiving node, receiving input
-/// direction index, flit)` — what [`Network::drain_exports`] yields and
-/// [`Network::import`] consumes.
-pub type BoundaryFlit = (u16, u8, Flit);
 
 /// One bit per router: set exactly while its ejection queue is non-empty.
 /// A router's queue grows only while it routes and shrinks only on
@@ -98,18 +85,15 @@ impl EjectReady {
     }
 }
 
-/// Deflection-routed folded-torus network (§II-A) over the node range
-/// `[lo, hi)`. Per-router state is indexed by `node - lo`; the public
-/// interface names nodes by their global index.
+/// Deflection-routed folded-torus network (§II-A). Per-router state is
+/// indexed by node.
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
-    lo: usize,
     routers: Vec<DeflectionRouter>,
     stats: FabricStats,
-    /// Flits inside the range (latches + injection registers + ejection
-    /// queues + undrained exports): +1 on accepted injection or import,
-    /// -1 on ejection or export drain.
+    /// Flits inside the fabric (latches + injection registers + ejection
+    /// queues): +1 on accepted injection, -1 on ejection.
     in_flight: usize,
     /// Per-router output latches, reused every cycle.
     latches: Vec<[Option<Flit>; 4]>,
@@ -121,40 +105,25 @@ pub struct Network {
     retired: Vec<u16>,
     /// Routers with a non-empty ejection queue.
     eject_ready: EjectReady,
-    /// Deliveries of the latest tick to routers outside the range.
-    exports: Vec<BoundaryFlit>,
 }
 
 impl Network {
     /// The whole fabric for `topo`.
     pub fn new(topo: Topology) -> Self {
-        Network::shard(topo, 0, topo.nodes())
-    }
-
-    /// The routers of `topo`'s node range `[lo, hi)`: one tile of the
-    /// tiled cycle engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi <= topo.nodes()`.
-    pub fn shard(topo: Topology, lo: usize, hi: usize) -> Self {
-        assert!(lo < hi && hi <= topo.nodes(), "invalid shard range {lo}..{hi}");
-        let routers = (lo..hi)
+        let nodes = topo.nodes();
+        let routers = (0..nodes)
             .map(|i| DeflectionRouter::new(topo, topo.coord_of(NodeId::new(i as u16))))
             .collect();
-        let len = hi - lo;
         Network {
             topo,
-            lo,
             routers,
             stats: FabricStats::default(),
             in_flight: 0,
-            latches: vec![[None; 4]; len],
-            active: Vec::with_capacity(len),
-            is_active: vec![false; len],
-            retired: Vec::with_capacity(len),
-            eject_ready: EjectReady::new(len),
-            exports: Vec::new(),
+            latches: vec![[None; 4]; nodes],
+            active: Vec::with_capacity(nodes),
+            is_active: vec![false; nodes],
+            retired: Vec::with_capacity(nodes),
+            eject_ready: EjectReady::new(nodes),
         }
     }
 
@@ -163,34 +132,11 @@ impl Network {
         self.topo
     }
 
-    /// Range-local index of `node`, if this network owns it.
-    fn local(&self, node: usize) -> Option<usize> {
-        let local = node.wrapping_sub(self.lo);
-        (local < self.routers.len()).then_some(local)
-    }
-
-    fn mark_active(&mut self, local: usize) {
-        if !self.is_active[local] {
-            self.is_active[local] = true;
-            self.active.push(local as u16);
+    fn mark_active(&mut self, node: usize) {
+        if !self.is_active[node] {
+            self.is_active[node] = true;
+            self.active.push(node as u16);
         }
-    }
-
-    /// Accept a boundary flit another network exported during the
-    /// previous cycle: it enters `to`'s input latch from direction
-    /// `from_dir`, exactly as a delivery inside one network would.
-    pub fn import(&mut self, to: u16, from_dir: u8, flit: Flit) {
-        let local = to as usize - self.lo;
-        self.routers[local].accept(Dir::ALL[from_dir as usize & 3], flit);
-        self.in_flight += 1;
-        self.mark_active(local);
-    }
-
-    /// Hand out the latest tick's boundary flits, keeping the buffer for
-    /// the next tick.
-    pub fn drain_exports(&mut self) -> std::vec::Drain<'_, BoundaryFlit> {
-        self.in_flight -= self.exports.len();
-        self.exports.drain(..)
     }
 }
 
@@ -208,12 +154,11 @@ impl Fabric for Network {
     ) -> Result<(), Flit> {
         flit.meta.injected_at = now;
         flit.meta.uid = compose_uid(now, from_bank, node);
-        let local = node.index() - self.lo;
-        match self.routers[local].try_inject(flit) {
+        match self.routers[node.index()].try_inject(flit) {
             Ok(()) => {
                 self.stats.injected += 1;
                 self.in_flight += 1;
-                self.mark_active(local);
+                self.mark_active(node.index());
                 Ok(())
             }
             Err(flit) => {
@@ -224,19 +169,17 @@ impl Fabric for Network {
     }
 
     fn eject(&mut self, node: NodeId) -> Option<Flit> {
-        let local = node.index() - self.lo;
-        let router = &mut self.routers[local];
+        let router = &mut self.routers[node.index()];
         let flit = router.eject();
         if flit.is_some() {
             self.in_flight -= 1;
-            self.eject_ready.update(local, router.has_ejectable());
+            self.eject_ready.update(node.index(), router.has_ejectable());
         }
         flit
     }
 
     fn next_ejectable(&self, from: usize) -> Option<NodeId> {
-        let local = self.eject_ready.next(from.saturating_sub(self.lo))?;
-        Some(NodeId::new((self.lo + local) as u16))
+        Some(NodeId::new(self.eject_ready.next(from)? as u16))
     }
 
     fn tick(&mut self, now: Cycle) {
@@ -246,8 +189,7 @@ impl Fabric for Network {
     /// Reports per-router deflections (from [`DeflectionRouter::route`])
     /// and the occupancy of every active router's output latches: the
     /// latched-link count as a [`TraceEvent::LinkLoad`] to `sink`, the
-    /// 4-bit direction mask to [`Meter::link_busy`], under the nodes'
-    /// global ids.
+    /// 4-bit direction mask to [`Meter::link_busy`].
     fn tick_metered<S: TraceSink, M: Meter>(&mut self, now: Cycle, sink: &mut S, meter: &mut M) {
         // This cycle's working set, moved out so the `active` field can
         // start accumulating the next cycle's set into the spare buffer
@@ -267,12 +209,11 @@ impl Fabric for Network {
             }
         }
 
-        // Phase 2: deliver over the (single-cycle) links, or export across
-        // the range boundary; receiving switches and switches with an
-        // undrained injection register form the next working set.
+        // Phase 2: deliver over the (single-cycle) links; receiving
+        // switches and switches with an undrained injection register form
+        // the next working set.
         for &i in &work {
             let i = i as usize;
-            let node = self.lo + i;
             if S::ACTIVE || M::ACTIVE {
                 // Every *active* router reports its occupancy — zeros
                 // included, so a draining router's counter series returns
@@ -285,25 +226,18 @@ impl Fabric for Network {
                 }
                 if S::ACTIVE {
                     let links = mask.count_ones() as u8;
-                    sink.record(now, TraceEvent::LinkLoad { node: node as u16, links });
+                    sink.record(now, TraceEvent::LinkLoad { node: i as u16, links });
                 }
                 if M::ACTIVE {
-                    meter.link_busy(node as u16, mask);
+                    meter.link_busy(i as u16, mask);
                 }
             }
-            let from = self.topo.coord_of(NodeId::new(node as u16));
+            let from = self.topo.coord_of(NodeId::new(i as u16));
             for dir in Dir::ALL {
                 if let Some(flit) = self.latches[i][dir.index()].take() {
                     let to = self.topo.node_of(self.topo.neighbor(from, dir)).index();
-                    match self.local(to) {
-                        Some(local) => {
-                            self.routers[local].accept(dir.opposite(), flit);
-                            self.mark_active(local);
-                        }
-                        None => {
-                            self.exports.push((to as u16, dir.opposite().index() as u8, flit));
-                        }
-                    }
+                    self.routers[to].accept(dir.opposite(), flit);
+                    self.mark_active(to);
                 }
             }
             if self.routers[i].has_pending_inject() {
@@ -328,19 +262,14 @@ impl Fabric for Network {
     }
 
     /// Kills `node`'s output port toward `dir` and the neighbour's
-    /// opposite port — each end only if this network owns it, so a link
-    /// crossing a tile boundary dies on both sides once every tile has
-    /// applied the kill. Each affected switch keeps at least as many live
+    /// opposite port. Each affected switch keeps at least as many live
     /// output ports as live input latches, so the deflection free-port
     /// invariant survives; flits already in flight simply route around
     /// the gap from now on.
     fn kill_link(&mut self, node: NodeId, dir: Dir) {
         let neighbor = self.topo.node_of(self.topo.neighbor(self.topo.coord_of(node), dir));
-        for (end, d) in [(node, dir), (neighbor, dir.opposite())] {
-            if let Some(local) = self.local(end.index()) {
-                self.routers[local].set_link_dead(d);
-            }
-        }
+        self.routers[node.index()].set_link_dead(dir);
+        self.routers[neighbor.index()].set_link_dead(dir.opposite());
     }
 }
 
@@ -521,86 +450,6 @@ mod tests {
         assert_eq!(n.in_flight(), 0);
     }
 
-    #[test]
-    fn shard_pair_matches_whole_network() {
-        // Two shards exchanging exports through mailboxes must behave
-        // bit-identically to the whole fabric: same refusals, same
-        // deliveries (uid/hops included), same stats after a tile-order
-        // merge. This is the noc-layer half of the tiled engine's
-        // determinism argument.
-        let topo = Topology::paper_4x4();
-        let mut whole = Network::new(topo);
-        let mut shards = [Network::shard(topo, 0, 8), Network::shard(topo, 8, 16)];
-        let tile_of = |node: usize| usize::from(node >= 8);
-        // Boundary flits in flight between cycles, keyed by destination tile.
-        let mut mailboxes: [Vec<(u16, u8, Flit)>; 2] = [Vec::new(), Vec::new()];
-        for now in 0..400u64 {
-            for dest in 0..2 {
-                let batch: Vec<_> = mailboxes[dest].drain(..).collect();
-                for (to, from_dir, flit) in batch {
-                    shards[dest].import(to, from_dir, flit);
-                }
-            }
-            if now < 120 {
-                for s in 0..topo.nodes() {
-                    let d = (s * 7 + 3) % topo.nodes();
-                    if d == s {
-                        continue;
-                    }
-                    let flit = Flit::message(
-                        topo.coord_of(NodeId::new(d as u16)),
-                        s as u8,
-                        0,
-                        0,
-                        (now * 31 + s as u64) as u32,
-                    );
-                    let a = whole.try_inject(NodeId::new(s as u16), flit, now).is_ok();
-                    let b = shards[tile_of(s)]
-                        .try_inject_tagged(NodeId::new(s as u16), flit, now, false)
-                        .is_ok();
-                    assert_eq!(a, b, "inject divergence at node {s} cycle {now}");
-                }
-            }
-            whole.tick(now);
-            for shard in &mut shards {
-                shard.tick(now);
-            }
-            for shard in &mut shards {
-                for export in shard.drain_exports() {
-                    mailboxes[tile_of(export.0 as usize)].push(export);
-                }
-            }
-            for node in 0..topo.nodes() {
-                loop {
-                    let a = whole.eject(NodeId::new(node as u16));
-                    let b = shards[tile_of(node)].eject(NodeId::new(node as u16));
-                    match (a, b) {
-                        (Some(x), Some(y)) => {
-                            assert_eq!(x.meta.uid, y.meta.uid);
-                            assert_eq!(x.meta.hops, y.meta.hops);
-                            assert_eq!(x.payload(), y.payload());
-                        }
-                        (None, None) => break,
-                        (a, b) => {
-                            panic!("eject divergence at node {node} cycle {now}: {a:?} vs {b:?}")
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(whole.in_flight(), 0, "whole fabric must drain");
-        assert_eq!(shards[0].in_flight() + shards[1].in_flight(), 0);
-        let mut merged = shards[0].stats().clone();
-        merged.merge(shards[1].stats());
-        assert!(whole.stats().delivered > 0);
-        assert_eq!(merged.delivered, whole.stats().delivered);
-        assert_eq!(merged.injected, whole.stats().injected);
-        assert_eq!(merged.deflections, whole.stats().deflections);
-        assert_eq!(merged.inject_refusals, whole.stats().inject_refusals);
-        assert_eq!(merged.reroutes, whole.stats().reroutes);
-        assert_eq!(&merged.latency, &whole.stats().latency);
-    }
-
     /// Queue `count` self-addressed flits at each node in `nodes`, one per
     /// node per cycle, without ejecting any (the injection register loops
     /// self-addressed traffic straight into the ejection queue).
@@ -662,20 +511,6 @@ mod tests {
         while n.eject(NodeId::new(0)).is_some() {}
         assert_eq!(n.next_ejectable(0), None);
         assert_eq!(n.in_flight(), 0);
-    }
-
-    #[test]
-    fn shard_next_ejectable_maps_local_bits_to_global_nodes() {
-        let topo = Topology::new(16, 16).unwrap();
-        let mut shard = Network::shard(topo, 60, 200);
-        queue_local(&mut shard, topo, &[199, 60, 63, 64, 130], 1);
-        assert_eq!(ready_walk(&shard, 0), [60, 63, 64, 130, 199]);
-        assert_eq!(ready_walk(&shard, 61), [63, 64, 130, 199]);
-        assert_eq!(ready_walk(&shard, 131), [199]);
-        assert_eq!(shard.next_ejectable(200), None);
-        assert_eq!(shard.eject(NodeId::new(130)).map(|f| f.payload()), Some(130));
-        assert_eq!(ready_walk(&shard, 0), [60, 63, 64, 199]);
-        assert_eq!(shard.drain_exports().len(), 0, "self-addressed traffic never leaves");
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! simple in-order cores the paper argues many-core CMPs are moving to.
 //!
 //! The kernel is hosted in one of two kinds ([`medea_sim::coroutine`]): a
-//! *task* — a `Send` future the PE polls in place, on whichever engine
-//! thread owns the PE, each time it fetches the next request — or a
-//! *thread* — a blocking closure on its own OS thread, resumed by a
-//! channel rendezvous. The reply→fetch→begin chain in the step loop is
+//! *task* — a future the PE polls in place, on the engine thread, each
+//! time it fetches the next request — or a *thread* — a blocking closure
+//! on its own OS thread, resumed by a channel rendezvous. The reply→fetch→begin chain in the step loop is
 //! the same for both.
 
 use crate::arbiter::{ArbiterConfig, NocArbiter};
@@ -212,12 +211,12 @@ impl ProcessingElement {
     }
 
     /// Build the PE around a task kernel: `kernel` receives the task port
-    /// and returns the future the PE polls wherever it fetches the next
+    /// and returns the future the PE polls each time it fetches the next
     /// request.
     pub fn new_task<F, Fut>(cfg: PeConfig, topo: Topology, banks: BankMap, kernel: F) -> Self
     where
         F: FnOnce(PeTaskPort) -> Fut,
-        Fut: Future<Output = ()> + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         Self::hosting(cfg, topo, banks, KernelHost::task(&cfg.node.to_string(), kernel))
     }

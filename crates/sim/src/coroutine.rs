@@ -13,13 +13,14 @@
 //! A [`KernelHost`] is the engine-side endpoint and backs a kernel in one
 //! of two ways:
 //!
-//! * a **task** ([`KernelHost::task`]) — the kernel is a `Send` future the
-//!   engine polls in place, on its own thread. An operation leaves its
-//!   request in a slot shared with the host and returns `Pending`;
-//!   [`KernelHost::fetch`] polls the future once (with a no-op waker, under
-//!   `catch_unwind`) and takes the request from the slot;
-//!   [`KernelHost::reply`] fills the slot, and the next poll resumes the
-//!   kernel with the answer. Resuming a task costs one poll;
+//! * a **task** ([`KernelHost::task`]) — the kernel is a future the engine
+//!   polls in place, on its own thread. The future never leaves that
+//!   thread, so it need not be `Send`, and the slot it shares with the
+//!   host is a plain `Rc<RefCell<..>>`. An operation leaves its request in
+//!   the slot and returns `Pending`; [`KernelHost::fetch`] polls the future
+//!   once (with a no-op waker, under `catch_unwind`) and takes the request
+//!   from the slot; [`KernelHost::reply`] fills the slot, and the next poll
+//!   resumes the kernel with the answer. Resuming a task costs one poll;
 //! * a **thread** ([`KernelHost::spawn`]) — the kernel is a blocking
 //!   closure on its own OS thread, talking to the host over a pair of
 //!   rendezvous channels through a [`KernelPort`]. Resuming it costs two
@@ -39,12 +40,13 @@
 //! operation, which could never complete: `fetch` panics naming the
 //! kernel.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
@@ -89,13 +91,7 @@ struct Slot<Req, Resp> {
     response: Option<Resp>,
 }
 
-type SharedSlot<Req, Resp> = Arc<Mutex<Slot<Req, Resp>>>;
-
-/// Lock a slot. Nothing panics while holding the lock, so a poisoned
-/// lock still holds a consistent slot.
-fn lock<Req, Resp>(slot: &SharedSlot<Req, Resp>) -> MutexGuard<'_, Slot<Req, Resp>> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
-}
+type SharedSlot<Req, Resp> = Rc<RefCell<Slot<Req, Resp>>>;
 
 /// The task kernel's endpoint: each [`TaskPort::call`] is one engine
 /// operation.
@@ -118,10 +114,10 @@ impl<Req, Resp> TaskPort<Req, Resp> {
     /// taken: a task awaits one operation at a time, as a thread kernel
     /// blocks on one.
     pub async fn call(&self, req: Req) -> Resp {
-        let pending = lock(&self.slot).request.replace(req);
+        let pending = self.slot.borrow_mut().request.replace(req);
         assert!(pending.is_none(), "a task issued a second request before the first");
         YieldOnce(false).await;
-        lock(&self.slot).response.take().expect("the engine replies before it resumes a task")
+        self.slot.borrow_mut().response.take().expect("the engine replies before it resumes a task")
     }
 }
 
@@ -152,7 +148,7 @@ pub enum Fetched<Req> {
 }
 
 /// A task kernel: the boxed future its host polls.
-type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+type TaskFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
 /// What runs the kernel.
 enum Backing<Req, Resp> {
@@ -221,10 +217,10 @@ impl<Req: Send + 'static, Resp: Send + 'static> KernelHost<Req, Resp> {
     pub fn task<F, Fut>(name: &str, kernel: F) -> Self
     where
         F: FnOnce(TaskPort<Req, Resp>) -> Fut,
-        Fut: Future<Output = ()> + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        let slot = Arc::new(Mutex::new(Slot { request: None, response: None }));
-        let future = Box::pin(kernel(TaskPort { slot: Arc::clone(&slot) }));
+        let slot = Rc::new(RefCell::new(Slot { request: None, response: None }));
+        let future = Box::pin(kernel(TaskPort { slot: Rc::clone(&slot) }));
         KernelHost {
             name: name.to_string(),
             backing: Backing::Task { future: Some(future), slot },
@@ -253,7 +249,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> KernelHost<Req, Resp> {
                 let running = future.as_mut().expect("an unfinished task has its future");
                 let mut cx = Context::from_waker(Waker::noop());
                 match catch_unwind(AssertUnwindSafe(|| running.as_mut().poll(&mut cx))) {
-                    Ok(Poll::Pending) => match lock(slot).request.take() {
+                    Ok(Poll::Pending) => match slot.borrow_mut().request.take() {
                         Some(req) => return Fetched::Request(req),
                         None => panic!(
                             "kernel on {} is pending without a request: it awaited something \
@@ -282,7 +278,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> KernelHost<Req, Resp> {
     /// is silently dropped.
     pub fn reply(&mut self, resp: Resp) {
         match &mut self.backing {
-            Backing::Task { slot, .. } => lock(slot).response = Some(resp),
+            Backing::Task { slot, .. } => slot.borrow_mut().response = Some(resp),
             Backing::Thread { resp_tx, .. } => {
                 let _ = resp_tx.send(resp);
             }
@@ -405,14 +401,14 @@ mod tests {
 
     #[test]
     fn task_runs_nothing_before_the_first_fetch() {
-        let started = Arc::new(Mutex::new(false));
-        let flag = Arc::clone(&started);
+        let started = Rc::new(std::cell::Cell::new(false));
+        let flag = Rc::clone(&started);
         let mut host: KernelHost<u32, u32> = KernelHost::task("t", |_port| async move {
-            *flag.lock().unwrap() = true;
+            flag.set(true);
         });
-        assert!(!*started.lock().unwrap());
+        assert!(!started.get());
         assert_eq!(host.fetch(), Fetched::Finished);
-        assert!(*started.lock().unwrap());
+        assert!(started.get());
     }
 
     #[test]

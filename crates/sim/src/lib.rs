@@ -17,8 +17,6 @@
 //!   future its PE polls in place (or a blocking closure on its own OS
 //!   thread) and rendezvous with the cycle engine at every architectural
 //!   operation.
-//! * [`par`] — the spin phaser that keeps the tiled parallel cycle engine's
-//!   worker pool in lockstep, one barrier per simulated clock edge.
 //!
 //! # Example
 //!
@@ -35,7 +33,6 @@
 pub mod coroutine;
 pub mod fifo;
 pub mod ids;
-pub mod par;
 pub mod rng;
 pub mod stats;
 

@@ -195,11 +195,9 @@ impl Log2Histogram {
 
     /// Merge another histogram into this one, bucket by bucket.
     ///
-    /// Used by the tiled cycle engine to fold per-tile latency histograms
-    /// into the single histogram the sequential engine would have produced:
-    /// bucket counts and the streaming summary are both plain sums/min/max,
-    /// so the merge is commutative and the merged result is bit-identical
-    /// to recording every sample into one histogram, whatever the tile
+    /// Bucket counts and the streaming summary are both plain
+    /// sums/min/max, so the merge is commutative and the merged result is
+    /// bit-identical to recording every sample into one histogram, in any
     /// order. If bucket counts differ, the merged histogram keeps the finer
     /// (longer) resolution.
     pub fn merge(&mut self, other: &Log2Histogram) {
@@ -352,8 +350,7 @@ mod tests {
     #[test]
     fn histogram_merge_matches_single_recorder() {
         // Recording a sample stream into one histogram must equal recording
-        // disjoint halves into two histograms and merging — the property the
-        // tiled engine's stats reduction relies on.
+        // disjoint halves into two histograms and merging.
         let samples = [0u64, 1, 3, 7, 40, 100, 1000, 2, 2, 65];
         let mut whole = Log2Histogram::new(10);
         for &s in &samples {

@@ -1,7 +1,7 @@
 //! Coherence-axis equivalence tests.
 //!
 //! The coherence knob ([`SystemConfigBuilder::coherence`]) must satisfy
-//! three contracts, each pinned here:
+//! two contracts, each pinned here:
 //!
 //! 1. **DII is still the paper, bit for bit.** With the directory
 //!    machinery compiled in, the default (and the explicitly-selected)
@@ -16,14 +16,11 @@
 //!    architecturally correct under *both* modes, so the final memory it
 //!    produces must be identical under both — on random tori, bank
 //!    counts and round counts (property-based).
-//! 3. **MESI composes with the tiled engine.** Directory traffic crosses
-//!    tile boundaries like any other packets; every observable of a MESI
-//!    run — including the new [`CoherenceStats`] — must be bit-identical
-//!    at every thread count.
+//!
+//! A MESI run's directory traffic also surfaces in its trace.
 //!
 //! [`SystemConfigBuilder::coherence`]: medea::core::SystemConfigBuilder::coherence
 //! [`Coherence::Dii`]: medea::core::Coherence
-//! [`CoherenceStats`]: medea::core::CoherenceStats
 
 mod common;
 
@@ -127,30 +124,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. MESI × tiled engine determinism
+// MESI tracing
 // ---------------------------------------------------------------------
-
-#[test]
-fn mesi_tiled_engine_is_bit_identical_to_sequential() {
-    let scfg = SharingConfig { rounds: 4 };
-    let build = |threads: usize| {
-        SystemConfig::builder()
-            .compute_pes(6)
-            .memory_banks(2)
-            .coherence(Coherence::MesiDirectory)
-            .cycle_limit(50_000_000)
-            .host_threads(threads)
-            .build()
-            .unwrap()
-    };
-    let seq = sharing::run(&build(1), &scfg).unwrap();
-    assert!(seq.run.coherence.protocol_messages() > 0, "workload must exercise the directory");
-    for threads in [2, 3, 4] {
-        let par = sharing::run(&build(threads), &scfg).unwrap();
-        assert_eq!(par.counters, seq.counters, "threads={threads}: final memory");
-        assert_eq!(seq.run.divergence(&par.run), None, "threads={threads}");
-    }
-}
 
 #[test]
 fn mesi_coherence_events_are_traced() {

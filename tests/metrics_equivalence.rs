@@ -29,8 +29,8 @@ fn builder(pes: usize) -> medea::core::SystemConfigBuilder {
     SystemConfig::builder().compute_pes(pes).cycle_limit(50_000_000)
 }
 
-fn metered(pes: usize, interval: u64, threads: usize) -> SystemConfig {
-    builder(pes).metrics(MetricsConfig::every(interval)).host_threads(threads).build().unwrap()
+fn metered(pes: usize, interval: u64) -> SystemConfig {
+    builder(pes).metrics(MetricsConfig::every(interval)).build().unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -64,18 +64,16 @@ fn metrics_off_reproduces_paper_fingerprints_bit_for_bit() {
 }
 
 /// And with live sampling enabled, the architectural fingerprints are
-/// unchanged — sequential and tiled — while a populated report appears.
+/// unchanged while a populated report appears.
 #[test]
 fn metrics_on_reproduces_paper_fingerprints_bit_for_bit() {
     for (name, kernels, pes, pin) in paper_pins() {
-        for threads in [1usize, 4] {
-            let run = System::run(&metered(pes, 32, threads), &[], kernels()).expect(name);
-            assert_eq!(fingerprint(&run), pin, "{name}@{threads}t: live sampling cost cycles");
-            let report = run.metrics.as_ref().expect("metered run attaches a report");
-            assert!(!report.windows.is_empty(), "{name}: sampler committed no windows");
-            assert_eq!(report.end, run.cycles, "{name}: report end is the run end");
-            assert_eq!(report.breakdown.len(), pes);
-        }
+        let run = System::run(&metered(pes, 32), &[], kernels()).expect(name);
+        assert_eq!(fingerprint(&run), pin, "{name}: live sampling cost cycles");
+        let report = run.metrics.as_ref().expect("metered run attaches a report");
+        assert!(!report.windows.is_empty(), "{name}: sampler committed no windows");
+        assert_eq!(report.end, run.cycles, "{name}: report end is the run end");
+        assert_eq!(report.breakdown.len(), pes);
     }
 }
 
@@ -87,7 +85,7 @@ fn metrics_on_reproduces_paper_fingerprints_bit_for_bit() {
 /// per-PE totals equal the run's cycle count, so fractions sum to 1.0.
 #[test]
 fn attribution_is_exhaustive_and_exclusive() {
-    let run = System::run(&metered(5, 64, 1), &[], sharedmem_kernels(5)).expect("metered run");
+    let run = System::run(&metered(5, 64), &[], sharedmem_kernels(5)).expect("metered run");
     let report = run.metrics.expect("report");
     for (i, b) in report.breakdown.iter().enumerate() {
         assert_eq!(b.total(), run.cycles, "pe{i}: attribution must cover the whole run");
@@ -158,7 +156,7 @@ proptest! {
 /// writer turns its utilization sections into a valid document.
 #[test]
 fn renderers_emit_valid_artifacts() {
-    let run = System::run(&metered(8, 24, 1), &[], seeded_kernels(8, 0x51AB, 12)).expect("run");
+    let run = System::run(&metered(8, 24), &[], seeded_kernels(8, 0x51AB, 12)).expect("run");
     let report = run.metrics.expect("report");
     assert!(report.windows.len() >= 2, "need a series to animate");
 

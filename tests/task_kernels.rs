@@ -12,8 +12,10 @@
 //!   hanging or passing for finished.
 //! * **Teardown drops** — a run that ends early (here: the cycle limit)
 //!   drops every kernel future.
-//! * **Tiling** — tasks move into the tiled engine's workers, and a tiled
-//!   run equals the sequential one.
+//! * **One engine thread** — a task future never leaves the thread that
+//!   polls it, so it need not be `Send`: it may hold an `Rc` across its
+//!   awaits. `host_threads` selects nothing, so a run that sets it equals
+//!   one that does not.
 
 use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{JacobiConfig, JacobiVariant, JacobiWorkload};
@@ -27,6 +29,8 @@ use medea::core::explore::{ComputeOnlyWorkload, Workload};
 use medea::core::system::{AnyKernel, RunResult, System, Task};
 use medea::core::{empi, AsyncEmpi, Coherence, RunError, SystemConfig, Topology};
 use medea::sim::ids::Rank;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -223,7 +227,32 @@ fn cycle_limit_drops_every_kernel_future() {
 }
 
 #[test]
-fn tiled_task_jacobi_equals_sequential() {
+fn a_task_may_hold_an_rc_across_its_awaits() {
+    // The `Rc<Cell<..>>` lives across every await, so the future is not
+    // `Send`; the PE polls it in place, and its `into_thread` twin builds
+    // and drives it on the kernel thread.
+    let run = both_kinds_tasks("rc-state", &sys(2), &[], || {
+        (0..2u8)
+            .map(|r| {
+                Task::new(move |api| async move {
+                    let total = Rc::new(Cell::new(0u64));
+                    let peer = Rank::new(1 - r);
+                    for i in 1..=5u32 {
+                        api.send_to_rank(peer, &[i]).await;
+                        let got = api.recv_from_rank(peer).await;
+                        total.set(total.get() + u64::from(got[0]));
+                        api.compute(total.get()).await;
+                    }
+                    assert_eq!(total.get(), 15);
+                })
+            })
+            .collect()
+    });
+    assert_eq!(run.pe[0].engine.packets_received.get(), 5);
+}
+
+#[test]
+fn host_threads_changes_no_result() {
     let cfg = |threads: usize| {
         SystemConfig::builder()
             .topology(Topology::new(4, 4).unwrap())
@@ -239,5 +268,5 @@ fn tiled_task_jacobi_equals_sequential() {
         System::run(&cfg(threads), &prepared.preload, prepared.kernels).expect("jacobi run")
     };
     let sequential = run(1);
-    assert_eq!(run(4).divergence(&sequential), None, "tiled at 4 threads");
+    assert_eq!(run(4).divergence(&sequential), None, "host_threads(4)");
 }
