@@ -1,21 +1,20 @@
-//! Equivalence tests for the tiled parallel cycle engine.
+//! Equivalence tests for `SystemConfigBuilder::host_threads`.
 //!
-//! The tiled engine (`host_threads > 1`) is a *performance* feature with a
-//! *correctness* contract: it must be observationally indistinguishable
-//! from the sequential engine, bit for bit. These tests pin that contract
-//! three ways:
+//! Every run takes the one cycle driver on the calling thread. The
+//! builder still accepts and validates `host_threads(n)` because the
+//! repository benchmark sets it, but the value selects nothing, so a run
+//! at any `host_threads` must be observationally indistinguishable from
+//! the default run, bit for bit. These tests pin that contract three ways:
 //!
-//! * **Numeric equivalence** — for every pinned paper workload and a
-//!   seeded mixed op-soup, a run at 2/3/4/7 host threads reproduces the
-//!   single-thread `RunResult` (`RunResult::divergence` finds no
-//!   difference), across tori, PE counts and bank counts.
+//! * **Numeric equivalence** — for a seeded mixed op-soup, a run at
+//!   2/3/4/7 host threads reproduces the single-thread `RunResult`
+//!   (`RunResult::divergence` finds no difference), across tori, PE
+//!   counts and bank counts.
 //! * **Golden fingerprints** — the paper-4×4 pins (literal values carried
 //!   from `tests/golden_determinism.rs`) hold verbatim at
-//!   `host_threads(4)`. The parallel engine is not "equivalent to
-//!   itself"; it is equivalent to the pre-parallel engine.
+//!   `host_threads(4)`.
 //! * **Hooked runs** — a run with a live trace sink, fault injector and
-//!   metrics takes the sequential driver at any thread count, so
-//!   `host_threads` still promises the same run: same result, same event
+//!   metrics is the same run at any thread count: same result, same event
 //!   sequence, same metrics report.
 //!
 //! Error paths are part of the contract too: a deadlocked workload and a
@@ -37,8 +36,8 @@ use medea::sim::ids::Rank;
 use medea::sim::Cycle;
 use medea::trace::RingSink;
 
-/// Thread counts the tiled engine must match single-thread at: even and
-/// odd, dividing and not dividing the node count.
+/// Thread counts a run must match single-thread at: even and odd,
+/// dividing and not dividing the node count.
 const THREADS: [usize; 4] = [2, 3, 4, 7];
 
 fn cfg(pes: usize, threads: usize) -> SystemConfig {
@@ -65,28 +64,8 @@ fn cfg_on(topo: Topology, pes: usize, banks: usize, threads: usize) -> SystemCon
 // Numeric equivalence
 // ---------------------------------------------------------------------
 
-/// The four pinned paper workloads, tiled at every thread count, equal
-/// the sequential run counter for counter on the paper 4×4 torus.
-#[test]
-fn paper_workloads_tiled_match_sequential() {
-    type Factory = fn() -> Vec<AnyKernel>;
-    let workloads: [(&str, Factory, usize); 4] = [
-        ("pingpong", (|| any_kernels(pingpong_kernels(40))) as Factory, 2),
-        ("reduce", (|| any_kernels(reduce_kernels(6))) as Factory, 6),
-        ("gather", (|| any_kernels(gather_kernels(8))) as Factory, 8),
-        ("sharedmem", (|| any_kernels(sharedmem_kernels(5))) as Factory, 5),
-    ];
-    for (name, kernels, pes) in workloads {
-        let seq = System::run(&cfg(pes, 1), &[], kernels()).expect(name);
-        for threads in THREADS {
-            let tiled = System::run(&cfg(pes, threads), &[], kernels()).expect(name);
-            assert_eq!(tiled.divergence(&seq), None, "{name}@{threads}t");
-        }
-    }
-}
-
 /// Mixed workloads across tori (square, rectangular, minimal), PE
-/// counts and multi-bank layouts: tiled == sequential everywhere.
+/// counts and multi-bank layouts: every thread count equals one thread.
 #[test]
 fn mixed_workloads_across_topologies_and_banks() {
     let cases: [(u8, u8, usize, usize, u64); 5] = [
@@ -103,24 +82,24 @@ fn mixed_workloads_across_topologies_and_banks() {
         let seq = System::run(&cfg_on(topo, pes, banks, 1), &[], seeded_kernels(pes, seed, 12))
             .expect(&label);
         for threads in THREADS {
-            let tiled =
+            let run =
                 System::run(&cfg_on(topo, pes, banks, threads), &[], seeded_kernels(pes, seed, 12))
                     .unwrap_or_else(|e| panic!("{label}@{threads}t: {e}"));
-            assert_eq!(tiled.divergence(&seq), None, "{label}@{threads}t");
+            assert_eq!(run.divergence(&seq), None, "{label}@{threads}t");
         }
     }
 }
 
 /// Requesting more threads than the host has — or than the torus has
-/// nodes — degrades gracefully and still matches.
+/// nodes — is accepted and still matches.
 #[test]
 fn oversubscribed_thread_counts_still_match() {
     let topo = Topology::new(2, 2).expect("valid torus");
     let seq = System::run(&cfg_on(topo, 3, 1, 1), &[], seeded_kernels(3, 0xA11, 8)).unwrap();
     for threads in [4, 16, 64] {
-        let tiled =
+        let run =
             System::run(&cfg_on(topo, 3, 1, threads), &[], seeded_kernels(3, 0xA11, 8)).unwrap();
-        assert_eq!(tiled.divergence(&seq), None, "2x2@{threads}t");
+        assert_eq!(run.divergence(&seq), None, "2x2@{threads}t");
     }
 }
 
@@ -129,8 +108,8 @@ fn oversubscribed_thread_counts_still_match() {
 // ---------------------------------------------------------------------
 
 /// The paper-4×4 pins from `tests/golden_determinism.rs`, verbatim, at
-/// four host threads. This anchors the tiled engine to the *historical*
-/// sequential behavior, not merely to the current build's.
+/// four host threads. This anchors a run that sets `host_threads` to the
+/// *historical* engine behavior, not merely to the current build's.
 #[test]
 fn paper_4x4_fingerprints_hold_at_four_threads() {
     type Pin = (&'static str, fn() -> Vec<AnyKernel>, usize, (u64, u64, u64, Option<u64>));
@@ -144,7 +123,7 @@ fn paper_4x4_fingerprints_hold_at_four_threads() {
         let run = System::run(&cfg(pes, 4), &[], kernels()).expect(name);
         let got =
             (run.cycles, run.fabric_delivered, run.fabric_deflections, run.fabric_max_latency);
-        assert_eq!(got, pin, "{name}: tiled engine drifted from the paper fingerprint");
+        assert_eq!(got, pin, "{name}: host_threads(4) drifted from the paper fingerprint");
     }
 }
 
@@ -197,9 +176,9 @@ fn hooked_run_is_identical_at_every_thread_count() {
 // Error-path equivalence
 // ---------------------------------------------------------------------
 
-/// Two kernels each blocked receiving from the other: the tiled engine
-/// must detect the deadlock at the same cycle with the same diagnostic
-/// string at every thread count.
+/// Two kernels each blocked receiving from the other: the deadlock must
+/// be detected at the same cycle with the same diagnostic string at
+/// every thread count.
 #[test]
 fn deadlock_detection_is_identical() {
     let kernels = || -> Vec<Kernel> {
@@ -214,13 +193,12 @@ fn deadlock_detection_is_identical() {
     };
     let seq = System::run(&cfg(2, 1), &[], kernels()).expect_err("must deadlock");
     for threads in THREADS {
-        let tiled = System::run(&cfg(2, threads), &[], kernels()).expect_err("must deadlock");
-        assert_eq!(tiled, seq, "RunError @{threads}t");
+        let err = System::run(&cfg(2, threads), &[], kernels()).expect_err("must deadlock");
+        assert_eq!(err, seq, "RunError @{threads}t");
     }
 }
 
-/// Thread counts the error-path pins run at: the sequential engine and
-/// two tilings.
+/// Thread counts the error-path pins run at: the default and two more.
 const ERROR_THREADS: [usize; 3] = [1, 2, 3];
 
 /// The 2-PE NACK livelock of `tests/fault_injection.rs`: rank 0 receives
@@ -265,8 +243,8 @@ fn livelock_errors_are_identical_at_every_thread_count() {
             assert!(matches!(seq, RunError::CycleLimit { .. }), "{label}: {seq}");
         }
         for threads in &ERROR_THREADS[1..] {
-            let tiled = livelock_error(watchdog, *threads);
-            assert_eq!(tiled, seq, "{label}: RunError @{threads}t");
+            let err = livelock_error(watchdog, *threads);
+            assert_eq!(err, seq, "{label}: RunError @{threads}t");
         }
     }
 }
