@@ -74,12 +74,12 @@ use medea_bench::report::{
     RUN_COLUMNS,
 };
 use medea_bench::{cells, sweep_threads, UtilizationRow};
-use medea_core::api::PeApi;
 use medea_core::explore::{run_sweep, PreparedWorkload, SweepOutcome, SweepPoint, Workload};
-use medea_core::system::{Kernel, RunError, RunResult, System};
+use medea_core::system::{RunError, RunResult, System, Task};
 use medea_core::{
-    CachePolicy, Coherence, CollectiveAlgo, DeadLink, Empi, FaultConfig, MetricsConfig, NullSink,
-    PeActivity, ResilienceConfig, ScheduledInjector, SystemConfig, SystemConfigBuilder, Topology,
+    AsyncEmpi, CachePolicy, Coherence, CollectiveAlgo, DeadLink, FaultConfig, MetricsConfig,
+    NullSink, PeActivity, ResilienceConfig, ScheduledInjector, SystemConfig, SystemConfigBuilder,
+    Topology,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -249,26 +249,26 @@ fn collective_cycles(
         .build()
         .expect("collective bench configuration");
     let measured = Arc::new(AtomicU64::new(0));
-    let kernels: Vec<Kernel> = (0..pes)
+    let kernels: Vec<Task> = (0..pes)
         .map(|r| {
             let cell = Arc::clone(&measured);
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.barrier();
-                let t0 = comm.now();
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
+                comm.barrier().await;
+                let t0 = comm.now().await;
                 for _ in 0..COLLECTIVE_ITERS {
                     match op {
-                        "barrier" => comm.barrier(),
+                        "barrier" => comm.barrier().await,
                         "allreduce" => {
-                            let _ = comm.allreduce(r as f64 + 0.5);
+                            let _ = comm.allreduce(r as f64 + 0.5).await;
                         }
                         other => unreachable!("unknown collective op {other}"),
                     }
                 }
                 if r == 0 {
-                    cell.store((comm.now() - t0) / COLLECTIVE_ITERS, Ordering::SeqCst);
+                    cell.store((comm.now().await - t0) / COLLECTIVE_ITERS, Ordering::SeqCst);
                 }
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&cfg, &[], kernels).expect("collective bench run");
@@ -564,16 +564,16 @@ fn run_resilience(smoke: bool) -> Table {
             .resilience(ResilienceConfig::standard())
             .build()
             .expect("bank-hammer configuration");
-        let kernels: Vec<Kernel> = (0..pes)
+        let kernels: Vec<Task> = (0..pes)
             .map(|r| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
                     for i in 0..ops {
                         let addr = 0x100 + ((r * ops + i) as u32 % 64) * 4;
-                        comm.uncached_store_u32(addr, i as u32);
-                        let _ = comm.uncached_load_u32(addr);
+                        comm.uncached_store_u32(addr, i as u32).await;
+                        let _ = comm.uncached_load_u32(addr).await;
                     }
-                }) as Kernel
+                })
             })
             .collect();
         let schedule = FaultConfig {

@@ -435,14 +435,13 @@ pub fn design_point_table(name: &str, note: &str, points: &[DesignPoint]) -> Tab
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use medea_core::api::PeApi;
-    use medea_core::system::{Kernel, System};
-    use medea_core::{MetricsReport, SampleWindow, SystemConfig};
+    use medea_core::system::System;
+    use medea_core::{MetricsReport, SampleWindow, SystemConfig, Task};
     use medea_trace::{KernelOp, TimedEvent, TraceEvent};
 
     /// One PE that computes and never touches the NoC.
-    fn compute_only() -> Vec<Kernel> {
-        vec![Box::new(|api: PeApi| api.compute(10))]
+    fn compute_only() -> Vec<Task> {
+        vec![Task::new(|api| async move { api.compute(10).await })]
     }
 
     #[test]
@@ -539,7 +538,7 @@ pub(crate) mod tests {
     fn resilience_table_renders_counters_and_outcome() {
         let cfg = SystemConfig::builder().compute_pes(1).build().unwrap();
         let ok = System::run(&cfg, &[], compute_only());
-        let err = System::run(&cfg, &[], Vec::<Kernel>::new());
+        let err = System::run(&cfg, &[], Vec::<Task>::new());
         let mut t = Table::new("resilience", "", &[&["scenario"][..], &RECOVERY_COLUMNS].concat());
         t.push([cells!["clean"], recovery_cells(&ok)].concat());
         t.push([cells!["no kernels"], recovery_cells(&err)].concat());

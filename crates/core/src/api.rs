@@ -3,16 +3,15 @@
 //! Every operation costs simulated time on the owning PE; pure Rust
 //! computation between calls is free and stands for work charged
 //! explicitly via `compute` / the FP helpers (DESIGN.md §2). The
-//! operations exist once, as `async` methods of [`AsyncPeApi`], and serve
-//! both kernel kinds (see [`medea_sim::coroutine`]):
+//! operations are `async` methods of [`AsyncPeApi`]: a kernel
+//! ([`crate::system::Task`]) receives one and awaits each operation; the
+//! operation leaves its request for the PE and yields, and the PE's next
+//! poll resumes the kernel with the answer (see [`medea_sim::coroutine`]).
 //!
-//! * a **task** kernel ([`crate::system::Task`]) receives an
-//!   [`AsyncPeApi`] and awaits each operation: the operation leaves its
-//!   request for the PE and yields, and the PE's next poll resumes the
-//!   kernel with the answer;
-//! * a **thread** kernel ([`crate::system::Kernel`]) receives a [`PeApi`],
-//!   whose methods drive the same operations over the kernel thread's
-//!   port, where each one completes within its first poll.
+//! [`PeApi`] is what remains of the OS-thread kernel kind: the raw TIE
+//! send and receive that the repository benchmark's thread kernels call,
+//! driven over the kernel thread's port, plus the driver behind
+//! [`crate::system::Task::into_thread`].
 //!
 //! # Panics
 //!
@@ -87,12 +86,6 @@ pub struct KernelContext {
 pub struct AsyncPeApi {
     port: Port,
     cx: KernelContext,
-}
-
-impl AsRef<AsyncPeApi> for AsyncPeApi {
-    fn as_ref(&self) -> &AsyncPeApi {
-        self
-    }
 }
 
 impl AsyncPeApi {
@@ -404,18 +397,14 @@ fn lines(base: Addr, bytes: u32) -> impl Iterator<Item = Addr> {
     (line_of(base)..end).step_by(LINE_BYTES)
 }
 
-/// Per-kernel handle to the simulated processing element for a thread
-/// kernel: the operations of [`AsyncPeApi`], each driven to completion
-/// over the kernel thread's port.
+/// Per-kernel handle for an OS-thread kernel: the raw TIE messaging of
+/// [`AsyncPeApi`], each operation driven to completion over the kernel
+/// thread's port. The repository benchmark's thread kernels call these two
+/// operations until it moves to tasks (ROADMAP item 3); every other kernel
+/// is a [`crate::system::Task`].
 #[derive(Debug)]
 pub struct PeApi {
     api: AsyncPeApi,
-}
-
-impl AsRef<AsyncPeApi> for PeApi {
-    fn as_ref(&self) -> &AsyncPeApi {
-        &self.api
-    }
 }
 
 impl PeApi {
@@ -436,146 +425,6 @@ impl PeApi {
         drive(body(self.api));
     }
 
-    /// The resilient-delivery knobs configured on the system.
-    pub const fn resilience(&self) -> ResilienceConfig {
-        self.api.resilience()
-    }
-
-    /// The collective algorithm configured on the system.
-    pub const fn collective_algo(&self) -> CollectiveAlgo {
-        self.api.collective_algo()
-    }
-
-    /// This kernel's eMPI rank.
-    pub const fn rank(&self) -> Rank {
-        self.api.rank()
-    }
-
-    /// Number of ranks in the system.
-    pub const fn ranks(&self) -> usize {
-        self.api.ranks()
-    }
-
-    /// The system memory map.
-    pub const fn layout(&self) -> &MemoryMap {
-        self.api.layout()
-    }
-
-    /// Base address of this rank's private (cacheable) segment.
-    pub fn private_base(&self) -> Addr {
-        self.api.private_base()
-    }
-
-    /// The node hosting `rank`.
-    pub fn node_of_rank(&self, rank: Rank) -> NodeId {
-        self.api.node_of_rank(rank)
-    }
-
-    /// The application-level source id `rank`'s messages carry.
-    pub fn src_id_of_rank(&self, rank: Rank) -> u8 {
-        self.api.src_id_of_rank(rank)
-    }
-
-    /// [`AsyncPeApi::compute`].
-    pub fn compute(&self, cycles: Cycle) {
-        drive(self.api.compute(cycles));
-    }
-
-    /// [`AsyncPeApi::fadd`].
-    pub fn fadd(&self, a: f64, b: f64) -> f64 {
-        drive(self.api.fadd(a, b))
-    }
-
-    /// [`AsyncPeApi::fsub`].
-    pub fn fsub(&self, a: f64, b: f64) -> f64 {
-        drive(self.api.fsub(a, b))
-    }
-
-    /// [`AsyncPeApi::fmul`].
-    pub fn fmul(&self, a: f64, b: f64) -> f64 {
-        drive(self.api.fmul(a, b))
-    }
-
-    /// [`AsyncPeApi::fdiv`].
-    pub fn fdiv(&self, a: f64, b: f64) -> f64 {
-        drive(self.api.fdiv(a, b))
-    }
-
-    /// [`AsyncPeApi::now`].
-    pub fn now(&self) -> Cycle {
-        drive(self.api.now())
-    }
-
-    /// [`AsyncPeApi::load_u32`].
-    pub fn load_u32(&self, addr: Addr) -> u32 {
-        drive(self.api.load_u32(addr))
-    }
-
-    /// [`AsyncPeApi::store_u32`].
-    pub fn store_u32(&self, addr: Addr, value: u32) {
-        drive(self.api.store_u32(addr, value));
-    }
-
-    /// [`AsyncPeApi::load_f64`].
-    pub fn load_f64(&self, addr: Addr) -> f64 {
-        drive(self.api.load_f64(addr))
-    }
-
-    /// [`AsyncPeApi::store_f64`].
-    pub fn store_f64(&self, addr: Addr, value: f64) {
-        drive(self.api.store_f64(addr, value));
-    }
-
-    /// [`AsyncPeApi::flush_line`].
-    pub fn flush_line(&self, addr: Addr) {
-        drive(self.api.flush_line(addr));
-    }
-
-    /// [`AsyncPeApi::invalidate_line`].
-    pub fn invalidate_line(&self, addr: Addr) {
-        drive(self.api.invalidate_line(addr));
-    }
-
-    /// [`AsyncPeApi::flush_region`].
-    pub fn flush_region(&self, base: Addr, bytes: u32) {
-        drive(self.api.flush_region(base, bytes));
-    }
-
-    /// [`AsyncPeApi::invalidate_region`].
-    pub fn invalidate_region(&self, base: Addr, bytes: u32) {
-        drive(self.api.invalidate_region(base, bytes));
-    }
-
-    /// [`AsyncPeApi::uncached_load_u32`].
-    pub fn uncached_load_u32(&self, addr: Addr) -> u32 {
-        drive(self.api.uncached_load_u32(addr))
-    }
-
-    /// [`AsyncPeApi::uncached_store_u32`].
-    pub fn uncached_store_u32(&self, addr: Addr, value: u32) {
-        drive(self.api.uncached_store_u32(addr, value));
-    }
-
-    /// [`AsyncPeApi::uncached_load_f64`].
-    pub fn uncached_load_f64(&self, addr: Addr) -> f64 {
-        drive(self.api.uncached_load_f64(addr))
-    }
-
-    /// [`AsyncPeApi::uncached_store_f64`].
-    pub fn uncached_store_f64(&self, addr: Addr, value: f64) {
-        drive(self.api.uncached_store_f64(addr, value));
-    }
-
-    /// [`AsyncPeApi::lock`].
-    pub fn lock(&self, addr: Addr) {
-        drive(self.api.lock(addr));
-    }
-
-    /// [`AsyncPeApi::unlock`].
-    pub fn unlock(&self, addr: Addr) {
-        drive(self.api.unlock(addr));
-    }
-
     /// [`AsyncPeApi::send_to_rank`].
     ///
     /// # Panics
@@ -589,89 +438,37 @@ impl PeApi {
     pub fn recv_from_rank(&self, rank: Rank) -> Vec<u32> {
         drive(self.api.recv_from_rank(rank))
     }
-
-    /// [`AsyncPeApi::recv_any`].
-    pub fn recv_any(&self) -> (Rank, Vec<u32>) {
-        drive(self.api.recv_any())
-    }
-
-    /// [`AsyncPeApi::trace_span_begin`].
-    pub fn trace_span_begin(&self, op: KernelOp) {
-        drive(self.api.trace_span_begin(op));
-    }
-
-    /// [`AsyncPeApi::trace_span_end`].
-    pub fn trace_span_end(&self, op: KernelOp) {
-        drive(self.api.trace_span_end(op));
-    }
-
-    /// [`AsyncPeApi::try_recv_from_rank`].
-    pub fn try_recv_from_rank(&self, rank: Rank) -> Option<Vec<u32>> {
-        drive(self.api.try_recv_from_rank(rank))
-    }
-
-    /// [`AsyncPeApi::recv_from_rank_flagged`].
-    pub fn recv_from_rank_flagged(&self, rank: Rank) -> (Vec<u32>, bool) {
-        drive(self.api.recv_from_rank_flagged(rank))
-    }
-
-    /// [`AsyncPeApi::try_recv_from_rank_flagged`].
-    pub fn try_recv_from_rank_flagged(&self, rank: Rank) -> Option<(Vec<u32>, bool)> {
-        drive(self.api.try_recv_from_rank_flagged(rank))
-    }
-
-    /// [`AsyncPeApi::fault_note`].
-    pub fn fault_note(&self, retransmits: u32, nacks: u32) {
-        drive(self.api.fault_note(retransmits, nacks));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // PeApi's behaviour is exercised end-to-end by the system tests; here
-    // we only verify the pure helpers.
+    use medea_sim::coroutine::KernelHost;
 
     #[test]
     fn rank_node_src_mapping() {
-        // Construct the mapping logic without a live port via a tiny probe:
-        // node_of_rank/src_id_of_rank depend only on rank arithmetic.
+        // The accessors are pure rank arithmetic: build the API on a task
+        // port that is never polled.
         let layout = MemoryMap::new(4, 1024, 1024).unwrap();
         let plan = crate::SystemConfig::builder().compute_pes(4).build().unwrap().node_plan();
-        // PeApi requires a port; spawn a dummy host pair.
-        let host: medea_sim::coroutine::KernelHost<PeRequest, PeResponse>;
-        let (api, h) = {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let h = medea_sim::coroutine::KernelHost::spawn("t", move |port| {
-                let api = PeApi::new(
-                    port,
-                    KernelContext {
-                        rank: Rank::new(2),
-                        ranks: 4,
-                        layout,
-                        plan,
-                        collective_algo: CollectiveAlgo::Linear,
-                        trace_spans: false,
-                        resilience: ResilienceConfig::off(),
-                    },
-                );
-                tx.send((
-                    api.node_of_rank(Rank::new(0)),
-                    api.node_of_rank(Rank::new(3)),
-                    api.src_id_of_rank(Rank::new(2)),
-                    api.private_base(),
-                ))
-                .unwrap();
-            });
-            (rx.recv().unwrap(), h)
+        let cx = KernelContext {
+            rank: Rank::new(2),
+            ranks: 4,
+            layout,
+            plan,
+            collective_algo: CollectiveAlgo::Linear,
+            trace_spans: false,
+            resilience: ResilienceConfig::off(),
         };
-        host = h;
-        let (n0, n3, src2, base) = api;
-        assert_eq!(n0, NodeId::new(1));
-        assert_eq!(n3, NodeId::new(4));
-        assert_eq!(src2, 3);
-        assert_eq!(base, 1024 + 2 * 1024);
-        drop(host);
+        let mut api = None;
+        let _host = KernelHost::task("t", |port| {
+            api = Some(AsyncPeApi::new(port, cx));
+            async {}
+        });
+        let api = api.expect("the host builds its kernel at once");
+        assert_eq!(api.node_of_rank(Rank::new(0)), NodeId::new(1));
+        assert_eq!(api.node_of_rank(Rank::new(3)), NodeId::new(4));
+        assert_eq!(api.src_id_of_rank(Rank::new(2)), 3);
+        assert_eq!(api.private_base(), 1024 + 2 * 1024);
     }
 }

@@ -337,8 +337,8 @@ fn bank_grid(topology: Topology, banks: usize) -> (usize, usize) {
 /// Which node plays which role: the bank-node set plus the rank → node
 /// assignment (compute PEs occupy the non-bank nodes in ascending order).
 ///
-/// A small `Copy` value so every kernel's [`crate::api::PeApi`] can carry
-/// it; with one bank at node 0 it reproduces the original `rank + 1`
+/// A small `Copy` value so every kernel's [`crate::api::AsyncPeApi`] can
+/// carry it; with one bank at node 0 it reproduces the original `rank + 1`
 /// mapping exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodePlan {

@@ -14,12 +14,9 @@
 //! [`AsyncEmpi::allreduce`], [`AsyncEmpi::gather`],
 //! [`AsyncEmpi::scatter`]) on top of them.
 //!
-//! The protocol engines, the collectives and the f64 helpers are written
-//! once, as `async` methods of [`AsyncEmpi`], for both kernel kinds (see
-//! [`crate::api`]): a task kernel wraps its [`AsyncPeApi`] in an
-//! [`AsyncEmpi`] and awaits each operation; a thread kernel wraps its
-//! [`PeApi`] in an [`Empi`], whose methods drive the same operations over
-//! the kernel thread's port. Both issue the same request stream.
+//! The protocol engines, the collectives and the f64 helpers are `async`
+//! methods of [`AsyncEmpi`]: a kernel wraps its [`AsyncPeApi`] in an
+//! [`AsyncEmpi`] and awaits each operation (see [`crate::api`]).
 //!
 //! # Framing
 //!
@@ -52,9 +49,9 @@
 //! reading of the request/data distinction the paper gives the
 //! message-passing subtype field (§II-D).
 //!
-//! Two ranks must therefore never run credit-window [`Empi::send`]s *to
-//! each other* concurrently — the classic unbuffered-MPI exchange
-//! deadlock. [`Empi::sendrecv`] makes that footgun unrepresentable: it
+//! Two ranks must therefore never run credit-window [`AsyncEmpi::send`]s
+//! *to each other* concurrently — the classic unbuffered-MPI exchange
+//! deadlock. [`AsyncEmpi::sendrecv`] makes that footgun unrepresentable: it
 //! runs both directions through one progress engine that services
 //! incoming data (granting credits) while its own send waits for credits,
 //! so symmetric exchanges — halo swaps, recursive-doubling rounds — need
@@ -119,7 +116,7 @@
 //! injection; with it off, every path below is byte-identical to the
 //! pinned golden behavior.
 
-use crate::api::{drive, AsyncPeApi, PeApi};
+use crate::api::AsyncPeApi;
 use crate::calib::CALL_OVERHEAD_CYCLES;
 use medea_pe::kernel_if::{f64_to_words, words_to_f64};
 use medea_sim::ids::Rank;
@@ -273,17 +270,15 @@ impl CollectiveAlgo {
         [CollectiveAlgo::Linear, CollectiveAlgo::BinomialTree, CollectiveAlgo::RecursiveDoubling];
 }
 
-/// The eMPI communicator of a task kernel: one per kernel, owning its
-/// [`AsyncPeApi`]; every operation is `async`.
+/// The eMPI communicator: one per kernel, owning its [`AsyncPeApi`]; every
+/// operation is `async`.
 ///
 /// Derefs to the wrapped API, so kernels keep direct access to
 /// loads/stores, coherence operations and raw TIE messaging through the
-/// communicator. The protocol engines and collectives are written once,
-/// here: the sync [`Empi`] is this communicator over a thread kernel's
-/// [`PeApi`] (`A = PeApi`), driving the same operations.
+/// communicator.
 #[derive(Debug)]
-pub struct AsyncEmpi<A = AsyncPeApi> {
-    api: A,
+pub struct AsyncEmpi {
+    api: AsyncPeApi,
     algo: CollectiveAlgo,
     /// Resilient-delivery knobs (`ResilienceConfig` on the system).
     resilience: crate::config::ResilienceConfig,
@@ -291,26 +286,21 @@ pub struct AsyncEmpi<A = AsyncPeApi> {
     arq: RefCell<ArqState>,
 }
 
-impl<A> std::ops::Deref for AsyncEmpi<A> {
-    type Target = A;
+impl std::ops::Deref for AsyncEmpi {
+    type Target = AsyncPeApi;
 
-    fn deref(&self) -> &A {
+    fn deref(&self) -> &AsyncPeApi {
         &self.api
     }
 }
 
-impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
+impl AsyncEmpi {
     /// Wrap a kernel's API, adopting the algorithm configured on the
     /// system (`SystemConfigBuilder::collective_algo`).
-    pub fn new(api: A) -> Self {
-        let algo = api.as_ref().collective_algo();
-        let resilience = api.as_ref().resilience();
+    pub fn new(api: AsyncPeApi) -> Self {
+        let algo = api.collective_algo();
+        let resilience = api.resilience();
         AsyncEmpi { api, algo, resilience, arq: RefCell::default() }
-    }
-
-    /// The operations every protocol step issues.
-    fn pe(&self) -> &AsyncPeApi {
-        self.api.as_ref()
     }
 
     fn arq(&self) -> RefMut<'_, ArqState> {
@@ -327,20 +317,15 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
         self.algo
     }
 
-    /// The wrapped API.
-    pub const fn api(&self) -> &A {
-        &self.api
-    }
-
     /// Delimit `body` with kernel-level trace span markers for `op` — a
     /// no-op (and zero simulated cycles regardless) unless the run's trace
     /// sink is active or metrics are on. The operation's library call
     /// overhead is charged inside the span.
     async fn span<R>(&self, op: KernelOp, body: impl Future<Output = R>) -> R {
-        self.pe().trace_span_begin(op).await;
-        self.pe().compute(CALL_OVERHEAD_CYCLES).await;
+        self.api.trace_span_begin(op).await;
+        self.api.compute(CALL_OVERHEAD_CYCLES).await;
         let result = body.await;
-        self.pe().trace_span_end(op).await;
+        self.api.trace_span_end(op).await;
         result
     }
 
@@ -362,7 +347,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// Transmit chunk `idx` of `words`.
     async fn send_chunk(&self, to: Rank, words: &[u32], idx: usize) {
         let packet = chunk_packet(header(KIND_DATA, words.len(), idx), words, idx);
-        self.pe().send_packet(to, packet).await;
+        self.api.send_packet(to, packet).await;
     }
 
     /// MPI_receive: block until the complete message from `from` has
@@ -434,7 +419,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
-        let pe = self.pe();
+        let pe = &self.api;
         let total_tx = match to {
             Some(_) => {
                 assert!(
@@ -452,7 +437,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
         let mut rx = RxState::new();
         let take_credit = |to: Rank, allowance: &mut usize, credit: &[u32]| {
             let cause = if from.is_none() {
-                "overlapping opposite-direction sends — use Empi::sendrecv for the exchange"
+                "overlapping opposite-direction sends — use AsyncEmpi::sendrecv for the exchange"
             } else {
                 "a third party is sending into this exchange"
             };
@@ -542,7 +527,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
         words: &[u32],
         from: Option<Rank>,
     ) -> Option<Vec<u32>> {
-        let pe = self.pe();
+        let pe = &self.api;
         let cfg = self.resilience;
         let (tx_serial, total_tx) = match to {
             Some(to) => {
@@ -699,15 +684,15 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// `send_chunk` with the resilient header (serial bit).
     async fn send_chunk_r(&self, to: Rank, serial: u32, words: &[u32], idx: usize) {
         let packet = chunk_packet(header_r(KIND_DATA, serial, words.len(), idx), words, idx);
-        self.pe().send_packet(to, packet).await;
+        self.api.send_packet(to, packet).await;
     }
 
     async fn send_nack(&self, peer: Rank, serial: u32, chunk: usize) {
-        self.pe().send_to_rank(peer, &[header_r(KIND_NACK, serial, 0, chunk)]).await;
+        self.api.send_to_rank(peer, &[header_r(KIND_NACK, serial, 0, chunk)]).await;
     }
 
     async fn send_ack(&self, peer: Rank, serial: u32) {
-        self.pe().send_to_rank(peer, &[header_r(KIND_ACK, serial, 0, 0)]).await;
+        self.api.send_to_rank(peer, &[header_r(KIND_ACK, serial, 0, 0)]).await;
     }
 
     /// Flip and return the serial for a new message to `to`.
@@ -742,7 +727,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
         });
         match packet {
             Some(packet) => {
-                self.pe().send_packet(peer, packet).await;
+                self.api.send_packet(peer, packet).await;
                 1
             }
             None => 0,
@@ -782,7 +767,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// hybrid model's key primitive, no shared memory touched.
     pub async fn barrier(&self) {
         self.span(KernelOp::Barrier, async {
-            if self.pe().ranks() == 1 {
+            if self.api.ranks() == 1 {
                 return;
             }
             match self.algo {
@@ -801,7 +786,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// message. Non-root callers' `words` are ignored (pass `&[]`).
     pub async fn bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
         self.span(KernelOp::Bcast, async {
-            if self.pe().ranks() == 1 {
+            if self.api.ranks() == 1 {
                 return words.to_vec();
             }
             match self.algo {
@@ -826,7 +811,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// result is bit-deterministic run over run.
     pub async fn reduce(&self, root: Rank, value: f64) -> Option<f64> {
         self.span(KernelOp::Reduce, async {
-            let pe = self.pe();
+            let pe = &self.api;
             if pe.ranks() == 1 {
                 return (pe.rank() == root).then_some(value);
             }
@@ -845,7 +830,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// Sum-reduce one double per rank; every rank returns the sum.
     pub async fn allreduce(&self, value: f64) -> f64 {
         self.span(KernelOp::Allreduce, async {
-            if self.pe().ranks() == 1 {
+            if self.api.ranks() == 1 {
                 return value;
             }
             let root = Rank::new(0);
@@ -873,8 +858,8 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// reduce the volume through the root's ejection port.
     pub async fn gather(&self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
         self.span(KernelOp::Gather, async {
-            let ranks = self.pe().ranks();
-            if self.pe().rank() == root {
+            let ranks = self.api.ranks();
+            if self.api.rank() == root {
                 let mut out: Vec<Vec<u32>> = vec![Vec::new(); ranks];
                 out[root.index()] = words.to_vec();
                 for src in others(ranks, root) {
@@ -898,8 +883,8 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// Panics at the root if `chunks.len()` differs from the rank count.
     pub async fn scatter(&self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
         self.span(KernelOp::Scatter, async {
-            let ranks = self.pe().ranks();
-            if self.pe().rank() == root {
+            let ranks = self.api.ranks();
+            if self.api.rank() == root {
                 assert_eq!(chunks.len(), ranks, "scatter needs one chunk per rank");
                 for dst in others(ranks, root) {
                     self.send(dst, &chunks[dst.index()]).await;
@@ -915,8 +900,8 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     // ---- linear algorithms (the seed's message patterns) ----
 
     async fn linear_barrier(&self) {
-        let ranks = self.pe().ranks();
-        if self.pe().rank().is_master() {
+        let ranks = self.api.ranks();
+        if self.api.rank().is_master() {
             for r in 1..ranks {
                 let _ = self.recv(Rank::new(r as u8)).await;
             }
@@ -930,8 +915,8 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     }
 
     async fn linear_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        if self.pe().rank() == root {
-            for dst in others(self.pe().ranks(), root) {
+        if self.api.rank() == root {
+            for dst in others(self.api.ranks(), root) {
                 self.send(dst, words).await;
             }
             words.to_vec()
@@ -941,11 +926,11 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     }
 
     async fn linear_reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        if self.pe().rank() == root {
+        if self.api.rank() == root {
             let mut acc = value;
-            for src in others(self.pe().ranks(), root) {
+            for src in others(self.api.ranks(), root) {
                 let v = self.recv_f64(src).await;
-                acc = self.pe().fadd(acc, v[0]).await;
+                acc = self.api.fadd(acc, v[0]).await;
             }
             Some(acc)
         } else {
@@ -957,9 +942,9 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// The broadcast half of the linear allreduce, kept message-for-
     /// message identical to the seed's hand-rolled gather + broadcast.
     async fn linear_bcast_f64_scalar(&self, root: Rank, sum: Option<f64>) -> f64 {
-        if self.pe().rank() == root {
+        if self.api.rank() == root {
             let s = sum.expect("root holds the reduction");
-            for dst in others(self.pe().ranks(), root) {
+            for dst in others(self.api.ranks(), root) {
                 self.send_f64(dst, &[s]).await;
             }
             s
@@ -973,18 +958,18 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// This rank's position relative to `root` (the tree is rooted at the
     /// collective's root by rank rotation).
     fn relative_rank(&self, root: Rank) -> usize {
-        let ranks = self.pe().ranks();
-        (self.pe().rank().index() + ranks - root.index()) % ranks
+        let ranks = self.api.ranks();
+        (self.api.rank().index() + ranks - root.index()) % ranks
     }
 
     fn absolute_rank(&self, root: Rank, relative: usize) -> Rank {
-        Rank::new(((relative + root.index()) % self.pe().ranks()) as u8)
+        Rank::new(((relative + root.index()) % self.api.ranks()) as u8)
     }
 
     /// Binomial reduce of one double to `root`: leaves send first, every
     /// subtree parent combines its children in ascending-mask order.
     async fn binomial_reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        let ranks = self.pe().ranks();
+        let ranks = self.api.ranks();
         let rel = self.relative_rank(root);
         let mut acc = value;
         let mut mask = 1usize;
@@ -995,7 +980,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
             }
             if rel + mask < ranks {
                 let v = self.recv_f64(self.absolute_rank(root, rel + mask)).await;
-                acc = self.pe().fadd(acc, v[0]).await;
+                acc = self.api.fadd(acc, v[0]).await;
             }
             mask <<= 1;
         }
@@ -1005,7 +990,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// Binomial broadcast from `root`: each rank receives from its parent,
     /// then forwards down its subtree in descending-mask order.
     async fn binomial_bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        let ranks = self.pe().ranks();
+        let ranks = self.api.ranks();
         let rel = self.relative_rank(root);
         let mut mask = 1usize;
         let mut data: Option<Vec<u32>> = (rel == 0).then(|| words.to_vec());
@@ -1034,8 +1019,8 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// The broadcast half of the barrier is just `binomial_bcast` of an
     /// empty message.
     async fn binomial_reduce_tokens(&self) {
-        let ranks = self.pe().ranks();
-        let rel = self.pe().rank().index();
+        let ranks = self.api.ranks();
+        let rel = self.api.rank().index();
         let mut mask = 1usize;
         while mask < ranks {
             if rel & mask != 0 {
@@ -1053,7 +1038,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
 
     /// Largest power of two ≤ `ranks` and the surplus beyond it.
     fn doubling_split(&self) -> (usize, usize) {
-        let ranks = self.pe().ranks();
+        let ranks = self.api.ranks();
         let pof2 = 1usize << (usize::BITS - 1 - ranks.leading_zeros());
         (pof2, ranks - pof2)
     }
@@ -1066,7 +1051,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// same bits.
     async fn doubling_allreduce(&self, value: f64) -> f64 {
         let (pof2, rem) = self.doubling_split();
-        let r = self.pe().rank().index();
+        let r = self.api.rank().index();
         let mut acc = value;
         // Fold-in phase for the surplus ranks.
         let newrank = if r < 2 * rem {
@@ -1075,7 +1060,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
                 None
             } else {
                 let v = self.recv_f64(Rank::new((r - 1) as u8)).await;
-                acc = self.pe().fadd(acc, v[0]).await;
+                acc = self.api.fadd(acc, v[0]).await;
                 Some(r / 2)
             }
         } else {
@@ -1089,7 +1074,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
                     .sendrecv_f64(Some(partner), &[acc], Some(partner))
                     .await
                     .expect("duplex exchange returns the partner's value");
-                acc = self.pe().fadd(acc, v[0]).await;
+                acc = self.api.fadd(acc, v[0]).await;
                 mask <<= 1;
             }
         }
@@ -1108,7 +1093,7 @@ impl<A: AsRef<AsyncPeApi>> AsyncEmpi<A> {
     /// empty tokens.
     async fn doubling_barrier(&self) {
         let (pof2, rem) = self.doubling_split();
-        let r = self.pe().rank().index();
+        let r = self.api.rank().index();
         let newrank = if r < 2 * rem {
             if r.is_multiple_of(2) {
                 self.send(Rank::new((r + 1) as u8), &[]).await;
@@ -1150,135 +1135,6 @@ fn doubling_partner(partner_new: usize, rem: usize) -> usize {
         partner_new * 2 + 1
     } else {
         partner_new + rem
-    }
-}
-
-/// The eMPI communicator of a thread kernel: one per kernel, owning its
-/// [`PeApi`]. Each method drives the [`AsyncEmpi`] operation of the same
-/// name over the kernel thread's port.
-///
-/// Derefs to [`PeApi`], so kernels keep direct access to loads/stores,
-/// coherence operations and raw TIE messaging through the communicator.
-#[derive(Debug)]
-pub struct Empi {
-    comm: AsyncEmpi<PeApi>,
-}
-
-impl std::ops::Deref for Empi {
-    type Target = PeApi;
-
-    fn deref(&self) -> &PeApi {
-        self.comm.api()
-    }
-}
-
-impl Empi {
-    /// Wrap a kernel's [`PeApi`], adopting the algorithm configured on the
-    /// system (`SystemConfigBuilder::collective_algo`).
-    pub fn new(api: PeApi) -> Self {
-        Empi { comm: AsyncEmpi::new(api) }
-    }
-
-    /// The algorithm this communicator's collectives run.
-    pub const fn algo(&self) -> CollectiveAlgo {
-        self.comm.algo()
-    }
-
-    /// The wrapped [`PeApi`].
-    pub const fn api(&self) -> &PeApi {
-        self.comm.api()
-    }
-
-    /// [`AsyncEmpi::send`].
-    ///
-    /// # Panics
-    ///
-    /// As [`AsyncEmpi::send`]; use [`Empi::sendrecv`] for symmetric
-    /// exchanges.
-    pub fn send(&self, to: Rank, words: &[u32]) {
-        drive(self.comm.send(to, words));
-    }
-
-    /// [`AsyncEmpi::recv`].
-    ///
-    /// # Panics
-    ///
-    /// As [`AsyncEmpi::recv`].
-    pub fn recv(&self, from: Rank) -> Vec<u32> {
-        drive(self.comm.recv(from))
-    }
-
-    /// [`AsyncEmpi::sendrecv`].
-    pub fn sendrecv(
-        &self,
-        to: Option<Rank>,
-        words: &[u32],
-        from: Option<Rank>,
-    ) -> Option<Vec<u32>> {
-        drive(self.comm.sendrecv(to, words, from))
-    }
-
-    /// [`AsyncEmpi::send_f64`].
-    pub fn send_f64(&self, to: Rank, values: &[f64]) {
-        drive(self.comm.send_f64(to, values));
-    }
-
-    /// [`AsyncEmpi::recv_f64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the incoming message has an odd word count.
-    pub fn recv_f64(&self, from: Rank) -> Vec<f64> {
-        drive(self.comm.recv_f64(from))
-    }
-
-    /// [`AsyncEmpi::sendrecv_f64`].
-    pub fn sendrecv_f64(
-        &self,
-        to: Option<Rank>,
-        values: &[f64],
-        from: Option<Rank>,
-    ) -> Option<Vec<f64>> {
-        drive(self.comm.sendrecv_f64(to, values, from))
-    }
-
-    /// [`AsyncEmpi::barrier`].
-    pub fn barrier(&self) {
-        drive(self.comm.barrier());
-    }
-
-    /// [`AsyncEmpi::bcast`].
-    pub fn bcast(&self, root: Rank, words: &[u32]) -> Vec<u32> {
-        drive(self.comm.bcast(root, words))
-    }
-
-    /// [`AsyncEmpi::bcast_f64`].
-    pub fn bcast_f64(&self, root: Rank, values: &[f64]) -> Vec<f64> {
-        drive(self.comm.bcast_f64(root, values))
-    }
-
-    /// [`AsyncEmpi::reduce`].
-    pub fn reduce(&self, root: Rank, value: f64) -> Option<f64> {
-        drive(self.comm.reduce(root, value))
-    }
-
-    /// [`AsyncEmpi::allreduce`].
-    pub fn allreduce(&self, value: f64) -> f64 {
-        drive(self.comm.allreduce(value))
-    }
-
-    /// [`AsyncEmpi::gather`].
-    pub fn gather(&self, root: Rank, words: &[u32]) -> Option<Vec<Vec<u32>>> {
-        drive(self.comm.gather(root, words))
-    }
-
-    /// [`AsyncEmpi::scatter`].
-    ///
-    /// # Panics
-    ///
-    /// Panics at the root if `chunks.len()` differs from the rank count.
-    pub fn scatter(&self, root: Rank, chunks: &[Vec<u32>]) -> Vec<u32> {
-        drive(self.comm.scatter(root, chunks))
     }
 }
 

@@ -12,19 +12,16 @@
 //!   banks spread across the torus (default 1 at node 0 — the paper's
 //!   single-slave instance, reproduced bit-for-bit);
 //! * [`System`](system::System) — the cycle engine with idle fast-forward;
-//!   it runs one kernel per PE, a [`Task`] (an `async` body its PE polls in
-//!   place) or a thread [`Kernel`](system::Kernel) (a blocking closure on
-//!   its own OS thread);
+//!   it runs one kernel per PE, a [`Task`]: an `async` body its PE polls in
+//!   place;
 //! * [`AsyncPeApi`](api::AsyncPeApi) — the architectural-operation
 //!   interface kernels program against (loads/stores through the cache,
-//!   §II-E coherence operations, lock/unlock, raw TIE messages), and
-//!   [`PeApi`](api::PeApi), the same operations for a thread kernel;
+//!   §II-E coherence operations, lock/unlock, raw TIE messages);
 //! * [`empi`] — the embedded-MPI layer (§II-E) as a communicator object:
-//!   [`AsyncEmpi`] (and [`Empi`] for a thread kernel) wraps a kernel's API
-//!   with point-to-point transfers (`send`/`recv`/`sendrecv`) and
-//!   algorithm-selectable collectives (`barrier`, `bcast`, `reduce`,
-//!   `allreduce`, `gather`, `scatter` — linear, binomial-tree or
-//!   recursive-doubling per [`CollectiveAlgo`]);
+//!   [`AsyncEmpi`] wraps a kernel's API with point-to-point transfers
+//!   (`send`/`recv`/`sendrecv`) and algorithm-selectable collectives
+//!   (`barrier`, `bcast`, `reduce`, `allreduce`, `gather`, `scatter` —
+//!   linear, binomial-tree or recursive-doubling per [`CollectiveAlgo`]);
 //! * [`area`] — the TSMC-65nm area model with kill-rule Pareto pruning
 //!   used for Figs. 7 and 9;
 //! * [`explore`] — the multi-configuration design-space exploration driver
@@ -71,7 +68,7 @@ pub(crate) mod sched;
 pub mod system;
 
 pub use config::{BuildConfigError, NodePlan, ResilienceConfig, SystemConfig, SystemConfigBuilder};
-pub use empi::{AsyncEmpi, CollectiveAlgo, Empi};
+pub use empi::{AsyncEmpi, CollectiveAlgo};
 pub use medea_cache::CachePolicy;
 pub use medea_cache::CoherenceMode as Coherence;
 pub use medea_cache::CoherenceStats;

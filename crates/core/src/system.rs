@@ -92,14 +92,15 @@ use std::ops::ControlFlow;
 use std::pin::Pin;
 use std::time::{Duration, Instant};
 
-/// A thread kernel: a blocking closure on its own OS thread, programming
-/// against [`PeApi`].
+/// An OS-thread kernel: a blocking closure on its own OS thread over a
+/// [`PeApi`]. Only the repository benchmark's own kernels and
+/// [`Task::into_thread`] build one; every other kernel is a [`Task`].
 pub type Kernel = Box<dyn FnOnce(PeApi) + Send + 'static>;
 
 /// The future a task kernel runs as.
 type KernelFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
-/// A task kernel: an `async` body over [`AsyncPeApi`] that its PE polls in
+/// A kernel: an `async` body over [`AsyncPeApi`] that its PE polls in
 /// place, on the engine thread.
 pub struct Task(Box<dyn FnOnce(AsyncPeApi) -> KernelFuture + Send + 'static>);
 
@@ -125,7 +126,8 @@ impl Task {
     }
 }
 
-/// A kernel of either kind, one per configured PE.
+/// What a run takes per configured PE: a [`Task`], or one of the
+/// remaining OS-thread [`Kernel`]s.
 pub enum AnyKernel {
     /// A task its PE polls in place.
     Task(Task),
@@ -155,7 +157,7 @@ impl From<Kernel> for AnyKernel {
     }
 }
 
-/// One kernel per configured PE, of either kind.
+/// One kernel per configured PE.
 pub(crate) fn kernel_list(kernels: Vec<impl Into<AnyKernel>>) -> Vec<AnyKernel> {
     kernels.into_iter().map(Into::into).collect()
 }
@@ -1189,7 +1191,7 @@ fn finish_result(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::empi::Empi;
+    use crate::empi::AsyncEmpi;
     use medea_sim::ids::Rank;
 
     fn cfg(pes: usize) -> SystemConfig {
@@ -1198,7 +1200,7 @@ mod tests {
 
     #[test]
     fn kernel_count_checked() {
-        let err = System::run(&cfg(3), &[], Vec::<Kernel>::new()).unwrap_err();
+        let err = System::run(&cfg(3), &[], Vec::<Task>::new()).unwrap_err();
         assert!(matches!(err, RunError::KernelCountMismatch { kernels: 0, pes: 3 }));
     }
 
@@ -1207,9 +1209,9 @@ mod tests {
         let result = System::run(
             &cfg(1),
             &[],
-            vec![Box::new(|api: PeApi| {
-                api.compute(1000);
-            }) as Kernel],
+            vec![Task::new(|api| async move {
+                api.compute(1000).await;
+            })],
         )
         .unwrap();
         // Fast-forward must not distort time: ~1000 cycles plus small
@@ -1222,18 +1224,18 @@ mod tests {
         let result = System::run(
             &cfg(1),
             &[(0x1000, 0xABCD)],
-            vec![Box::new(|api: PeApi| {
+            vec![Task::new(|api| async move {
                 // Preloaded data is visible through the cache hierarchy.
-                assert_eq!(api.load_u32(0x1000), 0xABCD);
+                assert_eq!(api.load_u32(0x1000).await, 0xABCD);
                 // Writes round-trip.
-                api.store_f64(0x2000, 2.75);
-                assert_eq!(api.load_f64(0x2000), 2.75);
+                api.store_f64(0x2000, 2.75).await;
+                assert_eq!(api.load_f64(0x2000).await, 2.75);
                 // Flush pushes them to the MPMMU; invalidate + reload
                 // still sees them.
-                api.flush_line(0x2000);
-                api.invalidate_line(0x2000);
-                assert_eq!(api.load_f64(0x2000), 2.75);
-            }) as Kernel],
+                api.flush_line(0x2000).await;
+                api.invalidate_line(0x2000).await;
+                assert_eq!(api.load_f64(0x2000).await, 2.75);
+            })],
         )
         .unwrap();
         assert!(result.mpmmu.block_reads.get() >= 2);
@@ -1246,16 +1248,16 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let words = api.recv_from_rank(Rank::new(1));
+                Task::new(|api| async move {
+                    let words = api.recv_from_rank(Rank::new(1)).await;
                     assert_eq!(words[0], 7);
-                    api.send_to_rank(Rank::new(1), &[8]);
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    api.send_to_rank(Rank::new(0), &[7]);
-                    let words = api.recv_from_rank(Rank::new(0));
+                    api.send_to_rank(Rank::new(1), &[8]).await;
+                }),
+                Task::new(|api| async move {
+                    api.send_to_rank(Rank::new(0), &[7]).await;
+                    let words = api.recv_from_rank(Rank::new(0)).await;
                     assert_eq!(words[0], 8);
-                }) as Kernel,
+                }),
             ],
         )
         .unwrap();
@@ -1272,28 +1274,28 @@ mod tests {
             &cfg(4),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.compute(slow);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.compute(100);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.barrier();
-                    assert!(comm.now() >= slow);
-                }) as Kernel,
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    comm.compute(slow).await;
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
+                }),
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
+                }),
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    comm.compute(100).await;
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
+                }),
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    comm.barrier().await;
+                    assert!(comm.now().await >= slow);
+                }),
             ],
         )
         .unwrap();
@@ -1308,13 +1310,13 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let got = Empi::new(api).recv(Rank::new(1));
+                Task::new(move |api| async move {
+                    let got = AsyncEmpi::new(api).recv(Rank::new(1)).await;
                     assert_eq!(got, expect);
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    Empi::new(api).send(Rank::new(0), &payload);
-                }) as Kernel,
+                }),
+                Task::new(move |api| async move {
+                    AsyncEmpi::new(api).send(Rank::new(0), &payload).await;
+                }),
             ],
         )
         .unwrap();
@@ -1326,13 +1328,13 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let got = Empi::new(api).recv_f64(Rank::new(1));
+                Task::new(|api| async move {
+                    let got = AsyncEmpi::new(api).recv_f64(Rank::new(1)).await;
                     assert_eq!(got, vec![1.5, -2.25, 1e300]);
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    Empi::new(api).send_f64(Rank::new(0), &[1.5, -2.25, 1e300]);
-                }) as Kernel,
+                }),
+                Task::new(|api| async move {
+                    AsyncEmpi::new(api).send_f64(Rank::new(0), &[1.5, -2.25, 1e300]).await;
+                }),
             ],
         )
         .unwrap();
@@ -1345,14 +1347,14 @@ mod tests {
         const COUNTER: u32 = 0x100;
         const LOCK: u32 = 0x200;
         let kernel = || {
-            Box::new(move |api: PeApi| {
+            Task::new(|api| async move {
                 for _ in 0..10 {
-                    api.lock(LOCK);
-                    let v = api.uncached_load_u32(COUNTER);
-                    api.uncached_store_u32(COUNTER, v + 1);
-                    api.unlock(LOCK);
+                    api.lock(LOCK).await;
+                    let v = api.uncached_load_u32(COUNTER).await;
+                    api.uncached_store_u32(COUNTER, v + 1).await;
+                    api.unlock(LOCK).await;
                 }
-            }) as Kernel
+            })
         };
         let result = System::run(&cfg(3), &[], vec![kernel(), kernel(), kernel()]).unwrap();
         assert_eq!(result.mpmmu.locks_granted.get(), 30);
@@ -1361,11 +1363,11 @@ mod tests {
         let verify = System::run(
             &cfg(1),
             &[],
-            vec![Box::new(move |api: PeApi| {
+            vec![Task::new(|api| async move {
                 // Fresh system: counter starts at 0 again — so instead
                 // assert on the previous run's lock stats only.
-                let _ = api.now();
-            }) as Kernel],
+                let _ = api.now().await;
+            })],
         );
         assert!(verify.is_ok());
     }
@@ -1379,16 +1381,16 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(1)); // ready token
-                    api.invalidate_line(DATA);
-                    assert_eq!(api.load_f64(DATA), 9.5);
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    api.store_f64(DATA, 9.5);
-                    api.flush_line(DATA);
-                    api.send_to_rank(Rank::new(0), &[1]);
-                }) as Kernel,
+                Task::new(|api| async move {
+                    let _ = api.recv_from_rank(Rank::new(1)).await; // ready token
+                    api.invalidate_line(DATA).await;
+                    assert_eq!(api.load_f64(DATA).await, 9.5);
+                }),
+                Task::new(|api| async move {
+                    api.store_f64(DATA, 9.5).await;
+                    api.flush_line(DATA).await;
+                    api.send_to_rank(Rank::new(0), &[1]).await;
+                }),
             ],
         )
         .unwrap();
@@ -1403,20 +1405,20 @@ mod tests {
             &cfg(2),
             &[(DATA, 111)],
             vec![
-                Box::new(|api: PeApi| {
-                    assert_eq!(api.load_u32(DATA), 111); // cache the line
-                    api.send_to_rank(Rank::new(1), &[1]); // let producer go
-                    let _ = api.recv_from_rank(Rank::new(1)); // updated token
-                                                              // No invalidate: stale.
-                    assert_eq!(api.load_u32(DATA), 111, "must read the stale cached copy");
-                    api.invalidate_line(DATA);
-                    assert_eq!(api.load_u32(DATA), 222, "fresh after DII");
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(0));
-                    api.uncached_store_u32(DATA, 222);
-                    api.send_to_rank(Rank::new(0), &[1]);
-                }) as Kernel,
+                Task::new(|api| async move {
+                    assert_eq!(api.load_u32(DATA).await, 111); // cache the line
+                    api.send_to_rank(Rank::new(1), &[1]).await; // let producer go
+                    let _ = api.recv_from_rank(Rank::new(1)).await; // updated token
+                                                                    // No invalidate: stale.
+                    assert_eq!(api.load_u32(DATA).await, 111, "must read the stale cached copy");
+                    api.invalidate_line(DATA).await;
+                    assert_eq!(api.load_u32(DATA).await, 222, "fresh after DII");
+                }),
+                Task::new(|api| async move {
+                    let _ = api.recv_from_rank(Rank::new(0)).await;
+                    api.uncached_store_u32(DATA, 222).await;
+                    api.send_to_rank(Rank::new(0), &[1]).await;
+                }),
             ],
         )
         .unwrap();
@@ -1428,12 +1430,12 @@ mod tests {
             &cfg(2),
             &[],
             vec![
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(1)); // never sent
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(0)); // never sent
-                }) as Kernel,
+                Task::new(|api| async move {
+                    let _ = api.recv_from_rank(Rank::new(1)).await; // never sent
+                }),
+                Task::new(|api| async move {
+                    let _ = api.recv_from_rank(Rank::new(0)).await; // never sent
+                }),
             ],
         )
         .unwrap_err();
@@ -1446,12 +1448,42 @@ mod tests {
         let err = System::run(
             &tight,
             &[],
-            vec![Box::new(|api: PeApi| {
-                api.compute(1_000_000);
-            }) as Kernel],
+            vec![Task::new(|api| async move {
+                api.compute(1_000_000).await;
+            })],
         )
         .unwrap_err();
         assert!(matches!(err, RunError::CycleLimit { limit: 100, .. }), "{err}");
+    }
+
+    #[test]
+    fn both_engines_stop_at_a_cycle_limit_one_short_of_the_end() {
+        // A run whose kernel returns at cycle `end` fails under a limit of
+        // `end - 1` and completes under `end` or more, on both engines.
+        let kernels = || {
+            vec![Task::new(|api| async move {
+                api.compute(1000).await;
+            })]
+        };
+        let limited =
+            |limit| SystemConfig::builder().compute_pes(1).cycle_limit(limit).build().unwrap();
+        let end = System::run(&cfg(1), &[], kernels()).unwrap().cycles;
+        let short = limited(end - 1);
+        for err in [
+            System::run(&short, &[], kernels()).unwrap_err(),
+            System::run_reference(&short, &[], kernels()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, RunError::CycleLimit { limit, .. } if limit == end - 1),
+                "limit {}: {err}",
+                end - 1
+            );
+        }
+        for limit in [end, end + 1] {
+            let fast = System::run(&limited(limit), &[], kernels()).unwrap();
+            let slow = System::run_reference(&limited(limit), &[], kernels()).unwrap();
+            assert_eq!(fast.divergence(&slow), None, "limit {limit}");
+        }
     }
 
     #[test]
@@ -1459,11 +1491,11 @@ mod tests {
         // `now + cycles` and the compute counter saturate, so the PE sleeps
         // until the limit stops the run on every engine.
         let limit = SystemConfig::builder().compute_pes(1).cycle_limit(10_000).build().unwrap();
-        let kernels = || -> Vec<Kernel> {
-            vec![Box::new(|api: PeApi| {
-                api.compute(5);
-                api.compute(Cycle::MAX);
-            }) as Kernel]
+        let kernels = || {
+            vec![Task::new(|api| async move {
+                api.compute(5).await;
+                api.compute(Cycle::MAX).await;
+            })]
         };
         let seq = System::run(&limit, &[], kernels()).unwrap_err();
         assert!(matches!(seq, RunError::CycleLimit { limit: 10_000, .. }), "{seq}");
@@ -1477,23 +1509,23 @@ mod tests {
                 &cfg(3),
                 &[],
                 vec![
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
+                    Task::new(|api| async move {
+                        let comm = AsyncEmpi::new(api);
                         for i in 0..20u32 {
-                            comm.store_u32(comm.private_base() + i * 4, i);
+                            comm.store_u32(comm.private_base() + i * 4, i).await;
                         }
-                        comm.barrier();
-                    }) as Kernel,
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.compute(500);
-                        comm.barrier();
-                    }) as Kernel,
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.store_f64(comm.private_base(), 3.25);
-                        comm.barrier();
-                    }) as Kernel,
+                        comm.barrier().await;
+                    }),
+                    Task::new(|api| async move {
+                        let comm = AsyncEmpi::new(api);
+                        comm.compute(500).await;
+                        comm.barrier().await;
+                    }),
+                    Task::new(|api| async move {
+                        let comm = AsyncEmpi::new(api);
+                        comm.store_f64(comm.private_base(), 3.25).await;
+                        comm.barrier().await;
+                    }),
                 ],
             )
             .unwrap()
@@ -1503,29 +1535,29 @@ mod tests {
 
     /// A mixed workload (compute stalls + messages + shared memory) that
     /// exercises every engine subsystem, for the equivalence test.
-    fn mixed_kernels() -> Vec<Kernel> {
+    fn mixed_kernels() -> Vec<Task> {
         vec![
-            Box::new(|api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(700);
-                comm.store_f64(comm.private_base(), 1.25);
-                comm.flush_line(comm.private_base());
-                comm.barrier();
-                let v = comm.recv_f64(Rank::new(1));
+            Task::new(|api| async move {
+                let comm = AsyncEmpi::new(api);
+                comm.compute(700).await;
+                comm.store_f64(comm.private_base(), 1.25).await;
+                comm.flush_line(comm.private_base()).await;
+                comm.barrier().await;
+                let v = comm.recv_f64(Rank::new(1)).await;
                 assert_eq!(v[0], 2.5);
-            }) as Kernel,
-            Box::new(|api: PeApi| {
-                let comm = Empi::new(api);
-                comm.barrier();
-                comm.send_f64(Rank::new(0), &[2.5]);
-            }) as Kernel,
-            Box::new(|api: PeApi| {
-                let comm = Empi::new(api);
+            }),
+            Task::new(|api| async move {
+                let comm = AsyncEmpi::new(api);
+                comm.barrier().await;
+                comm.send_f64(Rank::new(0), &[2.5]).await;
+            }),
+            Task::new(|api| async move {
+                let comm = AsyncEmpi::new(api);
                 for i in 0..8u32 {
-                    comm.uncached_store_u32(0x400 + i * 4, i);
+                    comm.uncached_store_u32(0x400 + i * 4, i).await;
                 }
-                comm.barrier();
-            }) as Kernel,
+                comm.barrier().await;
+            }),
         ]
     }
 
@@ -1535,11 +1567,7 @@ mod tests {
     /// `recv_wait_cycles`), which only a comparison against the
     /// never-parking reference can check. Returns the scheduled engine's
     /// result.
-    fn both_engines(
-        cfg: &SystemConfig,
-        kernels: impl Fn() -> Vec<Kernel>,
-        what: &str,
-    ) -> RunResult {
+    fn both_engines(cfg: &SystemConfig, kernels: impl Fn() -> Vec<Task>, what: &str) -> RunResult {
         let fast = System::run(cfg, &[], kernels()).unwrap();
         let slow = System::run_reference(cfg, &[], kernels()).unwrap();
         assert_eq!(fast.divergence(&slow), None, "{what}");
@@ -1613,15 +1641,15 @@ mod tests {
 
     #[test]
     fn engine_equivalence_on_deadlock() {
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || {
             vec![
-                Box::new(|api: PeApi| {
-                    api.compute(300);
-                    let _ = api.recv_from_rank(Rank::new(1));
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    let _ = api.recv_from_rank(Rank::new(0));
-                }) as Kernel,
+                Task::new(|api| async move {
+                    api.compute(300).await;
+                    let _ = api.recv_from_rank(Rank::new(1)).await;
+                }),
+                Task::new(|api| async move {
+                    let _ = api.recv_from_rank(Rank::new(0)).await;
+                }),
             ]
         };
         let fast = System::run(&cfg(2), &[], kernels()).unwrap_err();
@@ -1640,20 +1668,20 @@ mod tests {
             .cycle_limit(5_000_000)
             .build()
             .unwrap();
-        let kernels: Vec<Kernel> = (0..20)
+        let kernels: Vec<Task> = (0..20)
             .map(|r| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.store_u32(comm.private_base(), r as u32);
-                    comm.flush_line(comm.private_base());
-                    comm.barrier();
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    comm.store_u32(comm.private_base(), r as u32).await;
+                    comm.flush_line(comm.private_base()).await;
+                    comm.barrier().await;
                     if r == 19 {
-                        comm.send(Rank::new(0), &[4242]);
+                        comm.send(Rank::new(0), &[4242]).await;
                     } else if r == 0 {
-                        let got = comm.recv(Rank::new(19));
+                        let got = comm.recv(Rank::new(19)).await;
                         assert_eq!(got, vec![4242]);
                     }
-                }) as Kernel
+                })
             })
             .collect();
         let result = System::run(&cfg8, &[], kernels).unwrap();
@@ -1667,8 +1695,9 @@ mod tests {
             .cycle_limit(5_000_000)
             .build()
             .unwrap();
-        let kernels: Vec<Kernel> =
-            (0..10).map(|_| Box::new(|api: PeApi| Empi::new(api).barrier()) as Kernel).collect();
+        let kernels: Vec<Task> = (0..10)
+            .map(|_| Task::new(|api| async move { AsyncEmpi::new(api).barrier().await }))
+            .collect();
         System::run(&cfg_rect, &[], kernels).unwrap();
     }
 
@@ -1683,22 +1712,22 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || -> Vec<Task> {
             (0..17)
                 .map(|r| {
-                    Box::new(move |api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.compute(40 + 11 * r as u64);
-                        comm.barrier();
+                    Task::new(move |api| async move {
+                        let comm = AsyncEmpi::new(api);
+                        comm.compute(40 + 11 * r as u64).await;
+                        comm.barrier().await;
                         if r > 0 {
-                            comm.send_f64(Rank::new(0), &[r as f64]);
+                            comm.send_f64(Rank::new(0), &[r as f64]).await;
                         } else {
                             for src in 1..comm.ranks() {
-                                let v = comm.recv_f64(Rank::new(src as u8));
+                                let v = comm.recv_f64(Rank::new(src as u8)).await;
                                 assert_eq!(v[0], src as f64);
                             }
                         }
-                    }) as Kernel
+                    })
                 })
                 .collect()
         };
@@ -1720,33 +1749,33 @@ mod tests {
             &cfg,
             &[(0x10, 71)],
             vec![
-                Box::new(|api: PeApi| {
+                Task::new(|api| async move {
                     // Preload on an odd line (bank 1) is visible.
-                    assert_eq!(api.uncached_load_u32(0x10), 71);
+                    assert_eq!(api.uncached_load_u32(0x10).await, 71);
                     for line in 0..8u32 {
                         let addr = line * 16;
-                        api.uncached_store_u32(addr, 1000 + line);
+                        api.uncached_store_u32(addr, 1000 + line).await;
                     }
                     for line in 0..8u32 {
                         let addr = line * 16;
-                        assert_eq!(api.uncached_load_u32(addr), 1000 + line);
+                        assert_eq!(api.uncached_load_u32(addr).await, 1000 + line);
                     }
-                }) as Kernel,
-                Box::new(|api: PeApi| {
+                }),
+                Task::new(|api| async move {
                     // Cached traffic crosses banks too: f64 spanning one
                     // line each on both parities, flushed and reloaded.
-                    api.store_f64(0x40, 2.5); // even line → bank 0
-                    api.store_f64(0x50, 3.5); // odd line → bank 1
-                    api.flush_line(0x40);
-                    api.flush_line(0x50);
-                    api.invalidate_line(0x40);
-                    api.invalidate_line(0x50);
-                    assert_eq!(api.load_f64(0x40), 2.5);
-                    assert_eq!(api.load_f64(0x50), 3.5);
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    api.compute(100);
-                }) as Kernel,
+                    api.store_f64(0x40, 2.5).await; // even line → bank 0
+                    api.store_f64(0x50, 3.5).await; // odd line → bank 1
+                    api.flush_line(0x40).await;
+                    api.flush_line(0x50).await;
+                    api.invalidate_line(0x40).await;
+                    api.invalidate_line(0x50).await;
+                    assert_eq!(api.load_f64(0x40).await, 2.5);
+                    assert_eq!(api.load_f64(0x50).await, 3.5);
+                }),
+                Task::new(|api| async move {
+                    api.compute(100).await;
+                }),
             ],
         )
         .unwrap();
@@ -1779,18 +1808,18 @@ mod tests {
             .build()
             .unwrap();
         let kernel = || {
-            Box::new(move |api: PeApi| {
+            Task::new(|api| async move {
                 for _ in 0..5 {
-                    api.lock(LOCK_A);
-                    let v = api.uncached_load_u32(COUNTER_A);
-                    api.uncached_store_u32(COUNTER_A, v + 1);
-                    api.unlock(LOCK_A);
-                    api.lock(LOCK_B);
-                    let v = api.uncached_load_u32(COUNTER_B);
-                    api.uncached_store_u32(COUNTER_B, v + 1);
-                    api.unlock(LOCK_B);
+                    api.lock(LOCK_A).await;
+                    let v = api.uncached_load_u32(COUNTER_A).await;
+                    api.uncached_store_u32(COUNTER_A, v + 1).await;
+                    api.unlock(LOCK_A).await;
+                    api.lock(LOCK_B).await;
+                    let v = api.uncached_load_u32(COUNTER_B).await;
+                    api.uncached_store_u32(COUNTER_B, v + 1).await;
+                    api.unlock(LOCK_B).await;
                 }
-            }) as Kernel
+            })
         };
         let result = System::run(&cfg, &[], vec![kernel(), kernel(), kernel(), kernel()]).unwrap();
         assert_eq!(result.mpmmu.locks_granted.get(), 40);
@@ -1812,21 +1841,21 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || -> Vec<Task> {
             (0..5)
                 .map(|r| {
-                    Box::new(move |api: PeApi| {
-                        let comm = Empi::new(api);
-                        comm.compute(30 + 17 * r as u64);
+                    Task::new(move |api| async move {
+                        let comm = AsyncEmpi::new(api);
+                        comm.compute(30 + 17 * r as u64).await;
                         for i in 0..6u32 {
                             let addr = (r as u32 * 6 + i) * 16;
-                            comm.uncached_store_u32(addr, r as u32 * 100 + i);
+                            comm.uncached_store_u32(addr, r as u32 * 100 + i).await;
                         }
-                        comm.barrier();
+                        comm.barrier().await;
                         let peer = (r + 1) % 5;
                         let addr = (peer as u32 * 6) * 16;
-                        assert_eq!(comm.uncached_load_u32(addr), peer as u32 * 100);
-                    }) as Kernel
+                        assert_eq!(comm.uncached_load_u32(addr).await, peer as u32 * 100);
+                    })
                 })
                 .collect()
         };
@@ -1846,18 +1875,18 @@ mod tests {
             .cycle_limit(5_000_000)
             .build()
             .unwrap();
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || -> Vec<Task> {
             (0..60usize)
                 .map(|r| {
-                    Box::new(move |api: PeApi| {
+                    Task::new(move |api| async move {
                         let addr = |i: usize| ((r + i * 60) * 16) as u32;
                         for i in 0..3 {
-                            api.uncached_store_u32(addr(i), (r * 10 + i) as u32);
+                            api.uncached_store_u32(addr(i), (r * 10 + i) as u32).await;
                         }
                         for i in 0..3 {
-                            assert_eq!(api.uncached_load_u32(addr(i)), (r * 10 + i) as u32);
+                            assert_eq!(api.uncached_load_u32(addr(i)).await, (r * 10 + i) as u32);
                         }
-                    }) as Kernel
+                    })
                 })
                 .collect()
         };
@@ -1874,15 +1903,15 @@ mod tests {
     fn engine_equivalence_parked_in_a_blocking_recv() {
         // Rank 0 blocks in `recv` while its sender computes for 10k
         // cycles; the receive is one long parked stretch.
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || {
             vec![
-                Box::new(|api: PeApi| {
-                    assert_eq!(api.recv_from_rank(Rank::new(1)), vec![5, 6]);
-                }) as Kernel,
-                Box::new(|api: PeApi| {
-                    api.compute(10_000);
-                    api.send_to_rank(Rank::new(0), &[5, 6]);
-                }) as Kernel,
+                Task::new(|api| async move {
+                    assert_eq!(api.recv_from_rank(Rank::new(1)).await, vec![5, 6]);
+                }),
+                Task::new(|api| async move {
+                    api.compute(10_000).await;
+                    api.send_to_rank(Rank::new(0), &[5, 6]).await;
+                }),
             ]
         };
         let run = both_engines(&cfg(2), kernels, "recv");
@@ -1896,17 +1925,17 @@ mod tests {
         // timed backoff.
         const COUNTER: u32 = 0x100;
         const LOCK: u32 = 0x200;
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || -> Vec<Task> {
             (0..4)
                 .map(|_| {
-                    Box::new(|api: PeApi| {
+                    Task::new(|api| async move {
                         for _ in 0..6 {
-                            api.lock(LOCK);
-                            let v = api.uncached_load_u32(COUNTER);
-                            api.uncached_store_u32(COUNTER, v + 1);
-                            api.unlock(LOCK);
+                            api.lock(LOCK).await;
+                            let v = api.uncached_load_u32(COUNTER).await;
+                            api.uncached_store_u32(COUNTER, v + 1).await;
+                            api.unlock(LOCK).await;
                         }
-                    }) as Kernel
+                    })
                 })
                 .collect()
         };
@@ -1928,23 +1957,23 @@ mod tests {
             .cycle_limit(5_000_000)
             .build()
             .unwrap();
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || -> Vec<Task> {
             (0..4)
                 .map(|r| {
-                    Box::new(move |api: PeApi| {
+                    Task::new(move |api| async move {
                         for _ in 0..4 {
-                            api.lock(LOCK);
-                            let v = api.load_u32(COUNTER);
-                            api.store_u32(COUNTER, v + 1);
-                            api.unlock(LOCK);
+                            api.lock(LOCK).await;
+                            let v = api.load_u32(COUNTER).await;
+                            api.store_u32(COUNTER, v + 1).await;
+                            api.unlock(LOCK).await;
                         }
                         if r == 0 {
-                            let _ = api.recv_from_rank(Rank::new(3));
+                            let _ = api.recv_from_rank(Rank::new(3)).await;
                         } else if r == 3 {
-                            api.compute(2_000);
-                            api.send_to_rank(Rank::new(0), &[1]);
+                            api.compute(2_000).await;
+                            api.send_to_rank(Rank::new(0), &[1]).await;
                         }
-                    }) as Kernel
+                    })
                 })
                 .collect()
         };
@@ -1958,9 +1987,9 @@ mod tests {
         let result = System::run(
             &cfg(1),
             &[],
-            vec![Box::new(|api: PeApi| {
-                api.uncached_store_u32(0x40, 9);
-            }) as Kernel],
+            vec![Task::new(|api| async move {
+                api.uncached_store_u32(0x40, 9).await;
+            })],
         )
         .unwrap();
         assert_eq!(result.banks.len(), 1);
@@ -1978,17 +2007,17 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let kernels = || -> Vec<Kernel> {
+        let kernels = || -> Vec<Task> {
             (0..4)
                 .map(|_| {
-                    Box::new(|api: PeApi| {
-                        let comm = Empi::new(api);
+                    Task::new(|api| async move {
+                        let comm = AsyncEmpi::new(api);
                         for i in 0..64u32 {
-                            comm.store_u32(comm.private_base() + i * 4, i);
-                            comm.flush_line(comm.private_base() + i * 4);
+                            comm.store_u32(comm.private_base() + i * 4, i).await;
+                            comm.flush_line(comm.private_base() + i * 4).await;
                         }
-                        comm.barrier();
-                    }) as Kernel
+                        comm.barrier().await;
+                    })
                 })
                 .collect()
         };

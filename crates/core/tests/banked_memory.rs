@@ -3,9 +3,8 @@
 //! scheduled engine reproduces the sequential reference engine
 //! bit-for-bit (`RunResult::divergence`).
 
-use medea_core::api::PeApi;
-use medea_core::system::{Kernel, System};
-use medea_core::SystemConfig;
+use medea_core::system::System;
+use medea_core::{SystemConfig, Task};
 use proptest::prelude::*;
 
 fn cfg() -> SystemConfig {
@@ -15,30 +14,30 @@ fn cfg() -> SystemConfig {
 /// Three ranks: rank 0 writes the batch (uncached), signals; rank 1 reads
 /// every word back and checks it; rank 2 re-reads a cached copy through
 /// the L1 so the block path crosses banks too.
-fn kernels(writes: Vec<(u32, u32)>) -> Vec<Kernel> {
+fn kernels(writes: Vec<(u32, u32)>) -> Vec<Task> {
     use medea_sim::ids::Rank;
     let w0 = writes.clone();
     let w1 = writes.clone();
     let w2 = writes;
     vec![
-        Box::new(move |api: PeApi| {
+        Task::new(move |api| async move {
             for (addr, value) in &w0 {
-                api.uncached_store_u32(*addr, *value);
+                api.uncached_store_u32(*addr, *value).await;
             }
-            api.send_to_rank(Rank::new(1), &[1]);
-            api.send_to_rank(Rank::new(2), &[1]);
+            api.send_to_rank(Rank::new(1), &[1]).await;
+            api.send_to_rank(Rank::new(2), &[1]).await;
         }),
-        Box::new(move |api: PeApi| {
-            let _ = api.recv_from_rank(Rank::new(0));
+        Task::new(move |api| async move {
+            let _ = api.recv_from_rank(Rank::new(0)).await;
             for (addr, value) in &w1 {
-                assert_eq!(api.uncached_load_u32(*addr), *value, "read-back at {addr:#x}");
+                assert_eq!(api.uncached_load_u32(*addr).await, *value, "read-back at {addr:#x}");
             }
         }),
-        Box::new(move |api: PeApi| {
-            let _ = api.recv_from_rank(Rank::new(0));
+        Task::new(move |api| async move {
+            let _ = api.recv_from_rank(Rank::new(0)).await;
             for (addr, value) in &w2 {
-                api.invalidate_line(*addr);
-                assert_eq!(api.load_u32(*addr), *value, "cached read-back at {addr:#x}");
+                api.invalidate_line(*addr).await;
+                assert_eq!(api.load_u32(*addr).await, *value, "cached read-back at {addr:#x}");
             }
         }),
     ]

@@ -4,9 +4,8 @@
 //! windowed messages in both directions at once; collectives agree with
 //! their host-side references under every algorithm.
 
-use medea_core::api::PeApi;
-use medea_core::system::{Kernel, System};
-use medea_core::{empi, CollectiveAlgo, Empi, SystemConfig, Topology};
+use medea_core::system::System;
+use medea_core::{empi, AsyncEmpi, CollectiveAlgo, SystemConfig, Task, Topology};
 use medea_sim::ids::Rank;
 use medea_sim::rng::SplitMix64;
 use proptest::prelude::*;
@@ -39,13 +38,13 @@ proptest! {
             &sys(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let got = Empi::new(api).recv(Rank::new(1));
+                Task::new(move |api| async move {
+                    let got = AsyncEmpi::new(api).recv(Rank::new(1)).await;
                     assert_eq!(got, expect);
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    Empi::new(api).send(Rank::new(0), &payload);
-                }) as Kernel,
+                }),
+                Task::new(move |api| async move {
+                    AsyncEmpi::new(api).send(Rank::new(0), &payload).await;
+                }),
             ],
         )
         .expect("run");
@@ -67,19 +66,19 @@ proptest! {
             &sys(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
                     for want in &expect {
-                        let got = comm.recv(Rank::new(1));
+                        let got = comm.recv(Rank::new(1)).await;
                         assert_eq!(&got, want);
                     }
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                }),
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
                     for m in &messages {
-                        comm.send(Rank::new(0), m);
+                        comm.send(Rank::new(0), m).await;
                     }
-                }) as Kernel,
+                }),
             ],
         )
         .expect("run");
@@ -108,22 +107,22 @@ proptest! {
         };
         let msg_ab: Vec<u32> = (0..len_ab).map(|_| rng.next_u64() as u32).collect();
         let msg_ba: Vec<u32> = (0..len_ba).map(|_| rng.next_u64() as u32).collect();
-        let kernels: Vec<Kernel> = (0..pes)
+        let kernels: Vec<Task> = (0..pes)
             .map(|r| {
                 let msg_ab = msg_ab.clone();
                 let msg_ba = msg_ba.clone();
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
                     if r == a {
                         let peer = Some(Rank::new(b as u8));
-                        let got = comm.sendrecv(peer, &msg_ab, peer).expect("duplex");
+                        let got = comm.sendrecv(peer, &msg_ab, peer).await.expect("duplex");
                         assert_eq!(got, msg_ba, "a<-b payload");
                     } else if r == b {
                         let peer = Some(Rank::new(a as u8));
-                        let got = comm.sendrecv(peer, &msg_ba, peer).expect("duplex");
+                        let got = comm.sendrecv(peer, &msg_ba, peer).await.expect("duplex");
                         assert_eq!(got, msg_ab, "b<-a payload");
                     }
-                }) as Kernel
+                })
             })
             .collect();
         System::run(&sys_on(Topology::new(8, 2).unwrap(), pes), &[], kernels)
@@ -150,35 +149,34 @@ proptest! {
             .cycle_limit(100_000_000)
             .build()
             .unwrap();
-        let kernels: Vec<Kernel> = (0..pes)
+        let kernels: Vec<Task> = (0..pes)
             .map(|r| {
                 let bcast_msg = bcast_msg.clone();
                 let values = values.clone();
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    let got = comm.bcast(root, if comm.rank() == root { &bcast_msg } else { &[] });
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    let words = if comm.rank() == root { &bcast_msg[..] } else { &[] };
+                    let got = comm.bcast(root, words).await;
                     assert_eq!(got, bcast_msg, "bcast at rank {r}");
-                    let sum = comm.reduce(root, values[r]);
+                    let sum = comm.reduce(root, values[r]).await;
                     if comm.rank() == root {
                         assert_eq!(sum.expect("root").to_bits(), expect_sum.to_bits(), "reduce");
                     }
-                    let all = comm.allreduce(values[r]);
+                    let all = comm.allreduce(values[r]).await;
                     assert_eq!(all.to_bits(), expect_sum.to_bits(), "allreduce at rank {r}");
-                    comm.barrier();
+                    comm.barrier().await;
                     let mine = vec![r as u32; r + 1];
-                    if let Some(rows) = comm.gather(root, &mine) {
+                    if let Some(rows) = comm.gather(root, &mine).await {
                         for (src, row) in rows.iter().enumerate() {
                             assert_eq!(row, &vec![src as u32; src + 1], "gather from {src}");
                         }
                     }
                     let chunks: Vec<Vec<u32>> =
                         (0..comm.ranks()).map(|k| vec![(k * 3) as u32; k + 2]).collect();
-                    let chunk = comm.scatter(
-                        root,
-                        if comm.rank() == root { &chunks } else { &[] },
-                    );
+                    let chunk =
+                        comm.scatter(root, if comm.rank() == root { &chunks } else { &[] }).await;
                     assert_eq!(chunk, vec![(r * 3) as u32; r + 2], "scatter to {r}");
-                }) as Kernel
+                })
             })
             .collect();
         System::run(&cfg, &[], kernels).expect("collective run");
@@ -196,12 +194,12 @@ fn chunk_boundary_lengths_exact() {
             &sys(2),
             &[],
             vec![
-                Box::new(move |api: PeApi| {
-                    assert_eq!(Empi::new(api).recv(Rank::new(1)), expect, "len {len}");
-                }) as Kernel,
-                Box::new(move |api: PeApi| {
-                    Empi::new(api).send(Rank::new(0), &payload);
-                }) as Kernel,
+                Task::new(move |api| async move {
+                    assert_eq!(AsyncEmpi::new(api).recv(Rank::new(1)).await, expect, "len {len}");
+                }),
+                Task::new(move |api| async move {
+                    AsyncEmpi::new(api).send(Rank::new(0), &payload).await;
+                }),
             ],
         )
         .unwrap_or_else(|e| panic!("len {len}: {e}"));
@@ -220,12 +218,12 @@ fn maximum_length_message_roundtrips() {
         &sys(2),
         &[],
         vec![
-            Box::new(move |api: PeApi| {
-                assert_eq!(Empi::new(api).recv(Rank::new(1)), expect);
-            }) as Kernel,
-            Box::new(move |api: PeApi| {
-                Empi::new(api).send(Rank::new(0), &payload);
-            }) as Kernel,
+            Task::new(move |api| async move {
+                assert_eq!(AsyncEmpi::new(api).recv(Rank::new(1)).await, expect);
+            }),
+            Task::new(move |api| async move {
+                AsyncEmpi::new(api).send(Rank::new(0), &payload).await;
+            }),
         ],
     )
     .expect("max-length run");
@@ -242,12 +240,12 @@ fn oversized_message_panics() {
         &sys(2),
         &[],
         vec![
-            Box::new(move |api: PeApi| {
-                let _ = Empi::new(api).recv(Rank::new(1));
-            }) as Kernel,
-            Box::new(move |api: PeApi| {
-                Empi::new(api).send(Rank::new(0), &payload);
-            }) as Kernel,
+            Task::new(move |api| async move {
+                let _ = AsyncEmpi::new(api).recv(Rank::new(1)).await;
+            }),
+            Task::new(move |api| async move {
+                AsyncEmpi::new(api).send(Rank::new(0), &payload).await;
+            }),
         ],
     );
 }
@@ -257,21 +255,21 @@ fn all_to_one_gather_under_contention() {
     // Every rank simultaneously streams a windowed message to rank 0 —
     // maximum pressure on the ejection channel and the TIE double buffer.
     let pes = 6;
-    let kernels: Vec<Kernel> = (0..pes)
+    let kernels: Vec<Task> = (0..pes)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         let want: Vec<u32> = (0..50).map(|i| (src * 1000 + i) as u32).collect();
                         assert_eq!(got, want, "message from rank {src}");
                     }
                 } else {
                     let payload: Vec<u32> = (0..50).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&sys(pes), &[], kernels).expect("gather");
@@ -285,20 +283,20 @@ fn chain_of_duplex_exchanges_pipelines() {
     // the duplex engine must simply complete it.
     let pes = 8;
     let row: Vec<u32> = (0..70u32).collect();
-    let kernels: Vec<Kernel> = (0..pes)
+    let kernels: Vec<Task> = (0..pes)
         .map(|r| {
             let row = row.clone();
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 let next = (r + 1 < pes).then(|| Rank::new((r + 1) as u8));
                 let prev = (r > 0).then(|| Rank::new((r - 1) as u8));
-                let got = comm.sendrecv(next, if next.is_some() { &row } else { &[] }, prev);
+                let got = comm.sendrecv(next, if next.is_some() { &row } else { &[] }, prev).await;
                 match (prev, got) {
                     (Some(_), Some(got)) => assert_eq!(got, row, "rank {r}"),
                     (None, None) => {}
                     (p, g) => panic!("rank {r}: prev {p:?} but got {}", g.is_some()),
                 }
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&sys(pes), &[], kernels).expect("chain exchange");
@@ -317,14 +315,14 @@ fn tree_barrier_beats_linear_at_63_ranks() {
             .cycle_limit(400_000_000)
             .build()
             .unwrap();
-        let kernels: Vec<Kernel> = (0..63)
+        let kernels: Vec<Task> = (0..63)
             .map(|_| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
                     for _ in 0..4 {
-                        comm.barrier();
+                        comm.barrier().await;
                     }
-                }) as Kernel
+                })
             })
             .collect();
         System::run(&cfg, &[], kernels).expect("barrier run").cycles

@@ -1095,6 +1095,17 @@ mod tests {
     }
 
     #[test]
+    fn cold_single_read_counts_its_busy_cycles() {
+        // Every tick between dispatch and the staged response is a busy
+        // cycle: 36 for a cold single read, whose response leaves at 37.
+        let mut m = mk(4);
+        m.handle_incoming(req(PacketKind::SingleRead, 5, 0x100)).unwrap();
+        let (_, when) = run_until_response(&mut m, 0, 100);
+        assert_eq!(when, 37);
+        assert_eq!(m.stats().busy_cycles.get(), 36);
+    }
+
+    #[test]
     fn block_read_returns_four_sequenced_flits() {
         let mut m = mk(4);
         m.debug_store().write_line(0x40, [10, 20, 30, 40]);

@@ -17,11 +17,13 @@
 //! The PE is *blocking*: one architectural operation at a time, like the
 //! simple in-order cores the paper argues many-core CMPs are moving to.
 //!
-//! The kernel is hosted in one of two kinds ([`medea_sim::coroutine`]): a
-//! *task* — a future the PE polls in place, on the engine thread, each
-//! time it fetches the next request — or a *thread* — a blocking closure
-//! on its own OS thread, resumed by a channel rendezvous. The reply→fetch→begin chain in the step loop is
-//! the same for both.
+//! The kernel is a *task* ([`medea_sim::coroutine`], built by
+//! [`ProcessingElement::new_task`]): a future the PE polls in place, on
+//! the engine thread, each time it fetches the next request.
+//! [`ProcessingElement::new`] hosts what remains of the OS-thread kind (a
+//! blocking closure resumed by a channel rendezvous), which only the
+//! repository benchmark's own kernels still use; the reply→fetch→begin
+//! chain in the step loop is the same for both.
 
 use crate::arbiter::{ArbiterConfig, NocArbiter};
 use crate::bridge::{BridgeConfig, BridgeOp, BridgeResult, Pif2NocBridge};

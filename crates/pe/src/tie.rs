@@ -15,7 +15,7 @@
 //! the seq-as-offset copy of a one-word burst needs no buffered state, so
 //! a credit can overtake two in-flight data packets from the same source
 //! without exhausting the double buffer — the property the full-duplex
-//! `Empi::sendrecv` exchange relies on.
+//! `AsyncEmpi::sendrecv` exchange relies on.
 //!
 //! # Attribution assumption (inherited from the physical design)
 //!

@@ -10,21 +10,21 @@
 //! scheduler — kernels never observe each other except through the
 //! simulated hardware — so simulations are fully deterministic.
 //!
-//! A [`KernelHost`] is the engine-side endpoint and backs a kernel in one
-//! of two ways:
+//! A [`KernelHost`] is the engine-side endpoint. A kernel is a **task**
+//! ([`KernelHost::task`]): a future the engine polls in place, on its own
+//! thread. The future never leaves that thread, so it need not be `Send`,
+//! and the slot it shares with the host is a plain `Rc<RefCell<..>>`. An
+//! operation leaves its request in the slot and returns `Pending`;
+//! [`KernelHost::fetch`] polls the future once (with a no-op waker, under
+//! `catch_unwind`) and takes the request from the slot;
+//! [`KernelHost::reply`] fills the slot, and the next poll resumes the
+//! kernel with the answer. Resuming a task costs one poll.
 //!
-//! * a **task** ([`KernelHost::task`]) — the kernel is a future the engine
-//!   polls in place, on its own thread. The future never leaves that
-//!   thread, so it need not be `Send`, and the slot it shares with the
-//!   host is a plain `Rc<RefCell<..>>`. An operation leaves its request in
-//!   the slot and returns `Pending`; [`KernelHost::fetch`] polls the future
-//!   once (with a no-op waker, under `catch_unwind`) and takes the request
-//!   from the slot; [`KernelHost::reply`] fills the slot, and the next poll
-//!   resumes the kernel with the answer. Resuming a task costs one poll;
-//! * a **thread** ([`KernelHost::spawn`]) — the kernel is a blocking
-//!   closure on its own OS thread, talking to the host over a pair of
-//!   rendezvous channels through a [`KernelPort`]. Resuming it costs two
-//!   thread switches.
+//! [`KernelHost::spawn`] hosts what remains of the OS-thread kind, which
+//! only the repository benchmark's own kernels still use: a blocking
+//! closure on its own OS thread, talking to the host over a pair of
+//! rendezvous channels through a [`KernelPort`]. Resuming it costs two
+//! thread switches.
 //!
 //! The protocol is the same strict half-duplex for both:
 //!

@@ -6,8 +6,8 @@
 //!
 //! This crate re-exports the public API of the individual subsystem crates:
 //!
-//! * [`sim`] — cycle-stepped simulation kernel and kernel hosting (polled
-//!   tasks and kernel threads);
+//! * [`sim`] — cycle-stepped simulation kernel and kernel hosting (a
+//!   kernel is a task its PE polls in place);
 //! * [`trace`] — zero-overhead cross-layer event tracing with Chrome-trace
 //!   and CSV export;
 //! * [`noc`] — folded-torus network-on-chip with deflection routing;

@@ -15,66 +15,12 @@
 
 mod common;
 
-use common::{fingerprint, Fingerprint};
-use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
-use medea::core::{Empi, FaultConfig, ScheduledInjector, SystemConfig, Topology};
-use medea::sim::rng::SplitMix64;
+use common::{fingerprint, gather_kernels, seeded_kernels, Fingerprint};
+use medea::apps::workloads::pingpong_kernels;
+use medea::core::system::{System, Task};
+use medea::core::{FaultConfig, ScheduledInjector, SystemConfig, Topology};
 use medea::trace::NullSink;
 use proptest::prelude::*;
-
-/// A seeded, deadlock-free mixed workload (same shape as the trace
-/// equivalence suite): per-rank op soup, a ring sendrecv exchange, then
-/// barrier + allreduce so every layer fires.
-fn seeded_kernels(ranks: usize, seed: u64, ops: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                const LOCK: u32 = 0x40;
-                const COUNTER: u32 = 0x44;
-                let comm = Empi::new(api);
-                let mut rng = SplitMix64::new(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
-                let base = comm.private_base();
-                for i in 0..ops {
-                    match rng.next_u64() % 6 {
-                        0 => comm.compute(1 + rng.next_u64() % 64),
-                        1 => comm.store_u32(base + (i as u32 % 16) * 4, rng.next_u64() as u32),
-                        2 => {
-                            let _ = comm.load_u32(base + (i as u32 % 16) * 4);
-                        }
-                        3 => {
-                            comm.flush_line(base);
-                            comm.invalidate_line(base);
-                        }
-                        4 => {
-                            comm.uncached_store_u32(0x80 + r as u32 * 4, i as u32);
-                            let _ = comm.uncached_load_u32(0x80 + r as u32 * 4);
-                        }
-                        _ => {
-                            comm.lock(LOCK);
-                            let v = comm.uncached_load_u32(COUNTER);
-                            comm.uncached_store_u32(COUNTER, v + 1);
-                            comm.unlock(LOCK);
-                        }
-                    }
-                }
-                if comm.ranks() > 1 {
-                    let rank = comm.rank().index();
-                    let ranks = comm.ranks();
-                    let next = medea::sim::ids::Rank::new(((rank + 1) % ranks) as u8);
-                    let prev = medea::sim::ids::Rank::new(((rank + ranks - 1) % ranks) as u8);
-                    let payload: Vec<u32> = (0..8).map(|i| (rank * 100 + i) as u32).collect();
-                    let got = comm.sendrecv(Some(next), &payload, Some(prev)).expect("ring");
-                    assert_eq!(got[0] as usize, ((rank + ranks - 1) % ranks) * 100);
-                }
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.25);
-                let expect = (0..comm.ranks()).map(|k| k as f64 + 0.25).sum::<f64>();
-                assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -120,53 +66,13 @@ fn cfg(pes: usize) -> SystemConfig {
     SystemConfig::builder().compute_pes(pes).cycle_limit(50_000_000).build().unwrap()
 }
 
-/// One-word ping-pong over raw TIE messages, 40 round trips — must pin
-/// (320, 80, 0, Some(1)) exactly as before the fault/resilience work.
-fn pingpong_kernels() -> Vec<Kernel> {
-    use medea::sim::ids::Rank;
-    let ping: Kernel = Box::new(|api: PeApi| {
-        for i in 1..=40u32 {
-            api.send_to_rank(Rank::new(1), &[i]);
-            let back = api.recv_from_rank(Rank::new(1));
-            assert_eq!(back[0], i);
-        }
-    });
-    let pong: Kernel = Box::new(|api: PeApi| {
-        for _ in 1..=40u32 {
-            let v = api.recv_from_rank(Rank::new(0));
-            api.send_to_rank(Rank::new(0), &v);
-        }
-    });
-    vec![ping, pong]
-}
-
-/// Every rank streams a message to rank 0 — the deflection-heavy pin
-/// (695, 343, 5081, Some(187)).
-fn gather_kernels(ranks: usize) -> Vec<Kernel> {
-    use medea::sim::ids::Rank;
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                if r == 0 {
-                    for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
-                        assert_eq!(got.len(), 40);
-                    }
-                } else {
-                    let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
-                }
-            }) as Kernel
-        })
-        .collect()
-}
-
+/// One-word ping-pong over raw TIE messages, 40 round trips.
 const PIN_PINGPONG: Fingerprint = (320, 80, 0, Some(1));
+/// Every rank streams a message to rank 0: the deflection-heavy pin.
 const PIN_GATHER: Fingerprint = (695, 343, 5081, Some(187));
 
 /// One pinned workload: name, kernel factory, PE count, expected pin.
-type PinnedCase = (&'static str, fn() -> Vec<Kernel>, usize, Fingerprint);
+type PinnedCase = (&'static str, fn() -> Vec<Task>, usize, Fingerprint);
 
 /// The paper fingerprints survive both the `NullInjector` fast path and a
 /// live rate-0 `ScheduledInjector`, with the retransmission protocol
@@ -174,7 +80,7 @@ type PinnedCase = (&'static str, fn() -> Vec<Kernel>, usize, Fingerprint);
 #[test]
 fn golden_fingerprints_pinned_under_both_injectors() {
     let pins: [PinnedCase; 2] = [
-        ("pingpong", pingpong_kernels, 2, PIN_PINGPONG),
+        ("pingpong", || pingpong_kernels(40), 2, PIN_PINGPONG),
         ("gather", || gather_kernels(8), 8, PIN_GATHER),
     ];
     for (name, kernels, pes, pin) in pins {

@@ -15,13 +15,13 @@
 //! * The cycle-limit error carries the same per-PE blocked-state detail.
 //! * A receiver parked on a message that never comes while its peer polls
 //!   forever: the watchdog's carve-out for healthy timed stalls must not
-//!   mistake the parked receiver for one.
+//!   mistake the parked receiver for one, and the watchdog fires at the
+//!   exact cycle its window closes.
 
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
-use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
+use medea::core::system::{System, Task};
 use medea::core::{
-    DeadLink, Empi, FaultConfig, ResilienceConfig, RunError, ScheduledInjector, SystemConfig,
+    AsyncEmpi, DeadLink, FaultConfig, ResilienceConfig, RunError, ScheduledInjector, SystemConfig,
     Topology,
 };
 use medea::sim::ids::Rank;
@@ -83,21 +83,21 @@ fn dead_link_alone_is_transparent_to_the_protocol() {
         .cycle_limit(50_000_000)
         .build()
         .expect("configuration");
-    let kernels: Vec<Kernel> = (0..8)
+    let kernels: Vec<Task> = (0..8)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 if r == 0 {
                     for src in 1..comm.ranks() {
-                        let got = comm.recv(Rank::new(src as u8));
+                        let got = comm.recv(Rank::new(src as u8)).await;
                         assert_eq!(got.len(), 40, "payload length survives the dead link");
                         assert_eq!(got[0], src as u32 * 1000);
                     }
                 } else {
                     let payload: Vec<u32> = (0..40).map(|i| (r * 1000 + i) as u32).collect();
-                    comm.send(Rank::new(0), &payload);
+                    comm.send(Rank::new(0), &payload).await;
                 }
-            }) as Kernel
+            })
         })
         .collect();
     let schedule = FaultConfig { seed: 7, ..FaultConfig::default() }.kill_link(DeadLink {
@@ -131,14 +131,14 @@ fn watchdog_converts_retransmission_livelock_into_structured_error() {
         })
         .build()
         .expect("resilient configuration");
-    let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            let _ = comm.recv(Rank::new(1)); // peer never sends
+    let kernels: Vec<Task> = vec![
+        Task::new(|api| async move {
+            let comm = AsyncEmpi::new(api);
+            let _ = comm.recv(Rank::new(1)).await; // peer never sends
         }),
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            comm.compute(10); // finish without sending
+        Task::new(|api| async move {
+            let comm = AsyncEmpi::new(api);
+            comm.compute(10).await; // finish without sending
         }),
     ];
     let err = System::run(&sys, &[], kernels).expect_err("must not hang silently");
@@ -168,11 +168,11 @@ fn hang_detail_lists_the_injected_faults_in_order() {
         })
         .build()
         .expect("resilient configuration");
-    let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let _ = Empi::new(api).recv(Rank::new(1)); // peer never sends
+    let kernels: Vec<Task> = vec![
+        Task::new(|api| async move {
+            let _ = AsyncEmpi::new(api).recv(Rank::new(1)).await; // peer never sends
         }),
-        Box::new(|api: PeApi| Empi::new(api).compute(10)),
+        Task::new(|api| async move { AsyncEmpi::new(api).compute(10).await }),
     ];
     let schedule = FaultConfig { seed: 0x11FE, ..FaultConfig::default() }
         .kill_link(DeadLink { node: 1, dir: 1, at: 300 })
@@ -201,14 +201,14 @@ fn cycle_limit_error_reports_per_pe_state() {
         })
         .build()
         .expect("resilient configuration, watchdog off");
-    let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            let _ = comm.recv(Rank::new(1));
+    let kernels: Vec<Task> = vec![
+        Task::new(|api| async move {
+            let comm = AsyncEmpi::new(api);
+            let _ = comm.recv(Rank::new(1)).await;
         }),
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            comm.compute(10);
+        Task::new(|api| async move {
+            let comm = AsyncEmpi::new(api);
+            comm.compute(10).await;
         }),
     ];
     let err = System::run(&sys, &[], kernels).expect_err("cycle limit must trip");
@@ -238,15 +238,15 @@ fn watchdog_tolerates_long_healthy_compute() {
         })
         .build()
         .expect("resilient configuration");
-    let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            comm.compute(300_000); // 15 watchdog windows of pure compute
-            comm.send(Rank::new(1), &[1, 2, 3]);
+    let kernels: Vec<Task> = vec![
+        Task::new(|api| async move {
+            let comm = AsyncEmpi::new(api);
+            comm.compute(300_000).await; // 15 watchdog windows of pure compute
+            comm.send(Rank::new(1), &[1, 2, 3]).await;
         }),
-        Box::new(|api: PeApi| {
-            let comm = Empi::new(api);
-            let got = comm.recv(Rank::new(0));
+        Task::new(|api| async move {
+            let comm = AsyncEmpi::new(api);
+            let got = comm.recv(Rank::new(0)).await;
             assert_eq!(got, vec![1, 2, 3]);
         }),
     ];
@@ -261,21 +261,7 @@ fn watchdog_tolerates_long_healthy_compute() {
 /// and must not hold the watchdog window open.
 #[test]
 fn watchdog_fires_on_a_parked_receiver_beside_a_polling_peer() {
-    let sys = SystemConfig::builder()
-        .compute_pes(2)
-        .cycle_limit(200_000)
-        .resilience(ResilienceConfig { watchdog_cycles: 20_000, ..Default::default() })
-        .build()
-        .expect("watchdog configuration");
-    let kernels: Vec<Kernel> = vec![
-        Box::new(|api: PeApi| {
-            let _ = api.recv_from_rank(Rank::new(1)); // never sent
-        }),
-        Box::new(|api: PeApi| {
-            while api.try_recv_from_rank(Rank::new(0)).is_none() {} // never sent either
-        }),
-    ];
-    let err = System::run(&sys, &[], kernels).expect_err("must not hang silently");
+    let err = parked_receiver_beside_a_polling_peer();
     match &err {
         RunError::Watchdog { at, detail } => {
             assert!(*at >= 20_000, "watchdog fired inside its own window: at {at}");
@@ -283,4 +269,33 @@ fn watchdog_fires_on_a_parked_receiver_beside_a_polling_peer() {
         }
         other => panic!("expected Watchdog, got {other}"),
     }
+}
+
+/// The same hang fires the watchdog at exactly one window: nothing is ever
+/// served, so the window that opened at cycle 0 closes at cycle 20,000.
+#[test]
+fn watchdog_fires_at_the_end_of_its_window() {
+    let err = parked_receiver_beside_a_polling_peer();
+    assert!(matches!(err, RunError::Watchdog { at: 20_000, .. }), "{err}");
+}
+
+/// The error of a run where rank 0 parks in `recv` and rank 1 polls
+/// `try_recv`, each for a message that never comes, under a 20,000-cycle
+/// watchdog.
+fn parked_receiver_beside_a_polling_peer() -> RunError {
+    let sys = SystemConfig::builder()
+        .compute_pes(2)
+        .cycle_limit(200_000)
+        .resilience(ResilienceConfig { watchdog_cycles: 20_000, ..Default::default() })
+        .build()
+        .expect("watchdog configuration");
+    let kernels = vec![
+        Task::new(|api| async move {
+            let _ = api.recv_from_rank(Rank::new(1)).await; // never sent
+        }),
+        Task::new(|api| async move {
+            while api.try_recv_from_rank(Rank::new(0)).await.is_none() {} // never sent either
+        }),
+    ];
+    System::run(&sys, &[], kernels).expect_err("must not hang silently")
 }

@@ -5,9 +5,8 @@
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::apps::pingpong::{self, PingPongTransport};
 use medea::apps::reduce::{self, ReduceTransport};
-use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
-use medea::core::{CachePolicy, CollectiveAlgo, Empi, FabricKind, SystemConfig};
+use medea::core::system::{System, Task};
+use medea::core::{AsyncEmpi, CachePolicy, CollectiveAlgo, FabricKind, SystemConfig};
 use medea::sim::ids::Rank;
 
 fn sys(pes: usize) -> SystemConfig {
@@ -145,37 +144,39 @@ fn empi_collectives_compose() {
     // Ring pass-the-token, then the full collective surface back to back
     // across 5 ranks: barrier, bcast, scatter, gather, allreduce.
     let pes = 5;
-    let kernels: Vec<Kernel> = (0..pes)
+    let kernels: Vec<Task> = (0..pes)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
                 let ranks = comm.ranks();
                 let next = Rank::new(((r + 1) % ranks) as u8);
                 let prev = Rank::new(((r + ranks - 1) % ranks) as u8);
                 if r == 0 {
-                    comm.send(next, &[1]);
-                    let token = comm.recv(prev);
+                    comm.send(next, &[1]).await;
+                    let token = comm.recv(prev).await;
                     assert_eq!(token[0] as usize, ranks, "token incremented once per hop");
                 } else {
-                    let token = comm.recv(prev);
-                    comm.send(next, &[token[0] + 1]);
+                    let token = comm.recv(prev).await;
+                    comm.send(next, &[token[0] + 1]).await;
                 }
-                comm.barrier();
+                comm.barrier().await;
                 let root = Rank::new(2);
-                let plan = comm.bcast(root, if comm.rank() == root { &[7, 8, 9] } else { &[] });
+                let plan =
+                    comm.bcast(root, if comm.rank() == root { &[7, 8, 9] } else { &[] }).await;
                 assert_eq!(plan, vec![7, 8, 9]);
                 let chunks: Vec<Vec<u32>> = (0..ranks).map(|k| vec![k as u32 * 11]).collect();
-                let mine = comm.scatter(root, if comm.rank() == root { &chunks } else { &[] });
+                let mine =
+                    comm.scatter(root, if comm.rank() == root { &chunks } else { &[] }).await;
                 assert_eq!(mine, vec![r as u32 * 11]);
-                let gathered = comm.gather(root, &[mine[0] + 1]);
+                let gathered = comm.gather(root, &[mine[0] + 1]).await;
                 if let Some(rows) = gathered {
                     for (k, row) in rows.iter().enumerate() {
                         assert_eq!(row, &vec![k as u32 * 11 + 1], "gather from {k}");
                     }
                 }
-                let sum = comm.allreduce(r as f64);
+                let sum = comm.allreduce(r as f64).await;
                 assert_eq!(sum, (0..ranks).map(|k| k as f64).sum::<f64>());
-            }) as Kernel
+            })
         })
         .collect();
     System::run(&sys(pes), &[], kernels).expect("ring");
@@ -191,21 +192,21 @@ fn tree_collectives_run_the_full_stack() {
             .cycle_limit(400_000_000)
             .build()
             .unwrap();
-        let kernels: Vec<Kernel> = (0..6)
+        let kernels: Vec<Task> = (0..6)
             .map(|r| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
-                    comm.barrier();
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
+                    comm.barrier().await;
                     let root = Rank::new(3);
-                    let msg = comm.bcast(root, if comm.rank() == root { &[42] } else { &[] });
+                    let msg = comm.bcast(root, if comm.rank() == root { &[42] } else { &[] }).await;
                     assert_eq!(msg, vec![42]);
-                    let sum = comm.reduce(root, 1.5);
+                    let sum = comm.reduce(root, 1.5).await;
                     if comm.rank() == root {
                         assert_eq!(sum.unwrap(), 9.0);
                     }
-                    assert_eq!(comm.allreduce(r as f64 + 0.5), 18.0);
-                    comm.barrier();
-                }) as Kernel
+                    assert_eq!(comm.allreduce(r as f64 + 0.5).await, 18.0);
+                    comm.barrier().await;
+                })
             })
             .collect();
         System::run(&cfg, &[], kernels).unwrap_or_else(|e| panic!("{algo}: {e}"));

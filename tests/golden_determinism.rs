@@ -7,7 +7,7 @@
 //! behavior-preserving. Any optimization that changes one of these
 //! numbers is a functional change, not an optimization.
 //!
-//! The workloads run through the `Empi` communicator with its default
+//! The workloads run through the `AsyncEmpi` communicator with its default
 //! `Linear` algorithm, which reproduces the seed's rank-0-centred message
 //! patterns — keeping `Linear` the default is precisely what pins the
 //! paper-4×4 fingerprints. The tree algorithms get their own stability
@@ -15,15 +15,12 @@
 
 mod common;
 
-use common::{
-    any_kernels, fingerprint, gather_kernels, reduce_kernels, sharedmem_kernels, Fingerprint,
-};
+use common::{fingerprint, gather_kernels, reduce_kernels, sharedmem_kernels, Fingerprint};
 use medea::apps::hotspot::{self, HotspotConfig};
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::apps::workloads::pingpong_kernels;
-use medea::core::api::PeApi;
-use medea::core::system::{AnyKernel, Kernel, System};
-use medea::core::{CollectiveAlgo, Empi, MetricsConfig, NullInjector, SystemConfig, Topology};
+use medea::core::system::{System, Task};
+use medea::core::{AsyncEmpi, CollectiveAlgo, MetricsConfig, NullInjector, SystemConfig, Topology};
 use medea::sim::ids::Rank;
 use medea::trace::{NullSink, RingSink};
 
@@ -42,21 +39,21 @@ fn cfg_banked(pes: usize, banks: usize) -> SystemConfig {
 }
 
 /// A pinned workload: name, kernel factory, PE count, expected print.
-type PinnedWorkload = (&'static str, fn() -> Vec<AnyKernel>, usize, Fingerprint);
+type PinnedWorkload = (&'static str, fn() -> Vec<Task>, usize, Fingerprint);
 
 /// The same reduction through the library collective — the surface the
 /// per-algorithm fingerprint test pins.
-fn allreduce_kernels(ranks: usize) -> Vec<Kernel> {
+fn allreduce_kernels(ranks: usize) -> Vec<Task> {
     (0..ranks)
         .map(|r| {
-            Box::new(move |api: PeApi| {
-                let comm = Empi::new(api);
-                comm.compute(50 + 137 * r as u64);
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.5);
+            Task::new(move |api| async move {
+                let comm = AsyncEmpi::new(api);
+                comm.compute(50 + 137 * r as u64).await;
+                comm.barrier().await;
+                let total = comm.allreduce(r as f64 + 0.5).await;
                 let expect = (0..comm.ranks()).map(|k| k as f64 + 0.5).sum::<f64>();
                 assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
+            })
         })
         .collect()
 }
@@ -65,10 +62,10 @@ fn allreduce_kernels(ranks: usize) -> Vec<Kernel> {
 /// (captured from the pre-bank single-MPMMU engine).
 fn paper_pins() -> [PinnedWorkload; 4] {
     [
-        ("pingpong", || any_kernels(pingpong_kernels(40)), 2, (320, 80, 0, Some(1))),
-        ("reduce", || any_kernels(reduce_kernels(6)), 6, (960, 50, 0, Some(3))),
-        ("gather", || any_kernels(gather_kernels(8)), 8, (695, 343, 5081, Some(187))),
-        ("sharedmem", || any_kernels(sharedmem_kernels(5)), 5, (2263, 704, 17, Some(5))),
+        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
+        ("reduce", || reduce_kernels(6), 6, (960, 50, 0, Some(3))),
+        ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
+        ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
     ]
 }
 
@@ -228,22 +225,22 @@ fn duplex_exchange_fingerprint_stable_across_runs() {
     // The full-duplex sendrecv engine (polling included) must be exactly
     // as deterministic as plain send/recv: a windowed symmetric exchange
     // plus a chained halo shape, fingerprinted run over run.
-    let kernels = || -> Vec<Kernel> {
+    let kernels = || -> Vec<Task> {
         (0..4)
             .map(|r| {
-                Box::new(move |api: PeApi| {
-                    let comm = Empi::new(api);
+                Task::new(move |api| async move {
+                    let comm = AsyncEmpi::new(api);
                     let payload: Vec<u32> = (0..64).map(|i| (r * 100 + i) as u32).collect();
                     // Symmetric pairwise exchange: 0<->1, 2<->3.
                     let peer = Some(Rank::new((r ^ 1) as u8));
-                    let got = comm.sendrecv(peer, &payload, peer).expect("duplex");
+                    let got = comm.sendrecv(peer, &payload, peer).await.expect("duplex");
                     assert_eq!(got.len(), 64);
                     // Chained exchange: r -> r+1.
                     let ranks = comm.ranks();
                     let next = (r + 1 < ranks).then(|| Rank::new((r + 1) as u8));
                     let prev = (r > 0).then(|| Rank::new((r - 1) as u8));
-                    let _ = comm.sendrecv(next, &payload, prev);
-                }) as Kernel
+                    let _ = comm.sendrecv(next, &payload, prev).await;
+                })
             })
             .collect()
     };

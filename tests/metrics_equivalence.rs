@@ -16,11 +16,9 @@
 
 mod common;
 
-use common::{
-    any_kernels, fingerprint, gather_kernels, seeded_kernels, sharedmem_kernels, Fingerprint,
-};
+use common::{fingerprint, gather_kernels, seeded_kernels, sharedmem_kernels, Fingerprint};
 use medea::apps::workloads::pingpong_kernels;
-use medea::core::system::{AnyKernel, System};
+use medea::core::system::{System, Task};
 use medea::core::{MetricsConfig, PeActivity, SystemConfig, Topology};
 use medea::metrics::heatmap::{check_svg_well_formed, render_heatmap_html};
 use proptest::prelude::*;
@@ -39,12 +37,12 @@ fn metered(pes: usize, interval: u64) -> SystemConfig {
 
 /// The paper-4×4 golden fingerprints (literal values carried from
 /// `tests/golden_determinism.rs`).
-type Pin = (&'static str, fn() -> Vec<AnyKernel>, usize, Fingerprint);
+type Pin = (&'static str, fn() -> Vec<Task>, usize, Fingerprint);
 fn paper_pins() -> [Pin; 3] {
     [
-        ("pingpong", || any_kernels(pingpong_kernels(40)), 2, (320, 80, 0, Some(1))),
-        ("gather", || any_kernels(gather_kernels(8)), 8, (695, 343, 5081, Some(187))),
-        ("sharedmem", || any_kernels(sharedmem_kernels(5)), 5, (2263, 704, 17, Some(5))),
+        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
+        ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
+        ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
     ]
 }
 

@@ -24,12 +24,11 @@
 
 mod common;
 
-use common::{any_kernels, gather_kernels, reduce_kernels, seeded_kernels, sharedmem_kernels};
+use common::{gather_kernels, reduce_kernels, seeded_kernels, sharedmem_kernels};
 use medea::apps::workloads::pingpong_kernels;
-use medea::core::api::PeApi;
-use medea::core::system::{AnyKernel, Kernel, System};
+use medea::core::system::{System, Task};
 use medea::core::{
-    DeadLink, Empi, FaultConfig, MetricsConfig, ResilienceConfig, RunError, ScheduledInjector,
+    AsyncEmpi, DeadLink, FaultConfig, MetricsConfig, ResilienceConfig, RunError, ScheduledInjector,
     SystemConfig, Topology,
 };
 use medea::sim::ids::Rank;
@@ -112,12 +111,12 @@ fn oversubscribed_thread_counts_still_match() {
 /// *historical* engine behavior, not merely to the current build's.
 #[test]
 fn paper_4x4_fingerprints_hold_at_four_threads() {
-    type Pin = (&'static str, fn() -> Vec<AnyKernel>, usize, (u64, u64, u64, Option<u64>));
+    type Pin = (&'static str, fn() -> Vec<Task>, usize, (u64, u64, u64, Option<u64>));
     let pins: [Pin; 4] = [
-        ("pingpong", || any_kernels(pingpong_kernels(40)), 2, (320, 80, 0, Some(1))),
-        ("reduce", || any_kernels(reduce_kernels(6)), 6, (960, 50, 0, Some(3))),
-        ("gather", || any_kernels(gather_kernels(8)), 8, (695, 343, 5081, Some(187))),
-        ("sharedmem", || any_kernels(sharedmem_kernels(5)), 5, (2263, 704, 17, Some(5))),
+        ("pingpong", || pingpong_kernels(40), 2, (320, 80, 0, Some(1))),
+        ("reduce", || reduce_kernels(6), 6, (960, 50, 0, Some(3))),
+        ("gather", || gather_kernels(8), 8, (695, 343, 5081, Some(187))),
+        ("sharedmem", || sharedmem_kernels(5), 5, (2263, 704, 17, Some(5))),
     ];
     for (name, kernels, pes, pin) in pins {
         let run = System::run(&cfg(pes, 4), &[], kernels()).expect(name);
@@ -181,13 +180,13 @@ fn hooked_run_is_identical_at_every_thread_count() {
 /// every thread count.
 #[test]
 fn deadlock_detection_is_identical() {
-    let kernels = || -> Vec<Kernel> {
+    let kernels = || -> Vec<Task> {
         vec![
-            Box::new(|api: PeApi| {
-                let _ = api.recv_from_rank(Rank::new(1));
+            Task::new(|api| async move {
+                let _ = api.recv_from_rank(Rank::new(1)).await;
             }),
-            Box::new(|api: PeApi| {
-                let _ = api.recv_from_rank(Rank::new(0));
+            Task::new(|api| async move {
+                let _ = api.recv_from_rank(Rank::new(0)).await;
             }),
         ]
     };
@@ -204,12 +203,12 @@ const ERROR_THREADS: [usize; 3] = [1, 2, 3];
 /// The 2-PE NACK livelock of `tests/fault_injection.rs`: rank 0 receives
 /// from a rank 1 that finishes without sending, and resilient delivery
 /// keeps NACK traffic flowing so deadlock detection never fires.
-fn livelock_kernels() -> Vec<Kernel> {
+fn livelock_kernels() -> Vec<Task> {
     vec![
-        Box::new(|api: PeApi| {
-            let _ = Empi::new(api).recv(Rank::new(1));
+        Task::new(|api| async move {
+            let _ = AsyncEmpi::new(api).recv(Rank::new(1)).await;
         }),
-        Box::new(|api: PeApi| Empi::new(api).compute(10)),
+        Task::new(|api| async move { AsyncEmpi::new(api).compute(10).await }),
     ]
 }
 

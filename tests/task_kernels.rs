@@ -3,9 +3,9 @@
 //!
 //! * **Same run either way** — every kernel of `medea::apps` (and the
 //!   explore driver's compute-only workload) is a `Task`; running the same
-//!   body on a kernel thread (`Task::into_thread`, which drives it through
-//!   `PeApi`) must give a result `RunResult::divergence` finds no
-//!   difference in, because both kinds issue the same request stream.
+//!   body on a kernel thread (`Task::into_thread`, which drives it over
+//!   the thread's port) must give a result `RunResult::divergence` finds
+//!   no difference in, because both kinds issue the same request stream.
 //! * **Failures stay loud** — a task's panic fails the run as a thread
 //!   kernel's does (`kernel on nX panicked`), and a task that awaits
 //!   something other than a PE operation fails naming its PE instead of

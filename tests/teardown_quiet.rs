@@ -5,8 +5,7 @@
 //! This binary holds one test because the panic hook it counts is
 //! process-global.
 
-use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System, Task};
+use medea::core::system::{System, Task};
 use medea::core::{RunError, SystemConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -19,25 +18,20 @@ fn cycle_limit_teardown_calls_no_panic_hook() {
     }));
     let cfg = SystemConfig::builder().compute_pes(4).cycle_limit(10_000).build().unwrap();
 
-    let threads: Vec<Kernel> = (0..4)
-        .map(|_| {
-            Box::new(|api: PeApi| loop {
-                api.compute(100);
-            }) as Kernel
-        })
-        .collect();
-    let on_threads = System::run(&cfg, &[], threads).unwrap_err();
-
-    let tasks: Vec<Task> = (0..4)
-        .map(|_| {
-            Task::new(|api| async move {
-                loop {
-                    api.compute(100).await;
-                }
+    let tasks = || -> Vec<Task> {
+        (0..4)
+            .map(|_| {
+                Task::new(|api| async move {
+                    loop {
+                        api.compute(100).await;
+                    }
+                })
             })
-        })
-        .collect();
-    let as_tasks = System::run(&cfg, &[], tasks).unwrap_err();
+            .collect()
+    };
+    let threads: Vec<_> = tasks().into_iter().map(Task::into_thread).collect();
+    let on_threads = System::run(&cfg, &[], threads).unwrap_err();
+    let as_tasks = System::run(&cfg, &[], tasks()).unwrap_err();
 
     let calls = HOOK_CALLS.load(Ordering::SeqCst);
     drop(std::panic::take_hook());

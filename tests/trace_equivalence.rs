@@ -6,67 +6,13 @@
 //! (`RunResult::divergence` finds no difference). The ring capacity is also
 //! randomized so capture truncation can never feed back into the run.
 
-use medea::core::api::PeApi;
-use medea::core::system::{Kernel, System};
-use medea::core::{Empi, NullInjector, SystemConfig, Topology};
-use medea::sim::rng::SplitMix64;
+mod common;
+
+use common::seeded_kernels;
+use medea::core::system::System;
+use medea::core::{NullInjector, SystemConfig, Topology};
 use medea::trace::RingSink;
 use proptest::prelude::*;
-
-/// A seeded, deadlock-free mixed workload: per-rank op soup (compute,
-/// cached/uncached memory, coherence, lock-guarded counters), a ring
-/// sendrecv exchange, then barrier + allreduce so every layer fires.
-fn seeded_kernels(ranks: usize, seed: u64, ops: usize) -> Vec<Kernel> {
-    (0..ranks)
-        .map(|r| {
-            Box::new(move |api: PeApi| {
-                const LOCK: u32 = 0x40;
-                const COUNTER: u32 = 0x44;
-                let comm = Empi::new(api);
-                let mut rng = SplitMix64::new(seed ^ (r as u64).wrapping_mul(0x9E37_79B9));
-                let base = comm.private_base();
-                for i in 0..ops {
-                    match rng.next_u64() % 6 {
-                        0 => comm.compute(1 + rng.next_u64() % 64),
-                        1 => comm.store_u32(base + (i as u32 % 16) * 4, rng.next_u64() as u32),
-                        2 => {
-                            let _ = comm.load_u32(base + (i as u32 % 16) * 4);
-                        }
-                        3 => {
-                            comm.flush_line(base);
-                            comm.invalidate_line(base);
-                        }
-                        4 => {
-                            comm.uncached_store_u32(0x80 + r as u32 * 4, i as u32);
-                            let _ = comm.uncached_load_u32(0x80 + r as u32 * 4);
-                        }
-                        _ => {
-                            comm.lock(LOCK);
-                            let v = comm.uncached_load_u32(COUNTER);
-                            comm.uncached_store_u32(COUNTER, v + 1);
-                            comm.unlock(LOCK);
-                        }
-                    }
-                }
-                if comm.ranks() > 1 {
-                    // Ring exchange through the duplex engine (safe for
-                    // opposite-direction windowed sends).
-                    let rank = comm.rank().index();
-                    let ranks = comm.ranks();
-                    let next = medea::sim::ids::Rank::new(((rank + 1) % ranks) as u8);
-                    let prev = medea::sim::ids::Rank::new(((rank + ranks - 1) % ranks) as u8);
-                    let payload: Vec<u32> = (0..8).map(|i| (rank * 100 + i) as u32).collect();
-                    let got = comm.sendrecv(Some(next), &payload, Some(prev)).expect("ring");
-                    assert_eq!(got[0] as usize, ((rank + ranks - 1) % ranks) * 100);
-                }
-                comm.barrier();
-                let total = comm.allreduce(r as f64 + 0.25);
-                let expect = (0..comm.ranks()).map(|k| k as f64 + 0.25).sum::<f64>();
-                assert_eq!(total.to_bits(), expect.to_bits());
-            }) as Kernel
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
