@@ -2,7 +2,7 @@
 //! simulated-cycles-per-second (experiment E8, `RunResult::sim_rate`) for
 //! a fixed workload set on both engines —
 //!
-//! * **before**: [`System::run_reference`], the naive tick-everything
+//! * **before**: [`oracle::run_reference`], the naive tick-everything
 //!   loop behind a `Box<dyn Fabric>` (the seed engine);
 //! * **after**: [`System::run`], the zero-allocation, event-driven engine:
 //!   delivery visits only nodes with queued flits, and only PEs woken by a
@@ -23,6 +23,7 @@ use medea_apps::workloads::pingpong_kernels;
 use medea_bench::report::{Cell, Report, Table};
 use medea_bench::{base_builder, cells};
 use medea_core::explore::Workload as _;
+use medea_core::oracle;
 use medea_core::system::{AnyKernel, RunResult, System, Task};
 use medea_core::{AsyncEmpi, SystemConfig, Topology};
 use medea_sim::ids::Rank;
@@ -58,7 +59,7 @@ fn measure<K: Into<AnyKernel>>(
     kernels: impl Fn() -> Vec<K>,
 ) -> f64 {
     let (before, before_cps) =
-        best_rate(|| System::run_reference(cfg, preload, kernels()).expect("reference run"));
+        best_rate(|| oracle::run_reference(cfg, preload, kernels()).expect("reference run"));
     let (after, after_cps) =
         best_rate(|| System::run(cfg, preload, kernels()).expect("optimized run"));
     assert_eq!(after.divergence(&before), None, "{name}: the engines must agree");
@@ -137,7 +138,7 @@ fn main() {
     let mut table = Table::new(
         "workloads",
         "simulated cycles per wall second, best of reps_per_engine runs per engine; before = \
-         System::run_reference (naive tick-everything engine), after = System::run \
+         oracle::run_reference (naive tick-everything engine), after = System::run \
          (zero-allocation, event-driven: eject-ready delivery, timed/delivery/probe wakes, PEs \
          parked on a flit)",
         &["name", "simulated_cycles", "reps_per_engine", "before_cps", "after_cps", "speedup"],

@@ -14,7 +14,7 @@
 //! grinds through a 255-PE run.
 
 use crate::config::SystemConfig;
-use crate::system::{kernel_list, AnyKernel, RunError, RunResult, System, Task};
+use crate::system::{AnyKernel, RunError, RunResult, System, Task};
 use medea_cache::{Addr, CacheConfig, CachePolicy};
 use medea_noc::coord::Topology;
 use medea_sim::Cycle;
@@ -110,7 +110,8 @@ impl PreparedWorkload {
         kernels: Vec<impl Into<AnyKernel>>,
         measured: Arc<AtomicU64>,
     ) -> Self {
-        PreparedWorkload { preload, kernels: kernel_list(kernels), measured }
+        let kernels = kernels.into_iter().map(Into::into).collect();
+        PreparedWorkload { preload, kernels, measured }
     }
 }
 

@@ -25,7 +25,9 @@
 //! * [`area`] — the TSMC-65nm area model with kill-rule Pareto pruning
 //!   used for Figs. 7 and 9;
 //! * [`explore`] — the multi-configuration design-space exploration driver
-//!   (the paper's 168-point sweep).
+//!   (the paper's 168-point sweep);
+//! * [`oracle`] — the naive tick-everything reference engine the cycle
+//!   engine is checked against, bit for bit.
 //!
 //! # Example
 //!
@@ -64,6 +66,7 @@ pub mod config;
 pub mod empi;
 pub mod explore;
 pub mod layout;
+pub mod oracle;
 pub(crate) mod sched;
 pub mod system;
 

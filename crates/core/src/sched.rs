@@ -2,11 +2,11 @@
 //!
 //! A [`Scheduler`] owns every processing element and MPMMU bank of a run,
 //! and [`Scheduler::cycle`] is the cycle body the engine runs over them:
-//! sampling catch-up, the cycle's scheduled link kills, then deliver
-//! ejected flits, tick the runnable components, offer injection, and tick
-//! the fabric, with the run's hooks (trace sink, fault injector, meter)
-//! live throughout. Each phase costs time in proportion to the
-//! components that can act, not to the PE count:
+//! sampling catch-up, the link kills the fault injector has due by the
+//! cycle, then deliver ejected flits, tick the runnable components, offer
+//! injection, and tick the fabric, with the run's hooks (trace sink, fault
+//! injector, meter) live throughout. Each phase costs time in proportion
+//! to the components that can act, not to the PE count:
 //!
 //! * **delivery** walks only the nodes whose ejection queue holds a flit
 //!   ([`Fabric::next_ejectable`]), in ascending node order — which is
@@ -37,7 +37,7 @@
 //! PE stall for every runnable PE on every cycle, and skipping those
 //! rolls would change seeded fault runs.
 
-use crate::system::{banks_deliver, banks_inject, banks_tick, delivered_event, Bank};
+use crate::system::{banks_deliver, banks_inject, delivered_event, Bank};
 use medea_fault::FaultInjector;
 use medea_metrics::Meter;
 use medea_noc::coord::Dir;
@@ -111,9 +111,10 @@ impl Scheduler {
     }
 
     /// Whether a live PE sleeps in a *timed* stall past `now + 1` — the
-    /// watchdog's carve-out for healthy long stalls (a long `compute`, a
-    /// bridge backoff, an injected stall). A parked PE never counts: it
-    /// waits on traffic, which is exactly what a hang starves it of.
+    /// watchdog's carve-out for healthy long stalls (a long `compute`, an
+    /// injected stall). A parked PE never counts: it waits on traffic,
+    /// which is exactly what a hang starves it of. Nor does a PE backing
+    /// off a Nacked lock: it is ticked every cycle, so it is never asleep.
     pub(crate) fn timed_stall_pending(&self, now: Cycle) -> bool {
         self.pes
             .iter()
@@ -130,8 +131,8 @@ impl Scheduler {
     }
 
     /// The fault tail, `(cycle, event)`, oldest first.
-    pub(crate) fn faults(&mut self) -> &[(Cycle, TraceEvent)] {
-        self.faults.make_contiguous()
+    pub(crate) fn faults(&self) -> impl Iterator<Item = &(Cycle, TraceEvent)> {
+        self.faults.iter()
     }
 
     /// Snapshot every PE and bank into `meter` at a sample-window
@@ -162,13 +163,11 @@ impl Scheduler {
         }
     }
 
-    /// Cycle `now` of this scheduler's components over `fabric`. `kills`
-    /// are the link kills the decision chain drained for this cycle.
+    /// Cycle `now` of this scheduler's components over `fabric`.
     pub(crate) fn cycle<F, S, I, M>(
         &mut self,
         fabric: &mut F,
         now: Cycle,
-        kills: &[(u16, u8)],
         sink: &mut S,
         injector: &mut I,
         meter: &mut M,
@@ -189,14 +188,19 @@ impl Scheduler {
             }
         }
 
-        // 0b. Scheduled permanent faults, before any traffic moves.
-        for &(node, dir) in kills {
-            let event = TraceEvent::FaultLinkKilled { node, dir };
-            if S::ACTIVE {
-                sink.record(now, event);
+        // 0b. The scheduled link kills due by `now`, in schedule order,
+        // before any traffic moves. A kill due inside an idle fast-forward
+        // fires at the cycle the jump lands on.
+        if I::ACTIVE {
+            while let Some(kill) = injector.take_link_kill(now) {
+                let (node, dir) = (kill.node, kill.dir & 3);
+                let event = TraceEvent::FaultLinkKilled { node, dir };
+                if S::ACTIVE {
+                    sink.record(now, event);
+                }
+                self.log_fault(now, event);
+                fabric.kill_link(NodeId::new(node), Dir::ALL[dir as usize]);
             }
-            self.log_fault(now, event);
-            fabric.kill_link(NodeId::new(node), Dir::ALL[dir as usize & 3]);
         }
 
         // Timed wakes: last cycle's `now + 1` PEs, then the due timers.
@@ -223,7 +227,11 @@ impl Scheduler {
         self.runnable.sort_unstable();
         self.runnable.dedup();
         self.tick(now, sink, injector, meter);
-        banks_tick(&mut self.banks, now, true, sink, injector);
+        for bank in &mut self.banks {
+            if !bank.unit.is_idle() {
+                bank.unit.tick_faulted(now, sink, injector);
+            }
+        }
 
         // 3. Inject (one flit per node per cycle). A PE that did not tick
         // has a drained arbiter, so only the ticked ones can offer.

@@ -1,49 +1,48 @@
 //! The full-system cycle engine.
 //!
 //! Assembles the fabric, the MPMMU bank(s) and the processing elements,
-//! then runs the single-clock cycle loop. Every engine below runs the
-//! same phases per cycle:
+//! then runs the single-clock cycle loop. Both engines, the production one
+//! here and the oracle in [`crate::oracle`], run the same phases per cycle:
 //!
 //! 1. deliver flits ejected by the fabric to their node interfaces (PEs
 //!    first, then every memory bank in bank order);
 //! 2. tick every *runnable* PE and bank;
 //! 3. inject at most one flit per node into the fabric;
 //! 4. tick the fabric;
-//! 5. decide what follows: termination when every kernel has returned,
-//!    the cycle limit, the watchdog, an idle fast-forward or a deadlock.
+//! 5. decide what follows, reading the PEs, banks and fabric themselves:
+//!    termination when every kernel has returned, the cycle limit, the
+//!    watchdog, an idle fast-forward or a deadlock.
 //!
 //! Shared memory is served by `cfg.memory_banks()` address-interleaved
 //! MPMMU banks (default 1 at node 0 — the paper's single-slave instance,
-//! reproduced bit-for-bit). The eject→hold→inject plumbing each bank
-//! needs is one set of helpers ([`banks_deliver`], [`banks_tick`],
-//! [`banks_inject`], [`banks_quiet`]) shared by every engine.
+//! reproduced bit-for-bit). Both engines share the eject→hold→inject
+//! plumbing each bank needs and the end-of-run diagnostics.
 //!
 //! [`System::run`] and [`System::run_with`] drive the production engine,
 //! one driver on one host thread: a scheduler over every PE and bank, one
 //! fabric over the whole torus (generic over [`medea_noc::Fabric`],
-//! dispatched once on the configured kind), and a plain loop of one cycle
-//! body, [`crate::sched::Scheduler::cycle`] (sampling catch-up, scheduled
-//! link kills, phases 1–4), and one end-of-cycle decision chain,
-//! [`Chain`], which reads a [`CycleReport`] of the cycle and returns the
-//! next cycle to simulate or the [`Stop`] that ends the run. Parallelism
-//! lives one level up, across design points
-//! ([`crate::explore::run_sweep`]), as in the paper's own exploration.
+//! dispatched once on the configured kind), and a decision chain that
+//! holds the watchdog window. Each cycle the scheduler runs the cycle body
+//! (sampling catch-up, the link kills due by that cycle, phases 1–4), then
+//! the chain reads the scheduler and the fabric and returns the next cycle
+//! to simulate, or the run's last cycle or error. Parallelism lives one
+//! level up, across design points ([`crate::explore::run_sweep`]), as in
+//! the paper's own exploration.
 //!
 //! "Bit-identical" always means [`RunResult::divergence`] finds no
 //! difference: every simulated field agrees, and only the host-side wall
 //! time, metrics report and trace-drop count may differ.
 //!
-//! The cycle body is event-driven ([`crate::sched`]): delivery visits
-//! only the nodes whose ejection queue holds a flit, and only *runnable*
-//! PEs tick — a PE is made runnable by a *timed* wake (it asked for the
-//! next cycle, or a pure time stall ends), a *delivery* wake (a flit
-//! reached it while it was parked on one) or a *probe* wake (a directory
-//! probe reached it while it slept or after it retired), and a parked
-//! PE's wake credits the wait-counter increments of the ticks it skipped.
-//! On top, the decision chain fast-forwards over cycles in which every
-//! component is provably idle — the optimizations that make the
-//! 168-point exploration cheap, standing in for the paper's 15×
-//! SystemC-over-HDL speedup.
+//! The cycle body is event-driven: delivery visits only the nodes whose
+//! ejection queue holds a flit, and only *runnable* PEs tick — a PE is
+//! made runnable by a *timed* wake (it asked for the next cycle, or a pure
+//! time stall ends), a *delivery* wake (a flit reached it while it was
+//! parked on one) or a *probe* wake (a directory probe reached it while it
+//! slept or after it retired), and a parked PE's wake credits the
+//! wait-counter increments of the ticks it skipped. On top, the decision
+//! chain fast-forwards over cycles in which every component is provably
+//! idle — the optimizations that make the 168-point exploration cheap,
+//! standing in for the paper's 15× SystemC-over-HDL speedup.
 //!
 //! [`System::run_with`] takes a `medea_trace::TraceSink` and a
 //! `medea_fault::FaultInjector`. Every layer emits typed, timestamped
@@ -59,12 +58,11 @@
 //! [`RunError::Watchdog`] carrying per-PE blocked-state diagnostics and
 //! the tail of recent fault events.
 //!
-//! [`System::run_reference`] is the independent oracle: the naive
-//! tick-everything loop behind a `Box<dyn Fabric>`, with its own loop and
-//! decisions. The production engine must match it bit for bit
-//! (`tests/golden_determinism.rs`, `engine_equivalence` below), and the
-//! pair is the before/after baseline of the `BENCH_sim_speed.json`
-//! harness.
+//! The independent oracle, [`crate::oracle::run_reference`], is the naive
+//! tick-everything loop with its own decisions. The production engine must
+//! match it bit for bit (the `engine_equivalence` tests below and
+//! `tests/banked_memory.rs`), and the pair is the before/after baseline of
+//! the `BENCH_sim_speed.json` harness.
 
 use crate::api::{AsyncPeApi, KernelContext, PeApi};
 use crate::config::SystemConfig;
@@ -77,7 +75,6 @@ use medea_metrics::{Meter, MetricsReport, NullMeter, Recorder};
 use medea_noc::flit::Flit;
 use medea_noc::ideal::IdealNetwork;
 use medea_noc::network::Network;
-use medea_noc::reference::ReferenceNetwork;
 use medea_noc::{Fabric, FabricStats};
 use medea_pe::bridge::BridgeStats;
 use medea_pe::pe::{PeStats, ProcessingElement, Wakeup};
@@ -157,9 +154,17 @@ impl From<Kernel> for AnyKernel {
     }
 }
 
-/// One kernel per configured PE.
-pub(crate) fn kernel_list(kernels: Vec<impl Into<AnyKernel>>) -> Vec<AnyKernel> {
-    kernels.into_iter().map(Into::into).collect()
+/// `kernels` as a run's kernel list, or [`RunError::KernelCountMismatch`]
+/// unless there is exactly one per configured PE.
+pub(crate) fn kernel_list(
+    cfg: &SystemConfig,
+    kernels: Vec<impl Into<AnyKernel>>,
+) -> Result<Vec<AnyKernel>, RunError> {
+    let pes = cfg.compute_pes();
+    if kernels.len() != pes {
+        return Err(RunError::KernelCountMismatch { kernels: kernels.len(), pes });
+    }
+    Ok(kernels.into_iter().map(Into::into).collect())
 }
 
 /// Why a run failed.
@@ -453,10 +458,10 @@ impl System {
     ///
     /// Faults enter at exactly four engine hooks:
     ///
-    /// * **link kills** — drained from the injector's schedule by the
-    ///   decision chain at the end of each cycle and applied to the fabric
-    ///   at the top of the next, which routes around the dead link from
-    ///   then on ([`medea_noc::Fabric::kill_link`]);
+    /// * **link kills** — taken from the injector's schedule at the top of
+    ///   each simulated cycle, every kill due by that cycle, and applied to
+    ///   the fabric, which routes around the dead link from then on
+    ///   ([`medea_noc::Fabric::kill_link`]);
     /// * **flit corruption** — one payload bit of a Message flit flipped
     ///   at PE ejection, *without* refreshing the codec checksum, so the
     ///   TIE flags the packet and resilient eMPI NACKs it (shared-memory
@@ -468,7 +473,7 @@ impl System {
     ///   cycles into the future, freezing its engine without touching
     ///   its architectural state. The stall is rolled for every runnable
     ///   PE on every cycle, so no PE is parked while an injector is
-    ///   active (see [`crate::sched`]).
+    ///   active.
     ///
     /// When [`crate::ResilienceConfig::watchdog_cycles`] is nonzero, a
     /// progress watchdog tracks a fingerprint of *served work* (packets
@@ -487,8 +492,7 @@ impl System {
         sink: &mut S,
         injector: &mut I,
     ) -> Result<RunResult, RunError> {
-        let kernels = kernel_list(kernels);
-        check_kernel_count(cfg, &kernels)?;
+        let kernels = kernel_list(cfg, kernels)?;
         // Metrics dispatch mirrors the sink/injector pattern one level
         // up: the engine below is generic over `M: Meter`, and the
         // metrics-off configuration instantiates it with [`NullMeter`],
@@ -517,96 +521,6 @@ impl System {
             r.trace_drops = sink.io_drops();
         }
         out
-    }
-
-    /// Run `kernels` on the naive reference engine: the frozen seed
-    /// fabric ([`ReferenceNetwork`]) behind dynamic dispatch, every
-    /// component ticked every cycle.
-    ///
-    /// This is the behavioral yardstick for [`System::run`] (both must
-    /// produce bit-identical [`RunResult`]s, wall-clock aside; see
-    /// [`RunResult::divergence`]) and the "before" measurement of the
-    /// simulation-speed benchmarks. It is not used by any workload path.
-    ///
-    /// # Errors
-    ///
-    /// See [`RunError`].
-    pub fn run_reference(
-        cfg: &SystemConfig,
-        preload: &[(Addr, u32)],
-        kernels: Vec<impl Into<AnyKernel>>,
-    ) -> Result<RunResult, RunError> {
-        let kernels = kernel_list(kernels);
-        check_kernel_count(cfg, &kernels)?;
-        let topo = cfg.topology();
-        let mut fabric: Box<dyn Fabric> = match cfg.fabric() {
-            FabricKind::Deflection => Box::new(ReferenceNetwork::new(topo)),
-            FabricKind::Ideal => Box::new(IdealNetwork::new(topo)),
-        };
-        let mut banks = build_banks(cfg, preload);
-        let mut pes = build_pes::<NullSink>(cfg, kernels);
-
-        let wall_start = Instant::now();
-        let mut now: Cycle = 0;
-        loop {
-            // 1. Deliver ejections.
-            for pe in &mut pes {
-                let node = pe.node();
-                while let Some(flit) = fabric.eject(node) {
-                    pe.deliver(flit, now, &mut NullSink);
-                }
-            }
-            banks_deliver(&mut *fabric, &mut banks, now, &mut NullSink);
-
-            // 2. Tick components.
-            for pe in &mut pes {
-                pe.tick(now, &mut NullSink);
-            }
-            banks_tick(&mut banks, now, false, &mut NullSink, &mut NullInjector);
-
-            // 3. Inject (one flit per node per cycle).
-            for pe in &mut pes {
-                if let Some(flit) = pe.select_inject() {
-                    if let Err(back) = fabric.try_inject(pe.node(), flit, now) {
-                        pe.restore_inject(back);
-                    }
-                }
-            }
-            banks_inject(&mut *fabric, &mut banks, now, &mut NullSink);
-
-            // 4. Fabric.
-            fabric.tick(now);
-
-            // 5. Termination, limits, fast-forward.
-            if pes.iter().all(ProcessingElement::is_done) {
-                break;
-            }
-            if now >= cfg.cycle_limit() {
-                return Err(RunError::CycleLimit {
-                    limit: cfg.cycle_limit(),
-                    detail: stall_summary(&pes, &banks, fabric.in_flight(), &[]),
-                });
-            }
-            let quiet = fabric.in_flight() == 0 && banks_quiet(&banks);
-            if quiet {
-                match QuietState::of(&pes) {
-                    QuietState::AllTimed { min_wake } => {
-                        let t = min_wake.min(cfg.cycle_limit());
-                        if t > now + 1 {
-                            now = t;
-                            continue;
-                        }
-                    }
-                    QuietState::Deadlocked => {
-                        return Err(RunError::Deadlock { at: now, detail: deadlock_detail(&pes) });
-                    }
-                    QuietState::Mixed => {}
-                }
-            }
-            now += 1;
-        }
-
-        Ok(finish_result(now, &pes, fabric.stats(), &banks, wall_start, FaultStats::default()))
     }
 }
 
@@ -645,206 +559,100 @@ fn run_sequential<F: Fabric, S: TraceSink, I: FaultInjector, M: Meter>(
     meter: &mut M,
 ) -> Result<RunResult, RunError> {
     let wall_start = Instant::now();
-    let mut chain = Chain::new(cfg, injector);
+    let mut chain = Chain::new(cfg);
     let mut now: Cycle = 0;
-    let stop = loop {
-        sched.cycle(&mut fabric, now, chain.kills(), sink, injector, meter);
-        let report = CycleReport::new(&sched, fabric.in_flight(), now, chain.watchdog_on());
-        match chain.decide(now, &report, injector) {
+    let end = loop {
+        sched.cycle(&mut fabric, now, sink, injector, meter);
+        match chain.decide(now, &sched, fabric.in_flight()) {
             ControlFlow::Continue(next) => now = next,
-            ControlFlow::Break(stop) => break stop,
+            ControlFlow::Break(end) => break end,
         }
     };
     sched.flush(meter, now);
-    let faults = sched.faults().to_vec();
-    stop.conclude(&sched.pes, &sched.banks, &faults, fabric.stats(), injector.stats(), wall_start)
-}
-
-/// What the decision chain reads after a cycle: the scheduler's state.
-struct CycleReport {
-    /// PEs whose kernel has not returned.
-    live: usize,
-    /// Flits in the fabric.
-    in_flight: usize,
-    /// The watchdog's [`progress_fingerprint`] (0 with the watchdog off).
-    fingerprint: u64,
-    /// Whether a live PE sleeps in a timed stall past the next cycle
-    /// (`false` with the watchdog off).
-    timed_stall: bool,
-    /// `Some` exactly when the fabric and every bank are drained — the
-    /// only time the chain reads it.
-    quiet: Option<QuietState>,
-}
-
-impl CycleReport {
-    /// The report of `sched`'s components after cycle `now`, with
-    /// `in_flight` flits in its fabric. The watchdog inputs are computed
-    /// only when `watchdog` is on, the quiet state only when drained.
-    fn new(sched: &Scheduler, in_flight: usize, now: Cycle, watchdog: bool) -> Self {
-        let drained = in_flight == 0 && banks_quiet(&sched.banks);
-        CycleReport {
-            live: sched.live(),
-            in_flight,
-            fingerprint: if watchdog { progress_fingerprint(&sched.pes, &sched.banks) } else { 0 },
-            timed_stall: watchdog && sched.timed_stall_pending(now),
-            quiet: drained.then(|| QuietState::of(&sched.pes)),
-        }
-    }
-}
-
-/// Why the decision chain ended a run.
-#[derive(Debug, Clone, Copy)]
-enum Stop {
-    /// Every kernel returned by cycle `at`.
-    Done { at: Cycle },
-    /// The cycle limit passed with `in_flight` flits in the fabric.
-    CycleLimit { limit: Cycle, in_flight: usize },
-    /// No progress for a whole watchdog window, as of cycle `at`.
-    Watchdog { at: Cycle, in_flight: usize },
-    /// Every live PE blocked in `Recv` with no traffic anywhere.
-    Deadlock { at: Cycle },
-}
-
-impl Stop {
-    /// The run's outcome, from its PEs and banks in rank and bank order,
-    /// the engine-side fault tail and the fabric and fault statistics.
-    fn conclude(
-        self,
-        pes: &[ProcessingElement],
-        banks: &[Bank],
-        faults: &[(Cycle, TraceEvent)],
-        fstats: &FabricStats,
-        fault: FaultStats,
-        wall_start: Instant,
-    ) -> Result<RunResult, RunError> {
-        match self {
-            Stop::Done { at } => Ok(finish_result(at, pes, fstats, banks, wall_start, fault)),
-            Stop::CycleLimit { limit, in_flight } => Err(RunError::CycleLimit {
-                limit,
-                detail: stall_summary(pes, banks, in_flight, faults),
-            }),
-            Stop::Watchdog { at, in_flight } => {
-                Err(RunError::Watchdog { at, detail: stall_summary(pes, banks, in_flight, faults) })
-            }
-            Stop::Deadlock { at } => Err(RunError::Deadlock { at, detail: deadlock_detail(pes) }),
-        }
-    }
+    let fault = injector.stats();
+    Ok(finish_result(end?, &sched.pes, fabric.stats(), &sched.banks, wall_start, fault))
 }
 
 /// The end-of-cycle decision chain the driver runs after every cycle. It
-/// owns the cross-cycle decision state (the watchdog window) and is the
-/// only reader of the fault injector's link-kill schedule.
+/// reads the scheduler and the fabric directly and owns the one piece of
+/// cross-cycle decision state, the watchdog window.
 struct Chain {
     limit: Cycle,
     /// Watchdog window, 0 = off.
     watchdog: Cycle,
     last_fingerprint: u64,
     last_progress_at: Cycle,
-    /// The link kills due at the next cycle, `(node, dir)`.
-    kills: Vec<(u16, u8)>,
 }
 
 impl Chain {
-    /// The chain for a run of `cfg`, holding cycle 0's link kills.
-    fn new<I: FaultInjector>(cfg: &SystemConfig, injector: &mut I) -> Self {
-        let mut chain = Chain {
+    /// The chain for a run of `cfg`.
+    fn new(cfg: &SystemConfig) -> Self {
+        Chain {
             limit: cfg.cycle_limit(),
             watchdog: cfg.resilience().watchdog_cycles,
             last_fingerprint: 0,
             last_progress_at: 0,
-            kills: Vec::new(),
-        };
-        chain.drain_kills(0, injector);
-        chain
+        }
     }
 
-    /// Whether cycle reports must carry the watchdog's inputs.
-    const fn watchdog_on(&self) -> bool {
-        self.watchdog > 0
-    }
-
-    /// The link kills to apply at the top of the next cycle.
-    fn kills(&self) -> &[(u16, u8)] {
-        &self.kills
-    }
-
-    /// Decide what follows cycle `now`: termination, the cycle limit, the
+    /// Decide what follows cycle `now` of `sched`'s components, with
+    /// `in_flight` flits in the fabric: termination, the cycle limit, the
     /// watchdog, then — when the fabric and banks are drained — an idle
-    /// fast-forward or a deadlock, and finally the next cycle's link
-    /// kills. `Continue` carries the next cycle to simulate.
-    fn decide<I: FaultInjector>(
+    /// fast-forward or a deadlock. `Continue` carries the next cycle to
+    /// simulate; `Break` carries the run's last cycle, or its error.
+    fn decide(
         &mut self,
         now: Cycle,
-        report: &CycleReport,
-        injector: &mut I,
-    ) -> ControlFlow<Stop, Cycle> {
-        if report.live == 0 {
-            return ControlFlow::Break(Stop::Done { at: now });
+        sched: &Scheduler,
+        in_flight: usize,
+    ) -> ControlFlow<Result<Cycle, RunError>, Cycle> {
+        let stalled = || stall_summary(&sched.pes, &sched.banks, in_flight, sched.faults());
+        if sched.live() == 0 {
+            return ControlFlow::Break(Ok(now));
         }
         if now >= self.limit {
-            let in_flight = report.in_flight;
-            return ControlFlow::Break(Stop::CycleLimit { limit: self.limit, in_flight });
+            let limit = self.limit;
+            return ControlFlow::Break(Err(RunError::CycleLimit { limit, detail: stalled() }));
         }
+        // The window stays open while a live PE sleeps in a multi-cycle
+        // timed stall (a long `compute`, an injected stall): it is healthy
+        // and will produce work when it wakes. A PE parked on traffic or
+        // backing off a Nacked lock keeps nothing open, since a livelock
+        // or a lock spin looks exactly like that.
+        let timed_stall = self.watchdog > 0 && sched.timed_stall_pending(now);
         if self.watchdog > 0 {
-            if report.fingerprint != self.last_fingerprint {
-                self.last_fingerprint = report.fingerprint;
-                self.last_progress_at = now;
-            } else if report.timed_stall {
-                // A PE asleep in a multi-cycle timed stall (a long
-                // `compute`, a bridge backoff) is healthy, not hung — it
-                // will produce work when it wakes, even though another PE
-                // polling every cycle keeps the fast-forward jump (which
-                // would reset the window) from engaging. Keep the window
-                // open while the stall is in flight; a livelock has every
-                // live PE spinning at wake = now + 1 or parked on traffic
-                // that never comes, so this never masks one.
+            let fingerprint = progress_fingerprint(&sched.pes, &sched.banks);
+            if fingerprint != self.last_fingerprint || timed_stall {
+                self.last_fingerprint = fingerprint;
                 self.last_progress_at = now;
             } else if now - self.last_progress_at >= self.watchdog {
-                let in_flight = report.in_flight;
-                return ControlFlow::Break(Stop::Watchdog { at: now, in_flight });
+                return ControlFlow::Break(Err(RunError::Watchdog { at: now, detail: stalled() }));
             }
         }
-        let mut next = now + 1;
-        match report.quiet {
-            Some(QuietState::AllTimed { min_wake }) => {
-                // Never skip past the cycle limit: the limit check must
-                // still observe the overrun.
-                let t = min_wake.min(self.limit);
-                if t > next {
-                    // The jump is legitimate forward progress (every PE is
-                    // provably in a timed stall), so it must not age the
-                    // watchdog window.
-                    self.last_progress_at = t;
-                    next = t;
+        if in_flight == 0 && banks_quiet(&sched.banks) {
+            match QuietState::of(&sched.pes) {
+                QuietState::AllTimed { min_wake } => {
+                    // Never skip past the cycle limit: the limit check must
+                    // still observe the overrun.
+                    let t = min_wake.min(self.limit);
+                    if t > now + 1 {
+                        // Skipped cycles count as progress under the same
+                        // rule as stepped ones: only over a timed stall.
+                        if timed_stall {
+                            self.last_progress_at = t;
+                        }
+                        return ControlFlow::Continue(t);
+                    }
                 }
-            }
-            Some(QuietState::Deadlocked) => return ControlFlow::Break(Stop::Deadlock { at: now }),
-            Some(QuietState::Mixed) | None => {}
-        }
-        self.drain_kills(next, injector);
-        ControlFlow::Continue(next)
-    }
-
-    /// Replace the kill list with the scheduled link kills due by `now`,
-    /// in schedule order.
-    fn drain_kills<I: FaultInjector>(&mut self, now: Cycle, injector: &mut I) {
-        self.kills.clear();
-        if I::ACTIVE {
-            while let Some(kill) = injector.take_link_kill(now) {
-                self.kills.push((kill.node, kill.dir & 3));
+                QuietState::Deadlocked => {
+                    let detail = deadlock_detail(&sched.pes);
+                    return ControlFlow::Break(Err(RunError::Deadlock { at: now, detail }));
+                }
+                QuietState::Mixed => {}
             }
         }
+        ControlFlow::Continue(now + 1)
     }
-}
-
-fn check_kernel_count(cfg: &SystemConfig, kernels: &[AnyKernel]) -> Result<(), RunError> {
-    if kernels.len() != cfg.compute_pes() {
-        return Err(RunError::KernelCountMismatch {
-            kernels: kernels.len(),
-            pes: cfg.compute_pes(),
-        });
-    }
-    Ok(())
 }
 
 /// One MPMMU bank wired into the cycle loop: the unit itself, its node,
@@ -857,7 +665,7 @@ pub(crate) struct Bank {
 }
 
 /// Build the bank vector and route every preload word to its owning bank.
-fn build_banks(cfg: &SystemConfig, preload: &[(Addr, u32)]) -> Vec<Bank> {
+pub(crate) fn build_banks(cfg: &SystemConfig, preload: &[(Addr, u32)]) -> Vec<Bank> {
     let map = cfg.bank_map();
     let mut banks: Vec<Bank> = cfg
         .bank_nodes()
@@ -918,23 +726,6 @@ pub(crate) fn banks_deliver<F: Fabric + ?Sized, S: TraceSink>(
     }
 }
 
-/// Tick every bank. With `skip_idle` (the scheduled engine) an idle bank
-/// is not ticked — its tick is provably a no-op; the reference engine
-/// ticks everything every cycle.
-pub(crate) fn banks_tick<S: TraceSink, I: FaultInjector>(
-    banks: &mut [Bank],
-    now: Cycle,
-    skip_idle: bool,
-    sink: &mut S,
-    injector: &mut I,
-) {
-    for bank in banks {
-        if !skip_idle || !bank.unit.is_idle() {
-            bank.unit.tick_faulted(now, sink, injector);
-        }
-    }
-}
-
 /// Inject at most one response flit per bank (one flit per node per
 /// cycle); a refused flit goes back to the front of the bank's out FIFO.
 pub(crate) fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
@@ -960,12 +751,15 @@ pub(crate) fn banks_inject<F: Fabric + ?Sized, S: TraceSink>(
 }
 
 /// Whether every bank is drained (the fast-forward / deadlock predicate).
-fn banks_quiet(banks: &[Bank]) -> bool {
+pub(crate) fn banks_quiet(banks: &[Bank]) -> bool {
     banks.iter().all(|b| b.unit.is_idle() && b.hold.is_none())
 }
 
 /// Build the PEs for a run whose engine reports to a sink of type `S`.
-fn build_pes<S: TraceSink>(cfg: &SystemConfig, kernels: Vec<AnyKernel>) -> Vec<ProcessingElement> {
+pub(crate) fn build_pes<S: TraceSink>(
+    cfg: &SystemConfig,
+    kernels: Vec<AnyKernel>,
+) -> Vec<ProcessingElement> {
     let topo = cfg.topology();
     let ranks = cfg.compute_pes();
     let layout = cfg.layout();
@@ -1008,7 +802,7 @@ fn build_pes<S: TraceSink>(cfg: &SystemConfig, kernels: Vec<AnyKernel>) -> Vec<P
 }
 
 /// What a drained-fabric, idle-MPMMU cycle looks like from the PEs.
-enum QuietState {
+pub(crate) enum QuietState {
     /// Every live PE is in a pure time stall; jump to the earliest wake.
     AllTimed {
         /// Earliest wake cycle among the stalled PEs.
@@ -1023,7 +817,7 @@ enum QuietState {
 impl QuietState {
     /// The verdict over `pes`: all timed (AND) with the earliest wake
     /// (MIN), or all blocked in `Recv` (AND).
-    fn of(pes: &[ProcessingElement]) -> Self {
+    pub(crate) fn of(pes: &[ProcessingElement]) -> Self {
         let (mut all_timed, mut min_wake, mut all_recv_blocked) = (true, None, true);
         for pe in pes {
             match pe.wakeup() {
@@ -1048,7 +842,7 @@ impl QuietState {
     }
 }
 
-fn deadlock_detail(pes: &[ProcessingElement]) -> String {
+pub(crate) fn deadlock_detail(pes: &[ProcessingElement]) -> String {
     pes.iter()
         .enumerate()
         .filter(|(_, p)| !p.is_done())
@@ -1086,12 +880,12 @@ fn progress_fingerprint(pes: &[ProcessingElement], banks: &[Bank]) -> u64 {
 /// Per-PE blocked-state diagnostics for [`RunError::CycleLimit`] and
 /// [`RunError::Watchdog`]: what every unfinished rank is waiting on,
 /// its traffic counters, bank busyness, in-flight flits, and the tail
-/// of recent engine-side fault events.
-fn stall_summary(
+/// of recent engine-side fault events, oldest first.
+pub(crate) fn stall_summary<'a>(
     pes: &[ProcessingElement],
     banks: &[Bank],
     in_flight: usize,
-    fault_log: &[(Cycle, TraceEvent)],
+    faults: impl Iterator<Item = &'a (Cycle, TraceEvent)>,
 ) -> String {
     let mut parts: Vec<String> = Vec::new();
     for (i, pe) in pes.iter().enumerate() {
@@ -1121,15 +915,14 @@ fn stall_summary(
         parts.join(", "),
         banks.len(),
     );
-    if !fault_log.is_empty() {
-        let tail: Vec<String> =
-            fault_log.iter().map(|(cycle, ev)| format!("@{cycle} {ev:?}")).collect();
+    let tail: Vec<String> = faults.map(|(cycle, ev)| format!("@{cycle} {ev:?}")).collect();
+    if !tail.is_empty() {
         detail.push_str(&format!("; recent faults: [{}]", tail.join(", ")));
     }
     detail
 }
 
-fn finish_result(
+pub(crate) fn finish_result(
     now: Cycle,
     pes: &[ProcessingElement],
     fstats: &FabricStats,
@@ -1181,7 +974,7 @@ fn finish_result(
         fault,
         coherence,
         // Attached by `System::run_with` after the engine returns; the
-        // reference engine never records either.
+        // oracle never records either.
         metrics: None,
         trace_drops: 0,
         wall: wall_start.elapsed(),
@@ -1192,6 +985,7 @@ fn finish_result(
 mod tests {
     use super::*;
     use crate::empi::AsyncEmpi;
+    use crate::oracle::run_reference;
     use medea_sim::ids::Rank;
 
     fn cfg(pes: usize) -> SystemConfig {
@@ -1471,7 +1265,7 @@ mod tests {
         let short = limited(end - 1);
         for err in [
             System::run(&short, &[], kernels()).unwrap_err(),
-            System::run_reference(&short, &[], kernels()).unwrap_err(),
+            run_reference(&short, &[], kernels()).unwrap_err(),
         ] {
             assert!(
                 matches!(err, RunError::CycleLimit { limit, .. } if limit == end - 1),
@@ -1481,7 +1275,7 @@ mod tests {
         }
         for limit in [end, end + 1] {
             let fast = System::run(&limited(limit), &[], kernels()).unwrap();
-            let slow = System::run_reference(&limited(limit), &[], kernels()).unwrap();
+            let slow = run_reference(&limited(limit), &[], kernels()).unwrap();
             assert_eq!(fast.divergence(&slow), None, "limit {limit}");
         }
     }
@@ -1499,7 +1293,7 @@ mod tests {
         };
         let seq = System::run(&limit, &[], kernels()).unwrap_err();
         assert!(matches!(seq, RunError::CycleLimit { limit: 10_000, .. }), "{seq}");
-        assert_eq!(System::run_reference(&limit, &[], kernels()).unwrap_err(), seq, "reference");
+        assert_eq!(run_reference(&limit, &[], kernels()).unwrap_err(), seq, "reference");
     }
 
     #[test]
@@ -1569,7 +1363,7 @@ mod tests {
     /// result.
     fn both_engines(cfg: &SystemConfig, kernels: impl Fn() -> Vec<Task>, what: &str) -> RunResult {
         let fast = System::run(cfg, &[], kernels()).unwrap();
-        let slow = System::run_reference(cfg, &[], kernels()).unwrap();
+        let slow = run_reference(cfg, &[], kernels()).unwrap();
         assert_eq!(fast.divergence(&slow), None, "{what}");
         fast
     }
@@ -1653,7 +1447,7 @@ mod tests {
             ]
         };
         let fast = System::run(&cfg(2), &[], kernels()).unwrap_err();
-        let slow = System::run_reference(&cfg(2), &[], kernels()).unwrap_err();
+        let slow = run_reference(&cfg(2), &[], kernels()).unwrap_err();
         assert_eq!(fast, slow, "deadlock must be detected at the same cycle");
     }
 

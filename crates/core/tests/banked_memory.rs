@@ -3,6 +3,7 @@
 //! scheduled engine reproduces the sequential reference engine
 //! bit-for-bit (`RunResult::divergence`).
 
+use medea_core::oracle;
 use medea_core::system::System;
 use medea_core::{SystemConfig, Task};
 use proptest::prelude::*;
@@ -60,8 +61,7 @@ proptest! {
             }
         }
         let fast = System::run(&cfg(), &[], kernels(writes.clone())).expect("scheduled engine");
-        let slow =
-            System::run_reference(&cfg(), &[], kernels(writes)).expect("reference engine");
+        let slow = oracle::run_reference(&cfg(), &[], kernels(writes)).expect("reference engine");
         prop_assert_eq!(fast.divergence(&slow), None);
         prop_assert_eq!(fast.banks.len(), 2);
     }

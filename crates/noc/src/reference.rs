@@ -14,10 +14,10 @@
 //!   [`crate::network::Network`] and demand bit-identical statistics, so
 //!   every future hot-path change is checked against the original
 //!   semantics;
-//! * **performance baseline** — the cycle engine's
-//!   `System::run_reference` and the `BENCH_sim_speed.json` harness use
-//!   it as the honest "before" of the zero-allocation/activity-scheduling
-//!   work.
+//! * **performance baseline** — the cycle engine's oracle,
+//!   `medea_core::oracle::run_reference`, runs on it, and the
+//!   `BENCH_sim_speed.json` harness uses that oracle as the honest
+//!   "before" of the zero-allocation/activity-scheduling work.
 //!
 //! Do not optimize this module; that would defeat both jobs.
 

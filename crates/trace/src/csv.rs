@@ -12,7 +12,7 @@ use crate::event::{coh_op_name, packet_kind_name, TimedEvent, TraceEvent};
 use std::fmt::Write as _;
 
 /// The fixed CSV header row (shared with the streaming
-/// [`FileSink`](crate::sink::FileSink), which writes the same format).
+/// [`FileSink`](crate::file::FileSink), which writes the same format).
 pub const HEADER: &str = "cycle,class,event,node,kind,src,addr,value\n";
 
 /// Render `events` as a CSV document with a header row.

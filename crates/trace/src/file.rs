@@ -1,4 +1,4 @@
-//! Streaming file sink for captures that outgrow [`RingSink`].
+//! Streaming file sink for captures that outgrow [`RingSink`](crate::RingSink).
 //!
 //! A multi-hundred-million-cycle run emits far more events than any
 //! in-memory ring can hold — `RingSink` keeps only the newest `capacity`

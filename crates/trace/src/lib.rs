@@ -20,7 +20,7 @@
 //! * with [`FileSink`], events stream to disk through a buffered writer
 //!   in the CSV vocabulary — for multi-hundred-M-cycle runs where any
 //!   ring would truncate (drop-counter semantics documented in
-//!   [`file`]).
+//!   [`file`](mod@file)).
 //!
 //! # Event classes
 //!

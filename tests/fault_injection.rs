@@ -17,15 +17,20 @@
 //!   forever: the watchdog's carve-out for healthy timed stalls must not
 //!   mistake the parked receiver for one, and the watchdog fires at the
 //!   exact cycle its window closes.
+//! * A PE spinning on a lock that is never released: its backoffs are
+//!   jumped over, but a jump over a backoff is no progress, so the
+//!   watchdog still fires one window after the last served work.
+//! * A link kill due inside an idle fast-forward fires once, at the cycle
+//!   the jump lands on.
 
 use medea::apps::jacobi::{self, JacobiConfig, JacobiVariant};
 use medea::core::system::{System, Task};
 use medea::core::{
-    AsyncEmpi, DeadLink, FaultConfig, ResilienceConfig, RunError, ScheduledInjector, SystemConfig,
-    Topology,
+    AsyncEmpi, DeadLink, EventClass, FaultConfig, ResilienceConfig, RingSink, RunError,
+    ScheduledInjector, SystemConfig, Topology,
 };
 use medea::sim::ids::Rank;
-use medea::trace::NullSink;
+use medea::trace::{NullSink, TraceEvent};
 
 /// Dead link at cycle 400 on the bank node's east port — right in the
 /// middle of the memory traffic — plus a 0.5% Message-flit corruption
@@ -298,4 +303,63 @@ fn parked_receiver_beside_a_polling_peer() -> RunError {
         }),
     ];
     System::run(&sys, &[], kernels).expect_err("must not hang silently")
+}
+
+/// Rank 0 takes a lock and returns without releasing it; rank 1 computes,
+/// then asks for the same lock forever. Each Nack sends rank 1 into a
+/// short backoff that the idle fast-forward jumps over. A Nack serves no
+/// work and a backoff is not a timed stall, so the jumps must not hold the
+/// watchdog window open: it fires one window after rank 1's compute ends,
+/// long before the cycle limit.
+#[test]
+fn watchdog_fires_on_a_lock_spin() {
+    let sys = SystemConfig::builder()
+        .compute_pes(2)
+        .cycle_limit(400_000)
+        .resilience(ResilienceConfig { watchdog_cycles: 20_000, ..Default::default() })
+        .build()
+        .expect("watchdog configuration");
+    let kernels = vec![
+        Task::new(|api| async move { api.lock(0x40).await }), // never unlocked
+        Task::new(|api| async move {
+            api.compute(200).await;
+            api.lock(0x40).await;
+        }),
+    ];
+    let err = System::run(&sys, &[], kernels).expect_err("must not spin silently");
+    match &err {
+        RunError::Watchdog { at, detail } => {
+            assert!((20_000..40_000).contains(at), "watchdog fired at {at}, not one window in");
+            assert!(detail.contains("rank 1"), "detail must name the spinning rank: {detail}");
+        }
+        other => panic!("expected Watchdog, got {other}"),
+    }
+}
+
+/// Every PE computes for 10,000 cycles, so the engine jumps from the
+/// first cycles straight to the end of the stall. The kill scheduled at
+/// cycle 0 fires at cycle 0; the one scheduled at cycle 500 falls inside
+/// the jump and fires once, at the cycle the jump lands on.
+#[test]
+fn link_kill_inside_an_idle_jump_fires_once_at_the_landing_cycle() {
+    let sys = SystemConfig::builder()
+        .compute_pes(3)
+        .cycle_limit(1_000_000)
+        .build()
+        .expect("configuration");
+    let kernels: Vec<Task> =
+        (0..3).map(|_| Task::new(|api| async move { api.compute(10_000).await })).collect();
+    let schedule = FaultConfig { seed: 3, ..FaultConfig::default() }
+        .kill_link(DeadLink { node: 1, dir: 1, at: 0 })
+        .kill_link(DeadLink { node: 2, dir: 2, at: 500 });
+    let mut injector = ScheduledInjector::new(schedule);
+    let mut sink = RingSink::with_classes(64, EventClass::FAULT);
+    let run = System::run_with(&sys, &[], kernels, &mut sink, &mut injector).expect("run");
+    let kills: Vec<_> = sink
+        .iter()
+        .filter(|e| matches!(e.event, TraceEvent::FaultLinkKilled { .. }))
+        .map(|e| e.at)
+        .collect();
+    assert_eq!(kills, [0, 10_000], "link kills must fire once each, at these cycles");
+    assert_eq!(run.fault.links_killed, 2);
 }
